@@ -91,7 +91,7 @@ class ModuleElement:
     def basis_key(key: tuple[Word, Word]):
         """Order basis elements by the concatenated word mt (injective per level)."""
         m, t = key
-        return (m * t).sort_key()
+        return (m.degree + t.degree, m.ranks + t.ranks)
 
     def leading(self) -> tuple[tuple[Word, Word], int]:
         if not self.terms:
@@ -125,29 +125,38 @@ def overlap_tips(system: RewritingSystem) -> set[Word]:
     for m1 in lhs:
         for m2 in lhs:
             for t in range(1, min(len(m1), len(m2))):
-                if m2.letters[len(m2) - t :] == m1.letters[:t]:
-                    tips.add(Word(m2.letters + m1.letters[t:]))
+                if m2.ranks[len(m2) - t :] == m1.ranks[:t]:
+                    tips.add(m2 * m1[t:])
     return tips
 
 
 def chains_T2(system: RewritingSystem) -> list[Word]:
-    """Minimal overlap tips: tips containing no other tip as proper subword."""
+    """Minimal overlap tips: tips containing no other tip as proper subword.
+
+    A tip occurs inside w exactly where two lhs occurrences (i1, L1) and
+    (i2, L2) overlap properly, i1 < i2 < i1 + L1 < i2 + L2; it is a proper
+    subword unless that span is all of w.
+    """
     if not system.is_reduced():
         raise ValueError("level-2 chains require a reduced system")
-    tips = overlap_tips(system)
     minimal = []
-    for w in tips:
-        if not any(t != w and w.contains(t) for t in tips):
-            minimal.append(w)
-    minimal.sort(key=Word.sort_key)
-    # uniqueness of the realizing rules: exactly one prefix and one proper
-    # suffix of each minimal tip is a rule leading word
-    lhs = set(system.lhs_words())
-    for w in minimal:
-        prefixes = [k for k in range(1, len(w)) if w[:k] in lhs]
-        suffixes = [k for k in range(1, len(w)) if w[k:] in lhs]
+    for w in overlap_tips(system):
+        n = len(w)
+        occurrences = system.lhs_occurrences(w)
+        if any(
+            i1 < i2 < i1 + L1 < i2 + L2 and (i1 > 0 or i2 + L2 < n)
+            for i1, L1 in occurrences
+            for i2, L2 in occurrences
+        ):
+            continue
+        # uniqueness of the realizing rules: exactly one proper prefix and
+        # one proper suffix of each minimal tip is a rule leading word
+        prefixes = [L for i, L in occurrences if i == 0 and 0 < L < n]
+        suffixes = [i for i, L in occurrences if 0 < i and i + L == n]
         if len(prefixes) != 1 or len(suffixes) != 1:
             raise ValueError(f"tip {w} lacks a unique rule factorization")
+        minimal.append(w)
+    minimal.sort(key=Word.sort_key)
     return minimal
 
 

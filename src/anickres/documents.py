@@ -44,6 +44,8 @@ class PresentationDocument:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"invalid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise DocumentError(f"document must be a JSON object, not {type(data).__name__}")
         return cls(
             p=data.get("p"),
             alphabet=data.get("alphabet"),
@@ -66,6 +68,16 @@ class PresentationDocument:
         return json.dumps(data, sort_keys=True, indent=2)
 
     def build(self) -> "LoadedPresentation":
+        """Build the presentation; a document of the wrong shape raises
+        DocumentError naming what is missing or mistyped."""
+        try:
+            return self._build()
+        except KeyError as exc:
+            raise DocumentError(f"malformed document: missing key {exc}") from None
+        except (TypeError, AttributeError) as exc:
+            raise DocumentError(f"malformed document: {exc}") from None
+
+    def _build(self) -> "LoadedPresentation":
         if self.builtin:
             return LoadedPresentation.from_builtin(self.builtin, self.params)
         if self.p is None or self.alphabet is None or self.relations is None:

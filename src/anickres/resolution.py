@@ -10,6 +10,7 @@ minimalization.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Sequence
 
 from .anick import ModuleElement, ResolutionPrefix
@@ -28,47 +29,46 @@ def rank_fp(rows: Sequence[Sequence[int]], p: int) -> int:
 
 
 def _rank_f2(rows: Sequence[Sequence[int]]) -> int:
-    packed = []
+    """Rows packed into ints (bit j = column j), each reduced against the
+    pivot rows found so far, which are keyed by their lowest set bit."""
+    pivots: dict[int, int] = {}
     for row in rows:
-        acc = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                acc |= 1 << j
-        if acc:
-            packed.append(acc)
-    rank = 0
-    while packed:
-        pivot = packed.pop()
-        rank += 1
-        low = pivot & -pivot
-        packed = [r ^ pivot if r & low else r for r in packed]
-        packed = [r for r in packed if r]
-    return rank
+        r = 0
+        for j in compress(range(len(row)), row):
+            if row[j] & 1:
+                r |= 1 << j
+        while r:
+            low = r & -r
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = r
+                break
+            r ^= pivot
+    return len(pivots)
 
 
 def _rank_generic(rows: Sequence[Sequence[int]], p: int) -> int:
-    mat = [[x % p for x in row] for row in rows]
-    mat = [row for row in mat if any(row)]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    col = 0
-    r = 0
-    while r < len(mat) and col < ncols:
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][col], p - 2, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], mat[r])]
-        r += 1
-        col += 1
-        rank += 1
-    return rank
+    """Row echelon form built one sparse row at a time: each row is reduced
+    against the monic pivot rows found so far until it vanishes or leads
+    in a new column.  The rank is the number of pivot rows."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        r = {j: x for j in compress(range(len(row)), row) if (x := row[j] % p)}
+        while r:
+            col = min(r)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(r[col], p - 2, p)
+                pivots[col] = {j: x * inv % p for j, x in r.items()}
+                break
+            c = r[col]
+            for j, y in pivot.items():
+                x = (r.get(j, 0) - c * y) % p
+                if x:
+                    r[j] = x
+                else:
+                    r.pop(j, None)
+    return len(pivots)
 
 
 def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -104,6 +104,7 @@ class GradedComplex:
         self.top = max(chains)
         self._irr: dict[int, list[Word]] = {}
         self._irr_bound = -1
+        self._rank_memo: dict[tuple[int, int], int] = {}  # ranks only, never matrices
 
     @classmethod
     def from_prefix(cls, prefix: ResolutionPrefix) -> "GradedComplex":
@@ -155,8 +156,11 @@ class GradedComplex:
     def _rank(self, level: int, d: int) -> int:
         if level > self.top:
             return 0
-        mat = self.differential_matrix(level, d)
-        return rank_fp(mat, self.field.p)
+        key = (level, d)
+        if key not in self._rank_memo:
+            mat = self.differential_matrix(level, d)
+            self._rank_memo[key] = rank_fp(mat, self.field.p)
+        return self._rank_memo[key]
 
     def exactness_defect(self, level: int, d: int) -> int:
         """dim ker(d_level in degree d) minus rank(d_{level+1} in degree d)."""
@@ -307,7 +311,11 @@ def generic_minimalize(complex_: GradedComplex) -> GradedComplex:
             carriers = [(m, cc) for (m, tt), cc in elem if tt == t2]
             for m, cc in carriers:
                 elem = elem.combine(-cc * inv % field.p, prefix.act(m, d_t))
-            assert all(tt != t2 for (_m, tt) in elem.terms)
+            if any(tt == t2 for (_m, tt) in elem.terms):
+                raise ValueError(
+                    f"cancelling .{t} against .{t2} left .{t2} in d_{level}(.{s}): "
+                    f"the pivot of d_{level}(.{t}) is not a bare scalar"
+                )
             diff[level][s] = elem
         # drop the removed level-n generator from the differentials above
         if level + 1 in diff:

@@ -104,11 +104,15 @@ class RewritingSystem:
             for g in r.lhs:
                 if g not in alphabet:
                     raise ValueError(f"rule {r} uses generator {g.name} outside the alphabet")
-        # memo tables; private, rebuilt per instance
-        self._first_step: dict[Word, Optional[tuple[int, int]]] = {}
+        # left-hand-side index: rank tuple -> lowest rule index with that lhs,
+        # probed at each position once per distinct lhs length
+        self._lhs_index: dict[tuple[int, ...], int] = {}
+        for ridx, rule in enumerate(self.rules):
+            self._lhs_index.setdefault(rule.lhs.ranks, ridx)
+        self._lhs_lengths = tuple(sorted({len(r.lhs) for r in self.rules}))
+        # normal-form memo tables; private, rebuilt per instance
         self._nf: dict[Word, Polynomial] = {}
         self._steps: dict[Word, int] = {}
-        self._max_lhs_len = max((len(r.lhs) for r in self.rules), default=0)
 
     @classmethod
     def from_relations(
@@ -128,22 +132,37 @@ class RewritingSystem:
 
     # ----- single-step reduction -------------------------------------
     def first_step(self, w: Word) -> Optional[tuple[int, int]]:
-        """(position, rule index) of the leftmost-first reduction of w, or None."""
-        try:
-            return self._first_step[w]
-        except KeyError:
-            pass
-        found = None
-        for pos in range(len(w)):
-            for ridx, rule in enumerate(self.rules):
-                L = len(rule.lhs)
-                if w.letters[pos : pos + L] == rule.lhs.letters:
-                    found = (pos, ridx)
+        """(position, rule index) of the leftmost-first reduction of w, or None.
+
+        The leftmost position at which some lhs occurs, and there the first
+        matching rule in system order (duplicate and nested left-hand sides
+        included).
+        """
+        ranks = w.ranks
+        n = len(ranks)
+        index = self._lhs_index
+        for pos in range(n):
+            found = None
+            for L in self._lhs_lengths:
+                if pos + L > n:
                     break
-            if found:
-                break
-        self._first_step[w] = found
-        return found
+                ridx = index.get(ranks[pos : pos + L])
+                if ridx is not None and (found is None or ridx < found):
+                    found = ridx
+            if found is not None:
+                return (pos, found)
+        return None
+
+    def lhs_occurrences(self, w: Word) -> list[tuple[int, int]]:
+        """Every (position, length) at which some rule lhs occurs in w."""
+        ranks = w.ranks
+        n = len(ranks)
+        return [
+            (pos, L)
+            for pos in range(n)
+            for L in self._lhs_lengths
+            if pos + L <= n and ranks[pos : pos + L] in self._lhs_index
+        ]
 
     def is_irreducible_word(self, w: Word) -> bool:
         return self.first_step(w) is None
@@ -171,29 +190,35 @@ class RewritingSystem:
         memo = self._nf
         if w in memo:
             return memo[w]
-        stack = [w]
+        # entries (word, its one-step expansion once computed); a word is
+        # popped only once it is memoized, so when an entry is reached again
+        # every word of its expansion has a normal form
+        stack: list[tuple[Word, Optional[Polynomial]]] = [(w, None)]
         while stack:
-            top = stack[-1]
+            top, expansion = stack[-1]
             if top in memo:
                 stack.pop()
                 continue
-            step = self.first_step(top)
-            if step is None:
-                memo[top] = Polynomial.monomial(self.field, top)
-                self._steps[top] = 0
-                stack.pop()
-                continue
-            expansion = self.apply_step(top, *step)
-            pending = [x for x in expansion.terms if x not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            acc = Polynomial.zero(self.field)
+            if expansion is None:
+                step = self.first_step(top)
+                if step is None:
+                    memo[top] = Polynomial.monomial(self.field, top)
+                    self._steps[top] = 0
+                    stack.pop()
+                    continue
+                expansion = self.apply_step(top, *step)
+                stack[-1] = (top, expansion)
+                pending = [(x, None) for x in expansion.terms if x not in memo]
+                if pending:
+                    stack.extend(pending)
+                    continue
+            acc: dict[Word, int] = {}
             nsteps = 1
             for x, c in expansion:
-                acc = acc.combine(c, memo[x])
+                for y, cy in memo[x].terms.items():
+                    acc[y] = acc.get(y, 0) + c * cy
                 nsteps += self._steps[x]
-            memo[top] = acc
+            memo[top] = Polynomial(self.field, acc)
             self._steps[top] = nsteps
             stack.pop()
         return memo[w]
@@ -258,14 +283,17 @@ class RewritingSystem:
 
         push_pairs(critical_pairs_between(rules, range(len(rules)), range(len(rules))))
         added = 0
+        # the working system changes only when a rule is added, so its
+        # normal-form memo carries over between the pairs that reduce to zero
+        current = self.with_rules(rules)
         while True:
             while heap:
                 _, _, cp = heapq.heappop(heap)
-                current = self.with_rules(rules)
                 nf = current.normal_form(current.pair_obstruction(cp))
                 if nf.is_zero():
                     continue
                 rules.append(make_rule(nf))
+                current = self.with_rules(rules)
                 added += 1
                 if added > max_new_rules:
                     raise CompletionCapError(
@@ -278,8 +306,7 @@ class RewritingSystem:
                     + critical_pairs_between(rules, [new], range(len(rules)))
                 )
             # re-verify: earlier resolutions used fewer rules
-            result = self.with_rules(rules)
-            ok, witnesses = result.is_complete(degree_bound)
+            ok, witnesses = current.is_complete(degree_bound)
             if ok:
                 return self.with_rules(rules, complete_up_to=degree_bound)
             for cp, _ in witnesses:
@@ -349,7 +376,8 @@ class RewritingSystem:
     ) -> list[Word]:
         """All rule-free words of degree <= max_degree (None = all, if finite),
         in deglex order."""
-        lhs_tails = [r.lhs.letters for r in self.rules]
+        index, lengths = self._lhs_index, self._lhs_lengths
+        singles = [Word((g,)) for g in self.alphabet]
         out = []
         frontier = [self.alphabet.empty_word]
         while frontier:
@@ -358,14 +386,16 @@ class RewritingSystem:
                 raise RuntimeError("irreducible word enumeration exceeded its cap")
             nxt = []
             for w in frontier:
-                for g in self.alphabet:
+                for g in singles:
                     if max_degree is not None and w.degree + g.degree > max_degree:
                         continue
-                    ext = w.letters + (g,)
-                    n = len(ext)
-                    if any(ext[n - len(t) :] == t for t in lhs_tails if len(t) <= n):
+                    # w is irreducible, so only a suffix of w g can be an lhs
+                    ext = w * g
+                    ranks = ext.ranks
+                    n = len(ranks)
+                    if any(ranks[n - L :] in index for L in lengths if L <= n):
                         continue
-                    nxt.append(Word(ext))
+                    nxt.append(ext)
             frontier = nxt
         out.sort(key=Word.sort_key)
         return out
@@ -397,8 +427,8 @@ def critical_pairs_between(
             m2 = rules[j].lhs
             # proper overlaps: a proper suffix of lhs_j equals a proper prefix of lhs_i
             for t in range(1, min(len(m1), len(m2))):
-                if m2.letters[len(m2) - t :] == m1.letters[:t]:
-                    tip = Word(m2.letters + m1.letters[t:])
+                if m2.ranks[len(m2) - t :] == m1.ranks[:t]:
+                    tip = m2 * m1[t:]
                     key = (i, j, "overlap", t)
                     if key not in seen:
                         seen.add(key)

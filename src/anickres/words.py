@@ -31,15 +31,6 @@ class Generator:
         return f"Generator({self.name!r}, deg={self.degree}, rank={self.rank})"
 
 
-def generator_compare(a: Generator, b: Generator) -> int:
-    """Total order on one alphabet: -1, 0 or +1 by rank."""
-    if a.rank == b.rank:
-        if a != b:
-            raise AlphabetMismatchError(f"generators {a.name} and {b.name} share rank {a.rank}")
-        return 0
-    return -1 if a.rank < b.rank else 1
-
-
 class Alphabet:
     """An ordered, weighted alphabet.  Generators are totally ordered by rank."""
 
@@ -87,19 +78,36 @@ class Alphabet:
 
 
 class Word:
-    """An element of the free monoid: a finite sequence of generators."""
+    """An element of the free monoid: a finite sequence of generators.
 
-    __slots__ = ("letters", "degree", "_key", "_hash")
+    A word carries its degree and its rank tuple, derived once from the
+    letters; concatenation and slicing pass them on without revisiting the
+    generators.  Hashing, ordering and subword search read the rank tuple,
+    which identifies a word within one alphabet; equality also compares the
+    letters, so words over different alphabets stay apart.
+    """
+
+    __slots__ = ("letters", "degree", "ranks", "_hash")
 
     def __init__(self, letters: tuple[Generator, ...]):
         self.letters = letters
         self.degree = sum(g.degree for g in letters)
-        self._key = (self.degree, tuple(g.rank for g in letters))
-        self._hash = hash(self._key)
+        self.ranks = tuple(g.rank for g in letters)
+        self._hash = hash(self.ranks)
+
+    @classmethod
+    def _of(cls, letters: tuple[Generator, ...], degree: int, ranks: tuple[int, ...]) -> "Word":
+        """A word from parts already known to agree with `letters`."""
+        w = object.__new__(cls)
+        w.letters = letters
+        w.degree = degree
+        w.ranks = ranks
+        w._hash = hash(ranks)
+        return w
 
     def sort_key(self):
         """Deglex sort key: words compare equal iff the keys do (one alphabet)."""
-        return self._key
+        return (self.degree, self.ranks)
 
     def __len__(self):
         return len(self.letters)
@@ -109,14 +117,27 @@ class Word:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.letters[item])
+            letters = self.letters[item]
+            return Word._of(letters, sum(g.degree for g in letters), self.ranks[item])
         return self.letters[item]
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        if not other.letters:
+            return self
+        if not self.letters:
+            return other
+        return Word._of(
+            self.letters + other.letters,
+            self.degree + other.degree,
+            self.ranks + other.ranks,
+        )
 
     def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
+        return self is other or (
+            isinstance(other, Word)
+            and self.ranks == other.ranks
+            and self.letters == other.letters
+        )
 
     def __hash__(self):
         return self._hash
@@ -138,9 +159,10 @@ class Word:
 
     def find(self, sub: "Word", start: int = 0) -> int:
         """Index of the leftmost occurrence of `sub` at or after `start`, or -1."""
-        n, m = len(self.letters), len(sub.letters)
-        for i in range(start, n - m + 1):
-            if self.letters[i : i + m] == sub.letters:
+        ranks, target = self.ranks, sub.ranks
+        m = len(target)
+        for i in range(start, len(ranks) - m + 1):
+            if ranks[i : i + m] == target:
                 return i
         return -1
 
@@ -165,28 +187,39 @@ def concat(words: Iterable[Word]) -> Word:
 
 
 def deglex_compare(u: Word, v: Word) -> int:
-    """-1, 0 or +1: degree first, then leftmost rank difference, prefix smaller."""
+    """-1, 0 or +1: degree first, then leftmost rank difference, prefix smaller.
+
+    Raises AlphabetMismatchError when the two words agree in ranks up to
+    their first difference but not in letters.
+    """
     if u.degree != v.degree:
         return -1 if u.degree < v.degree else 1
-    for a, b in zip(u.letters, v.letters):
-        c = generator_compare(a, b)
-        if c:
-            return c
-    if len(u) == len(v):
+    ru, rv = u.ranks, v.ranks
+    n = 0
+    for a, b in zip(ru, rv):
+        if a != b:
+            break
+        n += 1
+    if u.letters[:n] != v.letters[:n]:
+        raise AlphabetMismatchError(f"words {u} and {v} share ranks but not letters")
+    if n < len(ru) and n < len(rv):
+        return -1 if ru[n] < rv[n] else 1
+    if len(ru) == len(rv):
         return 0
-    return -1 if len(u) < len(v) else 1
+    return -1 if len(ru) < len(rv) else 1
 
 
 def words_up_to_degree(alphabet: Alphabet, max_degree: int) -> list[Word]:
     """All words of degree <= max_degree, in deglex order."""
+    singles = [word_of(g) for g in alphabet]
     out = [alphabet.empty_word]
     frontier = [alphabet.empty_word]
     while frontier:
         nxt = []
         for w in frontier:
-            for g in alphabet:
+            for g in singles:
                 if w.degree + g.degree <= max_degree:
-                    nxt.append(w * word_of(g))
+                    nxt.append(w * g)
         out.extend(nxt)
         frontier = nxt
     out.sort(key=Word.sort_key)

@@ -80,6 +80,24 @@ def test_check_mutilated_fails(tmp_path, capsys):
     assert "complete: False" in out
 
 
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"p": 3, "alphabet": [{"name": "x"}], "relations": []}, "missing key 'degree'"),
+        ({"p": 3, "alphabet": 5, "relations": []}, "not iterable"),
+        ({"builtin": "conjectural", "params": {}}, "missing key 'variant'"),
+        ([1, 2], "must be a JSON object"),
+    ],
+)
+def test_malformed_document_exits_2(tmp_path, capsys, doc, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and reason in err
+
+
 def test_anick_single_rule(tmp_path, capsys):
     doc = {
         "p": 2,

@@ -1,15 +1,18 @@
 """Randomized property tests: order laws on words, normal-form uniqueness
-for complete systems, reduction soundness, and rank-oracle agreement."""
+for complete systems, reduction soundness, rank-oracle agreement, and the
+indexed lhs matcher against a naive scan."""
 
 import random
 
 from hypothesis import given, strategies as st
 
+from anickres.anick import chains_T2, overlap_tips
 from anickres.fields import PrimeField
 from anickres.kostant import small_system
 from anickres.polynomials import Polynomial
 from anickres.resolution import rank_fp, rank_fp_oracle
-from anickres.words import Word, deglex_compare
+from anickres.rewriting import RewriteRule, RewritingSystem
+from anickres.words import Alphabet, Word, deglex_compare, words_up_to_degree
 
 SYSTEM = small_system(1).system
 GENS = list(SYSTEM.alphabet)
@@ -94,3 +97,70 @@ def test_irreducibles_are_fixed_points(w):
         assert SYSTEM.is_irreducible_word(x)
     # idempotence
     assert SYSTEM.normal_form(nf) == nf
+
+
+LETTERS = Alphabet.from_names([("x", 1), ("y", 1), ("z", 2)])
+
+
+def naive_first_step(rules, w):
+    """Reference matcher: every position, then every rule in order."""
+    for pos in range(len(w)):
+        for ridx, rule in enumerate(rules):
+            if w.letters[pos : pos + len(rule.lhs)] == rule.lhs.letters:
+                return pos, ridx
+    return None
+
+
+@st.composite
+def lhs_lists(draw):
+    """Left-hand sides over 2-3 letters, with duplicates and nested prefixes."""
+    gens = list(LETTERS)[: draw(st.sampled_from((2, 3)))]
+    word = st.lists(st.sampled_from(gens), min_size=1, max_size=4).map(tuple)
+    lhss = draw(st.lists(word, min_size=1, max_size=6))
+    # a prefix of full length duplicates the word
+    nested = [w[: draw(st.integers(1, len(w)))] for w in lhss if draw(st.booleans())]
+    return gens, draw(st.permutations(lhss + nested))
+
+
+def monomial_system(lhss):
+    zero = Polynomial.zero(F2)
+    return RewritingSystem(LETTERS, F2, [RewriteRule(Word(w), zero) for w in lhss])
+
+
+@given(lhs_lists(), st.data())
+def test_indexed_first_step_matches_naive_scan(gens_lhss, data):
+    gens, lhss = gens_lhss
+    probes = data.draw(st.lists(st.lists(st.sampled_from(gens), max_size=7), max_size=10))
+    for order in (lhss, lhss[::-1]):
+        system = monomial_system(order)
+        for letters in probes:
+            w = Word(tuple(letters))
+            assert system.first_step(w) == naive_first_step(system.rules, w)
+
+
+@given(lhs_lists())
+def test_irreducible_words_match_naive_scan(gens_lhss):
+    _gens, lhss = gens_lhss
+    system = monomial_system(lhss)
+    expected = [
+        w for w in words_up_to_degree(LETTERS, 5) if naive_first_step(system.rules, w) is None
+    ]
+    assert system.irreducible_words(5) == expected
+
+
+@given(lhs_lists())
+def test_chains_T2_are_the_minimal_tips(gens_lhss):
+    _gens, lhss = gens_lhss
+    # keep an antichain, so that the monomial system is reduced
+    words = sorted(set(lhss), key=len)
+    antichain = []
+    for w in words:
+        if not any(Word(w).contains(Word(u)) for u in antichain):
+            antichain.append(w)
+    system = monomial_system(antichain)
+    tips = overlap_tips(system)
+    minimal = sorted(
+        (w for w in tips if not any(t != w and w.contains(t) for t in tips)),
+        key=Word.sort_key,
+    )
+    assert chains_T2(system) == minimal

@@ -1,8 +1,11 @@
 import pytest
 
-from anickres.anick import ResolutionPrefix
+from anickres.anick import ModuleElement, ResolutionPrefix
 from anickres.checks import expected_betti_table
+from anickres.fields import PrimeField
 from anickres.kostant import small_system
+from anickres.rewriting import RewritingSystem
+from anickres.words import Alphabet
 from anickres.resolution import (
     GradedComplex,
     generic_minimalize,
@@ -67,6 +70,22 @@ def test_exactness_unmodified(gc2):
     assert gc2.verify_exactness([-1, 0, 1], 10) == {}
 
 
+def test_exactness_builds_each_matrix_once(monkeypatch):
+    gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
+    builds = []
+    original = GradedComplex.differential_matrix
+
+    def counted(self, level, d):
+        builds.append((level, d))
+        return original(self, level, d)
+
+    monkeypatch.setattr(GradedComplex, "differential_matrix", counted)
+    assert gc.verify_exactness([-1, 0, 1], 8) == {}
+    # levels -1, 0, 1 each need their own rank and the one above, up to the top
+    assert sorted(builds) == sorted(set(builds))
+    assert set(builds) == {(level, d) for level in (-1, 0, 1, 2) for d in range(9)}
+
+
 def test_radical_before_after(gc2):
     assert gc2.radical_image_check(0)[0]
     assert gc2.radical_image_check(1)[0]
@@ -128,3 +147,23 @@ def test_betti_truncation_stability():
         tables[K] = minimalize(gc).betti_table(4)
     for level in (0, 1, 2):
         assert tables[2][level] == tables[3][level]
+
+
+def test_generic_minimalize_rejects_a_non_scalar_pivot():
+    # no rules: d_1(.t) = e.a + a.a has the unit pivot e.a, but cancelling it
+    # out of d_1(.s) = a.a leaves a a.a term, which a bare scalar cannot clear
+    alphabet = Alphabet.from_names([("a", 1)])
+    field = PrimeField(2)
+    prefix = ResolutionPrefix(RewritingSystem(alphabet, field, []))
+    e, a = alphabet.empty_word, alphabet.word("a")
+    t, s = alphabet.word("a", "a"), alphabet.word("a", "a", "a")
+    chains = {-1: [e], 0: [a], 1: [t, s]}
+    diff = {
+        0: {a: prefix.d_generator(0, a)},
+        1: {
+            t: ModuleElement(0, field, {(e, a): 1, (a, a): 1}),
+            s: ModuleElement(0, field, {(a, a): 1}),
+        },
+    }
+    with pytest.raises(ValueError, match=r"d_1\(\.a a a\)"):
+        generic_minimalize(GradedComplex(prefix, chains, diff))
