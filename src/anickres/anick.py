@@ -1,23 +1,27 @@
 """The first chain sets and differentials of the combinatorial resolution
-attached to a reduced complete rewriting system.
+attached to a reduced complete rewriting system (Anick, Trans. AMS 296,
+1986).
 
 Chains: level -1 is {e}, level 0 the alphabet, level 1 the rule leading
 words, level 2 the minimal overlap tips.  The free module at each level
-has basis m.t with m an irreducible word and t a chain; the differentials
-d_n and the contracting lifts i_n are built by the mutual recursion
+has basis m.t with m an irreducible word and t a chain.  One rule builds
+the differential at every level:
 
-    d_{n+1}(.t) = delta_{n+1}(.t) - i_n(d_n(delta_{n+1}(.t)))
-    i_n(f)      = j_n(lt(f)) + i_n(f - d_n(j_n(lt(f))))
+    d_{n+1}(.t) = delta(.t) - i_n(d_n(delta(.t)))
+    i_n(f)      = j(lt(f)) + i_n(f - d_n(j(lt(f))))
 
-which terminates because the leading basis element strictly drops in the
-(artinian) order induced by m.t -> mt.
+where delta(m.t) = nf(m u).s for t = u s with s the longest suffix of t
+that is a chain one level down, and the splitting map j sends m.t to
+u.(v t) for the longest suffix v of m = u v that makes v t a chain one
+level up.  d_{-1} is the augmentation.  The lift terminates because the
+leading basis element strictly drops in the (artinian) order induced by
+m.t -> mt.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
-from .polynomials import Polynomial
 from .rewriting import RewritingSystem
 from .words import Word
 
@@ -177,56 +181,30 @@ class ResolutionPrefix:
             1: sorted(system.lhs_words(), key=Word.sort_key),
             2: chains_T2(system),
         }
-        self._t1 = set(self.chains[1])
-        self._t2 = set(self.chains[2])
+        self._chain_sets = {level: set(ts) for level, ts in self.chains.items()}
         self._d_memo: dict[tuple[int, Word], ModuleElement] = {}
 
     # ----- delta and j -----------------------------------------------
     def delta(self, level: int, m: Word, t: Word) -> ModuleElement:
-        """The uncorrected differential on a basis element m.t."""
-        e = self.system.alphabet.empty_word
-        if level == 0:
-            nf = self.system.normal_form_word(m * t)
-            return ModuleElement(
-                -1, self.field, {(w, e): c for w, c in nf}
-            )
-        if level == 1:
-            head, last = t[:-1], Word((t[-1],))
-            nf = self.system.normal_form(
-                Polynomial.monomial(self.field, m * head)
-            )
-            return ModuleElement(0, self.field, {(w, last): c for w, c in nf})
-        if level == 2:
-            suffix_len = next(
-                k for k in range(1, len(t)) if t[k:] in self._t1
-            )
-            u, m2 = t[:suffix_len], t[suffix_len:]
-            nf = self.system.normal_form_word(m * u)
-            return ModuleElement(1, self.field, {(w, m2): c for w, c in nf})
-        raise ValueError(f"no delta at level {level}")
+        """The uncorrected differential on a basis element m.t: with t = u s
+        and s the longest suffix of t that is a chain one level down,
+        m.t -> nf(m u).s."""
+        below = self._chain_sets.get(level - 1, ())
+        k = next((k for k in range(len(t) + 1) if t[k:] in below), None)
+        if k is None:
+            raise ValueError(f"{t} has no suffix chain at level {level - 1}")
+        nf = self.system.normal_form_word(m * t[:k])
+        return ModuleElement(level - 1, self.field, {(w, t[k:]): c for w, c in nf})
 
     def j_map(self, level: int, m: Word, t: Word) -> Optional[ModuleElement]:
-        """The splitting candidate: a single basis element one level up, or
-        None when the word mt carries no chain of the higher level."""
-        if level == 0:
-            # u x . e -> u . x
-            if m.is_empty():
-                return None
-            return ModuleElement.basis(0, self.field, m[:-1], Word((m[-1],)))
-        if level == 1:
-            # m . x -> u . vx whenever a suffix v of m makes vx a rule lhs
-            for cut in range(len(m) + 1):
-                cand = m[cut:] * t
-                if cand in self._t1:
-                    return ModuleElement.basis(1, self.field, m[:cut], cand)
-            return None
-        if level == 2:
-            for cut in range(len(m) + 1):
-                cand = m[cut:] * t
-                if cand in self._t2:
-                    return ModuleElement.basis(2, self.field, m[:cut], cand)
-            return None
-        raise ValueError(f"no j-map at level {level}")
+        """The splitting candidate m.t -> u.vt for the longest suffix v of m
+        that makes vt a chain at the level, or None when there is none."""
+        chains = self._chain_sets[level]
+        for cut in range(len(m) + 1):
+            cand = m[cut:] * t
+            if cand in chains:
+                return ModuleElement.basis(level, self.field, m[:cut], cand)
+        return None
 
     # ----- module structure ------------------------------------------
     def act(self, m: Word, elem: ModuleElement) -> ModuleElement:
@@ -239,29 +217,24 @@ class ResolutionPrefix:
                 acc[key] = (acc.get(key, 0) + c * c2) % p
         return ModuleElement(elem.level, self.field, acc)
 
-    def augmentation(self, elem: ModuleElement) -> int:
-        """epsilon on level -1: the coefficient of e.e."""
-        if elem.level != -1:
-            raise ValueError("augmentation applies at level -1")
-        e = self.system.alphabet.empty_word
-        return elem.terms.get((e, e), 0)
-
     # ----- differentials ---------------------------------------------
+    def boundary(self, elem: ModuleElement) -> ModuleElement:
+        """The differential of an element: d_level by linear extension, and
+        at level -1 the augmentation, the coefficient of e.e, carried as a
+        multiple of e.e at level -2."""
+        if elem.level == -1:
+            e = self.system.alphabet.empty_word
+            return ModuleElement(-2, self.field, {(e, e): elem.terms.get((e, e), 0)})
+        return self.apply_d(elem.level, elem)
+
     def d_generator(self, level: int, t: Word) -> ModuleElement:
         """d_level on the generator .t, tabulated."""
         key = (level, t)
         if key in self._d_memo:
             return self._d_memo[key]
-        e = self.system.alphabet.empty_word
-        if level == 0:
-            val = self.delta(0, e, t)
-        else:
-            delta_t = self.delta(level, e, t)
-            below = self.apply_d(level - 1, delta_t)
-            if below.is_zero():
-                val = delta_t
-            else:
-                val = delta_t - self.lift_i(level - 1, below)
+        delta_t = self.delta(level, self.system.alphabet.empty_word, t)
+        below = self.boundary(delta_t)
+        val = delta_t if below.is_zero() else delta_t - self.lift_i(level - 1, below)
         self._d_memo[key] = val
         return val
 
@@ -277,18 +250,9 @@ class ResolutionPrefix:
         element one level up with d_level(i(f)) = f."""
         if f.level != level - 1:
             raise ValueError("lift input at the wrong level")
-        # precondition: f is a cycle one step further down
-        if level == 0:
-            residue = self.augmentation(f)
-            if residue:
-                raise LiftError(f"lift input has augmentation {residue}")
-        else:
-            below = self.apply_d(level - 1, f)
-            nonzero = (
-                self.augmentation(below) != 0 if level == 1 else not below.is_zero()
-            )
-            if nonzero:
-                raise LiftError(f"lift input is not a cycle: boundary {below}")
+        below = self.boundary(f)
+        if not below.is_zero():
+            raise LiftError(f"lift input is not a cycle: boundary {below}")
         result = ModuleElement.zero(level, self.field)
         guard = None
         while not f.is_zero():
@@ -307,28 +271,27 @@ class ResolutionPrefix:
                 )
             g = g.scale(c)
             result = result + g
-            f = f - self.apply_d(level, g)
+            f = f - self.boundary(g)
         return result
 
     # ----- verification ----------------------------------------------
+    def generators(self) -> list[tuple[int, Word]]:
+        """Every (level, t) whose generator .t has a differential d_level."""
+        return [(level, t) for level, ts in self.chains.items() if level >= 0 for t in ts]
+
     def verify_complex(self) -> tuple[bool, list[str]]:
-        """epsilon d_0 = 0, d_0 d_1 = 0 and d_1 d_2 = 0 on every generator."""
+        """d_{n-1} d_n = 0 on every generator, epsilon d_0 = 0 included."""
         problems = []
-        for t in self.chains[0]:
-            if self.augmentation(self.d_generator(0, t)):
-                problems.append(f"epsilon d_0(.{t}) != 0")
-        for level in (1, 2):
-            for t in self.chains[level]:
-                square = self.apply_d(level - 1, self.d_generator(level, t))
-                if not square.is_zero():
-                    problems.append(f"d_{level-1} d_{level}(.{t}) = {square}")
+        for level, t in self.generators():
+            square = self.boundary(self.d_generator(level, t))
+            if not square.is_zero():
+                problems.append(f"d_{level-1} d_{level}(.{t}) = {square}")
         return (not problems, problems)
 
     def degree_check(self) -> bool:
         """Homogeneous systems: d preserves the total degree m.t -> deg(mt)."""
-        for level in (0, 1, 2):
-            for t in self.chains[level]:
-                for (m, t2), _ in self.d_generator(level, t):
-                    if m.degree + t2.degree != t.degree:
-                        return False
-        return True
+        return all(
+            m.degree + t2.degree == t.degree
+            for level, t in self.generators()
+            for (m, t2), _ in self.d_generator(level, t)
+        )

@@ -29,6 +29,7 @@ from .resolution import (
     rank_fp,
     rank_fp_oracle,
 )
+from .rewriting import CompletionCapError
 from .words import Word, word_of
 
 
@@ -352,28 +353,29 @@ def criterion_9_conjectures() -> CriterionResult:
     shift_ok = all(
         frobenius_shift_check(l, j)[0] for l in range(4) for j in (1, 2)
     )
-    details["frobenius_shift"] = "consistent" if shift_ok else "witness found"
-
-    odd = conjectural_system("odd_p_n3", 3, 3, 1)
-    completed = odd.system.complete(9)
-    new_odd = completed.rules[len(odd.system.rules):]
-    details["odd_p_n3 (p=3, degree<=9)"] = (
-        "consistent up to bound"
-        if not new_odd
-        else f"witness: {len(new_odd)} unresolved consequences, e.g. {new_odd[0].lhs}"
-    )
-
-    gen = conjectural_system("p2_general_n", 4, 2, 2)
-    completed = gen.system.complete(8)
-    new_gen = completed.rules[len(gen.system.rules):]
-    details["p2_general_n (n=4, degree<=8)"] = (
-        "consistent up to bound"
-        if not new_gen
-        else f"witness: {len(new_gen)} unresolved consequences, e.g. {new_gen[0].lhs}"
-    )
+    details["frobenius shift (l<=3, j<=2)"] = "consistent" if shift_ok else "witness found"
+    consistent = shift_ok
+    for name, variant, n, p, index_bound, bound in (
+        ("odd_p_n3 (p=3, degree<=9)", "odd_p_n3", 3, 3, 1, 9),
+        ("p2_general_n (n=4, degree<=8)", "p2_general_n", 4, 2, 2, 8),
+    ):
+        pres = conjectural_system(variant, n, p, index_bound)
+        try:
+            completed = pres.system.complete(bound)
+        except CompletionCapError:
+            details[name] = "inconclusive: completion cap reached"
+            consistent = False
+            continue
+        new = completed.rules[len(pres.system.rules):]
+        details[name] = (
+            "consistent up to bound"
+            if not new
+            else f"witness: {len(new)} unresolved consequences, e.g. {new[0].lhs}"
+        )
+        consistent = consistent and not new
     return CriterionResult(
         "criterion 9: conjecture scans (experimental)",
-        shift_ok and not new_odd and not new_gen,
+        consistent,
         gating=False,
         details=details,
     )

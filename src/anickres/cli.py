@@ -2,7 +2,9 @@
 
 Subcommands: nf, check, anick, betti, verify, conjectures.  Exit codes:
 0 pass, 1 verification failure, 2 usage/parse error.  With --json the
-command prints a canonical machine-readable report.
+command prints a canonical machine-readable report.  anick and betti
+interreduce the presentation unless it is reduced and exit 1 naming the
+first critical pair that does not resolve.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from .documents import (
     Report,
     parse_expression,
 )
-from .kostant import conjectural_system, frobenius_shift_check
-from .resolution import GradedComplex, minimalize
-from .rewriting import CompletionCapError
+from .resolution import GradedComplex, generic_minimalize
+from .rewriting import RewritingSystem
 
 
 def _add_presentation_args(parser: argparse.ArgumentParser):
@@ -55,6 +56,23 @@ def _load(args) -> LoadedPresentation:
             "index_bound": args.indexbound,
         }
     return LoadedPresentation.from_builtin(builtin, params)
+
+
+class IncompleteSystemError(Exception):
+    """A critical pair of the presentation does not resolve (exit 1)."""
+
+
+def _resolvable(system: RewritingSystem) -> RewritingSystem:
+    """The reduced complete system the resolution is built on: interreduce
+    unless already reduced, then require every critical pair to resolve."""
+    if not system.is_reduced():
+        system = system.interreduce()
+    ok, witnesses = system.is_complete()
+    if not ok:
+        raise IncompleteSystemError(
+            f"not complete: the critical pair at tip {witnesses[0][0].tip} does not resolve"
+        )
+    return system
 
 
 def _emit(report: Report, args, exit_code: int) -> int:
@@ -102,14 +120,13 @@ def cmd_check(args) -> int:
 
 def cmd_anick(args) -> int:
     loaded = _load(args)
-    prefix = ResolutionPrefix(loaded.system)
+    prefix = ResolutionPrefix(_resolvable(loaded.system))
     ok, problems = prefix.verify_complex()
     if not args.json:
-        for level in (-1, 0, 1, 2):
-            print(f"T_{level}: {len(prefix.chains[level])} chains")
-        for level in (0, 1, 2):
-            for t in prefix.chains[level]:
-                print(f"d_{level}(.{t}) = {prefix.d_generator(level, t)}")
+        for level, ts in prefix.chains.items():
+            print(f"T_{level}: {len(ts)} chains")
+        for level, t in prefix.generators():
+            print(f"d_{level}(.{t}) = {prefix.d_generator(level, t)}")
         print(f"complex identities hold: {ok}")
     report = Report(
         "anick",
@@ -117,7 +134,7 @@ def cmd_anick(args) -> int:
         {
             "complex_ok": ok,
             "problems": problems,
-            "chain_counts": {str(lvl): len(prefix.chains[lvl]) for lvl in (-1, 0, 1, 2)},
+            "chain_counts": {str(lvl): len(ts) for lvl, ts in prefix.chains.items()},
         },
     )
     return _emit(report, args, 0 if ok else 1)
@@ -125,17 +142,21 @@ def cmd_anick(args) -> int:
 
 def cmd_betti(args) -> int:
     loaded = _load(args)
-    prefix = ResolutionPrefix(loaded.system)
+    prefix = ResolutionPrefix(_resolvable(loaded.system))
     gc = GradedComplex.from_prefix(prefix)
     if args.minimal:
-        gc = minimalize(gc)
+        gc = generic_minimalize(gc)
     table = gc.betti_table(args.D)
     defects = gc.verify_exactness([-1, 0, 1], args.D)
     if not args.json:
         print(f"betti table (minimal={args.minimal}, D={args.D}):")
+        top = max(table)
         for level in sorted(table):
+            # chains stop at level 2: the top row still counts the level-2
+            # chains that a level-3 differential would cancel
+            bound = "  (upper bound)" if level == top else ""
             for degree in sorted(table[level]):
-                print(f"  level {level}  degree {degree}  count {table[level][degree]}")
+                print(f"  level {level}  degree {degree}  count {table[level][degree]}{bound}")
         print(f"exactness defects: {len(defects)}")
     report = Report(
         "betti",
@@ -163,32 +184,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjectures(args) -> int:
-    verdicts = {}
-    shift_ok = all(frobenius_shift_check(l, j)[0] for l in range(4) for j in (1, 2))
-    verdicts["frobenius shift (l<=3, j<=2)"] = (
-        "consistent" if shift_ok else "witness found"
-    )
-    for name, variant, n, p, index_bound, bound in (
-        ("odd_p_n3 (p=3, degree<=9)", "odd_p_n3", 3, 3, 1, 9),
-        ("p2_general_n (n=4, degree<=8)", "p2_general_n", 4, 2, 2, 8),
-    ):
-        pres = conjectural_system(variant, n, p, index_bound)
-        try:
-            completed = pres.system.complete(bound)
-            new = completed.rules[len(pres.system.rules):]
-            verdicts[name] = (
-                "consistent up to bound"
-                if not new
-                else f"witness: {len(new)} unresolved consequences below the bound"
-            )
-        except CompletionCapError:
-            verdicts[name] = "inconclusive: completion cap reached"
+    verdicts = checks.criterion_9_conjectures().details
     if not args.json:
         print("experimental conjecture scans (informational):")
         for k, v in verdicts.items():
             print(f"  {k}: {v}")
-    report = Report("conjectures", {}, verdicts)
-    _emit(report, args, 0)
+    _emit(Report("conjectures", {}, verdicts), args, 0)
     return 0  # informational: always succeeds
 
 
@@ -240,6 +241,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except IncompleteSystemError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -288,7 +288,7 @@ def small_system(l: int) -> KostantPresentation:
     field = PrimeField(2)
     alphabet = small_alphabet(l)
     rules = [make_rule(f) for f in small_relations(alphabet, l, field)]
-    system = RewritingSystem(alphabet, field, rules, known_reduced=True)
+    system = RewritingSystem(alphabet, field, rules)
     return KostantPresentation(3, 2, "small", system, {"index_bound": l})
 
 

@@ -108,12 +108,12 @@ class GradedComplex:
 
     @classmethod
     def from_prefix(cls, prefix: ResolutionPrefix) -> "GradedComplex":
-        chains = {lvl: list(prefix.chains[lvl]) for lvl in (-1, 0, 1, 2)}
         diff = {
-            lvl: {t: prefix.d_generator(lvl, t) for t in chains[lvl]}
-            for lvl in (0, 1, 2)
+            lvl: {t: prefix.d_generator(lvl, t) for t in ts}
+            for lvl, ts in prefix.chains.items()
+            if lvl >= 0
         }
-        return cls(prefix, chains, diff)
+        return cls(prefix, prefix.chains, diff)
 
     # ----- graded bases ----------------------------------------------
     def _irreducible_of_degree(self, d: int) -> list[Word]:

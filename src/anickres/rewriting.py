@@ -93,13 +93,11 @@ class RewritingSystem:
         field: PrimeField,
         rules: Sequence[RewriteRule],
         complete_up_to: int | float | None = None,
-        known_reduced: bool = False,
     ):
         self.alphabet = alphabet
         self.field = field
         self.rules = tuple(rules)
         self.complete_up_to = complete_up_to
-        self.known_reduced = known_reduced
         for r in self.rules:
             for g in r.lhs:
                 if g not in alphabet:
@@ -331,19 +329,19 @@ class RewritingSystem:
                     changed = True
                     break
             if not changed:
-                return self.with_rules(
-                    rules, complete_up_to=self.complete_up_to, known_reduced=True
-                )
+                return self.with_rules(rules, complete_up_to=self.complete_up_to)
         raise RuntimeError("interreduction did not stabilize")
 
     def is_reduced(self) -> bool:
-        for i, rule in enumerate(self.rules):
-            others = self.with_rules(self.rules[:i] + self.rules[i + 1 :])
-            if not others.is_irreducible_word(rule.lhs):
-                return False
-            if any(not self.is_irreducible_word(w) for w in rule.rhs.terms):
-                return False
-        return True
+        """No two rules share an lhs, no lhs contains another, and every
+        tail word is irreducible."""
+        if len(self._lhs_index) != len(self.rules):
+            return False
+        return all(
+            self.lhs_occurrences(rule.lhs) == [(0, len(rule.lhs))]
+            and all(self.is_irreducible_word(w) for w in rule.rhs.terms)
+            for rule in self.rules
+        )
 
     # ----- subalphabet restriction -----------------------------------
     def restrict_to_subalphabet(self, keep: Iterable[Generator]) -> "RewritingSystem":
@@ -362,13 +360,7 @@ class RewritingSystem:
                             f"rule {rule} has a tail word leaving the subalphabet"
                         )
                 kept_rules.append(rule)
-        return RewritingSystem(
-            sub,
-            self.field,
-            kept_rules,
-            complete_up_to=self.complete_up_to,
-            known_reduced=self.known_reduced,
-        )
+        return RewritingSystem(sub, self.field, kept_rules, complete_up_to=self.complete_up_to)
 
     # ----- irreducible words -----------------------------------------
     def irreducible_words(

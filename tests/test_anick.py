@@ -171,3 +171,30 @@ def test_prefix_requires_reduced():
     )
     with pytest.raises(ValueError):
         ResolutionPrefix(system)
+
+
+def test_lift_rejects_level1_noncycle(prefix3):
+    from anickres.anick import LiftError
+
+    A = prefix3.system.alphabet
+    # d_0(a0 . b0) = a0 b0 . e is nonzero, though its augmentation vanishes
+    with pytest.raises(LiftError, match="not a cycle"):
+        prefix3.lift_i(1, ModuleElement.basis(0, F2, A.word("a0"), A.word("b0")))
+
+
+def test_single_letter_lhs_splits_at_k0():
+    F3 = PrimeField(3)
+    alphabet = Alphabet.from_names([("x", 1), ("y", 1)])
+    w = alphabet.word
+    system = RewritingSystem.from_relations(
+        alphabet,
+        F3,
+        [
+            Polynomial.from_terms(F3, [(1, w("y")), (-1, w("x"))]),
+            Polynomial.monomial(F3, w("x", "x")),
+        ],
+    )
+    prefix = ResolutionPrefix(system)
+    ok, problems = prefix.verify_complex()
+    assert ok, problems
+    assert str(prefix.d_generator(1, w("y"))) == ". y + 2 . x"

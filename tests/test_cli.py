@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +139,72 @@ def test_conjectures_exits_zero(capsys):
     code, out = run(capsys, "conjectures")
     assert code == 0
     assert "frobenius shift" in out
+
+
+def write_doc(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["anick", "betti"])
+def test_incomplete_presentation_names_the_tip(tmp_path, capsys, command):
+    doc = {
+        "p": 3,
+        "alphabet": [{"name": "x", "degree": 1, "rank": 0}, {"name": "y", "degree": 1, "rank": 1}],
+        "relations": [[[1, ["y", "x", "y"]], [1, ["x", "y", "x"]]]],
+    }
+    code = main([command, "--file", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "tip y x y x y" in err
+
+
+def test_anick_interreduces_big(capsys):
+    code, out = run(capsys, "anick", "--builtin", "big", "--n", "3", "--p", "3", "--expbound", "2")
+    assert code == 0
+    assert "complex identities hold: True" in out
+
+
+def test_betti_cube_over_f3(tmp_path, capsys):
+    doc = {
+        "p": 3,
+        "alphabet": [{"name": "a", "degree": 1, "rank": 0}],
+        "relations": [[[1, ["a", "a", "a"]]]],
+    }
+    code, out = run(capsys, "betti", "--file", write_doc(tmp_path, doc), "--D", "8")
+    assert code == 0
+    assert "level 2  degree 3  count 1" in out
+    assert "level 3  degree 4  count 1  (upper bound)" in out
+    assert "exactness defects: 0" in out
+
+
+def test_betti_labels_only_the_top_row_a_bound(capsys):
+    _, out = run(capsys, "betti", "--builtin", "small", "--l", "2", "--D", "8")
+    bounds = [line for line in out.splitlines() if line.endswith("(upper bound)")]
+    assert bounds and all(line.startswith("  level 3 ") for line in bounds)
+    assert "level 2  degree 3  count 4\n" in out
+
+
+def test_conjectures_prints_criterion_9(capsys):
+    from anickres.checks import criterion_9_conjectures
+
+    code, out = run(capsys, "conjectures", "--json")
+    assert code == 0
+    assert json.loads(out)["verdicts"] == criterion_9_conjectures().details
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [("betti_report.py", ["--l", "2", "--D", "8", "--json"]), ("conjecture_scan.py", ["--json"])],
+)
+def test_script_wrappers_emit_json(script, args):
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    json.loads(proc.stdout)

@@ -164,3 +164,28 @@ def test_chains_T2_are_the_minimal_tips(gens_lhss):
         key=Word.sort_key,
     )
     assert chains_T2(system) == minimal
+
+
+def per_rule_reduced(system):
+    """Reference: each lhs is irreducible modulo the other rules, and each
+    tail word modulo all of them."""
+    for i, rule in enumerate(system.rules):
+        others = system.with_rules(system.rules[:i] + system.rules[i + 1 :])
+        if not others.is_irreducible_word(rule.lhs):
+            return False
+        if any(not system.is_irreducible_word(w) for w in rule.rhs.terms):
+            return False
+    return True
+
+
+@given(lhs_lists(), st.data())
+def test_is_reduced_matches_per_rule_definition(gens_lhss, data):
+    gens, lhss = gens_lhss
+    word = st.lists(st.sampled_from(gens), max_size=3).map(lambda ls: Word(tuple(ls)))
+    tails = data.draw(st.lists(st.lists(word, max_size=2), min_size=len(lhss), max_size=len(lhss)))
+    rules = [
+        RewriteRule(Word(w), Polynomial.from_terms(F2, [(1, x) for x in tail]))
+        for w, tail in zip(lhss, tails)
+    ]
+    system = RewritingSystem(LETTERS, F2, rules)
+    assert system.is_reduced() == per_rule_reduced(system)
