@@ -121,6 +121,18 @@ class ModuleElement:
         return f"ModuleElement(level={self.level}, {self})"
 
 
+def accumulate(acc: dict, coeff: int, terms: dict, p: int) -> None:
+    """acc += coeff * terms in place over F_p.  A key that reaches zero is
+    removed, so acc keeps the key order of the equivalent chain of
+    `ModuleElement.combine` calls."""
+    for key, c in terms.items():
+        x = (acc.get(key, 0) + coeff * c) % p
+        if x:
+            acc[key] = x
+        else:
+            acc.pop(key, None)
+
+
 def overlap_tips(system: RewritingSystem) -> set[Word]:
     """All words u m1 = m2 v glued from a proper suffix/prefix match of two
     rule leading words (self-overlaps included)."""
@@ -170,9 +182,14 @@ class ResolutionPrefix:
     def __init__(self, system: RewritingSystem):
         if not system.is_reduced():
             raise ValueError("resolution prefix requires a reduced system")
+        e = system.alphabet.empty_word
+        for rule in system.rules:
+            if e in rule.rhs.terms:
+                raise ValueError(
+                    f"presentation is not augmented: rule {rule} has a constant term"
+                )
         self.system = system
         self.field = system.field
-        e = system.alphabet.empty_word
         self.chains: dict[int, list[Word]] = {
             -1: [e],
             0: sorted(
@@ -240,10 +257,10 @@ class ResolutionPrefix:
 
     def apply_d(self, level: int, elem: ModuleElement) -> ModuleElement:
         """Linear extension: d(m.t) = m * d(.t)."""
-        acc = ModuleElement.zero(level - 1, self.field)
+        acc: dict[tuple[Word, Word], int] = {}
         for (m, t), c in elem:
-            acc = acc.combine(c, self.act(m, self.d_generator(level, t)))
-        return acc
+            accumulate(acc, c, self.act(m, self.d_generator(level, t)).terms, self.field.p)
+        return ModuleElement(level - 1, self.field, acc)
 
     def lift_i(self, level: int, f: ModuleElement) -> ModuleElement:
         """The contracting lift i_level: a cycle f at level-1 goes to an
@@ -253,26 +270,29 @@ class ResolutionPrefix:
         below = self.boundary(f)
         if not below.is_zero():
             raise LiftError(f"lift input is not a cycle: boundary {below}")
-        result = ModuleElement.zero(level, self.field)
+        p = self.field.p
+        result: dict[tuple[Word, Word], int] = {}
+        rest = dict(f.terms)
         guard = None
-        while not f.is_zero():
-            (m, t), c = f.leading()
-            if guard is not None and ModuleElement.basis_key((m, t)) >= guard:
+        while rest:
+            m, t = max(rest, key=ModuleElement.basis_key)
+            lead = ModuleElement.basis_key((m, t))
+            if guard is not None and lead >= guard:
                 raise LiftError(
                     f"leading element failed to decrease at {m}.{t} "
                     f"(sign convention breaks down here)"
                 )
-            guard = ModuleElement.basis_key((m, t))
+            guard = lead
             g = self.j_map(level, m, t)
             if g is None:
                 raise LiftError(
                     f"leading element {m}.{t} of a cycle is not liftable "
                     f"(sign convention breaks down here)"
                 )
-            g = g.scale(c)
-            result = result + g
-            f = f - self.boundary(g)
-        return result
+            g = g.scale(rest[(m, t)])
+            accumulate(result, 1, g.terms, p)
+            accumulate(rest, -1, self.boundary(g).terms, p)
+        return ModuleElement(level, self.field, result)
 
     # ----- verification ----------------------------------------------
     def generators(self) -> list[tuple[int, Word]]:

@@ -2,6 +2,12 @@
 the differentials, exact ranks over F_p, exactness defects, the radical
 (minimality) criterion, minimalization, and graded Betti tables.
 
+The column of a matrix for the basis element m.t is its image under d,
+m * d(.t).  Columns are built by left multiplication from the column of
+m'.t for m = x m' (Anick's module structure), so each one reduces only
+words x w with w already irreducible.  Matrix rows are bytearrays when
+p < 256, and the F_2 rank packs each row into an int in C.
+
 Homological indexing of the Betti table: level 0 is the free cover of the
 trivial module (one generator in degree 0, chain level -1), level 1 counts
 the alphabet chains, level 2 the surviving rule chains after
@@ -10,11 +16,17 @@ minimalization.
 
 from __future__ import annotations
 
+import re
 from itertools import compress
 from typing import Iterable, Sequence
 
-from .anick import ModuleElement, ResolutionPrefix
+from .anick import ModuleElement, ResolutionPrefix, accumulate
 from .words import Word
+
+# byte value -> ASCII '0' or '1' by parity, so that a row of residues
+# translates to the binary digits of its F_2 reduction
+_PARITY_DIGITS = bytes(b"01"[v & 1] for v in range(256))
+_NONZERO_BYTE = re.compile(rb"[^\x00]")
 
 
 # ---------------------------------------------------------------------
@@ -22,21 +34,27 @@ from .words import Word
 # ---------------------------------------------------------------------
 
 def rank_fp(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of a matrix over F_p by Gaussian elimination (bitpacked for p=2)."""
+    """Rank of a matrix over F_p by Gaussian elimination (bitpacked for p=2).
+
+    Rows are bytearrays (as `GradedComplex.differential_matrix` builds them
+    for p < 256) or lists of ints."""
     if p == 2:
         return _rank_f2(rows)
     return _rank_generic(rows, p)
 
 
 def _rank_f2(rows: Sequence[Sequence[int]]) -> int:
-    """Rows packed into ints (bit j = column j), each reduced against the
-    pivot rows found so far, which are keyed by their lowest set bit."""
+    """Rows packed into ints (column 0 the most significant bit), each
+    reduced against the pivot rows found so far, which are keyed by their
+    lowest set bit.  A byte row packs in C, by translating its residues to
+    binary digits; a list row is turned into bytes first."""
     pivots: dict[int, int] = {}
     for row in rows:
-        r = 0
-        for j in compress(range(len(row)), row):
-            if row[j] & 1:
-                r |= 1 << j
+        if not isinstance(row, (bytes, bytearray)):
+            row = bytes(x & 1 for x in row)
+        if not row:
+            continue
+        r = int(row.translate(_PARITY_DIGITS), 2)
         while r:
             low = r & -r
             pivot = pivots.get(low)
@@ -53,7 +71,7 @@ def _rank_generic(rows: Sequence[Sequence[int]], p: int) -> int:
     in a new column.  The rank is the number of pivot rows."""
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        r = {j: x for j in compress(range(len(row)), row) if (x := row[j] % p)}
+        r = _sparse_row(row, p)
         while r:
             col = min(r)
             pivot = pivots.get(col)
@@ -69,6 +87,16 @@ def _rank_generic(rows: Sequence[Sequence[int]], p: int) -> int:
                 else:
                     r.pop(j, None)
     return len(pivots)
+
+
+def _sparse_row(row: Sequence[int], p: int) -> dict[int, int]:
+    """{column: residue} of the nonzero entries; a byte row is scanned for
+    nonzero bytes in C, so its zero cells cost no Python work."""
+    if isinstance(row, (bytes, bytearray)):
+        cols = (match.start() for match in _NONZERO_BYTE.finditer(row))
+    else:
+        cols = compress(range(len(row)), row)
+    return {j: x for j in cols if (x := row[j] % p)}
 
 
 def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -105,6 +133,8 @@ class GradedComplex:
         self._irr: dict[int, list[Word]] = {}
         self._irr_bound = -1
         self._rank_memo: dict[tuple[int, int], int] = {}  # ranks only, never matrices
+        # (level, m, t) -> {(w, t'): c}, the image m * d_level(.t); all kept
+        self._images: dict[tuple[int, Word, Word], dict[tuple[Word, Word], int]] = {}
 
     @classmethod
     def from_prefix(cls, prefix: ResolutionPrefix) -> "GradedComplex":
@@ -135,10 +165,40 @@ class GradedComplex:
         return out
 
     # ----- matrices ---------------------------------------------------
-    def differential_matrix(self, level: int, d: int) -> list[list[int]]:
+    def column_image(self, level: int, m: Word, t: Word) -> dict[tuple[Word, Word], int]:
+        """The image m * d_level(.t) of the basis element m.t, as {(w, t'): c}.
+
+        The empty m gives the terms of d_level(.t).  For m = x m' with x
+        the first letter, the image is the sum of c nf(x w).t' over the
+        cached image of m'.t (m' is irreducible, a suffix of m).  This
+        equals `prefix.act(m, diff[level][t])` only because the system is
+        reduced and complete, where nf(x nf(u)) = nf(x u); every caller
+        builds on such a system, and nothing here checks it.
+        """
+        key = (level, m, t)
+        image = self._images.get(key)
+        if image is not None:
+            return image
+        if m.is_empty():
+            image = dict(self.diff[level][t].terms)
+        else:
+            x = m[:1]
+            nf = self.system.normal_form_word
+            p = self.field.p
+            acc: dict[tuple[Word, Word], int] = {}
+            for (w, t2), c in self.column_image(level, m[1:], t).items():
+                for u, c2 in nf(x * w):
+                    acc[(u, t2)] = acc.get((u, t2), 0) + c * c2
+            image = {k: c % p for k, c in acc.items() if c % p}
+        self._images[key] = image
+        return image
+
+    def differential_matrix(self, level: int, d: int) -> Sequence[Sequence[int]]:
         """Row-major matrix of d_level in degree d (rows: level-1, cols: level).
 
-        Level -1 gives the augmentation row (nonzero only in degree 0).
+        Rows are bytearrays for p < 256 and lists of ints otherwise; column
+        j is `column_image` of the j-th basis element.  Level -1 gives the
+        augmentation row (nonzero only in degree 0).
         """
         if level == -1:
             cols = self.basis(-1, d)
@@ -146,10 +206,12 @@ class GradedComplex:
         cols = self.basis(level, d)
         rows = self.basis(level - 1, d)
         row_index = {key: i for i, key in enumerate(rows)}
-        mat = [[0] * len(cols) for _ in rows]
+        if self.field.p < 256:
+            mat = [bytearray(len(cols)) for _ in rows]
+        else:
+            mat = [[0] * len(cols) for _ in rows]
         for jcol, (m, t) in enumerate(cols):
-            image = self.prefix.act(m, self.diff[level][t])
-            for key, c in image:
+            for key, c in self.column_image(level, m, t).items():
                 mat[row_index[key]][jcol] = c
         return mat
 
@@ -260,13 +322,11 @@ def minimalize(complex_: GradedComplex) -> GradedComplex:
     }
 
     def substitute(elem: ModuleElement) -> ModuleElement:
-        acc = ModuleElement.zero(1, complex_.field)
+        acc: dict[tuple[Word, Word], int] = {}
         for (m, t), c in elem:
-            if t in removed_t1:
-                acc = acc.combine(c, prefix.act(m, replacement[t]))
-            else:
-                acc = acc.combine(c, ModuleElement.basis(1, complex_.field, m, t))
-        return acc
+            image = prefix.act(m, replacement[t]).terms if t in removed_t1 else {(m, t): 1}
+            accumulate(acc, c, image, complex_.field.p)
+        return ModuleElement(1, complex_.field, acc)
 
     new_diff = {
         0: {t: complex_.diff[0][t] for t in new_chains[0]},
@@ -308,9 +368,11 @@ def generic_minimalize(complex_: GradedComplex) -> GradedComplex:
         # cancel the t2 components of the other level-n differentials
         for s in chains[level]:
             elem = diff[level][s]
-            carriers = [(m, cc) for (m, tt), cc in elem if tt == t2]
+            terms = dict(elem.terms)
+            carriers = [(m, cc) for (m, tt), cc in terms.items() if tt == t2]
             for m, cc in carriers:
-                elem = elem.combine(-cc * inv % field.p, prefix.act(m, d_t))
+                accumulate(terms, -cc * inv, prefix.act(m, d_t).terms, field.p)
+            elem = ModuleElement(elem.level, field, terms)
             if any(tt == t2 for (_m, tt) in elem.terms):
                 raise ValueError(
                     f"cancelling .{t} against .{t2} left .{t2} in d_{level}(.{s}): "

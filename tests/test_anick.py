@@ -159,6 +159,17 @@ def test_act_reexpands():
     assert prefix.act(A.word("a0"), f).is_zero()
 
 
+def test_prefix_refuses_a_constant_tail():
+    alphabet = Alphabet.from_names([("x", 1)])
+    F3 = PrimeField(3)
+    x = Polynomial.monomial(F3, alphabet.word("x"))
+    system = RewritingSystem.from_relations(
+        alphabet, F3, [x.combine(-1, Polynomial.monomial(F3, alphabet.empty_word))]
+    )
+    with pytest.raises(ValueError, match="not augmented: rule x -> 1"):
+        ResolutionPrefix(system)
+
+
 def test_prefix_requires_reduced():
     alphabet = Alphabet.from_names([("a", 1)])
     system = RewritingSystem.from_relations(

@@ -15,6 +15,18 @@ def run(capsys, *argv):
     return code, out
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*argv):
+    """A fresh interpreter on the checkout's own sources."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_nf_braid(capsys):
     code, out = run(capsys, "nf", "--builtin", "small", "--l", "1", "b0 a0 b0 a0 + a0 b0 a0 b0")
     assert code == 0
@@ -160,6 +172,19 @@ def test_incomplete_presentation_names_the_tip(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "tip y x y x y" in err
 
 
+@pytest.mark.parametrize("command", ["anick", "betti"])
+def test_presentation_not_augmented_is_refused(tmp_path, capsys, command):
+    doc = {
+        "p": 3,
+        "alphabet": [{"name": "x", "degree": 1, "rank": 0}],
+        "relations": [[[1, ["x"]], [-1, []]]],
+    }
+    code = main([command, "--file", write_doc(tmp_path, doc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: presentation is not augmented: rule x -> 1 has a constant term\n"
+
+
 def test_anick_interreduces_big(capsys):
     code, out = run(capsys, "anick", "--builtin", "big", "--n", "3", "--p", "3", "--expbound", "2")
     assert code == 0
@@ -199,12 +224,13 @@ def test_conjectures_prints_criterion_9(capsys):
     [("betti_report.py", ["--l", "2", "--D", "8", "--json"]), ("conjecture_scan.py", ["--json"])],
 )
 def test_script_wrappers_emit_json(script, args):
-    root = Path(__file__).resolve().parent.parent
-    src = str(root / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / script), *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python(str(ROOT / "scripts" / script), *args)
     assert proc.returncode == 0, proc.stderr
     json.loads(proc.stdout)
+
+
+def test_python_m_anickres_runs_the_cli():
+    proc = run_python("-m", "anickres", "betti", "--builtin", "small", "--l", "2", "--D", "8", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdicts"] == {"exact": True}
+

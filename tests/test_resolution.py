@@ -3,7 +3,7 @@ import pytest
 from anickres.anick import ModuleElement, ResolutionPrefix
 from anickres.checks import expected_betti_table
 from anickres.fields import PrimeField
-from anickres.kostant import small_system
+from anickres.kostant import big_system, small_system
 from anickres.rewriting import RewritingSystem
 from anickres.words import Alphabet
 from anickres.resolution import (
@@ -84,6 +84,43 @@ def test_exactness_builds_each_matrix_once(monkeypatch):
     # levels -1, 0, 1 each need their own rank and the one above, up to the top
     assert sorted(builds) == sorted(set(builds))
     assert set(builds) == {(level, d) for level in (-1, 0, 1, 2) for d in range(9)}
+
+
+def _small(l):
+    return GradedComplex.from_prefix(ResolutionPrefix(small_system(l).system))
+
+
+def _big():
+    return GradedComplex.from_prefix(ResolutionPrefix(big_system(3, 3, 2).system.interreduce()))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _small(2),
+        lambda: minimalize(_small(2)),
+        lambda: _small(3),
+        lambda: minimalize(_small(3)),
+        _big,
+        lambda: generic_minimalize(_big()),
+    ],
+    ids=["small l=2", "small l=2 minimal", "small l=3", "small l=3 minimal", "big", "big minimal"],
+)
+def test_cached_columns_equal_the_direct_image(build):
+    # column m.t of d_level is m * d_level(.t), reduced from scratch by act
+    gc = build()
+    checked = 0
+    for level in range(gc.top + 1):
+        for d in range(9):
+            mat = gc.differential_matrix(level, d)
+            row_index = {key: i for i, key in enumerate(gc.basis(level - 1, d))}
+            for j, (m, t) in enumerate(gc.basis(level, d)):
+                expected = [0] * len(row_index)
+                for key, c in gc.prefix.act(m, gc.diff[level][t]):
+                    expected[row_index[key]] = c
+                assert [row[j] for row in mat] == expected, (level, str(m), str(t))
+                checked += 1
+    assert checked > 100
 
 
 def test_radical_before_after(gc2):
