@@ -4,7 +4,7 @@ matrices, and the first steps of the associated minimal free resolution.
 """
 
 from .fields import PrimeField, binomial_mod_p, multinomial_p_power_coefficient
-from .words import Alphabet, Generator, Word, deglex_compare, words_up_to_degree
+from .words import Alphabet, Generator, Word, contains, find, words_up_to_degree
 from .polynomials import Polynomial
 from .rewriting import (
     CompletionCapError,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .rewriting import RewritingSystem
-from .words import Word
+from .words import Alphabet, Word
 
 
 class LiftError(RuntimeError):
@@ -33,13 +33,21 @@ class LiftError(RuntimeError):
 
 
 class ModuleElement:
-    """A finite F_p-combination of basis elements m.t at one level."""
+    """A finite F_p-combination of basis elements m.t at one level; the
+    alphabet of the words m and t orders and prints them."""
 
-    __slots__ = ("level", "field", "terms")
+    __slots__ = ("level", "field", "alphabet", "terms")
 
-    def __init__(self, level: int, field, terms: dict[tuple[Word, Word], int] | None = None):
+    def __init__(
+        self,
+        level: int,
+        field,
+        alphabet: Alphabet,
+        terms: dict[tuple[Word, Word], int] | None = None,
+    ):
         self.level = level
         self.field = field
+        self.alphabet = alphabet
         self.terms: dict[tuple[Word, Word], int] = {}
         if terms:
             for key, c in terms.items():
@@ -48,12 +56,14 @@ class ModuleElement:
                     self.terms[key] = c
 
     @classmethod
-    def zero(cls, level: int, field) -> "ModuleElement":
-        return cls(level, field)
+    def zero(cls, level: int, field, alphabet: Alphabet) -> "ModuleElement":
+        return cls(level, field, alphabet)
 
     @classmethod
-    def basis(cls, level: int, field, m: Word, t: Word, coeff: int = 1) -> "ModuleElement":
-        return cls(level, field, {(m, t): coeff})
+    def basis(
+        cls, level: int, field, alphabet: Alphabet, m: Word, t: Word, coeff: int = 1
+    ) -> "ModuleElement":
+        return cls(level, field, alphabet, {(m, t): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -65,7 +75,7 @@ class ModuleElement:
         p = self.field.p
         for key, c in other.terms.items():
             acc[key] = (acc.get(key, 0) + coeff * c) % p
-        return ModuleElement(self.level, self.field, acc)
+        return ModuleElement(self.level, self.field, self.alphabet, acc)
 
     def __add__(self, other):
         return self.combine(1, other)
@@ -75,7 +85,7 @@ class ModuleElement:
 
     def scale(self, coeff: int) -> "ModuleElement":
         return ModuleElement(
-            self.level, self.field, {k: c * coeff for k, c in self.terms.items()}
+            self.level, self.field, self.alphabet, {k: c * coeff for k, c in self.terms.items()}
         )
 
     def __iter__(self):
@@ -91,30 +101,30 @@ class ModuleElement:
     def __hash__(self):
         return hash((self.level, frozenset(self.terms.items())))
 
-    @staticmethod
-    def basis_key(key: tuple[Word, Word]):
+    def basis_key(self, key: tuple[Word, Word]):
         """Order basis elements by the concatenated word mt (injective per level)."""
         m, t = key
-        return (m.degree + t.degree, m.ranks + t.ranks)
+        return self.alphabet.sort_key(m + t)
 
     def leading(self) -> tuple[tuple[Word, Word], int]:
         if not self.terms:
             raise ValueError("leading term of zero")
-        key = max(self.terms, key=ModuleElement.basis_key)
+        key = max(self.terms, key=self.basis_key)
         return key, self.terms[key]
 
     def support(self) -> list[tuple[Word, Word]]:
-        return sorted(self.terms, key=ModuleElement.basis_key)
+        return sorted(self.terms, key=self.basis_key)
 
     def __str__(self):
         if not self.terms:
             return "0"
+        fmt = self.alphabet.format
         parts = []
-        for m, t in sorted(self.terms, key=ModuleElement.basis_key, reverse=True):
+        for m, t in sorted(self.terms, key=self.basis_key, reverse=True):
             c = self.terms[(m, t)]
             head = "" if c == 1 else f"{c} "
-            mm = "" if m.is_empty() else f"{str(m)} "
-            parts.append(f"{head}{mm}. {t}" if not t.is_empty() else f"{head}{mm}. e")
+            mm = f"{fmt(m)} " if m else ""
+            parts.append(f"{head}{mm}. {fmt(t)}" if t else f"{head}{mm}. e")
         return " + ".join(parts)
 
     def __repr__(self):
@@ -141,8 +151,8 @@ def overlap_tips(system: RewritingSystem) -> set[Word]:
     for m1 in lhs:
         for m2 in lhs:
             for t in range(1, min(len(m1), len(m2))):
-                if m2.ranks[len(m2) - t :] == m1.ranks[:t]:
-                    tips.add(m2 * m1[t:])
+                if m2[len(m2) - t :] == m1[:t]:
+                    tips.add(m2 + m1[t:])
     return tips
 
 
@@ -170,9 +180,11 @@ def chains_T2(system: RewritingSystem) -> list[Word]:
         prefixes = [L for i, L in occurrences if i == 0 and 0 < L < n]
         suffixes = [i for i, L in occurrences if 0 < i and i + L == n]
         if len(prefixes) != 1 or len(suffixes) != 1:
-            raise ValueError(f"tip {w} lacks a unique rule factorization")
+            raise ValueError(
+                f"tip {system.alphabet.format(w)} lacks a unique rule factorization"
+            )
         minimal.append(w)
-    minimal.sort(key=Word.sort_key)
+    minimal.sort(key=system.alphabet.sort_key)
     return minimal
 
 
@@ -182,7 +194,8 @@ class ResolutionPrefix:
     def __init__(self, system: RewritingSystem):
         if not system.is_reduced():
             raise ValueError("resolution prefix requires a reduced system")
-        e = system.alphabet.empty_word
+        alphabet = system.alphabet
+        e = alphabet.empty_word
         for rule in system.rules:
             if e in rule.rhs.terms:
                 raise ValueError(
@@ -190,12 +203,11 @@ class ResolutionPrefix:
                 )
         self.system = system
         self.field = system.field
+        self.alphabet = alphabet
         self.chains: dict[int, list[Word]] = {
             -1: [e],
-            0: sorted(
-                (Word((g,)) for g in system.alphabet), key=Word.sort_key
-            ),
-            1: sorted(system.lhs_words(), key=Word.sort_key),
+            0: sorted(((i,) for i in range(len(alphabet))), key=alphabet.sort_key),
+            1: sorted(system.lhs_words(), key=alphabet.sort_key),
             2: chains_T2(system),
         }
         self._chain_sets = {level: set(ts) for level, ts in self.chains.items()}
@@ -209,18 +221,21 @@ class ResolutionPrefix:
         below = self._chain_sets.get(level - 1, ())
         k = next((k for k in range(len(t) + 1) if t[k:] in below), None)
         if k is None:
-            raise ValueError(f"{t} has no suffix chain at level {level - 1}")
-        nf = self.system.normal_form_word(m * t[:k])
-        return ModuleElement(level - 1, self.field, {(w, t[k:]): c for w, c in nf})
+            raise ValueError(
+                f"{self.alphabet.format(t)} has no suffix chain at level {level - 1}"
+            )
+        nf = self.system.normal_form_word(m + t[:k])
+        s = t[k:]
+        return ModuleElement(level - 1, self.field, self.alphabet, {(w, s): c for w, c in nf})
 
     def j_map(self, level: int, m: Word, t: Word) -> Optional[ModuleElement]:
         """The splitting candidate m.t -> u.vt for the longest suffix v of m
         that makes vt a chain at the level, or None when there is none."""
         chains = self._chain_sets[level]
         for cut in range(len(m) + 1):
-            cand = m[cut:] * t
+            cand = m[cut:] + t
             if cand in chains:
-                return ModuleElement.basis(level, self.field, m[:cut], cand)
+                return ModuleElement.basis(level, self.field, self.alphabet, m[:cut], cand)
         return None
 
     # ----- module structure ------------------------------------------
@@ -229,10 +244,10 @@ class ResolutionPrefix:
         acc: dict[tuple[Word, Word], int] = {}
         p = self.field.p
         for (m1, t), c in elem:
-            for w, c2 in self.system.normal_form_word(m * m1):
+            for w, c2 in self.system.normal_form_word(m + m1):
                 key = (w, t)
                 acc[key] = (acc.get(key, 0) + c * c2) % p
-        return ModuleElement(elem.level, self.field, acc)
+        return ModuleElement(elem.level, self.field, self.alphabet, acc)
 
     # ----- differentials ---------------------------------------------
     def boundary(self, elem: ModuleElement) -> ModuleElement:
@@ -240,8 +255,8 @@ class ResolutionPrefix:
         at level -1 the augmentation, the coefficient of e.e, carried as a
         multiple of e.e at level -2."""
         if elem.level == -1:
-            e = self.system.alphabet.empty_word
-            return ModuleElement(-2, self.field, {(e, e): elem.terms.get((e, e), 0)})
+            e = self.alphabet.empty_word
+            return ModuleElement(-2, self.field, self.alphabet, {(e, e): elem.terms.get((e, e), 0)})
         return self.apply_d(elem.level, elem)
 
     def d_generator(self, level: int, t: Word) -> ModuleElement:
@@ -249,7 +264,7 @@ class ResolutionPrefix:
         key = (level, t)
         if key in self._d_memo:
             return self._d_memo[key]
-        delta_t = self.delta(level, self.system.alphabet.empty_word, t)
+        delta_t = self.delta(level, self.alphabet.empty_word, t)
         below = self.boundary(delta_t)
         val = delta_t if below.is_zero() else delta_t - self.lift_i(level - 1, below)
         self._d_memo[key] = val
@@ -260,7 +275,7 @@ class ResolutionPrefix:
         acc: dict[tuple[Word, Word], int] = {}
         for (m, t), c in elem:
             accumulate(acc, c, self.act(m, self.d_generator(level, t)).terms, self.field.p)
-        return ModuleElement(level - 1, self.field, acc)
+        return ModuleElement(level - 1, self.field, self.alphabet, acc)
 
     def lift_i(self, level: int, f: ModuleElement) -> ModuleElement:
         """The contracting lift i_level: a cycle f at level-1 goes to an
@@ -271,28 +286,29 @@ class ResolutionPrefix:
         if not below.is_zero():
             raise LiftError(f"lift input is not a cycle: boundary {below}")
         p = self.field.p
+        fmt = self.alphabet.format
         result: dict[tuple[Word, Word], int] = {}
         rest = dict(f.terms)
         guard = None
         while rest:
-            m, t = max(rest, key=ModuleElement.basis_key)
-            lead = ModuleElement.basis_key((m, t))
+            m, t = max(rest, key=f.basis_key)
+            lead = f.basis_key((m, t))
             if guard is not None and lead >= guard:
                 raise LiftError(
-                    f"leading element failed to decrease at {m}.{t} "
+                    f"leading element failed to decrease at {fmt(m)}.{fmt(t)} "
                     f"(sign convention breaks down here)"
                 )
             guard = lead
             g = self.j_map(level, m, t)
             if g is None:
                 raise LiftError(
-                    f"leading element {m}.{t} of a cycle is not liftable "
+                    f"leading element {fmt(m)}.{fmt(t)} of a cycle is not liftable "
                     f"(sign convention breaks down here)"
                 )
             g = g.scale(rest[(m, t)])
             accumulate(result, 1, g.terms, p)
             accumulate(rest, -1, self.boundary(g).terms, p)
-        return ModuleElement(level, self.field, result)
+        return ModuleElement(level, self.field, self.alphabet, result)
 
     # ----- verification ----------------------------------------------
     def generators(self) -> list[tuple[int, Word]]:
@@ -305,13 +321,14 @@ class ResolutionPrefix:
         for level, t in self.generators():
             square = self.boundary(self.d_generator(level, t))
             if not square.is_zero():
-                problems.append(f"d_{level-1} d_{level}(.{t}) = {square}")
+                problems.append(f"d_{level-1} d_{level}(.{self.alphabet.format(t)}) = {square}")
         return (not problems, problems)
 
     def degree_check(self) -> bool:
         """Homogeneous systems: d preserves the total degree m.t -> deg(mt)."""
+        degree = self.alphabet.degree
         return all(
-            m.degree + t2.degree == t.degree
+            degree(m + t2) == degree(t)
             for level, t in self.generators()
             for (m, t2), _ in self.d_generator(level, t)
         )

@@ -30,7 +30,7 @@ from .resolution import (
     rank_fp_oracle,
 )
 from .rewriting import CompletionCapError
-from .words import Word, word_of
+from .words import Word
 
 
 @dataclass
@@ -115,17 +115,17 @@ def criterion_5_golden_differentials() -> CriterionResult:
     system = small_system(K).system
     prefix = ResolutionPrefix(system)
     A = system.alphabet
-    a = [A.generator(f"a{k}") for k in range(K + 1)]
-    b = [A.generator(f"b{k}") for k in range(K + 1)]
+    a = [A.word(f"a{k}") for k in range(K + 1)]
+    b = [A.word(f"b{k}") for k in range(K + 1)]
     e = A.empty_word
     F = system.field
 
     def elem(level, *pairs):
         from .anick import ModuleElement
 
-        acc = ModuleElement.zero(level, F)
+        acc = ModuleElement.zero(level, F, A)
         for m, t in pairs:
-            acc = acc.combine(1, ModuleElement.basis(level, F, m, t))
+            acc = acc.combine(1, ModuleElement.basis(level, F, A, m, t))
         return acc
 
     mismatches = []
@@ -133,45 +133,27 @@ def criterion_5_golden_differentials() -> CriterionResult:
     def expect(level, t, expected):
         got = prefix.d_generator(level, t)
         if got != expected:
-            mismatches.append(f"d_{level}(.{t}) = {got}, expected {expected}")
+            mismatches.append(f"d_{level}(.{A.format(t)}) = {got}, expected {expected}")
 
     for k in range(K + 1):
-        ak, bk = word_of(a[k]), word_of(b[k])
-        expect(1, ak * ak, elem(0, (ak, ak)))
-        braid = Word((b[k], a[k], b[k], a[k]))
-        expect(
-            1,
-            braid,
-            elem(0, (Word((b[k], a[k], b[k])), ak), (Word((a[k], b[k], a[k])), bk)),
-        )
+        ak, bk = a[k], b[k]
+        expect(1, ak + ak, elem(0, (ak, ak)))
+        braid = bk + ak + bk + ak
+        expect(1, braid, elem(0, (bk + ak + bk, ak), (ak + bk + ak, bk)))
         for l in range(k + 1, K + 1):
-            al = word_of(a[l])
-            expect(1, al * ak, elem(0, (al, ak), (ak, al)))
-            tail = Word((a[k], b[k], a[k]) + tuple(a[k + 1 : l]))
-            expect(
-                1,
-                al * word_of(b[k]),
-                elem(0, (al, word_of(b[k])), (word_of(b[k]), al), (tail[:-1], word_of(tail[-1]))),
-            )
-            expect(2, al * ak * ak, elem(1, (al, ak * ak), (ak, al * ak)))
+            al = a[l]
+            expect(1, al + ak, elem(0, (al, ak), (ak, al)))
+            tail = ak + bk + ak + sum(a[k + 1 : l], ())
+            expect(1, al + bk, elem(0, (al, bk), (bk, al), (tail[:-1], tail[-1:])))
+            expect(2, al + ak + ak, elem(1, (al, ak + ak), (ak, al + ak)))
             expect(
                 2,
-                word_of(a[l]) * braid,
-                elem(
-                    1,
-                    (al, braid),
-                    (Word((b[k], a[k], b[k])), al * ak),
-                    (Word((a[k], b[k], a[k])), al * word_of(b[k])),
-                ),
+                al + braid,
+                elem(1, (al, braid), (bk + ak + bk, al + ak), (ak + bk + ak, al + bk)),
             )
         if k + 1 <= K:
-            anext = word_of(a[k + 1])
-            bk2 = word_of(b[k]) * word_of(b[k])
-            expect(
-                2,
-                anext * bk2,
-                elem(1, (anext, bk2), (word_of(b[k]), anext * word_of(b[k])), (e, braid)),
-            )
+            anext = a[k + 1]
+            expect(2, anext + bk + bk, elem(1, (anext, bk + bk), (bk, anext + bk), (e, braid)))
     return CriterionResult(
         "criterion 5: golden differential values",
         not mismatches,
@@ -250,25 +232,25 @@ def criterion_7_minimality() -> CriterionResult:
 # ---------------------------------------------------------------------
 
 def _random_word(rng: random.Random, alphabet, max_len: int) -> Word:
-    gens = list(alphabet)
-    return Word(tuple(rng.choice(gens) for _ in range(rng.randint(0, max_len))))
+    return tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(0, max_len)))
 
 
 def check_monoid_laws(cases: int = 1000, seed: int = 0) -> int:
     """Translation invariance and totality of the word order."""
     rng = random.Random(seed)
     alphabet = small_system(1).alphabet
+    key = alphabet.sort_key
     failures = 0
     for _ in range(cases):
         u = _random_word(rng, alphabet, 5)
         v = _random_word(rng, alphabet, 5)
         w = _random_word(rng, alphabet, 5)
-        if u < v:
-            if not (u * w < v * w and w * u < w * v):
+        if key(u) < key(v):
+            if not (key(u + w) < key(v + w) and key(w + u) < key(w + v)):
                 failures += 1
-        if (u < v) + (v < u) + (u == v) != 1:
+        if (key(u) < key(v)) + (key(v) < key(u)) + (u == v) != 1:
             failures += 1
-        if not u.is_empty() and not (v < v * u):
+        if u and not key(v) < key(v + u):
             failures += 1
     return failures
 
@@ -281,6 +263,7 @@ def check_nf_uniqueness(cases: int = 1000, seed: int = 1) -> int:
     for _ in range(cases):
         g = Polynomial.from_terms(
             system.field,
+            system.alphabet,
             [(1, _random_word(rng, system.alphabet, 6)) for _ in range(rng.randint(1, 3))],
         )
         h = g
@@ -289,13 +272,14 @@ def check_nf_uniqueness(cases: int = 1000, seed: int = 1) -> int:
             for w in h.terms:
                 for pos in range(len(w)):
                     for ridx, rule in enumerate(system.rules):
-                        if w.letters[pos : pos + len(rule.lhs)] == rule.lhs.letters:
+                        if w[pos : pos + len(rule.lhs)] == rule.lhs:
                             candidates.append((w, pos, ridx))
             if not candidates:
                 break
             w, pos, ridx = rng.choice(candidates)
             coeff = h.terms[w]
-            h = h.combine(-coeff, Polynomial.monomial(system.field, w)).combine(
+            monomial = Polynomial.monomial(system.field, system.alphabet, w)
+            h = h.combine(-coeff, monomial).combine(
                 coeff, system.apply_step(w, pos, ridx)
             )
         if h != system.normal_form(g):
@@ -370,7 +354,8 @@ def criterion_9_conjectures() -> CriterionResult:
         details[name] = (
             "consistent up to bound"
             if not new
-            else f"witness: {len(new)} unresolved consequences, e.g. {new[0].lhs}"
+            else f"witness: {len(new)} unresolved consequences, "
+            f"e.g. {completed.alphabet.format(new[0].lhs)}"
         )
         consistent = consistent and not new
     return CriterionResult(

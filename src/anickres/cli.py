@@ -70,7 +70,8 @@ def _resolvable(system: RewritingSystem) -> RewritingSystem:
     ok, witnesses = system.is_complete()
     if not ok:
         raise IncompleteSystemError(
-            f"not complete: the critical pair at tip {witnesses[0][0].tip} does not resolve"
+            f"not complete: the critical pair at tip "
+            f"{system.alphabet.format(witnesses[0][0].tip)} does not resolve"
         )
     return system
 
@@ -105,15 +106,16 @@ def cmd_nf(args) -> int:
 def cmd_check(args) -> int:
     loaded = _load(args)
     ok, witnesses = loaded.system.is_complete(args.degree_bound)
+    fmt = loaded.system.alphabet.format
     if not args.json:
         print(f"rules: {len(loaded.system.rules)}")
         print(f"complete: {ok}")
         for cp, nf in witnesses[:20]:
-            print(f"  unresolved tip {cp.tip}: residue {nf}")
+            print(f"  unresolved tip {fmt(cp.tip)}: residue {nf}")
     report = Report(
         "check",
         {"degree_bound": args.degree_bound, **loaded.document.params},
-        {"complete": ok, "witnesses": [str(cp.tip) for cp, _ in witnesses]},
+        {"complete": ok, "witnesses": [fmt(cp.tip) for cp, _ in witnesses]},
     )
     return _emit(report, args, 0 if ok else 1)
 
@@ -126,7 +128,7 @@ def cmd_anick(args) -> int:
         for level, ts in prefix.chains.items():
             print(f"T_{level}: {len(ts)} chains")
         for level, t in prefix.generators():
-            print(f"d_{level}(.{t}) = {prefix.d_generator(level, t)}")
+            print(f"d_{level}(.{prefix.alphabet.format(t)}) = {prefix.d_generator(level, t)}")
         print(f"complex identities hold: {ok}")
     report = Report(
         "anick",
@@ -147,13 +149,13 @@ def cmd_betti(args) -> int:
     if args.minimal:
         gc = generic_minimalize(gc)
     table = gc.betti_table(args.D)
+    # chains stop at level 2: the top row still counts the level-2 chains
+    # that a level-3 differential would cancel, so it is only an upper bound
+    top = max(table)
     defects = gc.verify_exactness([-1, 0, 1], args.D)
     if not args.json:
         print(f"betti table (minimal={args.minimal}, D={args.D}):")
-        top = max(table)
         for level in sorted(table):
-            # chains stop at level 2: the top row still counts the level-2
-            # chains that a level-3 differential would cancel
             bound = "  (upper bound)" if level == top else ""
             for degree in sorted(table[level]):
                 print(f"  level {level}  degree {degree}  count {table[level][degree]}{bound}")
@@ -162,7 +164,7 @@ def cmd_betti(args) -> int:
         "betti",
         {"D": args.D, "minimal": args.minimal, **loaded.document.params},
         {"exact": not defects},
-        tables={"betti": _str_keys(table)},
+        tables={"betti": _str_keys(table), "betti_bound_levels": [str(top)]},
     )
     return _emit(report, args, 0 if not defects else 1)
 

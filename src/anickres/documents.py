@@ -87,6 +87,7 @@ class PresentationDocument:
         gens = []
         for entry in self.alphabet:
             name = entry["name"]
+            _check_generator_name(name)
             if name in seen:
                 raise DocumentError(f"duplicate generator name {name!r}")
             seen.add(name)
@@ -100,7 +101,7 @@ class PresentationDocument:
                     if n not in seen:
                         raise DocumentError(f"relation uses undeclared generator {n!r}")
                 terms.append((coeff, alphabet.word(*names)))
-            relations.append(Polynomial.from_terms(field, terms))
+            relations.append(Polynomial.from_terms(field, alphabet, terms))
         system = RewritingSystem.from_relations(
             alphabet, field, [f for f in relations if not f.is_zero()]
         )
@@ -164,7 +165,7 @@ def parse_expression(system: RewritingSystem, text: str) -> Polynomial:
                 ) from None
             names.append(tok)
         terms.append((coeff, alphabet.word(*names)))
-    return Polynomial.from_terms(field, terms)
+    return Polynomial.from_terms(field, alphabet, terms)
 
 
 def _is_integer(token: str) -> bool:
@@ -173,6 +174,25 @@ def _is_integer(token: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def _check_generator_name(name) -> None:
+    """A generator name must read back as itself in an expression: a
+    nonempty string that is not '1', 'e' or an integer coefficient and
+    contains neither whitespace nor '+'."""
+    if not isinstance(name, str):
+        raise DocumentError(f"generator name {name!r} is not a string")
+    if (
+        not name
+        or name in ("1", "e")
+        or _is_integer(name)
+        or "+" in name
+        or any(ch.isspace() for ch in name)
+    ):
+        raise DocumentError(
+            f"generator name {name!r} cannot be written in an expression "
+            f"(reserved: '1', 'e', integers, whitespace and '+')"
+        )
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .fields import PrimeField, binomial_mod_p
 from .polynomials import Polynomial
 from .rewriting import RewritingSystem, make_rule
-from .words import Alphabet, Generator, Word, concat, word_of
+from .words import Alphabet, Generator, Word
 
 
 class AlphabetTooSmallError(ValueError):
@@ -125,7 +125,7 @@ def big_system(
         """The word e_pos^(k); exponent 0 is the empty word."""
         if k == 0:
             return alphabet.empty_word
-        return word_of(gen_of[(pos, k)])
+        return alphabet.word(gen_of[(pos, k)].name)
 
     relations: list[Polynomial] = []
     exps = range(1, exponent_bound + 1)
@@ -135,7 +135,7 @@ def big_system(
         for k in exps:
             for r in exps:
                 coeff = binomial_mod_p(k + r, k, p)
-                lhs = e(pos, k) * e(pos, r)
+                lhs = e(pos, k) + e(pos, r)
                 if k + r > exponent_bound:
                     if coeff:
                         raise AlphabetTooSmallError(
@@ -143,10 +143,12 @@ def big_system(
                             f"exponent {k + r} > bound {exponent_bound} with unit "
                             f"coefficient; use a bound of the form p^l - 1 or raise it"
                         )
-                    relations.append(Polynomial.monomial(field, lhs))
+                    relations.append(Polynomial.monomial(field, alphabet, lhs))
                 else:
                     relations.append(
-                        Polynomial.from_terms(field, [(1, lhs), (-coeff, e(pos, k + r))])
+                        Polynomial.from_terms(
+                            field, alphabet, [(1, lhs), (-coeff, e(pos, k + r))]
+                        )
                     )
 
     # mixed positions: lhs has the larger position first
@@ -156,7 +158,7 @@ def big_system(
                 continue  # need Q strictly below P
             for k in exps:
                 for r in exps:
-                    lhs = e(P, k) * e(Q, r)
+                    lhs = e(P, k) + e(Q, r)
                     if Q.i == P.j:
                         # straightening: e_ij^(k) e_jt^(r) ->
                         #   sum_s e_jt^(r-s) e_it^(s) e_ij^(k-s)
@@ -165,9 +167,9 @@ def big_system(
                         terms = [(1, lhs)]
                         for s in range(min(k, r) + 1):
                             terms.append(
-                                (-1, e(Q, r - s) * e(mid, s) * e(P, k - s))
+                                (-1, e(Q, r - s) + e(mid, s) + e(P, k - s))
                             )
-                        relations.append(Polynomial.from_terms(field, terms))
+                        relations.append(Polynomial.from_terms(field, alphabet, terms))
                     elif Q.j == P.i:
                         # straightening: e_ij^(k) e_si^(r) ->
                         #   sum_t (-1)^t e_si^(r-t) e_sj^(t) e_ij^(k-t)
@@ -176,14 +178,14 @@ def big_system(
                         terms = [(1, lhs)]
                         for t in range(min(k, r) + 1):
                             terms.append(
-                                ((-1) ** (t + 1), e(Q, r - t) * e(mid, t) * e(P, k - t))
+                                ((-1) ** (t + 1), e(Q, r - t) + e(mid, t) + e(P, k - t))
                             )
-                        relations.append(Polynomial.from_terms(field, terms))
+                        relations.append(Polynomial.from_terms(field, alphabet, terms))
                     else:
                         # disjoint in the interacting sense: plain swap
                         relations.append(
                             Polynomial.from_terms(
-                                field, [(1, lhs), (-1, e(Q, r) * e(P, k))]
+                                field, alphabet, [(1, lhs), (-1, e(Q, r) + e(P, k))]
                             )
                         )
 
@@ -245,39 +247,40 @@ def small_alphabet(l: int) -> Alphabet:
 
 
 def small_relations(alphabet: Alphabet, l: int, field: PrimeField) -> list[Polynomial]:
-    a = [word_of(alphabet.generator(f"a{k}")) for k in range(l + 1)]
-    b = [word_of(alphabet.generator(f"b{k}")) for k in range(l + 1)]
-    F = field
+    a = [alphabet.word(f"a{k}") for k in range(l + 1)]
+    b = [alphabet.word(f"b{k}") for k in range(l + 1)]
+    F, A = field, alphabet
     rels = []
     for k in range(l + 1):
-        rels.append(Polynomial.monomial(F, a[k] * a[k]))
-        rels.append(Polynomial.monomial(F, b[k] * b[k]))
+        rels.append(Polynomial.monomial(F, A, a[k] + a[k]))
+        rels.append(Polynomial.monomial(F, A, b[k] + b[k]))
         rels.append(
             Polynomial.from_terms(
                 F,
+                A,
                 [
-                    (1, b[k] * a[k] * b[k] * a[k]),
-                    (1, a[k] * b[k] * a[k] * b[k]),
+                    (1, b[k] + a[k] + b[k] + a[k]),
+                    (1, a[k] + b[k] + a[k] + b[k]),
                 ],
             )
         )
         for m in range(k + 1, l + 1):
-            tail_a = concat([a[k], b[k], a[k]] + a[k + 1 : m])
-            tail_b = concat([b[k], a[k], b[k]] + b[k + 1 : m])
+            tail_a = a[k] + b[k] + a[k] + sum(a[k + 1 : m], ())
+            tail_b = b[k] + a[k] + b[k] + sum(b[k + 1 : m], ())
             rels.append(
-                Polynomial.from_terms(F, [(1, a[m] * a[k]), (1, a[k] * a[m])])
+                Polynomial.from_terms(F, A, [(1, a[m] + a[k]), (1, a[k] + a[m])])
             )
             rels.append(
-                Polynomial.from_terms(F, [(1, b[m] * b[k]), (1, b[k] * b[m])])
+                Polynomial.from_terms(F, A, [(1, b[m] + b[k]), (1, b[k] + b[m])])
             )
             rels.append(
                 Polynomial.from_terms(
-                    F, [(1, a[m] * b[k]), (1, b[k] * a[m]), (1, tail_a)]
+                    F, A, [(1, a[m] + b[k]), (1, b[k] + a[m]), (1, tail_a)]
                 )
             )
             rels.append(
                 Polynomial.from_terms(
-                    F, [(1, b[m] * a[k]), (1, a[k] * b[m]), (1, tail_b)]
+                    F, A, [(1, b[m] + a[k]), (1, a[k] + b[m]), (1, tail_b)]
                 )
             )
     return rels
@@ -297,20 +300,19 @@ def verify_small_against_big(l: int) -> tuple[bool, list[Polynomial]]:
     relation reduces to zero in the big system with bound 2^(l+1) - 1."""
     small = small_system(l)
     big = big_system(3, 2, 2 ** (l + 1) - 1)
-    e12 = {k: big.alphabet.generator(f"e12_{2**k}") for k in range(l + 1)}
-    e23 = {k: big.alphabet.generator(f"e23_{2**k}") for k in range(l + 1)}
+    image = {}
+    for x, g in enumerate(small.alphabet):
+        kind, k = g.name[0], int(g.name[1:])
+        image[x] = big.alphabet.index(f"e12_{2**k}" if kind == "a" else f"e23_{2**k}")
 
     def image_word(w: Word) -> Word:
-        letters = []
-        for g in w:
-            kind, k = g.name[0], int(g.name[1:])
-            letters.append(e12[k] if kind == "a" else e23[k])
-        return Word(tuple(letters))
+        return tuple(image[x] for x in w)
 
     failures = []
     for rule in small.system.rules:
         img = Polynomial.from_terms(
             big.field,
+            big.alphabet,
             [(1, image_word(rule.lhs))]
             + [(c, image_word(w)) for w, c in rule.rhs],
         )
@@ -329,22 +331,24 @@ def frobenius_shift_check(
         raise ValueError("need j >= 1")
     src = small_system(l)
     dst = small_system(l + j)
+    shift = [
+        dst.alphabet.index(f"{g.name[0]}{int(g.name[1:]) + j}") for g in src.alphabet
+    ]
 
     def shift_word(w: Word) -> Word:
-        return Word(
-            tuple(
-                dst.alphabet.generator(f"{g.name[0]}{int(g.name[1:]) + j}")
-                for g in w
-            )
-        )
+        return tuple(shift[x] for x in w)
 
     failures = []
     for rule in src.system.rules:
         img = Polynomial.from_terms(
             dst.field,
+            dst.alphabet,
             [(1, shift_word(rule.lhs))] + [(c, shift_word(w)) for w, c in rule.rhs],
         )
-        if degree_bound is not None and img.leading_monomial().degree > degree_bound:
+        if (
+            degree_bound is not None
+            and dst.alphabet.degree(img.leading_monomial()) > degree_bound
+        ):
             continue
         nf = dst.system.normal_form(img)
         if not nf.is_zero():
@@ -389,77 +393,74 @@ def conjectural_system(
         if p <= 2 or n != 3:
             raise ValueError("odd_p_n3 requires p > 2 and n = 3")
         alphabet = _conjectural_alphabet(3, p, index_bound)
-        a = [word_of(alphabet.generator(f"a1_{k}")) for k in range(index_bound + 1)]
-        b = [word_of(alphabet.generator(f"a2_{k}")) for k in range(index_bound + 1)]
+        a = [alphabet.word(f"a1_{k}") for k in range(index_bound + 1)]
+        b = [alphabet.word(f"a2_{k}") for k in range(index_bound + 1)]
+        F, A = field, alphabet
         rels = []
         for k in range(index_bound + 1):
-            rels.append(Polynomial.monomial(field, concat([a[k]] * p)))
-            rels.append(Polynomial.monomial(field, concat([b[k]] * p)))
+            rels.append(Polynomial.monomial(F, A, a[k] * p))
+            rels.append(Polynomial.monomial(F, A, b[k] * p))
             rels.append(
                 Polynomial.from_terms(
-                    field,
+                    F,
+                    A,
                     [
-                        (1, b[k] * b[k] * a[k]),
-                        (-2, b[k] * a[k] * b[k]),
-                        (1, a[k] * b[k] * b[k]),
+                        (1, b[k] + b[k] + a[k]),
+                        (-2, b[k] + a[k] + b[k]),
+                        (1, a[k] + b[k] + b[k]),
                     ],
                 )
             )
             rels.append(
                 Polynomial.from_terms(
-                    field,
+                    F,
+                    A,
                     [
-                        (1, b[k] * a[k] * a[k]),
-                        (-2, a[k] * b[k] * a[k]),
-                        (1, a[k] * a[k] * b[k]),
+                        (1, b[k] + a[k] + a[k]),
+                        (-2, a[k] + b[k] + a[k]),
+                        (1, a[k] + a[k] + b[k]),
                     ],
                 )
             )
             rels.append(
                 Polynomial.from_terms(
-                    field,
+                    F,
+                    A,
                     [
-                        (1, concat([b[k] * a[k]] * p)),
-                        (-1, concat([a[k] * b[k]] * p)),
+                        (1, (b[k] + a[k]) * p),
+                        (-1, (a[k] + b[k]) * p),
                     ],
                 )
             )
             for l in range(k + 1, index_bound + 1):
-                tail_a = concat(
-                    [a[k], b[k]] + [w for m in range(k, l) for w in [a[m]] * (p - 1)]
-                )
-                tail_b = concat(
-                    [b[k], a[k]] + [w for m in range(k, l) for w in [b[m]] * (p - 1)]
-                )
+                tail_a = a[k] + b[k] + sum((a[m] * (p - 1) for m in range(k, l)), ())
+                tail_b = b[k] + a[k] + sum((b[m] * (p - 1) for m in range(k, l)), ())
                 rels.append(
                     Polynomial.from_terms(
-                        field,
-                        [(1, a[l] * b[k]), (-1, b[k] * a[l]), (-1, tail_a)],
+                        F,
+                        A,
+                        [(1, a[l] + b[k]), (-1, b[k] + a[l]), (-1, tail_a)],
                     )
                 )
                 rels.append(
                     Polynomial.from_terms(
-                        field,
-                        [(1, b[l] * a[k]), (-1, a[k] * b[l]), (-1, tail_b)],
+                        F,
+                        A,
+                        [(1, b[l] + a[k]), (-1, a[k] + b[l]), (-1, tail_b)],
                     )
                 )
     elif variant == "p2_general_n":
         if p != 2 or n < 4:
             raise ValueError("p2_general_n requires p = 2 and n >= 4")
         alphabet = _conjectural_alphabet(n, 2, index_bound)
-        gen = {
-            (i, k): alphabet.generator(f"a{i}_{k}")
-            for k in range(index_bound + 1)
-            for i in range(1, n)
-        }
 
         def prod(seq, k):
-            return Word(tuple(gen[(i, k)] for i in seq))
+            return alphabet.word(*(f"a{i}_{k}" for i in seq))
 
         rels = []
         for k in range(index_bound + 1):
             for i in range(1, n):
-                rels.append(Polynomial.monomial(field, prod([i, i], k)))
+                rels.append(Polynomial.monomial(field, alphabet, prod([i, i], k)))
             # squared staircase products, summed over the admissible orderings
             for l in range(2, n):
                 for m in range(0, n - l):
@@ -467,7 +468,7 @@ def conjectural_system(
                     for perm in descent_or_step_permutations(l):
                         shifted = [idx + m for idx in perm]
                         terms.append((1, prod(shifted + shifted, k)))
-                    rels.append(Polynomial.from_terms(field, terms))
+                    rels.append(Polynomial.from_terms(field, alphabet, terms))
             # commutator relations against the interval products
             for m in range(1, n - 1):
                 for i in range(1, n - m):
@@ -477,11 +478,12 @@ def conjectural_system(
                     rels.append(
                         Polynomial.from_terms(
                             field,
+                            alphabet,
                             [
-                                (1, x * up),
-                                (1, up * x),
-                                (1, x * down),
-                                (1, down * x),
+                                (1, x + up),
+                                (1, up + x),
+                                (1, x + down),
+                                (1, down + x),
                             ],
                         )
                     )

@@ -2,7 +2,8 @@
 
 A polynomial is a finite mapping from words to nonzero field elements.
 Zero coefficients are dropped eagerly, so equality of the term dicts is
-equality of polynomials.
+equality of polynomials.  A polynomial also holds the alphabet of its
+words, which orders them (leading term, support) and names their letters.
 """
 
 from __future__ import annotations
@@ -10,14 +11,17 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .fields import PrimeField
-from .words import Word
+from .words import Alphabet, Word
 
 
 class Polynomial:
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "alphabet", "terms")
 
-    def __init__(self, field: PrimeField, terms: dict[Word, int] | None = None):
+    def __init__(
+        self, field: PrimeField, alphabet: Alphabet, terms: dict[Word, int] | None = None
+    ):
         self.field = field
+        self.alphabet = alphabet
         self.terms: dict[Word, int] = {}
         if terms:
             for w, c in terms.items():
@@ -27,26 +31,30 @@ class Polynomial:
 
     # constructors -----------------------------------------------------
     @classmethod
-    def zero(cls, field: PrimeField) -> "Polynomial":
-        return cls(field)
+    def zero(cls, field: PrimeField, alphabet: Alphabet) -> "Polynomial":
+        return cls(field, alphabet)
 
     @classmethod
-    def monomial(cls, field: PrimeField, word: Word, coeff: int = 1) -> "Polynomial":
-        return cls(field, {word: coeff})
+    def monomial(
+        cls, field: PrimeField, alphabet: Alphabet, word: Word, coeff: int = 1
+    ) -> "Polynomial":
+        return cls(field, alphabet, {word: coeff})
 
     @classmethod
-    def from_terms(cls, field: PrimeField, terms: Iterable[tuple[int, Word]]) -> "Polynomial":
+    def from_terms(
+        cls, field: PrimeField, alphabet: Alphabet, terms: Iterable[tuple[int, Word]]
+    ) -> "Polynomial":
         acc: dict[Word, int] = {}
         for coeff, word in terms:
             acc[word] = (acc.get(word, 0) + coeff) % field.p
-        return cls(field, acc)
+        return cls(field, alphabet, acc)
 
     # structure --------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
     def support(self) -> list[Word]:
-        return sorted(self.terms, key=Word.sort_key)
+        return sorted(self.terms, key=self.alphabet.sort_key)
 
     def __iter__(self) -> Iterator[tuple[Word, int]]:
         return iter(self.terms.items())
@@ -67,7 +75,7 @@ class Polynomial:
     def leading_monomial(self) -> Word:
         if not self.terms:
             raise ValueError("leading monomial of the zero polynomial")
-        return max(self.terms, key=Word.sort_key)
+        return max(self.terms, key=self.alphabet.sort_key)
 
     def leading_term(self) -> tuple[Word, int]:
         lm = self.leading_monomial()
@@ -82,7 +90,7 @@ class Polynomial:
         p = self.field.p
         for w, c in other.terms.items():
             acc[w] = (acc.get(w, 0) + coeff * c) % p
-        return Polynomial(self.field, acc)
+        return Polynomial(self.field, self.alphabet, acc)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         return self.combine(1, other)
@@ -91,11 +99,13 @@ class Polynomial:
         return self.combine(-1, other)
 
     def scale(self, coeff: int) -> "Polynomial":
-        return Polynomial(self.field, {w: c * coeff for w, c in self.terms.items()})
+        return Polynomial(self.field, self.alphabet, {w: c * coeff for w, c in self.terms.items()})
 
     def sandwich(self, left: Word, right: Word) -> "Polynomial":
         """left * self * right: every support word w becomes left w right."""
-        return Polynomial(self.field, {left * w * right: c for w, c in self.terms.items()})
+        return Polynomial(
+            self.field, self.alphabet, {left + w + right: c for w, c in self.terms.items()}
+        )
 
     def coefficient(self, word: Word) -> int:
         return self.terms.get(word, 0)
@@ -104,14 +114,15 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for w in sorted(self.terms, key=Word.sort_key, reverse=True):
+        fmt = self.alphabet.format
+        for w in sorted(self.terms, key=self.alphabet.sort_key, reverse=True):
             c = self.terms[w]
-            if w.is_empty():
+            if not w:
                 parts.append(str(c))
             elif c == 1:
-                parts.append(str(w))
+                parts.append(fmt(w))
             else:
-                parts.append(f"{c} {w}")
+                parts.append(f"{c} {fmt(w)}")
         return " + ".join(parts)
 
     def __repr__(self):

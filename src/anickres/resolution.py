@@ -21,7 +21,7 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 from .anick import ModuleElement, ResolutionPrefix, accumulate
-from .words import Word
+from .words import Alphabet, Word
 
 # byte value -> ASCII '0' or '1' by parity, so that a row of residues
 # translates to the binary digits of its F_2 reduction
@@ -127,6 +127,7 @@ class GradedComplex:
         self.prefix = prefix
         self.system = prefix.system
         self.field = prefix.field
+        self.alphabet = prefix.alphabet
         self.chains = {lvl: list(ts) for lvl, ts in chains.items()}
         self.diff = {lvl: dict(table) for lvl, table in diff.items()}
         self.top = max(chains)
@@ -149,19 +150,23 @@ class GradedComplex:
     def _irreducible_of_degree(self, d: int) -> list[Word]:
         if d > self._irr_bound:
             self._irr = {}
+            degree = self.alphabet.degree
             for w in self.system.irreducible_words(max_degree=d):
-                self._irr.setdefault(w.degree, []).append(w)
+                self._irr.setdefault(degree(w), []).append(w)
             self._irr_bound = d
         return self._irr.get(d, [])
 
     def basis(self, level: int, d: int) -> list[tuple[Word, Word]]:
         """Degree-d basis elements m.t at the level, in a fixed order."""
+        degree, sort_key = self.alphabet.degree, self.alphabet.sort_key
         out = []
         for t in self.chains.get(level, []):
-            if t.degree <= d:
-                for m in self._irreducible_of_degree(d - t.degree):
+            dt = degree(t)
+            if dt <= d:
+                for m in self._irreducible_of_degree(d - dt):
                     out.append((m, t))
-        out.sort(key=ModuleElement.basis_key)
+        # the order of ModuleElement.basis_key: by the concatenated word mt
+        out.sort(key=lambda mt: sort_key(mt[0] + mt[1]))
         return out
 
     # ----- matrices ---------------------------------------------------
@@ -179,7 +184,7 @@ class GradedComplex:
         image = self._images.get(key)
         if image is not None:
             return image
-        if m.is_empty():
+        if not m:
             image = dict(self.diff[level][t].terms)
         else:
             x = m[:1]
@@ -187,7 +192,7 @@ class GradedComplex:
             p = self.field.p
             acc: dict[tuple[Word, Word], int] = {}
             for (w, t2), c in self.column_image(level, m[1:], t).items():
-                for u, c2 in nf(x * w):
+                for u, c2 in nf(x + w):
                     acc[(u, t2)] = acc.get((u, t2), 0) + c * c2
             image = {k: c % p for k, c in acc.items() if c % p}
         self._images[key] = image
@@ -241,22 +246,23 @@ class GradedComplex:
     # ----- minimality -------------------------------------------------
     def radical_image_check(self, level: int) -> tuple[bool, list[Word]]:
         """No differential may hit a basis element with empty coefficient word."""
-        e = self.system.alphabet.empty_word
         offenders = [
             t
             for t in self.chains.get(level, [])
-            if any(m == e for (m, _t2), _c in self.diff[level][t])
+            if any(not m for (m, _t2), _c in self.diff[level][t])
         ]
         return (not offenders, offenders)
 
     def betti_table(self, max_degree: int) -> dict[int, dict[int, int]]:
         """Homological level k counts the chains at chain level k-1 by degree."""
+        degree = self.alphabet.degree
         table: dict[int, dict[int, int]] = {}
         for hlevel in range(self.top + 2):
             counts: dict[int, int] = {}
             for t in self.chains[hlevel - 1]:
-                if t.degree <= max_degree:
-                    counts[t.degree] = counts.get(t.degree, 0) + 1
+                d = degree(t)
+                if d <= max_degree:
+                    counts[d] = counts.get(d, 0) + 1
             table[hlevel] = counts
         return table
 
@@ -265,11 +271,11 @@ class GradedComplex:
 # minimalization
 # ---------------------------------------------------------------------
 
-def _is_braid(t: Word) -> bool:
+def _is_braid(alphabet: Alphabet, t: Word) -> bool:
     """Words b_k a_k b_k a_k of the p=2, n=3 system."""
     if len(t) != 4:
         return False
-    names = [g.name for g in t]
+    names = [alphabet[i].name for i in t]
     return (
         names[0][0] == "b"
         and names[1][0] == "a"
@@ -290,27 +296,30 @@ def minimalize(complex_: GradedComplex) -> GradedComplex:
     prefix = complex_.prefix
     alphabet = complex_.system.alphabet
     e = alphabet.empty_word
-    braids = [t for t in complex_.chains[1] if _is_braid(t)]
+    braids = [t for t in complex_.chains[1] if _is_braid(alphabet, t)]
     if not braids:
         raise ValueError("minimalize expects the braid chains of the p=2, n=3 system")
     partner = {}
     replacement = {}
     for braid in braids:
-        k = int(braid[0].name[1:])
+        k = int(alphabet[braid[0]].name[1:])
         try:
-            b_next = alphabet.generator(f"b{k + 1}")
+            b_next = alphabet.word(f"b{k + 1}")
         except KeyError:
             # at the truncation edge the cancelling partner falls outside the
             # alphabet; the braid chain must stay
             continue
         a_k = braid[1]
-        t2 = Word((b_next, a_k, a_k))
+        t2 = b_next + (a_k, a_k)
         d2 = complex_.diff[2][t2]
         expected_constant = d2.terms.get((e, braid), 0)
         if expected_constant != 1:
-            raise ValueError(f"differential of .{t2} does not reach .{braid} with a unit")
+            raise ValueError(
+                f"differential of .{alphabet.format(t2)} does not reach "
+                f".{alphabet.format(braid)} with a unit"
+            )
         partner[braid] = t2
-        replacement[braid] = d2 - ModuleElement.basis(1, complex_.field, e, braid)
+        replacement[braid] = d2 - ModuleElement.basis(1, complex_.field, alphabet, e, braid)
 
     removed_t1 = set(partner)
     removed_t2 = set(partner.values())
@@ -326,7 +335,7 @@ def minimalize(complex_: GradedComplex) -> GradedComplex:
         for (m, t), c in elem:
             image = prefix.act(m, replacement[t]).terms if t in removed_t1 else {(m, t): 1}
             accumulate(acc, c, image, complex_.field.p)
-        return ModuleElement(1, complex_.field, acc)
+        return ModuleElement(1, complex_.field, alphabet, acc)
 
     new_diff = {
         0: {t: complex_.diff[0][t] for t in new_chains[0]},
@@ -344,13 +353,13 @@ def generic_minimalize(complex_: GradedComplex) -> GradedComplex:
     diff = {lvl: dict(tab) for lvl, tab in complex_.diff.items()}
     prefix = complex_.prefix
     field = complex_.field
-    e = complex_.system.alphabet.empty_word
+    alphabet = complex_.alphabet
     while True:
         hit = None
         for level in sorted(diff):
             for t in chains[level]:
                 for (m, t2), c in diff[level][t]:
-                    if m == e:
+                    if not m:
                         hit = (level, t, t2, c)
                         break
                 if hit:
@@ -372,11 +381,12 @@ def generic_minimalize(complex_: GradedComplex) -> GradedComplex:
             carriers = [(m, cc) for (m, tt), cc in terms.items() if tt == t2]
             for m, cc in carriers:
                 accumulate(terms, -cc * inv, prefix.act(m, d_t).terms, field.p)
-            elem = ModuleElement(elem.level, field, terms)
+            elem = ModuleElement(elem.level, field, alphabet, terms)
             if any(tt == t2 for (_m, tt) in elem.terms):
+                ft, ft2, fs = alphabet.format(t), alphabet.format(t2), alphabet.format(s)
                 raise ValueError(
-                    f"cancelling .{t} against .{t2} left .{t2} in d_{level}(.{s}): "
-                    f"the pivot of d_{level}(.{t}) is not a bare scalar"
+                    f"cancelling .{ft} against .{ft2} left .{ft2} in d_{level}(.{fs}): "
+                    f"the pivot of d_{level}(.{ft}) is not a bare scalar"
                 )
             diff[level][s] = elem
         # drop the removed level-n generator from the differentials above
@@ -386,4 +396,4 @@ def generic_minimalize(complex_: GradedComplex) -> GradedComplex:
                 trimmed = {
                     key: cc for key, cc in elem.terms.items() if key[1] != t
                 }
-                diff[level + 1][s] = ModuleElement(level, field, trimmed)
+                diff[level + 1][s] = ModuleElement(level, field, alphabet, trimmed)

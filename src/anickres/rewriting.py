@@ -2,11 +2,17 @@
 form, critical pairs, completeness checking, degree-bounded completion,
 interreduction and subalphabet restriction.
 
+Words are tuples of letter indices (see `words`); every comparison of
+words goes through the alphabet's deglex `sort_key`.
+
 The reduction strategy is deterministic: the deglex-largest reducible word
 of the polynomial is rewritten first, at its leftmost reducible position,
-by the first matching rule in system order.  Normal forms are computed per
-support word (reduction is linear in the polynomial) and memoized on the
-system, which is immutable once constructed.
+by the first matching rule in system order.  Rules are matched by walking
+a trie of the left-hand sides from each position of a word (a prefix tree
+as in Aho and Corasick, CACM 18, 1975, without failure links), so one walk
+per position finds every left-hand side that starts there.  Normal forms
+are computed per support word (reduction is linear in the polynomial) and
+memoized on the system, which is immutable once constructed.
 """
 
 from __future__ import annotations
@@ -18,7 +24,10 @@ from typing import Iterable, Optional, Sequence
 
 from .fields import PrimeField
 from .polynomials import Polynomial
-from .words import Alphabet, Generator, Word
+from .words import Alphabet, Generator, Word, find
+
+
+_END = -1  # trie key of the rule index ending at a node; letters are >= 0
 
 
 class UnorderableRelationError(ValueError):
@@ -46,10 +55,11 @@ class RewriteRule:
 
     def polynomial(self) -> Polynomial:
         """The relation lhs - rhs whose rewriting rule this is."""
-        return Polynomial.monomial(self.rhs.field, self.lhs).combine(-1, self.rhs)
+        rhs = self.rhs
+        return Polynomial.monomial(rhs.field, rhs.alphabet, self.lhs).combine(-1, rhs)
 
     def __str__(self):
-        return f"{self.lhs} -> {self.rhs}"
+        return f"{self.rhs.alphabet.format(self.lhs)} -> {self.rhs}"
 
 
 @dataclass(frozen=True)
@@ -69,13 +79,18 @@ def make_rule(f: Polynomial) -> RewriteRule:
     if f.is_zero():
         raise ValueError("cannot orient the zero relation")
     lm, lc = f.leading_term()
-    if lm.is_empty():
+    if not lm:
         raise UnorderableRelationError("leading word is the empty word")
     inv = f.field.inv(lc)
-    rhs = f.combine(-1, Polynomial.monomial(f.field, lm, lc)).scale(-inv)
+    rhs = f.combine(-1, Polynomial.monomial(f.field, f.alphabet, lm, lc)).scale(-inv)
+    key = f.alphabet.sort_key
+    top = key(lm)
     for w in rhs.terms:
-        if not w < lm:
-            raise UnorderableRelationError(f"word {w} is not below the leading word {lm}")
+        if not key(w) < top:
+            fmt = f.alphabet.format
+            raise UnorderableRelationError(
+                f"word {fmt(w)} is not below the leading word {fmt(lm)}"
+            )
     return RewriteRule(lm, rhs)
 
 
@@ -98,15 +113,23 @@ class RewritingSystem:
         self.field = field
         self.rules = tuple(rules)
         self.complete_up_to = complete_up_to
-        for r in self.rules:
-            for g in r.lhs:
-                if g not in alphabet:
-                    raise ValueError(f"rule {r} uses generator {g.name} outside the alphabet")
-        # left-hand-side index: rank tuple -> lowest rule index with that lhs,
-        # probed at each position once per distinct lhs length
-        self._lhs_index: dict[tuple[int, ...], int] = {}
+        n = len(alphabet)
+        # lhs membership: word -> lowest rule index with that lhs
+        self._lhs_index: dict[Word, int] = {}
+        # trie of the lhs: nested dicts keyed by letter; _END holds the lowest
+        # rule index whose lhs ends at that node
+        self._trie: dict = {}
         for ridx, rule in enumerate(self.rules):
-            self._lhs_index.setdefault(rule.lhs.ranks, ridx)
+            self._lhs_index.setdefault(rule.lhs, ridx)
+            node = self._trie
+            for x in rule.lhs:
+                if not 0 <= x < n:
+                    raise ValueError(
+                        f"rule lhs {rule.lhs} has letter index {x!r} outside the "
+                        f"alphabet of {n} letters"
+                    )
+                node = node.setdefault(x, {})
+            node.setdefault(_END, ridx)
         self._lhs_lengths = tuple(sorted({len(r.lhs) for r in self.rules}))
         # normal-form memo tables; private, rebuilt per instance
         self._nf: dict[Word, Polynomial] = {}
@@ -134,17 +157,18 @@ class RewritingSystem:
 
         The leftmost position at which some lhs occurs, and there the first
         matching rule in system order (duplicate and nested left-hand sides
-        included).
+        included): the trie walk from a position passes every lhs starting
+        there, and the minimum rule index along the walk wins.
         """
-        ranks = w.ranks
-        n = len(ranks)
-        index = self._lhs_index
-        for pos in range(n):
+        root = self._trie
+        for pos in range(len(w)):
+            node = root
             found = None
-            for L in self._lhs_lengths:
-                if pos + L > n:
+            for x in w[pos:]:
+                node = node.get(x)
+                if node is None:
                     break
-                ridx = index.get(ranks[pos : pos + L])
+                ridx = node.get(_END)
                 if ridx is not None and (found is None or ridx < found):
                     found = ridx
             if found is not None:
@@ -153,14 +177,17 @@ class RewritingSystem:
 
     def lhs_occurrences(self, w: Word) -> list[tuple[int, int]]:
         """Every (position, length) at which some rule lhs occurs in w."""
-        ranks = w.ranks
-        n = len(ranks)
-        return [
-            (pos, L)
-            for pos in range(n)
-            for L in self._lhs_lengths
-            if pos + L <= n and ranks[pos : pos + L] in self._lhs_index
-        ]
+        root = self._trie
+        out = []
+        for pos in range(len(w)):
+            node = root
+            for length, x in enumerate(w[pos:], 1):
+                node = node.get(x)
+                if node is None:
+                    break
+                if _END in node:
+                    out.append((pos, length))
+        return out
 
     def is_irreducible_word(self, w: Word) -> bool:
         return self.first_step(w) is None
@@ -177,11 +204,12 @@ class RewritingSystem:
         reducible = [w for w in g.terms if self.first_step(w) is not None]
         if not reducible:
             return None
-        w = max(reducible, key=Word.sort_key)
+        w = max(reducible, key=self.alphabet.sort_key)
         pos, ridx = self.first_step(w)
         coeff = g.terms[w]
         replaced = self.apply_step(w, pos, ridx)
-        return g.combine(-coeff, Polynomial.monomial(self.field, w)).combine(coeff, replaced)
+        monomial = Polynomial.monomial(self.field, self.alphabet, w)
+        return g.combine(-coeff, monomial).combine(coeff, replaced)
 
     # ----- normal forms ----------------------------------------------
     def _nf_word(self, w: Word) -> Polynomial:
@@ -200,7 +228,7 @@ class RewritingSystem:
             if expansion is None:
                 step = self.first_step(top)
                 if step is None:
-                    memo[top] = Polynomial.monomial(self.field, top)
+                    memo[top] = Polynomial.monomial(self.field, self.alphabet, top)
                     self._steps[top] = 0
                     stack.pop()
                     continue
@@ -216,13 +244,13 @@ class RewritingSystem:
                 for y, cy in memo[x].terms.items():
                     acc[y] = acc.get(y, 0) + c * cy
                 nsteps += self._steps[x]
-            memo[top] = Polynomial(self.field, acc)
+            memo[top] = Polynomial(self.field, self.alphabet, acc)
             self._steps[top] = nsteps
             stack.pop()
         return memo[w]
 
     def normal_form(self, g: Polynomial) -> Polynomial:
-        acc = Polynomial.zero(self.field)
+        acc = Polynomial.zero(self.field, self.alphabet)
         for w, c in g:
             acc = acc.combine(c, self._nf_word(w))
         return acc
@@ -256,7 +284,7 @@ class RewritingSystem:
         """Reduce every critical-pair obstruction; collect irreducible witnesses."""
         witnesses = []
         for cp in self.find_critical_pairs():
-            if degree_bound is not None and cp.tip.degree > degree_bound:
+            if degree_bound is not None and self.alphabet.degree(cp.tip) > degree_bound:
                 continue
             nf = self.normal_form(self.pair_obstruction(cp))
             if not nf.is_zero():
@@ -273,11 +301,13 @@ class RewritingSystem:
         rules = list(self.rules)
         counter = itertools.count()
         heap: list[tuple[tuple, int, CriticalPair]] = []
+        sort_key = self.alphabet.sort_key
 
         def push_pairs(pairs):
             for cp in pairs:
-                if cp.tip.degree <= degree_bound:
-                    heapq.heappush(heap, (cp.tip.sort_key(), next(counter), cp))
+                key = sort_key(cp.tip)
+                if key[0] <= degree_bound:
+                    heapq.heappush(heap, (key, next(counter), cp))
 
         push_pairs(critical_pairs_between(rules, range(len(rules)), range(len(rules))))
         added = 0
@@ -308,7 +338,7 @@ class RewritingSystem:
             if ok:
                 return self.with_rules(rules, complete_up_to=degree_bound)
             for cp, _ in witnesses:
-                heapq.heappush(heap, (cp.tip.sort_key(), next(counter), cp))
+                heapq.heappush(heap, (sort_key(cp.tip), next(counter), cp))
 
     # ----- interreduction --------------------------------------------
     def interreduce(self, max_passes: int = 1_000) -> "RewritingSystem":
@@ -345,21 +375,31 @@ class RewritingSystem:
 
     # ----- subalphabet restriction -----------------------------------
     def restrict_to_subalphabet(self, keep: Iterable[Generator]) -> "RewritingSystem":
-        """Keep the rules whose lhs lies in the subalphabet; the tails must too."""
+        """Keep the rules whose lhs lies in the subalphabet; the tails must too.
+
+        Letter indices are renumbered into the subalphabet's rank order."""
         kept_gens = set(keep)
         for g in kept_gens:
             if g not in self.alphabet:
                 raise ValueError(f"generator {g.name} is not in the alphabet")
         sub = Alphabet(kept_gens)
+        to_sub = {self.alphabet.index(g.name): sub.index(g.name) for g in kept_gens}
+
+        def renumber(w: Word) -> Word:
+            return tuple(to_sub[x] for x in w)
+
         kept_rules = []
         for rule in self.rules:
-            if all(g in kept_gens for g in rule.lhs):
+            if all(x in to_sub for x in rule.lhs):
                 for w in rule.rhs.terms:
-                    if not all(g in kept_gens for g in w):
+                    if not all(x in to_sub for x in w):
                         raise SubalphabetError(
                             f"rule {rule} has a tail word leaving the subalphabet"
                         )
-                kept_rules.append(rule)
+                tail = {renumber(w): c for w, c in rule.rhs.terms.items()}
+                kept_rules.append(
+                    RewriteRule(renumber(rule.lhs), Polynomial(self.field, sub, tail))
+                )
         return RewritingSystem(sub, self.field, kept_rules, complete_up_to=self.complete_up_to)
 
     # ----- irreducible words -----------------------------------------
@@ -369,35 +409,37 @@ class RewritingSystem:
         """All rule-free words of degree <= max_degree (None = all, if finite),
         in deglex order."""
         index, lengths = self._lhs_index, self._lhs_lengths
-        singles = [Word((g,)) for g in self.alphabet]
+        letters = [((i,), g.degree) for i, g in enumerate(self.alphabet)]
         out = []
-        frontier = [self.alphabet.empty_word]
+        # frontier entries carry the degree of their word
+        frontier = [(self.alphabet.empty_word, 0)]
         while frontier:
-            out.extend(frontier)
+            out.extend(w for w, _ in frontier)
             if len(out) > max_count:
                 raise RuntimeError("irreducible word enumeration exceeded its cap")
             nxt = []
-            for w in frontier:
-                for g in singles:
-                    if max_degree is not None and w.degree + g.degree > max_degree:
+            for w, d in frontier:
+                for x, dx in letters:
+                    if max_degree is not None and d + dx > max_degree:
                         continue
-                    # w is irreducible, so only a suffix of w g can be an lhs
-                    ext = w * g
-                    ranks = ext.ranks
-                    n = len(ranks)
-                    if any(ranks[n - L :] in index for L in lengths if L <= n):
+                    # w is irreducible, so only a suffix of w x can be an lhs
+                    ext = w + x
+                    n = len(ext)
+                    if any(ext[n - L :] in index for L in lengths if L <= n):
                         continue
-                    nxt.append(ext)
+                    nxt.append((ext, d + dx))
             frontier = nxt
-        out.sort(key=Word.sort_key)
+        out.sort(key=self.alphabet.sort_key)
         return out
 
     def irreducible_counts_by_degree(
         self, max_degree: int | None = None
     ) -> dict[int, int]:
         counts: dict[int, int] = {}
+        degree = self.alphabet.degree
         for w in self.irreducible_words(max_degree):
-            counts[w.degree] = counts.get(w.degree, 0) + 1
+            d = degree(w)
+            counts[d] = counts.get(d, 0) + 1
         return counts
 
     def __str__(self):
@@ -419,8 +461,8 @@ def critical_pairs_between(
             m2 = rules[j].lhs
             # proper overlaps: a proper suffix of lhs_j equals a proper prefix of lhs_i
             for t in range(1, min(len(m1), len(m2))):
-                if m2.ranks[len(m2) - t :] == m1.ranks[:t]:
-                    tip = m2 * m1[t:]
+                if m2[len(m2) - t :] == m1[:t]:
+                    tip = m2 + m1[t:]
                     key = (i, j, "overlap", t)
                     if key not in seen:
                         seen.add(key)
@@ -430,12 +472,11 @@ def critical_pairs_between(
             # inclusions: lhs_i occurs inside lhs_j (proper), or equal lhs of distinct rules
             if i != j and len(m1) <= len(m2):
                 if m1 == m2:
-                    e = Word(())
-                    pairs.append(CriticalPair(m2, i, j, "inclusion", e, e))
+                    pairs.append(CriticalPair(m2, i, j, "inclusion", (), ()))
                     continue
                 start = 0
                 while True:
-                    pos = m2.find(m1, start)
+                    pos = find(m2, m1, start)
                     if pos < 0:
                         break
                     pairs.append(

@@ -1,20 +1,22 @@
 """Weighted alphabets and words of the free monoid, with the degree-first
 lexicographic (deglex) ordering.
 
-A word compares by total degree first; on ties, letter by letter from the
-left using the generator ranks, with a strict prefix counting as smaller.
+A word is a plain tuple of letter indices: the index of a generator is its
+position in the alphabet's rank order.  Hashing, equality, slicing and
+concatenation of words are those of tuples.  Only the `Alphabet` knows
+degrees, names and the order, so every comparison of words goes through
+`Alphabet.sort_key`: total degree first; on ties, letter by letter from the
+left, with a strict prefix counting as smaller (tuple order on the indices).
 Because every generator has degree >= 1 this order is monoidal and artinian.
+Generator objects appear only at the input/output boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
-
-class AlphabetMismatchError(ValueError):
-    """Raised when values from different alphabets are combined."""
+Word = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -32,7 +34,8 @@ class Generator:
 
 
 class Alphabet:
-    """An ordered, weighted alphabet.  Generators are totally ordered by rank."""
+    """An ordered, weighted alphabet.  Generators are totally ordered by rank;
+    letter i of a word is the i-th generator in that order."""
 
     def __init__(self, generators: Iterable[Generator]):
         gens = tuple(sorted(generators, key=lambda g: g.rank))
@@ -43,8 +46,9 @@ class Alphabet:
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
         self.generators = gens
-        self._by_name = {g.name: g for g in gens}
-        self.empty_word = Word(())
+        self._index = {g.name: i for i, g in enumerate(gens)}
+        self._degrees = tuple(g.degree for g in gens)
+        self.empty_word: Word = ()
 
     @classmethod
     def from_names(cls, names_degrees: Sequence[tuple[str, int]]) -> "Alphabet":
@@ -57,170 +61,71 @@ class Alphabet:
     def __iter__(self) -> Iterator[Generator]:
         return iter(self.generators)
 
+    def __getitem__(self, index: int) -> Generator:
+        """The generator of a letter index."""
+        return self.generators[index]
+
     def __contains__(self, g: Generator) -> bool:
-        return self._by_name.get(g.name) == g
+        i = self._index.get(g.name)
+        return i is not None and self.generators[i] == g
 
     def generator(self, name: str) -> Generator:
+        return self.generators[self.index(name)]
+
+    def index(self, name: str) -> int:
         try:
-            return self._by_name[name]
+            return self._index[name]
         except KeyError:
             raise KeyError(f"unknown generator name {name!r}") from None
 
-    def word(self, *names: str) -> "Word":
-        return Word(tuple(self.generator(n) for n in names))
+    def word(self, *names: str) -> Word:
+        return tuple(self.index(n) for n in names)
 
-    def parse_word(self, text: str) -> "Word":
+    def parse_word(self, text: str) -> Word:
         """Whitespace-separated generator names; '' or '1' is the empty word."""
         text = text.strip()
         if text in ("", "1", "e"):
             return self.empty_word
         return self.word(*text.split())
 
+    def degree(self, w: Word) -> int:
+        return sum(map(self._degrees.__getitem__, w))
 
-class Word:
-    """An element of the free monoid: a finite sequence of generators.
+    def sort_key(self, w: Word) -> tuple[int, Word]:
+        """Deglex sort key: degree first, then the index tuple."""
+        return (sum(map(self._degrees.__getitem__, w)), w)
 
-    A word carries its degree and its rank tuple, derived once from the
-    letters; concatenation and slicing pass them on without revisiting the
-    generators.  Hashing, ordering and subword search read the rank tuple,
-    which identifies a word within one alphabet; equality also compares the
-    letters, so words over different alphabets stay apart.
-    """
-
-    __slots__ = ("letters", "degree", "ranks", "_hash")
-
-    def __init__(self, letters: tuple[Generator, ...]):
-        self.letters = letters
-        self.degree = sum(g.degree for g in letters)
-        self.ranks = tuple(g.rank for g in letters)
-        self._hash = hash(self.ranks)
-
-    @classmethod
-    def _of(cls, letters: tuple[Generator, ...], degree: int, ranks: tuple[int, ...]) -> "Word":
-        """A word from parts already known to agree with `letters`."""
-        w = object.__new__(cls)
-        w.letters = letters
-        w.degree = degree
-        w.ranks = ranks
-        w._hash = hash(ranks)
-        return w
-
-    def sort_key(self):
-        """Deglex sort key: words compare equal iff the keys do (one alphabet)."""
-        return (self.degree, self.ranks)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            letters = self.letters[item]
-            return Word._of(letters, sum(g.degree for g in letters), self.ranks[item])
-        return self.letters[item]
-
-    def __mul__(self, other: "Word") -> "Word":
-        if not other.letters:
-            return self
-        if not self.letters:
-            return other
-        return Word._of(
-            self.letters + other.letters,
-            self.degree + other.degree,
-            self.ranks + other.ranks,
-        )
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Word)
-            and self.ranks == other.ranks
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other: "Word"):
-        return deglex_compare(self, other) < 0
-
-    def __le__(self, other: "Word"):
-        return deglex_compare(self, other) <= 0
-
-    def __gt__(self, other: "Word"):
-        return deglex_compare(self, other) > 0
-
-    def __ge__(self, other: "Word"):
-        return deglex_compare(self, other) >= 0
-
-    def is_empty(self) -> bool:
-        return not self.letters
-
-    def find(self, sub: "Word", start: int = 0) -> int:
-        """Index of the leftmost occurrence of `sub` at or after `start`, or -1."""
-        ranks, target = self.ranks, sub.ranks
-        m = len(target)
-        for i in range(start, len(ranks) - m + 1):
-            if ranks[i : i + m] == target:
-                return i
-        return -1
-
-    def contains(self, sub: "Word") -> bool:
-        return self.find(sub) >= 0
-
-    def __str__(self):
-        if not self.letters:
+    def format(self, w: Word) -> str:
+        """Space-separated generator names; the empty word prints as 1."""
+        if not w:
             return "1"
-        return " ".join(g.name for g in self.letters)
-
-    def __repr__(self):
-        return f"Word({self})"
+        gens = self.generators
+        return " ".join(gens[i].name for i in w)
 
 
-def word_of(*gens: Generator) -> Word:
-    return Word(tuple(gens))
+def find(w: Word, sub: Word, start: int = 0) -> int:
+    """Index of the leftmost occurrence of `sub` in w at or after `start`, or -1."""
+    m = len(sub)
+    for i in range(start, len(w) - m + 1):
+        if w[i : i + m] == sub:
+            return i
+    return -1
 
 
-def concat(words: Iterable[Word]) -> Word:
-    return reduce(lambda a, b: a * b, words, Word(()))
-
-
-def deglex_compare(u: Word, v: Word) -> int:
-    """-1, 0 or +1: degree first, then leftmost rank difference, prefix smaller.
-
-    Raises AlphabetMismatchError when the two words agree in ranks up to
-    their first difference but not in letters.
-    """
-    if u.degree != v.degree:
-        return -1 if u.degree < v.degree else 1
-    ru, rv = u.ranks, v.ranks
-    n = 0
-    for a, b in zip(ru, rv):
-        if a != b:
-            break
-        n += 1
-    if u.letters[:n] != v.letters[:n]:
-        raise AlphabetMismatchError(f"words {u} and {v} share ranks but not letters")
-    if n < len(ru) and n < len(rv):
-        return -1 if ru[n] < rv[n] else 1
-    if len(ru) == len(rv):
-        return 0
-    return -1 if len(ru) < len(rv) else 1
+def contains(w: Word, sub: Word) -> bool:
+    return find(w, sub) >= 0
 
 
 def words_up_to_degree(alphabet: Alphabet, max_degree: int) -> list[Word]:
     """All words of degree <= max_degree, in deglex order."""
-    singles = [word_of(g) for g in alphabet]
+    letters = [((i,), g.degree) for i, g in enumerate(alphabet)]
     out = [alphabet.empty_word]
-    frontier = [alphabet.empty_word]
+    frontier = [(alphabet.empty_word, 0)]
     while frontier:
-        nxt = []
-        for w in frontier:
-            for g in singles:
-                if w.degree + g.degree <= max_degree:
-                    nxt.append(w * g)
-        out.extend(nxt)
+        nxt = [
+            (w + x, d + dx) for w, d in frontier for x, dx in letters if d + dx <= max_degree
+        ]
+        out.extend(w for w, _ in nxt)
         frontier = nxt
-    out.sort(key=Word.sort_key)
+    out.sort(key=alphabet.sort_key)
     return out

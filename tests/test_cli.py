@@ -211,6 +211,34 @@ def test_betti_labels_only_the_top_row_a_bound(capsys):
     assert "level 2  degree 3  count 4\n" in out
 
 
+def test_betti_json_names_the_bound_row(capsys):
+    from anickres.documents import Report
+
+    _, text = run(capsys, "betti", "--builtin", "small", "--l", "2", "--D", "8")
+    _, out = run(capsys, "betti", "--builtin", "small", "--l", "2", "--D", "8", "--json")
+    tables = json.loads(out)["tables"]
+    assert tables["betti_bound_levels"] == [max(tables["betti"], key=int)] == ["3"]
+    assert Report.from_json(out).to_json() == out.rstrip("\n")
+    # the text output is unchanged by the new table
+    bounds = [line for line in text.splitlines() if line.endswith("(upper bound)")]
+    assert len(bounds) == len(tables["betti"]["3"])
+
+
+@pytest.mark.parametrize(
+    "name, relation, expression",
+    [("e", [[1, ["e", "e"]]], "e"), ("2", [[1, ["2", "2"]]], "2 2")],
+)
+def test_generator_names_the_expression_grammar_misreads_exit_2(
+    tmp_path, capsys, name, relation, expression
+):
+    # "e" would parse as the empty word, "2 2" as the coefficient 2 times 2
+    doc = {"p": 2, "alphabet": [{"name": name, "degree": 1, "rank": 0}], "relations": [relation]}
+    code = main(["nf", "--file", write_doc(tmp_path, doc), expression])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and f"generator name {name!r}" in captured.err
+
+
 def test_conjectures_prints_criterion_9(capsys):
     from anickres.checks import criterion_9_conjectures
 

@@ -63,6 +63,17 @@ def test_document_rejects_duplicate_names():
         doc.build()
 
 
+@pytest.mark.parametrize("name", ["1", "e", "2", "-3", "a b", "a\tb", "a+b", "+", "", 7])
+def test_document_rejects_names_an_expression_cannot_spell(name):
+    doc = PresentationDocument(
+        p=2,
+        alphabet=[{"name": name, "degree": 1, "rank": 0}],
+        relations=[],
+    )
+    with pytest.raises(DocumentError, match="generator name"):
+        doc.build()
+
+
 def test_document_needs_content():
     with pytest.raises(DocumentError):
         PresentationDocument().build()

@@ -1,7 +1,9 @@
-"""Randomized property tests: order laws on words, normal-form uniqueness
-for complete systems, reduction soundness, rank-oracle agreement, and the
-indexed lhs matcher against a naive scan."""
+"""Randomized property tests: order laws on words, the deglex order against
+an independent reference, normal-form uniqueness for complete systems,
+reduction soundness, rank-oracle agreement, and the trie lhs matcher
+against a naive scan."""
 
+import functools
 import random
 
 from hypothesis import given, strategies as st
@@ -11,37 +13,78 @@ from anickres.fields import PrimeField
 from anickres.kostant import small_system
 from anickres.polynomials import Polynomial
 from anickres.resolution import rank_fp, rank_fp_oracle
-from anickres.rewriting import RewriteRule, RewritingSystem
-from anickres.words import Alphabet, Word, deglex_compare, words_up_to_degree
+from anickres.rewriting import RewriteRule, RewritingSystem, make_rule
+from anickres.words import Alphabet, Generator, contains, words_up_to_degree
 
 SYSTEM = small_system(1).system
-GENS = list(SYSTEM.alphabet)
+ALPHABET = SYSTEM.alphabet
+KEY = ALPHABET.sort_key
 F2 = PrimeField(2)
+F3 = PrimeField(3)
 
-words = st.lists(st.sampled_from(GENS), max_size=6).map(lambda ls: Word(tuple(ls)))
+words = st.lists(st.sampled_from(range(len(ALPHABET))), max_size=6).map(tuple)
 polys = st.lists(words, min_size=1, max_size=3).map(
-    lambda ws: Polynomial.from_terms(F2, [(1, w) for w in ws])
+    lambda ws: Polynomial.from_terms(F2, ALPHABET, [(1, w) for w in ws])
 )
 
 
 @given(words, words, words)
 def test_order_translation_invariant(u, v, w):
-    if u < v:
-        assert u * w < v * w
-        assert w * u < w * v
+    if KEY(u) < KEY(v):
+        assert KEY(u + w) < KEY(v + w)
+        assert KEY(w + u) < KEY(w + v)
 
 
 @given(words, words)
 def test_order_total(u, v):
-    assert (u < v) + (v < u) + (u == v) == 1
-    c = deglex_compare(u, v)
-    assert (c < 0) == (u < v) and (c > 0) == (v < u)
+    assert (KEY(u) < KEY(v)) + (KEY(v) < KEY(u)) + (u == v) == 1
 
 
 @given(words, words)
 def test_order_multiplication_increases(u, v):
-    if not v.is_empty():
-        assert u < u * v
+    if v:
+        assert KEY(u) < KEY(u + v)
+
+
+@st.composite
+def weighted_alphabets(draw):
+    """2-4 generators of degrees 1-3 with distinct, not necessarily
+    contiguous ranks, so raw tuple order and deglex disagree."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    n = len(degrees)
+    ranks = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
+    return Alphabet(Generator(f"g{r}", d, r) for d, r in zip(degrees, ranks))
+
+
+def reference_compare(alphabet, u, v):
+    """Degree first, then the rank of the first differing letter; a strict
+    prefix is smaller.  Reads degrees and ranks from the generators."""
+    gens = [alphabet[i] for i in u], [alphabet[i] for i in v]
+    du, dv = (sum(g.degree for g in gs) for gs in gens)
+    if du != dv:
+        return -1 if du < dv else 1
+    for a, b in zip(*gens):
+        if a.rank != b.rank:
+            return -1 if a.rank < b.rank else 1
+    return (len(u) > len(v)) - (len(u) < len(v))
+
+
+@given(weighted_alphabets(), st.data())
+def test_sort_key_is_deglex(alphabet, data):
+    letter = st.sampled_from(range(len(alphabet)))
+    ws = data.draw(st.lists(st.lists(letter, max_size=5).map(tuple), min_size=1, max_size=8))
+    reference = sorted(ws, key=functools.cmp_to_key(lambda u, v: reference_compare(alphabet, u, v)))
+    assert sorted(ws, key=alphabet.sort_key) == reference
+    # the leading word of a polynomial and the lhs of its rule are the
+    # deglex-largest support word
+    distinct = list(dict.fromkeys(ws))
+    n = len(distinct)
+    coeffs = data.draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n))
+    f = Polynomial.from_terms(F3, alphabet, list(zip(coeffs, distinct)))
+    top = reference[-1]
+    assert f.leading_monomial() == top
+    if top:
+        assert make_rule(f).lhs == top
 
 
 @given(polys, st.randoms(use_true_random=False))
@@ -53,13 +96,13 @@ def test_nf_unique_under_random_strategy(g, rng):
             for w in h.terms
             for pos in range(len(w))
             for ridx, rule in enumerate(SYSTEM.rules)
-            if w.letters[pos : pos + len(rule.lhs)] == rule.lhs.letters
+            if w[pos : pos + len(rule.lhs)] == rule.lhs
         ]
         if not candidates:
             break
         w, pos, ridx = rng.choice(candidates)
         coeff = h.terms[w]
-        h = h.combine(-coeff, Polynomial.monomial(F2, w)).combine(
+        h = h.combine(-coeff, Polynomial.monomial(F2, ALPHABET, w)).combine(
             coeff, SYSTEM.apply_step(w, pos, ridx)
         )
     assert h == SYSTEM.normal_form(g)
@@ -98,7 +141,7 @@ def test_normal_form_additive(f, g):
 
 @given(words)
 def test_irreducibles_are_fixed_points(w):
-    nf = SYSTEM.normal_form(Polynomial.monomial(F2, w))
+    nf = SYSTEM.normal_form(Polynomial.monomial(F2, ALPHABET, w))
     for x in nf.terms:
         assert SYSTEM.is_irreducible_word(x)
     # idempotence
@@ -112,36 +155,55 @@ def naive_first_step(rules, w):
     """Reference matcher: every position, then every rule in order."""
     for pos in range(len(w)):
         for ridx, rule in enumerate(rules):
-            if w.letters[pos : pos + len(rule.lhs)] == rule.lhs.letters:
+            if w[pos : pos + len(rule.lhs)] == rule.lhs:
                 return pos, ridx
     return None
 
 
+def naive_occurrences(rules, w):
+    """Reference: every (position, length) of an lhs in w, in that order."""
+    return sorted(
+        {
+            (pos, len(r.lhs))
+            for pos in range(len(w))
+            for r in rules
+            if w[pos : pos + len(r.lhs)] == r.lhs
+        }
+    )
+
+
 @st.composite
 def lhs_lists(draw):
-    """Left-hand sides over 2-3 letters, with duplicates and nested prefixes."""
-    gens = list(LETTERS)[: draw(st.sampled_from((2, 3)))]
-    word = st.lists(st.sampled_from(gens), min_size=1, max_size=4).map(tuple)
-    lhss = draw(st.lists(word, min_size=1, max_size=6))
+    """Left-hand sides over 2-3 letters, with duplicates, nested prefixes and
+    a family of up to 6 letters sharing a prefix (so trie nodes branch)."""
+    gens = list(range(draw(st.sampled_from((2, 3)))))
+
+    def word(min_size, max_size):
+        return st.lists(st.sampled_from(gens), min_size=min_size, max_size=max_size).map(tuple)
+
+    lhss = draw(st.lists(word(1, 4), min_size=1, max_size=6))
+    stem = draw(word(1, 3))
+    lhss += [stem + tail for tail in draw(st.lists(word(0, 3), max_size=4))]
     # a prefix of full length duplicates the word
     nested = [w[: draw(st.integers(1, len(w)))] for w in lhss if draw(st.booleans())]
     return gens, draw(st.permutations(lhss + nested))
 
 
 def monomial_system(lhss):
-    zero = Polynomial.zero(F2)
-    return RewritingSystem(LETTERS, F2, [RewriteRule(Word(w), zero) for w in lhss])
+    zero = Polynomial.zero(F2, LETTERS)
+    return RewritingSystem(LETTERS, F2, [RewriteRule(w, zero) for w in lhss])
 
 
 @given(lhs_lists(), st.data())
 def test_indexed_first_step_matches_naive_scan(gens_lhss, data):
     gens, lhss = gens_lhss
-    probes = data.draw(st.lists(st.lists(st.sampled_from(gens), max_size=7), max_size=10))
+    probe = st.lists(st.sampled_from(gens), max_size=9).map(tuple)
+    probes = data.draw(st.lists(probe, max_size=10))
     for order in (lhss, lhss[::-1]):
         system = monomial_system(order)
-        for letters in probes:
-            w = Word(tuple(letters))
+        for w in probes:
             assert system.first_step(w) == naive_first_step(system.rules, w)
+            assert system.lhs_occurrences(w) == naive_occurrences(system.rules, w)
 
 
 @given(lhs_lists())
@@ -161,13 +223,13 @@ def test_chains_T2_are_the_minimal_tips(gens_lhss):
     words = sorted(set(lhss), key=len)
     antichain = []
     for w in words:
-        if not any(Word(w).contains(Word(u)) for u in antichain):
+        if not any(contains(w, u) for u in antichain):
             antichain.append(w)
     system = monomial_system(antichain)
     tips = overlap_tips(system)
     minimal = sorted(
-        (w for w in tips if not any(t != w and w.contains(t) for t in tips)),
-        key=Word.sort_key,
+        (w for w in tips if not any(t != w and contains(w, t) for t in tips)),
+        key=LETTERS.sort_key,
     )
     assert chains_T2(system) == minimal
 
@@ -187,10 +249,10 @@ def per_rule_reduced(system):
 @given(lhs_lists(), st.data())
 def test_is_reduced_matches_per_rule_definition(gens_lhss, data):
     gens, lhss = gens_lhss
-    word = st.lists(st.sampled_from(gens), max_size=3).map(lambda ls: Word(tuple(ls)))
+    word = st.lists(st.sampled_from(gens), max_size=3).map(tuple)
     tails = data.draw(st.lists(st.lists(word, max_size=2), min_size=len(lhss), max_size=len(lhss)))
     rules = [
-        RewriteRule(Word(w), Polynomial.from_terms(F2, [(1, x) for x in tail]))
+        RewriteRule(w, Polynomial.from_terms(F2, LETTERS, [(1, x) for x in tail]))
         for w, tail in zip(lhss, tails)
     ]
     system = RewritingSystem(LETTERS, F2, rules)

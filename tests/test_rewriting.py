@@ -1,7 +1,7 @@
 import pytest
 
 from anickres.fields import PrimeField
-from anickres.kostant import small_system
+from anickres.kostant import conjectural_system, small_system
 from anickres.polynomials import Polynomial
 from anickres.rewriting import (
     RewritingSystem,
@@ -23,7 +23,7 @@ def x1():
 
 def poly(alphabet, field, *terms):
     return Polynomial.from_terms(
-        field, [(c, alphabet.word(*names)) for c, names in terms]
+        field, alphabet, [(c, alphabet.word(*names)) for c, names in terms]
     )
 
 
@@ -56,9 +56,17 @@ def test_make_rule_monic():
     assert rule.rhs.is_zero()
 
 
+def test_system_rejects_a_letter_index_outside_its_alphabet(x1):
+    rule = make_rule(poly(x1, F2, (1, ("a1", "b1"))))
+    RewritingSystem(x1, F2, [rule])
+    smaller = Alphabet.from_names([("a0", 1), ("b0", 1), ("a1", 2)])
+    with pytest.raises(ValueError, match="letter index 3 outside the alphabet of 3 letters"):
+        RewritingSystem(smaller, F2, [rule])
+
+
 def test_make_rule_rejects_zero_and_unit(x1):
     with pytest.raises(ValueError):
-        make_rule(Polynomial.zero(F2))
+        make_rule(Polynomial.zero(F2, x1))
     with pytest.raises(UnorderableRelationError):
         make_rule(poly(x1, F2, (1, ())))
 
@@ -88,7 +96,7 @@ def test_normal_form_matches_iterated_reduce_once(x1):
 
 def test_normal_form_unit(x1):
     system = RewritingSystem.from_relations(x1, F2, s1_relations(x1))
-    e = Polynomial.monomial(F2, x1.empty_word)
+    e = Polynomial.monomial(F2, x1, x1.empty_word)
     assert system.normal_form(e) == e
 
 
@@ -147,7 +155,7 @@ def test_completion_derives_braid(x1):
     assert not system.is_complete()[0]
     done = system.complete(8)
     assert done.is_complete()[0]
-    lhss = {str(r.lhs) for r in done.interreduce().rules}
+    lhss = {x1.format(r.lhs) for r in done.interreduce().rules}
     assert "b0 a0 b0 a0" in lhss
     # the index-1 braid word is NOT a consequence of these eight relations:
     # both of its words stay irreducible in the completed system
@@ -158,8 +166,8 @@ def test_completion_derives_braid(x1):
 
     full = done.with_rules(list(done.rules) + [make_rule(braid1)]).complete(8)
     reference = small_system(1).system
-    assert {str(r.lhs) for r in full.interreduce().rules} == {
-        str(r.lhs) for r in reference.rules
+    assert {x1.format(r.lhs) for r in full.interreduce().rules} == {
+        x1.format(r.lhs) for r in reference.rules
     }
     assert len(full.irreducible_words()) == len(reference.irreducible_words()) == 64
 
@@ -196,12 +204,9 @@ def test_interreduce_preserves_normal_forms(x1):
     rng = random.Random(7)
     system = RewritingSystem.from_relations(x1, F2, s1_relations(x1)).complete(8)
     reduced = system.interreduce()
-    gens = list(x1)
     for _ in range(50):
-        from anickres.words import Word
-
-        w = Word(tuple(rng.choice(gens) for _ in range(rng.randint(0, 6))))
-        g = Polynomial.monomial(F2, w)
+        w = tuple(rng.randrange(len(x1)) for _ in range(rng.randint(0, 6)))
+        g = Polynomial.monomial(F2, x1, w)
         assert system.normal_form(g) == reduced.normal_form(g)
 
 
@@ -212,6 +217,22 @@ def test_restrict_to_subalphabet():
     reference = small_system(1).system
     assert set(sub.rules) == set(reference.rules)
     assert sub.is_complete()[0]
+
+
+def test_restrict_renumbers_the_letters_it_keeps():
+    # a1, b1 are letters 2, 3 of the index-1 alphabet and 0, 1 of the restriction
+    system = small_system(1).system
+    names = {"a1", "b1"}
+    sub = system.restrict_to_subalphabet([g for g in system.alphabet if g.name in names])
+    assert sub.alphabet.word("a1", "b1") == (0, 1)
+    kept = [str(r) for r in system.rules if {system.alphabet[x].name for x in r.lhs} <= names]
+    assert [str(r) for r in sub.rules] == kept == [
+        "a1 a1 -> 0",
+        "b1 b1 -> 0",
+        "b1 a1 b1 a1 -> a1 b1 a1 b1",
+    ]
+    assert sub.is_complete()[0]
+    assert len(sub.irreducible_words()) == 8
 
 
 def test_restrict_violation_raises():
@@ -228,12 +249,12 @@ def test_restrict_violation_raises():
 def test_irreducible_words_bounded(x1):
     system = RewritingSystem.from_relations(x1, F2, s1_relations(x1)).complete(8)
     words = system.irreducible_words(max_degree=2)
-    assert [str(w) for w in words] == ["1", "a0", "b0", "a0 b0", "b0 a0", "a1", "b1"]
+    assert [x1.format(w) for w in words] == ["1", "a0", "b0", "a0 b0", "b0 a0", "a1", "b1"]
 
 
 def test_irreducible_words_degree_zero(x1):
     system = RewritingSystem.from_relations(x1, F2, s1_relations(x1))
-    assert [w.is_empty() for w in system.irreducible_words(max_degree=0)] == [True]
+    assert system.irreducible_words(max_degree=0) == [()]
 
 
 def test_completeness_iff_dimension_match(x1):
@@ -242,4 +263,18 @@ def test_completeness_iff_dimension_match(x1):
     complete = system.complete(8)
     assert len(system.irreducible_words(max_degree=8)) > len(
         complete.irreducible_words(max_degree=8)
+    )
+
+
+def test_completion_of_odd_p_n3_is_pinned():
+    # the rules, their order and their text, as the hashed-index matcher
+    # produced them before words became index tuples
+    import hashlib
+
+    completed = conjectural_system("odd_p_n3", 3, 3, 2).system.complete(12)
+    assert len(completed.rules) == 38
+    text = "\n".join(str(r) for r in completed.rules)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "b134bf932dc94123b73c9a1c3c73712ab6d1576670b23d18d3a3068baba3ca95"
     )
