@@ -5,8 +5,11 @@ the differentials, exact ranks over F_p, exactness defects, the radical
 The column of a matrix for the basis element m.t is its image under d,
 m * d(.t).  Columns are built by left multiplication from the column of
 m'.t for m = x m' (Anick's module structure), so each one reduces only
-words x w with w already irreducible.  Matrix rows are bytearrays when
-p < 256, and the F_2 rank packs each row into an int in C.
+words x w with w already irreducible.  A matrix is held as sparse rows,
+one {column: nonzero residue} dict per row, filled straight from the
+column images; no dense cell is ever made.  The rank eliminates those
+rows directly: packed into int bitsets for p = 2, as monic sparse pivot
+rows for odd p.
 
 Homological indexing of the Betti table: level 0 is the free cover of the
 trivial module (one generator in degree 0, chain level -1), level 1 counts
@@ -16,45 +19,49 @@ minimalization.
 
 from __future__ import annotations
 
-import re
-from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 from .anick import ModuleElement, ResolutionPrefix, accumulate
 from .words import Alphabet, Word
 
-# byte value -> ASCII '0' or '1' by parity, so that a row of residues
-# translates to the binary digits of its F_2 reduction
-_PARITY_DIGITS = bytes(b"01"[v & 1] for v in range(256))
-_NONZERO_BYTE = re.compile(rb"[^\x00]")
+# a matrix row: sparse {column: residue}, or dense, one int per column
+Row = Union[dict[int, int], Sequence[int]]
 
 
 # ---------------------------------------------------------------------
 # exact rank computation over F_p
 # ---------------------------------------------------------------------
 
-def rank_fp(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank of a matrix over F_p by Gaussian elimination (bitpacked for p=2).
+def rank_fp(rows: Sequence[Row], p: int) -> int:
+    """Rank of a matrix over F_p by Gaussian elimination on sparse rows.
 
-    Rows are bytearrays (as `GradedComplex.differential_matrix` builds them
-    for p < 256) or lists of ints."""
+    Rows are {column: residue} dicts (as `GradedComplex.differential_matrix`
+    builds them) or dense sequences of ints, and are left unchanged.
+    Entries need not be reduced modulo p."""
     if p == 2:
-        return _rank_f2(rows)
-    return _rank_generic(rows, p)
+        return _rank_f2(map(_f2_bitset, rows))
+    return _rank_generic((_sparse_row(row, p) for row in rows), p)
 
 
-def _rank_f2(rows: Sequence[Sequence[int]]) -> int:
-    """Rows packed into ints (column 0 the most significant bit), each
-    reduced against the pivot rows found so far, which are keyed by their
-    lowest set bit.  A byte row packs in C, by translating its residues to
-    binary digits; a list row is turned into bytes first."""
+def _entries(row: Row) -> Iterable[tuple[int, int]]:
+    return row.items() if isinstance(row, dict) else enumerate(row)
+
+
+def _sparse_row(row: Row, p: int) -> dict[int, int]:
+    """A new {column: residue} dict of the row's entries nonzero mod p."""
+    return {j: r for j, x in _entries(row) if (r := x % p)}
+
+
+def _f2_bitset(row: Row) -> int:
+    """The columns of the row's odd entries as an int bitset (column j is bit j)."""
+    return sum(1 << j for j, x in _entries(row) if x & 1)
+
+
+def _rank_f2(rows: Iterable[int]) -> int:
+    """Each bitset row reduced against the pivot rows found so far, which
+    are keyed by their lowest set bit."""
     pivots: dict[int, int] = {}
-    for row in rows:
-        if not isinstance(row, (bytes, bytearray)):
-            row = bytes(x & 1 for x in row)
-        if not row:
-            continue
-        r = int(row.translate(_PARITY_DIGITS), 2)
+    for r in rows:
         while r:
             low = r & -r
             pivot = pivots.get(low)
@@ -65,13 +72,13 @@ def _rank_f2(rows: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def _rank_generic(rows: Sequence[Sequence[int]], p: int) -> int:
+def _rank_generic(rows: Iterable[dict[int, int]], p: int) -> int:
     """Row echelon form built one sparse row at a time: each row is reduced
     against the monic pivot rows found so far until it vanishes or leads
-    in a new column.  The rank is the number of pivot rows."""
+    in a new column.  The rank is the number of pivot rows.  The rows are
+    consumed: each is reduced in place."""
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = _sparse_row(row, p)
+    for r in rows:
         while r:
             col = min(r)
             pivot = pivots.get(col)
@@ -89,22 +96,13 @@ def _rank_generic(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(pivots)
 
 
-def _sparse_row(row: Sequence[int], p: int) -> dict[int, int]:
-    """{column: residue} of the nonzero entries; a byte row is scanned for
-    nonzero bytes in C, so its zero cells cost no Python work."""
-    if isinstance(row, (bytes, bytearray)):
-        cols = (match.start() for match in _NONZERO_BYTE.finditer(row))
-    else:
-        cols = compress(range(len(row)), row)
-    return {j: x for j in cols if (x := row[j] % p)}
-
-
 def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Independent check: eliminate the transpose with the generic routine."""
+    """Independent check on a dense matrix: eliminate the transpose with
+    the generic routine."""
     if not rows or not rows[0]:
         return 0
     transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    return _rank_generic(transpose, p)
+    return _rank_generic((_sparse_row(col, p) for col in transpose), p)
 
 
 # ---------------------------------------------------------------------
@@ -131,8 +129,9 @@ class GradedComplex:
         self.chains = {lvl: list(ts) for lvl, ts in chains.items()}
         self.diff = {lvl: dict(table) for lvl, table in diff.items()}
         self.top = max(chains)
-        self._irr: dict[int, list[Word]] = {}
-        self._irr_bound = -1
+        self._irr: dict[int, list[Word]] = {}  # irreducible words by degree
+        self._irr_bound = -1  # every degree up to this one is in _irr
+        self._bases: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
         self._rank_memo: dict[tuple[int, int], int] = {}  # ranks only, never matrices
         # (level, m, t) -> {(w, t'): c}, the image m * d_level(.t); all kept
         self._images: dict[tuple[int, Word, Word], dict[tuple[Word, Word], int]] = {}
@@ -147,26 +146,33 @@ class GradedComplex:
         return cls(prefix, prefix.chains, diff)
 
     # ----- graded bases ----------------------------------------------
-    def _irreducible_of_degree(self, d: int) -> list[Word]:
-        if d > self._irr_bound:
+    def _enumerate_irreducible(self, max_degree: int) -> None:
+        """Fill the irreducible words of every degree <= max_degree, in
+        one enumeration, unless they are there already."""
+        if max_degree > self._irr_bound:
             self._irr = {}
             degree = self.alphabet.degree
-            for w in self.system.irreducible_words(max_degree=d):
+            for w in self.system.irreducible_words(max_degree=max_degree):
                 self._irr.setdefault(degree(w), []).append(w)
-            self._irr_bound = d
-        return self._irr.get(d, [])
+            self._irr_bound = max_degree
 
-    def basis(self, level: int, d: int) -> list[tuple[Word, Word]]:
-        """Degree-d basis elements m.t at the level, in a fixed order."""
-        degree, sort_key = self.alphabet.degree, self.alphabet.sort_key
-        out = []
-        for t in self.chains.get(level, []):
-            dt = degree(t)
-            if dt <= d:
-                for m in self._irreducible_of_degree(d - dt):
-                    out.append((m, t))
-        # the order of ModuleElement.basis_key: by the concatenated word mt
-        out.sort(key=lambda mt: sort_key(mt[0] + mt[1]))
+    def basis(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
+        """Degree-d basis elements m.t at the level, in the order of
+        ModuleElement.basis_key (deglex in the word mt); computed once."""
+        key = (level, d)
+        out = self._bases.get(key)
+        if out is None:
+            self._enumerate_irreducible(d)
+            degree, irr = self.alphabet.degree, self._irr
+            pairs = [
+                (m, t)
+                for t in self.chains.get(level, [])
+                if (dt := degree(t)) <= d
+                for m in irr.get(d - dt, [])
+            ]
+            # every mt has degree d, so deglex order is tuple order on mt
+            pairs.sort(key=lambda mt: mt[0] + mt[1])
+            out = self._bases[key] = tuple(pairs)
         return out
 
     # ----- matrices ---------------------------------------------------
@@ -192,29 +198,25 @@ class GradedComplex:
             p = self.field.p
             acc: dict[tuple[Word, Word], int] = {}
             for (w, t2), c in self.column_image(level, m[1:], t).items():
-                for u, c2 in nf(x + w):
+                for u, c2 in nf(x + w).terms.items():
                     acc[(u, t2)] = acc.get((u, t2), 0) + c * c2
-            image = {k: c % p for k, c in acc.items() if c % p}
+            image = {k: r for k, c in acc.items() if (r := c % p)}
         self._images[key] = image
         return image
 
-    def differential_matrix(self, level: int, d: int) -> Sequence[Sequence[int]]:
-        """Row-major matrix of d_level in degree d (rows: level-1, cols: level).
+    def differential_matrix(self, level: int, d: int) -> list[dict[int, int]]:
+        """d_level in degree d as sparse rows (rows: level-1, cols: level).
 
-        Rows are bytearrays for p < 256 and lists of ints otherwise; column
-        j is `column_image` of the j-th basis element.  Level -1 gives the
-        augmentation row (nonzero only in degree 0).
+        Row i is {j: c} over the nonzero entries c, in increasing column j;
+        column j is `column_image` of the j-th basis element.  Level -1
+        gives the augmentation row (nonzero only in degree 0).
         """
-        if level == -1:
-            cols = self.basis(-1, d)
-            return [[1] * len(cols)] if d == 0 and cols else []
         cols = self.basis(level, d)
+        if level == -1:
+            return [dict.fromkeys(range(len(cols)), 1)] if d == 0 and cols else []
         rows = self.basis(level - 1, d)
         row_index = {key: i for i, key in enumerate(rows)}
-        if self.field.p < 256:
-            mat = [bytearray(len(cols)) for _ in rows]
-        else:
-            mat = [[0] * len(cols) for _ in rows]
+        mat: list[dict[int, int]] = [{} for _ in rows]
         for jcol, (m, t) in enumerate(cols):
             for key, c in self.column_image(level, m, t).items():
                 mat[row_index[key]][jcol] = c
@@ -235,6 +237,7 @@ class GradedComplex:
         return ncols - self._rank(level, d) - self._rank(level + 1, d)
 
     def verify_exactness(self, levels: Iterable[int], max_degree: int) -> dict:
+        self._enumerate_irreducible(max_degree)
         defects = {}
         for level in levels:
             for d in range(max_degree + 1):

@@ -342,35 +342,52 @@ class RewritingSystem:
 
     # ----- interreduction --------------------------------------------
     def interreduce(self, max_passes: int = 1_000) -> "RewritingSystem":
-        """Reduce each rule modulo the others until the system is reduced."""
+        """Reduce each rule modulo the others until the system is reduced.
+
+        While some lhs repeats or contains another, the first rule that is
+        not reduced modulo the others (there always is one) is reduced or
+        dropped, and the scan starts over.  Once no lhs repeats or contains
+        another, one pass finishes: every lhs is irreducible modulo the
+        other rules, and a rule is unchanged exactly when its tail is
+        irreducible, which depends only on the set of left-hand sides, so
+        no later change undoes an earlier one.  Each tail is reduced in
+        order by the current system, its own rule included: the words
+        reached from a tail lie deglex-below its lhs, so none contains it.
+        """
         rules = list(self.rules)
+        current = self
         for _ in range(max_passes):
-            changed = False
+            if current._lhs_irredundant():
+                for i, rule in enumerate(rules):
+                    tail = current.normal_form(rule.rhs)
+                    if tail != rule.rhs:
+                        rules[i] = RewriteRule(rule.lhs, tail)
+                        current = self.with_rules(rules)
+                return self.with_rules(rules, complete_up_to=self.complete_up_to)
             for i in range(len(rules)):
                 others = self.with_rules(rules[:i] + rules[i + 1 :])
                 nf = others.normal_form(rules[i].polynomial())
                 if nf.is_zero():
                     del rules[i]
-                    changed = True
                     break
                 new_rule = make_rule(nf)
                 if new_rule != rules[i]:
                     rules[i] = new_rule
-                    changed = True
                     break
-            if not changed:
-                return self.with_rules(rules, complete_up_to=self.complete_up_to)
+            current = self.with_rules(rules)
         raise RuntimeError("interreduction did not stabilize")
+
+    def _lhs_irredundant(self) -> bool:
+        """No two rules share an lhs and no lhs contains another."""
+        return len(self._lhs_index) == len(self.rules) and all(
+            self.lhs_occurrences(rule.lhs) == [(0, len(rule.lhs))] for rule in self.rules
+        )
 
     def is_reduced(self) -> bool:
         """No two rules share an lhs, no lhs contains another, and every
         tail word is irreducible."""
-        if len(self._lhs_index) != len(self.rules):
-            return False
-        return all(
-            self.lhs_occurrences(rule.lhs) == [(0, len(rule.lhs))]
-            and all(self.is_irreducible_word(w) for w in rule.rhs.terms)
-            for rule in self.rules
+        return self._lhs_irredundant() and all(
+            self.is_irreducible_word(w) for rule in self.rules for w in rule.rhs.terms
         )
 
     # ----- subalphabet restriction -----------------------------------

@@ -1,11 +1,12 @@
 """Randomized property tests: order laws on words, the deglex order against
 an independent reference, normal-form uniqueness for complete systems,
 reduction soundness, rank-oracle agreement, and the trie lhs matcher
-against a naive scan."""
+against a naive scan, and interreduction against the restart loop."""
 
 import functools
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from anickres.anick import chains_T2, overlap_tips
@@ -116,21 +117,25 @@ def test_reduction_soundness(ridx, u, v):
 
 
 @given(
-    st.sampled_from((2, 3, 5)),
+    st.sampled_from((2, 3, 5, 257)),
     st.integers(min_value=0, max_value=15),
     st.integers(min_value=0, max_value=15),
     st.integers(),
 )
 def test_rank_oracle_agreement(p, rows, cols, seed):
-    # some rows are all zero; cols = 0 gives rows of no columns
+    # some rows are all zero; cols = 0 gives rows of no columns; p = 257
+    # has residues that fit no byte
     rng = random.Random(seed)
     mat = [
         [rng.randrange(p) for _ in range(cols)] if rng.random() < 0.7 else [0] * cols
         for _ in range(rows)
     ]
     rank = rank_fp(mat, p)
-    assert rank_fp([bytearray(row) for row in mat], p) == rank
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    assert rank_fp(sparse, p) == rank
     assert rank == rank_fp_oracle(mat, p)
+    # the rank leaves its input rows as they were
+    assert sparse == [{j: x for j, x in enumerate(row) if x} for row in mat]
 
 
 @given(polys, polys)
@@ -257,3 +262,67 @@ def test_is_reduced_matches_per_rule_definition(gens_lhss, data):
     ]
     system = RewritingSystem(LETTERS, F2, rules)
     assert system.is_reduced() == per_rule_reduced(system)
+
+
+def restart_interreduce(system, max_passes=1_000):
+    """Reference: reduce or drop the first rule that is not reduced modulo
+    the others, then start over, until no rule changes."""
+    rules = list(system.rules)
+    for _ in range(max_passes):
+        for i in range(len(rules)):
+            others = system.with_rules(rules[:i] + rules[i + 1 :])
+            nf = others.normal_form(rules[i].polynomial())
+            if nf.is_zero():
+                del rules[i]
+                break
+            new_rule = make_rule(nf)
+            if new_rule != rules[i]:
+                rules[i] = new_rule
+                break
+        else:
+            return rules
+    raise RuntimeError("interreduction did not stabilize")
+
+
+@st.composite
+def relation_systems(draw):
+    """Rules oriented from random relations over 2-3 letters of degree 1-2,
+    p in {2, 3, 5}: tails may hold reducible words, and the system is in
+    general not confluent.  Half the draws keep only an antichain of
+    left-hand sides (no lhs repeats or contains another); the others may
+    hold repeated and nested left-hand sides."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    field = PrimeField(p)
+    degrees = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    alphabet = Alphabet.from_names([(f"x{i}", d) for i, d in enumerate(degrees)])
+    word = st.lists(st.sampled_from(range(len(degrees))), max_size=4).map(tuple)
+    relation = st.lists(st.tuples(st.integers(1, p - 1), word), min_size=1, max_size=4)
+    rules = []
+    for terms in draw(st.lists(relation, min_size=1, max_size=7)):
+        f = Polynomial.from_terms(field, alphabet, terms)
+        if f.is_zero() or not f.leading_monomial():
+            continue
+        rule = make_rule(f)
+        if draw(st.booleans()) or not any(
+            contains(rule.lhs, r.lhs) or contains(r.lhs, rule.lhs) for r in rules
+        ):
+            rules.append(rule)
+    return RewritingSystem(alphabet, field, rules)
+
+
+def rule_terms(rules):
+    """Rules with the order of their tail terms, which later reductions follow."""
+    return [(r.lhs, list(r.rhs.terms.items())) for r in rules]
+
+
+@given(relation_systems())
+def test_interreduce_matches_the_restart_loop(system):
+    try:
+        expected = restart_interreduce(system)
+    except ValueError as exc:  # a relation reduced to a nonzero constant
+        with pytest.raises(type(exc)):
+            system.interreduce()
+        return
+    reduced = system.interreduce()
+    assert rule_terms(reduced.rules) == rule_terms(expected)
+    assert reduced.is_reduced()

@@ -57,13 +57,15 @@ def test_basis_counts(gc2):
 
 
 def test_differential_matrix_level0_degree1(gc2):
+    # 2 x 2, sparse rows: d_0(e.a0) = a0.e and d_0(e.b0) = b0.e
     mat = gc2.differential_matrix(0, 1)
-    assert len(mat) == 2 and len(mat[0]) == 2
+    assert len(mat) == 2 and len(gc2.basis(0, 1)) == 2
+    assert mat == [{0: 1}, {1: 1}]
     assert rank_fp(mat, 2) == 2
 
 
 def test_augmentation_matrix(gc2):
-    assert gc2.differential_matrix(-1, 0) == [[1]]
+    assert gc2.differential_matrix(-1, 0) == [{0: 1}]
     assert gc2.differential_matrix(-1, 3) == []
 
 
@@ -95,9 +97,21 @@ def _big():
     return GradedComplex.from_prefix(ResolutionPrefix(big_system(3, 3, 2).system.interreduce()))
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
+def _dense_by_act(gc, level, d):
+    """d_level in degree d as a dense matrix whose column m.t is
+    m * d_level(.t), reduced from scratch by act."""
+    row_index = {key: i for i, key in enumerate(gc.basis(level - 1, d))}
+    cols = gc.basis(level, d)
+    dense = [[0] * len(cols) for _ in row_index]
+    for j, (m, t) in enumerate(cols):
+        for key, c in gc.prefix.act(m, gc.diff[level][t]):
+            dense[row_index[key]][j] = c
+    return dense
+
+
+@pytest.fixture(
+    scope="module",
+    params=[
         lambda: _small(2),
         lambda: minimalize(_small(2)),
         lambda: _small(3),
@@ -107,22 +121,43 @@ def _big():
     ],
     ids=["small l=2", "small l=2 minimal", "small l=3", "small l=3 minimal", "big", "big minimal"],
 )
-def test_cached_columns_equal_the_direct_image(build):
+def built(request):
+    return request.param()
+
+
+def test_cached_columns_equal_the_direct_image(built):
     # column m.t of d_level is m * d_level(.t), reduced from scratch by act
-    gc = build()
+    gc = built
+    p = gc.field.p
+    fmt = gc.alphabet.format
     checked = 0
     for level in range(gc.top + 1):
         for d in range(9):
             mat = gc.differential_matrix(level, d)
-            row_index = {key: i for i, key in enumerate(gc.basis(level - 1, d))}
+            dense = _dense_by_act(gc, level, d)
+            assert len(mat) == len(dense)
+            for row in mat:
+                assert list(row) == sorted(row)
+                assert all(0 < c < p for c in row.values())
             for j, (m, t) in enumerate(gc.basis(level, d)):
-                expected = [0] * len(row_index)
-                for key, c in gc.prefix.act(m, gc.diff[level][t]):
-                    expected[row_index[key]] = c
-                fmt = gc.alphabet.format
-                assert [row[j] for row in mat] == expected, (level, fmt(m), fmt(t))
+                column = [row.get(j, 0) for row in mat]
+                assert column == [row[j] for row in dense], (level, fmt(m), fmt(t))
                 checked += 1
     assert checked > 100
+
+
+def test_sparse_ranks_equal_the_dense_oracle(built):
+    # every rank the exactness check uses, against the transpose oracle on
+    # the dense matrix built by act
+    gc = built
+    nonzero = 0
+    for level in range(gc.top + 1):
+        for d in range(9):
+            rank = rank_fp_oracle(_dense_by_act(gc, level, d), gc.field.p)
+            assert gc._rank(level, d) == rank, (level, d)
+            nonzero += rank > 0
+    assert gc._rank(gc.top + 1, 8) == 0
+    assert nonzero > 10
 
 
 def test_radical_before_after(gc2):
