@@ -40,7 +40,7 @@ def rank_fp(rows: Sequence[Row], p: int) -> int:
     Entries need not be reduced modulo p."""
     if p == 2:
         return _rank_f2(map(_f2_bitset, rows))
-    return _rank_generic((_sparse_row(row, p) for row in rows), p)
+    return _rank_generic(rows, p)
 
 
 def _entries(row: Row) -> Iterable[tuple[int, int]]:
@@ -72,13 +72,13 @@ def _rank_f2(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
-def _rank_generic(rows: Iterable[dict[int, int]], p: int) -> int:
+def _rank_generic(rows: Iterable[Row], p: int) -> int:
     """Row echelon form built one sparse row at a time: each row is reduced
     against the monic pivot rows found so far until it vanishes or leads
-    in a new column.  The rank is the number of pivot rows.  The rows are
-    consumed: each is reduced in place."""
+    in a new column.  The rank is the number of pivot rows."""
     pivots: dict[int, dict[int, int]] = {}
-    for r in rows:
+    for row in rows:
+        r = _sparse_row(row, p)
         while r:
             col = min(r)
             pivot = pivots.get(col)
@@ -97,12 +97,11 @@ def _rank_generic(rows: Iterable[dict[int, int]], p: int) -> int:
 
 
 def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Independent check on a dense matrix: eliminate the transpose with
-    the generic routine."""
+    """Independent check: eliminate the transpose with the generic routine."""
     if not rows or not rows[0]:
         return 0
     transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    return _rank_generic((_sparse_row(col, p) for col in transpose), p)
+    return _rank_generic(transpose, p)
 
 
 # ---------------------------------------------------------------------
