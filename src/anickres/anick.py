@@ -143,19 +143,6 @@ def accumulate(acc: dict, coeff: int, terms: dict, p: int) -> None:
             acc.pop(key, None)
 
 
-def overlap_tips(system: RewritingSystem) -> set[Word]:
-    """All words u m1 = m2 v glued from a proper suffix/prefix match of two
-    rule leading words (self-overlaps included)."""
-    tips = set()
-    lhs = system.lhs_words()
-    for m1 in lhs:
-        for m2 in lhs:
-            for t in range(1, min(len(m1), len(m2))):
-                if m2[len(m2) - t :] == m1[:t]:
-                    tips.add(m2 + m1[t:])
-    return tips
-
-
 def chains_T2(system: RewritingSystem) -> list[Word]:
     """Minimal overlap tips: tips containing no other tip as proper subword.
 
@@ -166,7 +153,7 @@ def chains_T2(system: RewritingSystem) -> list[Word]:
     if not system.is_reduced():
         raise ValueError("level-2 chains require a reduced system")
     minimal = []
-    for w in overlap_tips(system):
+    for w in {cp.tip for cp in system.find_critical_pairs() if cp.kind == "overlap"}:
         n = len(w)
         occurrences = system.lhs_occurrences(w)
         if any(

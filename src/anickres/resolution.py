@@ -11,6 +11,11 @@ column images; no dense cell is ever made.  The rank eliminates those
 rows directly: packed into int bitsets for p = 2, as monic sparse pivot
 rows for odd p.
 
+Minimalization cancels each unit constant entry of a differential by one
+elimination step, in place and in one pass over the levels; the braid
+cancellation of the p = 2, n = 3 small system is kept as an independent
+oracle for it.
+
 Homological indexing of the Betti table: level 0 is the free cover of the
 trivial module (one generator in degree 0, chain level -1), level 1 counts
 the alphabet chains, level 2 the surviving rule chains after
@@ -348,54 +353,53 @@ def minimalize(complex_: GradedComplex) -> GradedComplex:
 
 
 def generic_minimalize(complex_: GradedComplex) -> GradedComplex:
-    """Minimalize without system-specific knowledge: repeatedly cancel any
-    unit constant entry e.t' of any differential d_n(.t), removing the pair
-    (t at level n, t' at level n-1) by one Gaussian elimination step."""
-    chains = {lvl: list(ts) for lvl, ts in complex_.chains.items()}
-    diff = {lvl: dict(tab) for lvl, tab in complex_.diff.items()}
-    prefix = complex_.prefix
-    field = complex_.field
-    alphabet = complex_.alphabet
-    while True:
-        hit = None
-        for level in sorted(diff):
-            for t in chains[level]:
-                for (m, t2), c in diff[level][t]:
-                    if not m:
-                        hit = (level, t, t2, c)
-                        break
-                if hit:
-                    break
-            if hit:
-                break
-        if hit is None:
-            return GradedComplex(prefix, chains, diff)
-        level, t, t2, c = hit
-        inv = field.inv(c)
-        d_t = diff[level][t]
-        chains[level] = [s for s in chains[level] if s != t]
-        chains[level - 1] = [s for s in chains[level - 1] if s != t2]
-        del diff[level][t]
-        # cancel the t2 components of the other level-n differentials
-        for s in chains[level]:
-            elem = diff[level][s]
-            terms = dict(elem.terms)
-            carriers = [(m, cc) for (m, tt), cc in terms.items() if tt == t2]
-            for m, cc in carriers:
-                accumulate(terms, -cc * inv, prefix.act(m, d_t).terms, field.p)
-            elem = ModuleElement(elem.level, field, alphabet, terms)
-            if any(tt == t2 for (_m, tt) in elem.terms):
-                ft, ft2, fs = alphabet.format(t), alphabet.format(t2), alphabet.format(s)
-                raise ValueError(
-                    f"cancelling .{ft} against .{ft2} left .{ft2} in d_{level}(.{fs}): "
-                    f"the pivot of d_{level}(.{ft}) is not a bare scalar"
-                )
-            diff[level][s] = elem
-        # drop the removed level-n generator from the differentials above
-        if level + 1 in diff:
-            for s in chains[level + 1]:
-                elem = diff[level + 1][s]
-                trimmed = {
-                    key: cc for key, cc in elem.terms.items() if key[1] != t
-                }
-                diff[level + 1][s] = ModuleElement(level, field, alphabet, trimmed)
+    """Minimalize without system-specific knowledge: cancel every unit
+    constant entry e.t' of a differential d_n(.t), removing the pair (t at
+    level n, t' at level n-1) by one Gaussian elimination step.
+
+    One pass, levels ascending and chains in order, with the same result as
+    restarting the scan after each cancellation.  A cancellation changes
+    only the differentials with a term m.t', and each such m is nonempty (an
+    e.t' term would have been cancelled first); in an augmented system, as
+    `ResolutionPrefix` enforces, m times anything has no empty coefficient
+    word.  So no chain already passed gains a unit constant entry, and a
+    level-n cancellation never touches level n-1.
+    """
+    prefix, field, alphabet = complex_.prefix, complex_.field, complex_.alphabet
+    chains = {lvl: dict.fromkeys(ts) for lvl, ts in complex_.chains.items()}
+    tables: dict[int, dict[Word, dict[tuple[Word, Word], int]]] = {}
+    for level in sorted(complex_.diff):
+        below = chains[level - 1]  # without the generators cancelled one level down
+        table = tables[level] = {
+            s: {k: c for k, c in complex_.diff[level][s].terms.items() if k[1] in below}
+            for s in chains[level]
+        }
+        # t' -> the generators s whose d(.s) may hold a term m.t' (stale entries allowed)
+        carriers: dict[Word, dict[Word, None]] = {}
+        for s, d_s in table.items():
+            for _m, t2 in d_s:
+                carriers.setdefault(t2, {})[s] = None
+        for t in complex_.chains[level]:
+            pivot = next(((t2, c) for (m, t2), c in table[t].items() if not m), None)
+            if pivot is None:
+                continue
+            t2, inv = pivot[0], field.inv(pivot[1])
+            d_t = ModuleElement(level - 1, field, alphabet, table.pop(t))
+            del chains[level][t], below[t2]
+            for s in filter(table.__contains__, carriers.pop(t2)):
+                d_s = table[s]
+                for m, cc in [(m, cc) for (m, tt), cc in d_s.items() if tt == t2]:
+                    accumulate(d_s, -cc * inv, prefix.act(m, d_t).terms, field.p)
+                if any(tt == t2 for (_m, tt) in d_s):
+                    ft, ft2, fs = alphabet.format(t), alphabet.format(t2), alphabet.format(s)
+                    raise ValueError(
+                        f"cancelling .{ft} against .{ft2} left .{ft2} in d_{level}(.{fs}): "
+                        f"the pivot of d_{level}(.{ft}) is not a bare scalar"
+                    )
+                for _m, tt in d_t.terms:
+                    carriers.setdefault(tt, {})[s] = None
+    diff = {
+        lvl: {s: ModuleElement(lvl - 1, field, alphabet, table[s]) for s in chains[lvl]}
+        for lvl, table in tables.items()
+    }
+    return GradedComplex(prefix, {lvl: list(ts) for lvl, ts in chains.items()}, diff)

@@ -1,19 +1,21 @@
 """Randomized property tests: order laws on words, the deglex order against
 an independent reference, normal-form uniqueness for complete systems,
 reduction soundness, rank-oracle agreement, and the trie lhs matcher
-against a naive scan, and interreduction against the restart loop."""
+against a naive scan, and interreduction and generic minimalization
+against their restart loops."""
 
 import functools
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from anickres.anick import chains_T2, overlap_tips
+from anickres.anick import ModuleElement, ResolutionPrefix, accumulate, chains_T2
 from anickres.fields import PrimeField
 from anickres.kostant import small_system
 from anickres.polynomials import Polynomial
-from anickres.resolution import rank_fp, rank_fp_oracle
+from anickres.resolution import GradedComplex, generic_minimalize, rank_fp, rank_fp_oracle
 from anickres.rewriting import RewriteRule, RewritingSystem, make_rule
 from anickres.words import Alphabet, Generator, contains, words_up_to_degree
 
@@ -231,7 +233,14 @@ def test_chains_T2_are_the_minimal_tips(gens_lhss):
         if not any(contains(w, u) for u in antichain):
             antichain.append(w)
     system = monomial_system(antichain)
-    tips = overlap_tips(system)
+    # every u m1 = m2 v glued from a proper suffix/prefix match, self-overlaps included
+    tips = {
+        m2 + m1[t:]
+        for m1 in antichain
+        for m2 in antichain
+        for t in range(1, min(len(m1), len(m2)))
+        if m2[len(m2) - t :] == m1[:t]
+    }
     minimal = sorted(
         (w for w in tips if not any(t != w and contains(w, t) for t in tips)),
         key=LETTERS.sort_key,
@@ -326,3 +335,125 @@ def test_interreduce_matches_the_restart_loop(system):
     reduced = system.interreduce()
     assert rule_terms(reduced.rules) == rule_terms(expected)
     assert reduced.is_reduced()
+
+
+def restart_minimalize(complex_):
+    """Reference: cancel the first unit constant entry e.t' of any
+    differential d_n(.t), lowest level first, rebuild every differential of
+    the level and of the level above, then start the scan over."""
+    chains = {lvl: list(ts) for lvl, ts in complex_.chains.items()}
+    diff = {lvl: dict(tab) for lvl, tab in complex_.diff.items()}
+    prefix = complex_.prefix
+    field = complex_.field
+    alphabet = complex_.alphabet
+    while True:
+        hit = None
+        for level in sorted(diff):
+            for t in chains[level]:
+                for (m, t2), c in diff[level][t]:
+                    if not m:
+                        hit = (level, t, t2, c)
+                        break
+                if hit:
+                    break
+            if hit:
+                break
+        if hit is None:
+            return GradedComplex(prefix, chains, diff)
+        level, t, t2, c = hit
+        inv = field.inv(c)
+        d_t = diff[level][t]
+        chains[level] = [s for s in chains[level] if s != t]
+        chains[level - 1] = [s for s in chains[level - 1] if s != t2]
+        del diff[level][t]
+        for s in chains[level]:
+            elem = diff[level][s]
+            terms = dict(elem.terms)
+            carriers = [(m, cc) for (m, tt), cc in terms.items() if tt == t2]
+            for m, cc in carriers:
+                accumulate(terms, -cc * inv, prefix.act(m, d_t).terms, field.p)
+            elem = ModuleElement(elem.level, field, alphabet, terms)
+            if any(tt == t2 for (_m, tt) in elem.terms):
+                ft, ft2, fs = alphabet.format(t), alphabet.format(t2), alphabet.format(s)
+                raise ValueError(
+                    f"cancelling .{ft} against .{ft2} left .{ft2} in d_{level}(.{fs}): "
+                    f"the pivot of d_{level}(.{ft}) is not a bare scalar"
+                )
+            diff[level][s] = elem
+        if level + 1 in diff:
+            for s in chains[level + 1]:
+                elem = diff[level + 1][s]
+                trimmed = {key: cc for key, cc in elem.terms.items() if key[1] != t}
+                diff[level + 1][s] = ModuleElement(level, field, alphabet, trimmed)
+
+
+TWO_LETTERS = Alphabet.from_names([("x", 1), ("y", 1)])
+
+
+@st.composite
+def free_complexes(draw):
+    """Chain levels 1..top (top in 1..3) of 1-4 random chains each over the
+    free algebra on two letters (no rules, so the algebra is augmented),
+    p in {2, 3, 5}.  Each d(.t) holds up to 4 terms m.t' with t' a chain
+    one level down and m a word of length <= 2.  d o d need not vanish:
+    minimalization reads only the terms."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    field = PrimeField(p)
+    prefix = ResolutionPrefix(RewritingSystem(TWO_LETTERS, field, []))
+    chains = {-1: prefix.chains[-1], 0: prefix.chains[0]}
+    diff = {0: {t: prefix.d_generator(0, t) for t in chains[0]}}
+    letters = st.sampled_from((0, 1))
+    coefficient_word = st.lists(letters, max_size=2).map(tuple)
+    chain = st.lists(letters, min_size=1, max_size=4).map(tuple)
+    for level in range(1, draw(st.integers(1, 3)) + 1):
+        chains[level] = draw(st.lists(chain, min_size=1, max_size=4, unique=True))
+        target = st.sampled_from(chains[level - 1])
+        term = st.tuples(st.tuples(coefficient_word, target), st.integers(1, p - 1))
+        terms = st.lists(term, max_size=4).map(dict)
+        diff[level] = {
+            t: ModuleElement(level - 1, field, TWO_LETTERS, draw(terms)) for t in chains[level]
+        }
+    return GradedComplex(prefix, chains, diff)
+
+
+def carried_complex():
+    """Over F_3, d(.xx) = e.x + x.y cancels x, which turns d(.xy) = y.x into
+    -yx.y: a term on y that d(.xy) did not carry before, and which the next
+    pivot, d(.yy) = e.y, must clear."""
+    field = PrimeField(3)
+    prefix = ResolutionPrefix(RewritingSystem(TWO_LETTERS, field, []))
+    e, x, y = (), (0,), (1,)
+    chains = {-1: [e], 0: [x, y], 1: [x + x, x + y, y + y]}
+    diff = {
+        0: {t: prefix.d_generator(0, t) for t in chains[0]},
+        1: {
+            t: ModuleElement(0, field, TWO_LETTERS, terms)
+            for t, terms in zip(chains[1], [{(e, x): 1, (x, y): 1}, {(y, x): 1}, {(e, y): 1}])
+        },
+    }
+    return GradedComplex(prefix, chains, diff)
+
+
+def differential_terms(gc):
+    """Each surviving chain with its differential's terms, in order."""
+    return {
+        lvl: [(t, list(gc.diff[lvl][t].terms.items())) for t in gc.chains[lvl]]
+        for lvl in gc.diff
+    }
+
+
+@given(free_complexes())
+@example(carried_complex())
+def test_generic_minimalize_matches_the_restart_loop(gc):
+    try:
+        expected = restart_minimalize(gc)
+    except ValueError as exc:
+        # the same pivot fails; the differential named may differ
+        pivot = str(exc).split(" left ")[0]
+        with pytest.raises(ValueError, match=re.escape(pivot)):
+            generic_minimalize(gc)
+        return
+    result = generic_minimalize(gc)
+    assert result.chains == expected.chains
+    assert differential_terms(result) == differential_terms(expected)
+    assert all(result.radical_image_check(lvl)[0] for lvl in result.diff)
