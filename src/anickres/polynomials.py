@@ -35,6 +35,18 @@ class Polynomial:
         return cls(field, alphabet)
 
     @classmethod
+    def from_canonical(
+        cls, field: PrimeField, alphabet: Alphabet, terms: dict[Word, int]
+    ) -> "Polynomial":
+        """Wrap a term dict that is already canonical (every coefficient a
+        residue in 1..p-1); the dict is taken over, not copied or reduced."""
+        poly = cls.__new__(cls)
+        poly.field = field
+        poly.alphabet = alphabet
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def monomial(
         cls, field: PrimeField, alphabet: Alphabet, word: Word, coeff: int = 1
     ) -> "Polynomial":
@@ -103,7 +115,8 @@ class Polynomial:
 
     def sandwich(self, left: Word, right: Word) -> "Polynomial":
         """left * self * right: every support word w becomes left w right."""
-        return Polynomial(
+        # w -> left w right is injective, so the coefficients stay canonical
+        return Polynomial.from_canonical(
             self.field, self.alphabet, {left + w + right: c for w, c in self.terms.items()}
         )
 

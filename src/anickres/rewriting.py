@@ -1,6 +1,7 @@
 """Rewriting systems in the free associative algebra: reduction to normal
 form, critical pairs, completeness checking, degree-bounded completion,
-interreduction and subalphabet restriction.
+interreduction, subalphabet restriction, and the enumeration and counting
+of irreducible words.
 
 Words are tuples of letter indices (see `words`); every comparison of
 words goes through the alphabet's deglex `sort_key`.
@@ -9,10 +10,31 @@ The reduction strategy is deterministic: the deglex-largest reducible word
 of the polynomial is rewritten first, at its leftmost reducible position,
 by the first matching rule in system order.  Rules are matched by walking
 a trie of the left-hand sides from each position of a word (a prefix tree
-as in Aho and Corasick, CACM 18, 1975, without failure links), so one walk
-per position finds every left-hand side that starts there.  Normal forms
-are computed per support word (reduction is linear in the polynomial) and
-memoized on the system, which is immutable once constructed.
+as in Aho and Corasick, CACM 18, 1975), so one walk per position finds
+every left-hand side that starts there.  Normal forms are computed per
+support word (reduction is linear in the polynomial) and memoized on the
+system, which is immutable once constructed.
+
+Completion grows one private working system instead of building a new one
+per added rule, and carries its normal-form memo across each addition.
+The memo invariant: every entry equals the normal form that a new system
+with the same rules, in the same order, computes.  Appending a rule L -> R
+of degree d whose words are all irreducible keeps it.  An entry of degree
+< d stays, since no such word or any word its reduction reaches contains L
+(letter degrees are >= 1 and reduction never raises the degree).  An entry
+of degree d gets L replaced by R: in its reduction tree L can only be a
+leaf, the tree is otherwise unchanged, the words of R are irreducible
+before and after, and the entry is linear in its leaves.  Entries above
+degree d are dropped.  Memo words are bucketed by degree when a rule is
+added, so an addition visits only the entries of degree >= d.
+
+Irreducible words are counted and enumerated on the Aho-Corasick automaton
+of the left-hand sides (the trie with failure links, built once per system
+on first use): a word is irreducible exactly when reading it from the
+start state never reaches a state at which some left-hand side ends.  The
+number of irreducible words of each degree is the number of such paths
+(Ufnarovski, Combinatorial and asymptotic methods in algebra, 1995),
+counted per (degree, state) without listing a word.
 """
 
 from __future__ import annotations
@@ -24,10 +46,11 @@ from typing import Iterable, Optional, Sequence
 
 from .fields import PrimeField
 from .polynomials import Polynomial
-from .words import Alphabet, Generator, Word, find
+from .words import Alphabet, Generator, Word
 
 
 _END = -1  # trie key of the rule index ending at a node; letters are >= 0
+_WORD_CAP = 2_000_000  # irreducible words enumerated or counted without a degree bound
 
 
 class UnorderableRelationError(ValueError):
@@ -98,8 +121,10 @@ class RewritingSystem:
     """An ordered collection of rewriting rules over one alphabet and field.
 
     Instances are immutable; the completion and interreduction operations
-    return new systems.  `complete_up_to` records the tip-degree bound up to
-    which all critical pairs are known to resolve (None = not checked).
+    return new systems (completion appends rules only to a private working
+    system that it never returns).  `complete_up_to` records the tip-degree
+    bound up to which all critical pairs are known to resolve (None = not
+    checked).
     """
 
     def __init__(
@@ -113,27 +138,68 @@ class RewritingSystem:
         self.field = field
         self.rules = tuple(rules)
         self.complete_up_to = complete_up_to
-        n = len(alphabet)
         # lhs membership: word -> lowest rule index with that lhs
         self._lhs_index: dict[Word, int] = {}
         # trie of the lhs: nested dicts keyed by letter; _END holds the lowest
         # rule index whose lhs ends at that node
         self._trie: dict = {}
         for ridx, rule in enumerate(self.rules):
-            self._lhs_index.setdefault(rule.lhs, ridx)
-            node = self._trie
-            for x in rule.lhs:
-                if not 0 <= x < n:
-                    raise ValueError(
-                        f"rule lhs {rule.lhs} has letter index {x!r} outside the "
-                        f"alphabet of {n} letters"
-                    )
-                node = node.setdefault(x, {})
-            node.setdefault(_END, ridx)
-        self._lhs_lengths = tuple(sorted({len(r.lhs) for r in self.rules}))
-        # normal-form memo tables; private, rebuilt per instance
+            self._insert_lhs(ridx, rule.lhs)
+        # the automaton of the lhs, built on first use
+        self._moves: list[list[tuple[int, int, int]]] | None = None
+        # normal-form memo; private, rebuilt per instance.  When a rule is
+        # added, the words memoized since the last one (the memo's tail in
+        # insertion order) are bucketed by degree (see _add_rule).
         self._nf: dict[Word, Polynomial] = {}
-        self._steps: dict[Word, int] = {}
+        self._nf_by_degree: dict[int, list[Word]] = {}
+        self._nf_bucketed = 0
+
+    def _insert_lhs(self, ridx: int, lhs: Word) -> None:
+        n = len(self.alphabet)
+        self._lhs_index.setdefault(lhs, ridx)
+        node = self._trie
+        for x in lhs:
+            if not 0 <= x < n:
+                raise ValueError(
+                    f"rule lhs {lhs} has letter index {x!r} outside the "
+                    f"alphabet of {n} letters"
+                )
+            node = node.setdefault(x, {})
+        node.setdefault(_END, ridx)
+
+    def _add_rule(self, rule: RewriteRule) -> None:
+        """Append a rule whose words are irreducible here (as those of a
+        normal form are), keeping the memo exact.
+
+        Only `complete` calls this, on its private working system.  See the
+        module docstring for why the memo stays equal to that of a new
+        system with the same rules.
+        """
+        lhs, rhs = rule.lhs, rule.rhs
+        if any(self.first_step(w) is not None for w in (lhs, *rhs.terms)):
+            raise ValueError(f"the rule {rule} holds a reducible word")
+        self._insert_lhs(len(self.rules), lhs)
+        self.rules += (rule,)
+        self._moves = None
+        memo, buckets, degree = self._nf, self._nf_by_degree, self.alphabet.degree
+        for w in itertools.islice(memo, self._nf_bucketed, None):
+            buckets.setdefault(degree(w), []).append(w)
+        d = degree(lhs)
+        for e in [e for e in buckets if e > d]:
+            for w in buckets.pop(e):
+                del memo[w]
+        self._nf_bucketed = len(memo)
+        p = self.field.p
+        for w in buckets.get(d, ()):
+            nf = memo[w]
+            c = nf.terms.get(lhs)
+            if c is None:
+                continue
+            acc = dict(nf.terms)
+            del acc[lhs]
+            for y, cy in rhs.terms.items():
+                acc[y] = (acc.get(y, 0) + c * cy) % p
+            memo[w] = Polynomial(self.field, self.alphabet, acc)
 
     @classmethod
     def from_relations(
@@ -229,7 +295,6 @@ class RewritingSystem:
                 step = self.first_step(top)
                 if step is None:
                     memo[top] = Polynomial.monomial(self.field, self.alphabet, top)
-                    self._steps[top] = 0
                     stack.pop()
                     continue
                 expansion = self.apply_step(top, *step)
@@ -239,26 +304,54 @@ class RewritingSystem:
                     stack.extend(pending)
                     continue
             acc: dict[Word, int] = {}
-            nsteps = 1
             for x, c in expansion:
                 for y, cy in memo[x].terms.items():
                     acc[y] = acc.get(y, 0) + c * cy
-                nsteps += self._steps[x]
             memo[top] = Polynomial(self.field, self.alphabet, acc)
-            self._steps[top] = nsteps
             stack.pop()
         return memo[w]
 
     def normal_form(self, g: Polynomial) -> Polynomial:
-        acc = Polynomial.zero(self.field, self.alphabet)
+        # accumulated in place; a word whose coefficient cancels is removed
+        # at once, so the terms keep the order of summing one word at a time
+        acc: dict[Word, int] = {}
+        p = self.field.p
         for w, c in g:
-            acc = acc.combine(c, self._nf_word(w))
-        return acc
+            for y, cy in self._nf_word(w).terms.items():
+                v = (acc.get(y, 0) + c * cy) % p
+                if v:
+                    acc[y] = v
+                else:
+                    del acc[y]
+        return Polynomial.from_canonical(self.field, self.alphabet, acc)
 
     def normal_form_with_steps(self, g: Polynomial) -> tuple[Polynomial, int]:
-        nf = self.normal_form(g)
-        steps = sum(self._steps[w] for w in g.terms)
-        return nf, steps
+        """The normal form of g and the number of rewriting steps of its
+        reduction, summed over the support: 0 for an irreducible word,
+        otherwise 1 plus the counts of the words of its one-step expansion."""
+        steps: dict[Word, int] = {}
+        # entries (word, its one-step expansion once computed), as in _nf_word
+        stack: list[tuple[Word, Optional[Polynomial]]] = [(w, None) for w in g.terms]
+        while stack:
+            top, expansion = stack[-1]
+            if top in steps:
+                stack.pop()
+                continue
+            if expansion is None:
+                step = self.first_step(top)
+                if step is None:
+                    steps[top] = 0
+                    stack.pop()
+                    continue
+                expansion = self.apply_step(top, *step)
+                stack[-1] = (top, expansion)
+                pending = [(x, None) for x in expansion.terms if x not in steps]
+                if pending:
+                    stack.extend(pending)
+                    continue
+            steps[top] = 1 + sum(steps[x] for x in expansion.terms)
+            stack.pop()
+        return self.normal_form(g), sum(steps[w] for w in g.terms)
 
     def normal_form_word(self, w: Word) -> Polynomial:
         return self._nf_word(w)
@@ -296,9 +389,10 @@ class RewritingSystem:
         """Critical-pair completion, smallest tip first, up to tip degree.
 
         Rules whose lhs exceeds the bound are kept; only pairs whose tip
-        fits under the bound are resolved.
+        fits under the bound are resolved.  Each nonzero normal form becomes
+        a rule of one working system, whose memo carries over (see the
+        module docstring); the systems returned or raised are new ones.
         """
-        rules = list(self.rules)
         counter = itertools.count()
         heap: list[tuple[tuple, int, CriticalPair]] = []
         sort_key = self.alphabet.sort_key
@@ -309,19 +403,17 @@ class RewritingSystem:
                 if key[0] <= degree_bound:
                     heapq.heappush(heap, (key, next(counter), cp))
 
-        push_pairs(critical_pairs_between(rules, range(len(rules)), range(len(rules))))
+        current = self.with_rules(self.rules)
+        push_pairs(current.find_critical_pairs())
         added = 0
-        # the working system changes only when a rule is added, so its
-        # normal-form memo carries over between the pairs that reduce to zero
-        current = self.with_rules(rules)
         while True:
             while heap:
                 _, _, cp = heapq.heappop(heap)
                 nf = current.normal_form(current.pair_obstruction(cp))
                 if nf.is_zero():
                     continue
-                rules.append(make_rule(nf))
-                current = self.with_rules(rules)
+                current._add_rule(make_rule(nf))
+                rules = current.rules
                 added += 1
                 if added > max_new_rules:
                     raise CompletionCapError(
@@ -336,7 +428,7 @@ class RewritingSystem:
             # re-verify: earlier resolutions used fewer rules
             ok, witnesses = current.is_complete(degree_bound)
             if ok:
-                return self.with_rules(rules, complete_up_to=degree_bound)
+                return self.with_rules(current.rules, complete_up_to=degree_bound)
             for cp, _ in witnesses:
                 heapq.heappush(heap, (sort_key(cp.tip), next(counter), cp))
 
@@ -420,43 +512,85 @@ class RewritingSystem:
         return RewritingSystem(sub, self.field, kept_rules, complete_up_to=self.complete_up_to)
 
     # ----- irreducible words -----------------------------------------
+    def _lhs_automaton(self) -> list[list[tuple[int, int, int]]]:
+        """The moves (letter, its degree, next state) of each state of the
+        Aho-Corasick automaton of the left-hand sides that reach no state
+        at which an lhs ends; the state after a word is the longest suffix of
+        it that is a trie node, numbered breadth-first (0 = the root)."""
+        if self._moves is None:
+            n = len(self.alphabet)
+            nodes = [self._trie]
+            fail = [0]
+            ends = [_END in self._trie]  # some lhs is a suffix of the state
+            goto: list[list[int]] = []
+            for s, node in enumerate(nodes):  # grows breadth-first while read
+                row = []
+                for x in range(n):
+                    child = node.get(x)
+                    # the failure state is shallower, so its row is complete
+                    via_fail = goto[fail[s]][x] if s else 0
+                    if child is None:
+                        row.append(via_fail)
+                        continue
+                    row.append(len(nodes))
+                    nodes.append(child)
+                    fail.append(via_fail)
+                    ends.append(_END in child or ends[via_fail])
+                goto.append(row)
+            degrees = [g.degree for g in self.alphabet]
+            self._moves = [
+                [(x, degrees[x], t) for x, t in enumerate(row) if not ends[t]]
+                for row in goto
+            ]
+        return self._moves
+
     def irreducible_words(
-        self, max_degree: int | None = None, max_count: int = 2_000_000
+        self, max_degree: int | None = None, max_count: int = _WORD_CAP
     ) -> list[Word]:
         """All rule-free words of degree <= max_degree (None = all, if finite),
         in deglex order."""
-        index, lengths = self._lhs_index, self._lhs_lengths
-        letters = [((i,), g.degree) for i, g in enumerate(self.alphabet)]
+        moves = self._lhs_automaton()
         out = []
-        # frontier entries carry the degree of their word
-        frontier = [(self.alphabet.empty_word, 0)]
+        # frontier entries carry the degree and automaton state of their word
+        frontier = [(self.alphabet.empty_word, 0, 0)]
         while frontier:
-            out.extend(w for w, _ in frontier)
+            out.extend(w for w, _, _ in frontier)
             if len(out) > max_count:
                 raise RuntimeError("irreducible word enumeration exceeded its cap")
-            nxt = []
-            for w, d in frontier:
-                for x, dx in letters:
-                    if max_degree is not None and d + dx > max_degree:
-                        continue
-                    # w is irreducible, so only a suffix of w x can be an lhs
-                    ext = w + x
-                    n = len(ext)
-                    if any(ext[n - L :] in index for L in lengths if L <= n):
-                        continue
-                    nxt.append((ext, d + dx))
-            frontier = nxt
+            frontier = [
+                (w + (x,), d + dx, t)
+                for w, d, s in frontier
+                for x, dx, t in moves[s]
+                if max_degree is None or d + dx <= max_degree
+            ]
         out.sort(key=self.alphabet.sort_key)
         return out
 
     def irreducible_counts_by_degree(
         self, max_degree: int | None = None
     ) -> dict[int, int]:
+        """The number of rule-free words of each degree <= max_degree (None =
+        all, if finite), counted as paths of the lhs automaton."""
+        moves = self._lhs_automaton()
+        # degree -> state -> number of irreducible words of that degree
+        # ending in that state
+        pending: dict[int, dict[int, int]] = {0: {0: 1}}
         counts: dict[int, int] = {}
-        degree = self.alphabet.degree
-        for w in self.irreducible_words(max_degree):
-            d = degree(w)
-            counts[d] = counts.get(d, 0) + 1
+        total = 0
+        while pending:
+            d = min(pending)
+            states = pending.pop(d)
+            counts[d] = sum(states.values())
+            total += counts[d]
+            if total > _WORD_CAP:
+                raise RuntimeError("irreducible word enumeration exceeded its cap")
+            for s, c in states.items():
+                for _x, dx, t in moves[s]:
+                    e = d + dx
+                    if max_degree is not None and e > max_degree:
+                        continue
+                    row = pending.setdefault(e, {})
+                    row[t] = row.get(t, 0) + c
         return counts
 
     def __str__(self):
@@ -468,10 +602,35 @@ def critical_pairs_between(
     rules: Sequence[RewriteRule], idx1: Iterable[int], idx2: Iterable[int]
 ) -> list[CriticalPair]:
     """Overlaps (tip = u lhs_{i} = lhs_{j} v) and inclusions, for i in idx1,
-    j in idx2, deduplicated by (tip, rule pair, offset)."""
+    j in idx2, deduplicated by (tip, rule pair, offset).
+
+    Inclusions are found by walking a trie of the idx1 left-hand sides from
+    each position of each idx2 lhs: every occurrence of lhs_i inside lhs_j
+    of another rule, an equal lhs included."""
     pairs = []
     seen = set()
     idx2 = list(idx2)
+    idx1 = list(idx1)
+    # trie of the idx1 lhs; _END holds the rules ending at a node, in order
+    trie: dict = {}
+    for i in dict.fromkeys(idx1):
+        node = trie
+        for x in rules[i].lhs:
+            node = node.setdefault(x, {})
+        node.setdefault(_END, []).append(i)
+    # j -> i -> the positions of lhs_i inside lhs_j, ascending
+    inside: dict[int, dict[int, list[int]]] = {}
+    for j in dict.fromkeys(idx2):
+        m2 = rules[j].lhs
+        found = inside[j] = {}
+        for pos in range(len(m2)):
+            node = trie
+            for x in m2[pos:]:
+                node = node.get(x)
+                if node is None:
+                    break
+                for i in node.get(_END, ()):
+                    found.setdefault(i, []).append(pos)
     for i in idx1:
         m1 = rules[i].lhs
         for j in idx2:
@@ -487,17 +646,9 @@ def critical_pairs_between(
                             CriticalPair(tip, i, j, "overlap", m2[: len(m2) - t], m1[t:])
                         )
             # inclusions: lhs_i occurs inside lhs_j (proper), or equal lhs of distinct rules
-            if i != j and len(m1) <= len(m2):
-                if m1 == m2:
-                    pairs.append(CriticalPair(m2, i, j, "inclusion", (), ()))
-                    continue
-                start = 0
-                while True:
-                    pos = find(m2, m1, start)
-                    if pos < 0:
-                        break
+            if i != j:
+                for pos in inside[j].get(i, ()):
                     pairs.append(
                         CriticalPair(m2, i, j, "inclusion", m2[:pos], m2[pos + len(m1) :])
                     )
-                    start = pos + 1
     return pairs

@@ -49,6 +49,22 @@ def test_nf_big_base_case(capsys):
     assert "e23_1 e12_1 + e13_1" in out
 
 
+def test_nf_prints_the_normal_form_and_its_reduction_steps(capsys):
+    code, out = run(capsys, "nf", "--builtin", "small", "--l", "2", "b1 a0 b0 a0 b1 a1")
+    assert code == 0
+    assert out == "normal form: 0\nreduction steps: 6\n"
+    code, out = run(
+        capsys,
+        "nf", "--builtin", "conjectural", "--variant", "odd_p_n3", "--p", "3",
+        "--indexbound", "1", "a2_0 a1_0 a2_0 a1_0 a1_0",
+    )
+    assert code == 0
+    assert out == (
+        "normal form: a1_0 a2_0 a1_0 a2_0 a1_0 + 2 a1_0 a1_0 a2_0 a1_0 a2_0\n"
+        "reduction steps: 7\n"
+    )
+
+
 def test_nf_parse_error(capsys):
     code = main(["nf", "--builtin", "small", "zz yy"])
     assert code == 2

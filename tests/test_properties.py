@@ -1,12 +1,16 @@
 """Randomized property tests: order laws on words, the deglex order against
 an independent reference, normal-form uniqueness for complete systems,
-reduction soundness, rank-oracle agreement, and the trie lhs matcher
-against a naive scan, and interreduction and generic minimalization
-against their restart loops."""
+reduction soundness, rank-oracle agreement, the trie lhs matcher, the
+irreducible-word automaton and the critical-pair scan against naive scans,
+completion against a rebuild per added rule, and interreduction and generic
+minimalization against their restart loops."""
 
 import functools
+import heapq
+import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,8 +20,16 @@ from anickres.fields import PrimeField
 from anickres.kostant import small_system
 from anickres.polynomials import Polynomial
 from anickres.resolution import GradedComplex, generic_minimalize, rank_fp, rank_fp_oracle
-from anickres.rewriting import RewriteRule, RewritingSystem, make_rule
-from anickres.words import Alphabet, Generator, contains, words_up_to_degree
+from anickres.rewriting import (
+    CompletionCapError,
+    CriticalPair,
+    RewriteRule,
+    RewritingSystem,
+    UnorderableRelationError,
+    critical_pairs_between,
+    make_rule,
+)
+from anickres.words import Alphabet, Generator, contains, find, words_up_to_degree
 
 SYSTEM = small_system(1).system
 ALPHABET = SYSTEM.alphabet
@@ -221,6 +233,51 @@ def test_irreducible_words_match_naive_scan(gens_lhss):
         w for w in words_up_to_degree(LETTERS, 5) if naive_first_step(system.rules, w) is None
     ]
     assert system.irreducible_words(5) == expected
+    assert system.irreducible_counts_by_degree(5) == Counter(map(LETTERS.degree, expected))
+
+
+def naive_critical_pairs(rules, idx1, idx2):
+    """Reference: every ordered rule pair, overlaps by suffix/prefix
+    comparison and inclusions by `find` from each position."""
+    pairs = []
+    seen = set()
+    idx2 = list(idx2)
+    for i in idx1:
+        m1 = rules[i].lhs
+        for j in idx2:
+            m2 = rules[j].lhs
+            for t in range(1, min(len(m1), len(m2))):
+                if m2[len(m2) - t :] == m1[:t]:
+                    key = (i, j, "overlap", t)
+                    if key not in seen:
+                        seen.add(key)
+                        pairs.append(
+                            CriticalPair(m2 + m1[t:], i, j, "overlap", m2[: len(m2) - t], m1[t:])
+                        )
+            if i != j and len(m1) <= len(m2):
+                if m1 == m2:
+                    pairs.append(CriticalPair(m2, i, j, "inclusion", (), ()))
+                    continue
+                start = 0
+                while (pos := find(m2, m1, start)) >= 0:
+                    pairs.append(
+                        CriticalPair(m2, i, j, "inclusion", m2[:pos], m2[pos + len(m1) :])
+                    )
+                    start = pos + 1
+    return pairs
+
+
+@given(lhs_lists(), st.data())
+def test_critical_pairs_between_match_the_naive_scan(gens_lhss, data):
+    # completion's heap breaks ties by push order, so the order must match too
+    _gens, lhss = gens_lhss
+    rules = monomial_system(lhss).rules
+    every = range(len(rules))
+    some = data.draw(st.lists(st.sampled_from(every), max_size=4))
+    for idx1, idx2 in ((every, every), (every, some), (some, every)):
+        assert critical_pairs_between(rules, idx1, idx2) == naive_critical_pairs(
+            rules, idx1, idx2
+        )
 
 
 @given(lhs_lists())
@@ -335,6 +392,102 @@ def test_interreduce_matches_the_restart_loop(system):
     reduced = system.interreduce()
     assert rule_terms(reduced.rules) == rule_terms(expected)
     assert reduced.is_reduced()
+
+
+def rebuild_complete(system, degree_bound, max_new_rules):
+    """Reference: completion building a new system, with an empty memo, for
+    every added rule."""
+    rules = list(system.rules)
+    counter = itertools.count()
+    heap = []
+    key = system.alphabet.sort_key
+
+    def push_pairs(pairs):
+        for cp in pairs:
+            if key(cp.tip)[0] <= degree_bound:
+                heapq.heappush(heap, (key(cp.tip), next(counter), cp))
+
+    push_pairs(critical_pairs_between(rules, range(len(rules)), range(len(rules))))
+    current = system.with_rules(rules)
+    while True:
+        while heap:
+            _, _, cp = heapq.heappop(heap)
+            nf = current.normal_form(current.pair_obstruction(cp))
+            if nf.is_zero():
+                continue
+            rules.append(make_rule(nf))
+            current = system.with_rules(rules)
+            if len(rules) - len(system.rules) > max_new_rules:
+                raise CompletionCapError(
+                    f"completion cap of {max_new_rules} new rules exceeded",
+                    system.with_rules(rules),
+                )
+            new = len(rules) - 1
+            push_pairs(
+                critical_pairs_between(rules, range(len(rules)), [new])
+                + critical_pairs_between(rules, [new], range(len(rules)))
+            )
+        ok, witnesses = current.is_complete(degree_bound)
+        if ok:
+            return system.with_rules(rules, complete_up_to=degree_bound)
+        for cp, _ in witnesses:
+            heapq.heappush(heap, (key(cp.tip), next(counter), cp))
+
+
+@st.composite
+def presentations(draw):
+    """Up to 4 relations of up to 3 terms, words of length <= 3 over 2-3
+    letters of degree 1-2, p in {2, 3, 5}, all homogeneous or not; and a
+    completion degree bound in 3..6."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    field = PrimeField(p)
+    degrees = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    alphabet = Alphabet.from_names([(f"x{i}", d) for i, d in enumerate(degrees)])
+    word = st.lists(st.sampled_from(range(len(degrees))), max_size=3).map(tuple)
+    relation = st.lists(st.tuples(st.integers(1, p - 1), word), min_size=1, max_size=3)
+    homogeneous = draw(st.booleans())
+    rules = []
+    for terms in draw(st.lists(relation, min_size=1, max_size=4)):
+        if homogeneous:
+            top = alphabet.degree(terms[0][1])
+            terms = [(c, w) for c, w in terms if alphabet.degree(w) == top]
+        f = Polynomial.from_terms(field, alphabet, terms)
+        if not f.is_zero() and f.leading_monomial():
+            rules.append(make_rule(f))
+    return RewritingSystem(alphabet, field, rules), draw(st.integers(3, 6))
+
+
+def outcome(run):
+    """The rules as text, in order, or the error a completion raised."""
+    try:
+        done = run()
+    except CompletionCapError as exc:
+        return "cap", str(exc), [str(r) for r in exc.partial.rules]
+    except UnorderableRelationError as exc:
+        return "unorderable", str(exc)
+    return done.complete_up_to, [str(r) for r in done.rules]
+
+
+def dropped_memo_case():
+    """x0 (degree 1), x1 (degree 2) over F_2, completed to degree 6: the
+    rule x0 x0 x0 -> x0 x0 + x0 (degree 3) is added while x0 x0 x0 x1
+    (degree 5) is memoized as x0 x0 x0, which holds the new lhs."""
+    alphabet = Alphabet.from_names([("x0", 1), ("x1", 2)])
+    relations = [
+        [(1, (1, 1)), (1, (0, 0, 1)), (1, (1, 0))],
+        [(1, (0, 1)), (1, (0,))],
+    ]
+    rules = [make_rule(Polynomial.from_terms(F2, alphabet, terms)) for terms in relations]
+    return RewritingSystem(alphabet, F2, rules), 6
+
+
+@given(presentations())
+@example(dropped_memo_case())
+def test_complete_matches_the_rebuild_per_rule_loop(case):
+    system, bound = case
+    assert outcome(lambda: system.complete(bound, max_new_rules=12)) == outcome(
+        lambda: rebuild_complete(system, bound, max_new_rules=12)
+    )
 
 
 def restart_minimalize(complex_):

@@ -278,3 +278,23 @@ def test_completion_of_odd_p_n3_is_pinned():
         hashlib.sha256(text.encode()).hexdigest()
         == "b134bf932dc94123b73c9a1c3c73712ab6d1576670b23d18d3a3068baba3ca95"
     )
+
+
+def test_irreducible_counts_without_a_degree_bound():
+    # finite: the 64 irreducible words of the index-1 small system
+    system = small_system(1).system
+    counts = system.irreducible_counts_by_degree()
+    tally = {}
+    for w in system.irreducible_words():
+        d = system.alphabet.degree(w)
+        tally[d] = tally.get(d, 0) + 1
+    assert counts == tally
+    assert sum(counts.values()) == 64
+    # infinite: words free of x x grow like the Fibonacci numbers
+    alphabet = Alphabet.from_names([("x", 1), ("y", 1)])
+    infinite = RewritingSystem.from_relations(alphabet, F2, [poly(alphabet, F2, (1, ("x", "x")))])
+    assert infinite.irreducible_counts_by_degree(6) == {
+        0: 1, 1: 2, 2: 3, 3: 5, 4: 8, 5: 13, 6: 21
+    }
+    with pytest.raises(RuntimeError, match="exceeded its cap"):
+        infinite.irreducible_counts_by_degree()
