@@ -1,15 +1,33 @@
-"""Graded linear algebra on a resolution prefix: per-degree matrices of
-the differentials, exact ranks over F_p, exactness defects, the radical
+"""Graded linear algebra on a resolution prefix: per-degree bases, exact
+ranks of the differentials over F_p, exactness defects, the radical
 (minimality) criterion, minimalization, and graded Betti tables.
 
-The column of a matrix for the basis element m.t is its image under d,
-m * d(.t).  Columns are built by left multiplication from the column of
-m'.t for m = x m' (Anick's module structure), so each one reduces only
-words x w with w already irreducible.  A matrix is held as sparse rows,
-one {column: nonzero residue} dict per row, filled straight from the
-column images; no dense cell is ever made.  The rank eliminates those
-rows directly: packed into int bitsets for p = 2, as monic sparse pivot
-rows for odd p.
+The column of the basis element m.t is its image under d, m * d(.t).
+Columns are built by left multiplication from the column of m'.t for
+m = x m' (Anick's module structure), so each one reduces only words x w
+with w already irreducible.
+
+The rank of d_level in degree d (level >= 0) is taken by one greedy
+elimination that never builds the matrix.  The basis is walked in its
+order, and only the generators (m empty) and the columns x m'.t whose
+suffix column m'.t was kept as independent in degree d - deg x are
+candidates; each candidate is reduced against the pivots found so far and
+kept if it stays nonzero.  The rank is the number kept.  This is exact
+because the image of d is a left submodule of the free module: by
+induction on the degree and then along the basis order, a dependent m'.t
+is a combination of kept columns m_i.t_i before it, and x times each of
+those is a column before x m'.t or, where x m_i reduces, a combination of
+columns smaller still, all in the span of the kept columns already.
+Nothing here needs exactness or d o d = 0, only the reduced complete system
+that the column images already assume.  Most columns of a large degree
+are never built: in degree 12 of the minimalized big(4,3,2) complex, 538
+of 11,684 level-2 columns are independent.
+
+`rank_fp` and the greedy rank share one incremental elimination kernel:
+int bitsets reduced by XOR for p = 2, monic sparse pivot rows for odd p.
+`differential_matrix` still builds a whole matrix as sparse rows, one
+{column: nonzero residue} dict per row; the rank uses it only for the
+augmentation at level -1, and the checks use it as an oracle.
 
 Minimalization cancels each unit constant entry of a differential by one
 elimination step, in place and in one pass over the levels; the braid
@@ -43,54 +61,58 @@ def rank_fp(rows: Sequence[Row], p: int) -> int:
     Rows are {column: residue} dicts (as `GradedComplex.differential_matrix`
     builds them) or dense sequences of ints, and are left unchanged.
     Entries need not be reduced modulo p."""
-    if p == 2:
-        return _rank_f2(map(_f2_bitset, rows))
-    return _rank_generic(rows, p)
+    echelon = _echelon(p)
+    return sum(map(echelon.insert, rows))
 
 
 def _entries(row: Row) -> Iterable[tuple[int, int]]:
     return row.items() if isinstance(row, dict) else enumerate(row)
 
 
-def _sparse_row(row: Row, p: int) -> dict[int, int]:
-    """A new {column: residue} dict of the row's entries nonzero mod p."""
-    return {j: r for j, x in _entries(row) if (r := x % p)}
+class _F2Echelon:
+    """Row echelon form over F_2 grown one row at a time: each row is packed
+    into an int bitset (column j is bit j) and reduced by XOR against the
+    pivot rows found so far, which are keyed by their lowest set bit."""
 
+    def __init__(self):
+        self.pivots: dict[int, int] = {}
 
-def _f2_bitset(row: Row) -> int:
-    """The columns of the row's odd entries as an int bitset (column j is bit j)."""
-    return sum(1 << j for j, x in _entries(row) if x & 1)
-
-
-def _rank_f2(rows: Iterable[int]) -> int:
-    """Each bitset row reduced against the pivot rows found so far, which
-    are keyed by their lowest set bit."""
-    pivots: dict[int, int] = {}
-    for r in rows:
+    def insert(self, row: Row) -> bool:
+        """Reduce the row; keep it as a new pivot row if it stays nonzero,
+        and say whether it did."""
+        pivots = self.pivots
+        r = sum(1 << j for j, x in _entries(row) if x & 1)
         while r:
             low = r & -r
             pivot = pivots.get(low)
             if pivot is None:
                 pivots[low] = r
-                break
+                return True
             r ^= pivot
-    return len(pivots)
+        return False
 
 
-def _rank_generic(rows: Iterable[Row], p: int) -> int:
-    """Row echelon form built one sparse row at a time: each row is reduced
-    against the monic pivot rows found so far until it vanishes or leads
-    in a new column.  The rank is the number of pivot rows."""
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        r = _sparse_row(row, p)
+class _SparseEchelon:
+    """Row echelon form over F_p grown one sparse row at a time: each row is
+    reduced against the monic pivot rows found so far until it vanishes or
+    leads in a new column."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    def insert(self, row: Row) -> bool:
+        """Reduce the row; keep it as a new pivot row if it stays nonzero,
+        and say whether it did."""
+        p, pivots = self.p, self.pivots
+        r = {j: y for j, x in _entries(row) if (y := x % p)}
         while r:
             col = min(r)
             pivot = pivots.get(col)
             if pivot is None:
                 inv = pow(r[col], p - 2, p)
                 pivots[col] = {j: x * inv % p for j, x in r.items()}
-                break
+                return True
             c = r[col]
             for j, y in pivot.items():
                 x = (r.get(j, 0) - c * y) % p
@@ -98,7 +120,13 @@ def _rank_generic(rows: Iterable[Row], p: int) -> int:
                     r[j] = x
                 else:
                     r.pop(j, None)
-    return len(pivots)
+        return False
+
+
+def _echelon(p: int) -> Union[_F2Echelon, _SparseEchelon]:
+    """An empty row echelon form over F_p: int bitsets for p = 2, monic
+    sparse pivot rows for odd p."""
+    return _F2Echelon() if p == 2 else _SparseEchelon(p)
 
 
 def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -106,7 +134,8 @@ def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
     if not rows or not rows[0]:
         return 0
     transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    return _rank_generic(transpose, p)
+    echelon = _SparseEchelon(p)
+    return sum(map(echelon.insert, transpose))
 
 
 # ---------------------------------------------------------------------
@@ -136,7 +165,8 @@ class GradedComplex:
         self._irr: dict[int, list[Word]] = {}  # irreducible words by degree
         self._irr_bound = -1  # every degree up to this one is in _irr
         self._bases: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
-        self._rank_memo: dict[tuple[int, int], int] = {}  # ranks only, never matrices
+        # (level, d) -> the independent columns, levels >= 0 (see independent_columns)
+        self._kept: dict[tuple[int, int], frozenset[tuple[Word, Word]]] = {}
         # (level, m, t) -> {(w, t'): c}, the image m * d_level(.t); all kept
         self._images: dict[tuple[int, Word, Word], dict[tuple[Word, Word], int]] = {}
 
@@ -162,7 +192,12 @@ class GradedComplex:
 
     def basis(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
         """Degree-d basis elements m.t at the level, in the order of
-        ModuleElement.basis_key (deglex in the word mt); computed once."""
+        ModuleElement.basis_key (deglex in the word mt); computed once.
+
+        Elements with equal words mt (no builtin system has any) keep the
+        order of their chains t, the same in every degree; the greedy rank
+        of `independent_columns` needs the order to be kept by left
+        multiplication."""
         key = (level, d)
         out = self._bases.get(key)
         if out is None:
@@ -226,14 +261,53 @@ class GradedComplex:
                 mat[row_index[key]][jcol] = c
         return mat
 
+    def independent_columns(self, level: int, d: int) -> frozenset[tuple[Word, Word]]:
+        """The basis elements m.t of degree d whose columns one greedy
+        elimination keeps as independent; they span the image of d_level
+        in degree d, so their number is its rank.  Computed once per
+        (level, d), for levels >= 0.
+
+        The basis is walked in its order, and a column is a candidate only
+        if m is empty or m = x m' with m'.t kept in degree d - deg x; each
+        candidate's image is reduced against the pivots found so far and
+        kept if it stays nonzero.  This is exact because the image of d is
+        a left submodule: by induction on d and then along the basis order,
+        every column lies in the span of the kept columns before or at it.
+        A column x m'.t that is no candidate has m'.t dependent, so m'.t is
+        a combination of kept m_i.t_i before it, and x m'.t the same
+        combination of the x m_i.t_i.  Each of those is the column
+        (x m_i).t_i before x m'.t when x m_i is irreducible, and otherwise a
+        combination of columns u.t_i with u t_i < x m_i t_i (u in the
+        support of nf(x m_i)); all lie in the span already.  Only what
+        `column_image` assumes is used: a reduced complete system and a
+        basis order that left multiplication keeps.
+        """
+        key = (level, d)
+        kept = self._kept.get(key)
+        if kept is None:
+            degrees = [self.alphabet.degree((x,)) for x in range(len(self.alphabet))]
+            # letter degree dx -> the columns kept in degree d - dx
+            below = {dx: self.independent_columns(level, d - dx) for dx in set(degrees) if dx <= d}
+            row_index = {b: i for i, b in enumerate(self.basis(level - 1, d))}
+            echelon = _echelon(self.field.p)
+            found = []
+            for m, t in self.basis(level, d):
+                if m and (m[1:], t) not in below[degrees[m[0]]]:
+                    continue
+                image = self.column_image(level, m, t)
+                if echelon.insert({row_index[b]: c for b, c in image.items()}):
+                    found.append((m, t))
+            kept = self._kept[key] = frozenset(found)
+        return kept
+
     def _rank(self, level: int, d: int) -> int:
+        """The rank of d_level in degree d: the augmentation's matrix at
+        level -1, the independent columns above."""
         if level > self.top:
             return 0
-        key = (level, d)
-        if key not in self._rank_memo:
-            mat = self.differential_matrix(level, d)
-            self._rank_memo[key] = rank_fp(mat, self.field.p)
-        return self._rank_memo[key]
+        if level == -1:
+            return rank_fp(self.differential_matrix(level, d), self.field.p)
+        return len(self.independent_columns(level, d))
 
     def exactness_defect(self, level: int, d: int) -> int:
         """dim ker(d_level in degree d) minus rank(d_{level+1} in degree d)."""

@@ -50,6 +50,7 @@ from .words import Alphabet, Generator, Word
 
 
 _END = -1  # trie key of the rule index ending at a node; letters are >= 0
+_PAST = -2  # trie key of the rules passing a node (in critical_pairs_between)
 _WORD_CAP = 2_000_000  # irreducible words enumerated or counted without a degree bound
 
 
@@ -604,25 +605,31 @@ def critical_pairs_between(
     """Overlaps (tip = u lhs_{i} = lhs_{j} v) and inclusions, for i in idx1,
     j in idx2, deduplicated by (tip, rule pair, offset).
 
-    Inclusions are found by walking a trie of the idx1 left-hand sides from
-    each position of each idx2 lhs: every occurrence of lhs_i inside lhs_j
-    of another rule, an equal lhs included."""
-    pairs = []
-    seen = set()
-    idx2 = list(idx2)
-    idx1 = list(idx1)
-    # trie of the idx1 lhs; _END holds the rules ending at a node, in order
+    Both are found by walking a trie of the idx1 left-hand sides from each
+    position of each idx2 lhs.  An lhs_i ending on the walk occurs inside
+    lhs_j: an inclusion, unless i = j.  A walk from a position pos > 0 that
+    uses up lhs_j ends at a node spelling its proper suffix of length
+    t = len(lhs_j) - pos; each lhs_i that passes that node and is longer
+    than t begins with that suffix: an overlap.  The pairs are listed for i
+    in idx1, then j in idx2, overlaps by ascending t before inclusions by
+    ascending position; a repeated (i, j) lists its inclusions again and
+    its overlaps only once."""
+    idx1, idx2 = list(idx1), list(idx2)
+    # trie of the idx1 lhs: _END holds the rules ending at a node, _PAST
+    # those passing it that are longer than its word, both in order
     trie: dict = {}
     for i in dict.fromkeys(idx1):
         node = trie
         for x in rules[i].lhs:
+            node.setdefault(_PAST, []).append(i)
             node = node.setdefault(x, {})
         node.setdefault(_END, []).append(i)
-    # j -> i -> the positions of lhs_i inside lhs_j, ascending
-    inside: dict[int, dict[int, list[int]]] = {}
+    # (i, j) -> the overlap lengths t, descending; the positions of lhs_i inside lhs_j
+    overlaps: dict[tuple[int, int], list[int]] = {}
+    inside: dict[tuple[int, int], list[int]] = {}
+    partners: dict[int, set[int]] = {}  # i -> the j it overlaps or occurs in
     for j in dict.fromkeys(idx2):
         m2 = rules[j].lhs
-        found = inside[j] = {}
         for pos in range(len(m2)):
             node = trie
             for x in m2[pos:]:
@@ -630,25 +637,30 @@ def critical_pairs_between(
                 if node is None:
                     break
                 for i in node.get(_END, ()):
-                    found.setdefault(i, []).append(pos)
+                    if i != j:
+                        inside.setdefault((i, j), []).append(pos)
+                        partners.setdefault(i, set()).add(j)
+            else:
+                if pos:
+                    for i in node.get(_PAST, ()):
+                        overlaps.setdefault((i, j), []).append(len(m2) - pos)
+                        partners.setdefault(i, set()).add(j)
+    where: dict[int, list[int]] = {}  # j -> its positions in idx2
+    for k, j in enumerate(idx2):
+        where.setdefault(j, []).append(k)
+    pairs = []
+    listed = set()  # the (i, j) whose overlaps are listed
     for i in idx1:
         m1 = rules[i].lhs
-        for j in idx2:
+        for k in sorted(k for j in partners.get(i, ()) for k in where[j]):
+            j = idx2[k]
             m2 = rules[j].lhs
-            # proper overlaps: a proper suffix of lhs_j equals a proper prefix of lhs_i
-            for t in range(1, min(len(m1), len(m2))):
-                if m2[len(m2) - t :] == m1[:t]:
-                    tip = m2 + m1[t:]
-                    key = (i, j, "overlap", t)
-                    if key not in seen:
-                        seen.add(key)
-                        pairs.append(
-                            CriticalPair(tip, i, j, "overlap", m2[: len(m2) - t], m1[t:])
-                        )
-            # inclusions: lhs_i occurs inside lhs_j (proper), or equal lhs of distinct rules
-            if i != j:
-                for pos in inside[j].get(i, ()):
+            if (i, j) not in listed:
+                listed.add((i, j))
+                for t in reversed(overlaps.get((i, j), ())):
                     pairs.append(
-                        CriticalPair(m2, i, j, "inclusion", m2[:pos], m2[pos + len(m1) :])
+                        CriticalPair(m2 + m1[t:], i, j, "overlap", m2[: len(m2) - t], m1[t:])
                     )
+            for pos in inside.get((i, j), ()):
+                pairs.append(CriticalPair(m2, i, j, "inclusion", m2[:pos], m2[pos + len(m1) :]))
     return pairs

@@ -13,11 +13,11 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from anickres.anick import ModuleElement, ResolutionPrefix, accumulate, chains_T2
 from anickres.fields import PrimeField
-from anickres.kostant import small_system
+from anickres.kostant import big_system, small_system
 from anickres.polynomials import Polynomial
 from anickres.resolution import GradedComplex, generic_minimalize, rank_fp, rank_fp_oracle
 from anickres.rewriting import (
@@ -610,3 +610,63 @@ def test_generic_minimalize_matches_the_restart_loop(gc):
     assert result.chains == expected.chains
     assert differential_terms(result) == differential_terms(expected)
     assert all(result.radical_image_check(lvl)[0] for lvl in result.diff)
+
+
+NONCYCLE_DEGREE = 8
+
+
+@functools.cache
+def real_chains(name):
+    """The chain sets up to degree 8 of a complete system, and a complex on
+    them whose bases give each chain t the basis elements of degree deg t
+    one level down."""
+    systems = {
+        "small l=2": lambda: small_system(2).system,
+        "big(3,3,2)": lambda: big_system(3, 3, 2).system.interreduce(),
+        "big(3,5,4)": lambda: big_system(3, 5, 4).system.interreduce(),
+    }
+    prefix = ResolutionPrefix(systems[name]())
+    degree = prefix.alphabet.degree
+    chains = {
+        lvl: [t for t in ts if degree(t) <= NONCYCLE_DEGREE] for lvl, ts in prefix.chains.items()
+    }
+    return GradedComplex(prefix, chains, {})
+
+
+@st.composite
+def noncycle_complexes(draw):
+    """The chain sets of small l=2 (p = 2), big(3,3,2) (p = 3) or big(3,5,4)
+    (p = 5) up to degree 8, with random homogeneous differentials: d(.t)
+    holds up to 3 random basis elements m.t' of degree deg t one level down,
+    with random nonzero coefficients.  Nothing makes them cycles, so d o d
+    need not vanish and no homology is exact."""
+    bases = real_chains(draw(st.sampled_from(("small l=2", "big(3,3,2)", "big(3,5,4)"))))
+    rng = draw(st.randoms(use_true_random=False))
+    field, alphabet, chains = bases.field, bases.alphabet, bases.chains
+    diff = {}
+    for level in range(bases.top + 1):
+        diff[level] = {}
+        for t in chains[level]:
+            targets = bases.basis(level - 1, alphabet.degree(t))
+            picked = rng.sample(targets, min(len(targets), rng.randint(0, 3)))
+            terms = {key: rng.randrange(1, field.p) for key in picked}
+            diff[level][t] = ModuleElement(level - 1, field, alphabet, terms)
+    return GradedComplex(bases.prefix, chains, diff)
+
+
+@settings(max_examples=12, deadline=None)
+@given(noncycle_complexes())
+def test_greedy_ranks_need_no_cycles(gc):
+    # every rank equals the transpose oracle on the dense matrix whose
+    # column m.t is m * d(.t) reduced from scratch by act: the greedy
+    # elimination relies only on the module structure, not on exactness
+    # or on d o d = 0
+    for level in range(gc.top + 1):
+        for d in range(NONCYCLE_DEGREE + 1):
+            row_index = {key: i for i, key in enumerate(gc.basis(level - 1, d))}
+            cols = gc.basis(level, d)
+            dense = [[0] * len(cols) for _ in row_index]
+            for j, (m, t) in enumerate(cols):
+                for key, c in gc.prefix.act(m, gc.diff[level][t]):
+                    dense[row_index[key]][j] = c
+            assert gc._rank(level, d) == rank_fp_oracle(dense, gc.field.p), (level, d)

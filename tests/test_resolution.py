@@ -1,5 +1,6 @@
 import pytest
 
+from anickres import resolution
 from anickres.anick import ModuleElement, ResolutionPrefix
 from anickres.checks import expected_betti_table
 from anickres.fields import PrimeField
@@ -73,20 +74,29 @@ def test_exactness_unmodified(gc2):
     assert gc2.verify_exactness([-1, 0, 1], 10) == {}
 
 
-def test_exactness_builds_each_matrix_once(monkeypatch):
+def test_exactness_eliminates_each_degree_once(monkeypatch):
+    # one greedy elimination per (level, d) at levels >= 0; the only matrices
+    # built are the augmentation's, at level -1, one rank_fp echelon each
     gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
-    builds = []
-    original = GradedComplex.differential_matrix
+    builds, echelons = [], []
+    matrix, echelon = GradedComplex.differential_matrix, resolution._echelon
 
-    def counted(self, level, d):
+    def counted_matrix(self, level, d):
         builds.append((level, d))
-        return original(self, level, d)
+        return matrix(self, level, d)
 
-    monkeypatch.setattr(GradedComplex, "differential_matrix", counted)
+    def counted_echelon(p):
+        echelons.append(p)
+        return echelon(p)
+
+    monkeypatch.setattr(GradedComplex, "differential_matrix", counted_matrix)
+    monkeypatch.setattr(resolution, "_echelon", counted_echelon)
     assert gc.verify_exactness([-1, 0, 1], 8) == {}
+    assert sorted(builds) == [(-1, d) for d in range(9)]
     # levels -1, 0, 1 each need their own rank and the one above, up to the top
-    assert sorted(builds) == sorted(set(builds))
-    assert set(builds) == {(level, d) for level in (-1, 0, 1, 2) for d in range(9)}
+    eliminations = {(level, d) for level in (0, 1, 2) for d in range(9)}
+    assert set(gc._kept) == eliminations
+    assert len(echelons) == len(builds) + len(eliminations)
 
 
 def _small(l):
