@@ -103,7 +103,13 @@ def cmd_nf(args) -> int:
     return _emit(report, args, 0)
 
 
+def _require_nonnegative(option: str, value: int | None) -> None:
+    if value is not None and value < 0:
+        raise ValueError(f"{option} must be >= 0")
+
+
 def cmd_check(args) -> int:
+    _require_nonnegative("--degree-bound", args.degree_bound)
     loaded = _load(args)
     ok, witnesses = loaded.system.is_complete(args.degree_bound)
     fmt = loaded.system.alphabet.format
@@ -143,6 +149,7 @@ def cmd_anick(args) -> int:
 
 
 def cmd_betti(args) -> int:
+    _require_nonnegative("--D", args.D)
     loaded = _load(args)
     prefix = ResolutionPrefix(_resolvable(loaded.system))
     gc = GradedComplex.from_prefix(prefix)

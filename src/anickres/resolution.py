@@ -222,8 +222,9 @@ class GradedComplex:
         the first letter, the image is the sum of c nf(x w).t' over the
         cached image of m'.t (m' is irreducible, a suffix of m).  This
         equals `prefix.act(m, diff[level][t])` only because the system is
-        reduced and complete, where nf(x nf(u)) = nf(x u); every caller
-        builds on such a system, and nothing here checks it.
+        complete, where nf(x nf(u)) = nf(x u).  `normal_form_word` assumes
+        the same contract: every caller builds on a reduced complete system,
+        and neither checks it.
         """
         key = (level, m, t)
         image = self._images.get(key)

@@ -15,6 +15,21 @@ every left-hand side that starts there.  Normal forms are computed per
 support word (reduction is linear in the polynomial) and memoized on the
 system, which is immutable once constructed.
 
+`normal_form_word`, which the resolution calls for every differential
+entry and matrix column, assumes instead that the system is complete in
+the degree of its word, where the normal form does not depend on the
+strategy (Bergman's diamond lemma, Adv. Math. 29, 1978).  It recurses on
+suffixes: for w = x v with x a letter, nf(v) comes first.  If v is
+irreducible, every lhs occurrence in w starts at position 0, so one trie
+walk from there finds the rewrite; otherwise nf(w) = nf(x nf(v)).  Its own
+memo is filled in two ways: by this recursion, and, on a miss, from the
+leftmost-first memo, whose entries are the same normal forms in a complete
+system (the CLI's completeness check fills that memo first).  It reads
+that memo but never writes it: on a system that is not complete the two
+strategies may disagree, and `normal_form`, completion, interreduction and
+`is_complete` must keep their leftmost-first results.  Adding a rule
+clears it.
+
 Completion grows one private working system instead of building a new one
 per added rule, and carries its normal-form memo across each addition.
 The memo invariant: every entry equals the normal form that a new system
@@ -154,6 +169,9 @@ class RewritingSystem:
         self._nf: dict[Word, Polynomial] = {}
         self._nf_by_degree: dict[int, list[Word]] = {}
         self._nf_bucketed = 0
+        # normal forms by suffix recursion (normal_form_word), which assumes
+        # completeness; it reads _nf but never writes it
+        self._pf: dict[Word, Polynomial] = {}
 
     def _insert_lhs(self, ridx: int, lhs: Word) -> None:
         n = len(self.alphabet)
@@ -182,6 +200,7 @@ class RewritingSystem:
         self._insert_lhs(len(self.rules), lhs)
         self.rules += (rule,)
         self._moves = None
+        self._pf.clear()
         memo, buckets, degree = self._nf, self._nf_by_degree, self.alphabet.degree
         for w in itertools.islice(memo, self._nf_bucketed, None):
             buckets.setdefault(degree(w), []).append(w)
@@ -200,7 +219,7 @@ class RewritingSystem:
             del acc[lhs]
             for y, cy in rhs.terms.items():
                 acc[y] = (acc.get(y, 0) + c * cy) % p
-            memo[w] = Polynomial(self.field, self.alphabet, acc)
+            memo[w] = self._canonical(acc)
 
     @classmethod
     def from_relations(
@@ -279,10 +298,18 @@ class RewritingSystem:
         return g.combine(-coeff, monomial).combine(coeff, replaced)
 
     # ----- normal forms ----------------------------------------------
+    def _canonical(self, acc: dict[Word, int]) -> Polynomial:
+        """Wrap residues summed in place: the zeros are dropped, and the
+        other words keep the order in which they were first summed."""
+        if 0 in acc.values():
+            acc = {y: c for y, c in acc.items() if c}
+        return Polynomial.from_canonical(self.field, self.alphabet, acc)
+
     def _nf_word(self, w: Word) -> Polynomial:
         memo = self._nf
         if w in memo:
             return memo[w]
+        p = self.field.p
         # entries (word, its one-step expansion once computed); a word is
         # popped only once it is memoized, so when an entry is reached again
         # every word of its expansion has a normal form
@@ -295,7 +322,7 @@ class RewritingSystem:
             if expansion is None:
                 step = self.first_step(top)
                 if step is None:
-                    memo[top] = Polynomial.monomial(self.field, self.alphabet, top)
+                    memo[top] = Polynomial.from_canonical(self.field, self.alphabet, {top: 1})
                     stack.pop()
                     continue
                 expansion = self.apply_step(top, *step)
@@ -307,8 +334,8 @@ class RewritingSystem:
             acc: dict[Word, int] = {}
             for x, c in expansion:
                 for y, cy in memo[x].terms.items():
-                    acc[y] = acc.get(y, 0) + c * cy
-            memo[top] = Polynomial(self.field, self.alphabet, acc)
+                    acc[y] = (acc.get(y, 0) + c * cy) % p
+            memo[top] = self._canonical(acc)
             stack.pop()
         return memo[w]
 
@@ -354,8 +381,57 @@ class RewritingSystem:
             stack.pop()
         return self.normal_form(g), sum(steps[w] for w in g.terms)
 
-    def normal_form_word(self, w: Word) -> Polynomial:
-        return self._nf_word(w)
+    def _suffix_nf(self, w: Word) -> Polynomial:
+        """The normal form of the word w, for a system that is complete in
+        the degree of w; elsewhere it may differ from `normal_form`.
+
+        Computed from nf(v) for v = w[1:] (see the module docstring): if v
+        is irreducible, every lhs occurrence in w starts at 0 and one trie
+        walk from there finds the rewrite; otherwise nf(w) = nf(w[0] nf(v)).
+        """
+        memo = self._pf
+        nf = memo.get(w)
+        if nf is not None:
+            return nf
+        nf = self._nf.get(w)
+        if nf is not None:
+            memo[w] = nf
+            return nf
+        # nf(w) = the sum of c nf(head u tail) over the terms c u of poly
+        head, poly, tail = w[:1], None, ()
+        if w:
+            v = w[1:]
+            poly = self._suffix_nf(v)
+            # a reducible v lies above every word of nf(v)
+            if v in poly.terms:
+                node, k, ridx = self._trie, 0, None
+                for x in w:
+                    node = node.get(x)
+                    if node is None:
+                        break
+                    k += 1
+                    ridx = node.get(_END)
+                    if ridx is not None:
+                        break
+                if ridx is None:
+                    poly = None
+                else:
+                    head, poly, tail = (), self.rules[ridx].rhs, w[k:]
+        if poly is None:
+            nf = Polynomial.from_canonical(self.field, self.alphabet, {w: 1})
+        else:
+            p = self.field.p
+            acc: dict[Word, int] = {}
+            for u, c in poly.terms.items():
+                for y, cy in self._suffix_nf(head + u + tail).terms.items():
+                    acc[y] = (acc.get(y, 0) + c * cy) % p
+            nf = self._canonical(acc)
+        memo[w] = nf
+        return nf
+
+    # the public name; the recursion calls _suffix_nf, so a wrapper put on
+    # this name sees outside calls only
+    normal_form_word = _suffix_nf
 
     # ----- critical pairs --------------------------------------------
     def find_critical_pairs(self) -> list[CriticalPair]:

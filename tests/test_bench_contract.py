@@ -1,0 +1,56 @@
+"""The benchmark's contract with the package: its tracer wraps public names
+of the package, and its workloads run the pipelines through the public
+API.  A rename of a traced or used name fails here, in the tier-1 suite,
+and not only in the benchmark's own tests."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from anickres.documents import PresentationDocument
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = load_bench_module("tracer")
+workloads = load_bench_module("workloads")
+
+
+class RecordingTracer(tracer.Tracer):
+    """A Tracer that records each attribute as it stood before its wrap."""
+
+    def __init__(self, clock):
+        super().__init__(clock)
+        self.patched = []  # (owner, attr, the owner's own value before the wrap)
+
+    def wrap(self, owner, attr, name, on_result=None):
+        self.patched.append((owner, attr, vars(owner)[attr]))
+        super().wrap(owner, attr, name, on_result)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_smoke_pipeline_passes_its_oracle(name):
+    workload = workloads.WORKLOADS[name]
+    size = workload.size(smoke=True)
+    traced = RecordingTracer(clock=lambda: 0.0)
+    try:
+        traced.install()
+        loaded = PresentationDocument.from_json(workload.document_json(smoke=True)).build()
+        _report, facts = workload.pipeline(loaded.system, size.params)
+        layers = traced.layers(facts, len(loaded.system.rules))
+    finally:
+        for owner, attr, original in reversed(traced.patched):
+            setattr(owner, attr, original)
+    assert size.oracle(facts) == []
+    assert traced.calls["documents.load"] == 2
+    assert layers["kostant.rules_in"] == len(loaded.system.rules)

@@ -130,6 +130,17 @@ def test_malformed_document_exits_2(tmp_path, capsys, doc, reason):
     assert err.count("\n") == 1 and reason in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [(["betti", "--D", "-1"], "--D"), (["check", "--degree-bound", "-3"], "--degree-bound")],
+)
+def test_negative_degree_bound_exits_2(capsys, argv, option):
+    code = main([*argv, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {option} must be >= 0\n"
+
+
 def test_anick_single_rule(tmp_path, capsys):
     doc = {
         "p": 2,

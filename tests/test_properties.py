@@ -2,8 +2,9 @@
 an independent reference, normal-form uniqueness for complete systems,
 reduction soundness, rank-oracle agreement, the trie lhs matcher, the
 irreducible-word automaton and the critical-pair scan against naive scans,
-completion against a rebuild per added rule, and interreduction and generic
-minimalization against their restart loops."""
+completion against a rebuild per added rule, interreduction and generic
+minimalization against their restart loops, and the suffix-recursion normal
+form against leftmost-first reduction."""
 
 import functools
 import heapq
@@ -670,3 +671,90 @@ def test_greedy_ranks_need_no_cycles(gc):
                 for key, c in gc.prefix.act(m, gc.diff[level][t]):
                     dense[row_index[key]][j] = c
             assert gc._rank(level, d) == rank_fp_oracle(dense, gc.field.p), (level, d)
+
+
+NF_DEGREE = 10
+
+
+@functools.cache
+def complete_system(name, warm):
+    """A complete system, not necessarily reduced; a warm one has had its
+    leftmost-first memo filled by a full completeness check."""
+    systems = {
+        "small l=2": lambda: small_system(2).system,
+        "small l=3": lambda: small_system(3).system,
+        "big(3,3,2)": lambda: big_system(3, 3, 2).system,
+        "big(3,5,4)": lambda: big_system(3, 5, 4).system,
+    }
+    system = systems[name]()
+    if warm:
+        assert system.is_complete()[0]
+    return system
+
+
+def words_of_degree_at_most(alphabet, bound):
+    """Random words, cut before the first letter that takes them past bound."""
+
+    def cut(letters):
+        word = ()
+        for x in letters:
+            if alphabet.degree(word + (x,)) > bound:
+                break
+            word += (x,)
+        return word
+
+    return st.lists(st.sampled_from(range(len(alphabet))), max_size=bound).map(cut)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("name", ["small l=2", "small l=3", "big(3,3,2)", "big(3,5,4)"])
+def test_suffix_normal_form_matches_leftmost_first(name, warm, data):
+    # on a complete system the normal form does not depend on the strategy
+    system = complete_system(name, warm)
+    if not warm:
+        system = system.with_rules(system.rules)
+    w = data.draw(words_of_degree_at_most(system.alphabet, NF_DEGREE))
+    fresh = system.with_rules(system.rules)
+    expected = fresh.normal_form(Polynomial.monomial(system.field, system.alphabet, w))
+    assert system.normal_form_word(w) == expected
+
+
+def braid_overlap_system():
+    """x1 x1 -> x0 x1 over F_2: reduced, and its overlap x1 x1 x1 does not
+    resolve (x0 x0 x1 by the leftmost rewrite, x1 x0 x1 by the rightmost)."""
+    alphabet = Alphabet.from_names([("x0", 1), ("x1", 1)])
+    rule = make_rule(Polynomial.from_terms(F2, alphabet, [(1, (1, 1)), (1, (0, 1))]))
+    return RewritingSystem(alphabet, F2, [rule])
+
+
+def assert_normal_forms_untouched(system, ws):
+    """normal_form_word on the words of ws leaves every leftmost-first
+    normal form, with its term order, as a fresh system computes it."""
+    fresh = system.with_rules(system.rules)
+    for w in ws:
+        system.normal_form_word(w)
+    for w in ws:
+        g = Polynomial.monomial(system.field, system.alphabet, w)
+        assert list(system.normal_form(g).terms.items()) == list(fresh.normal_form(g).terms.items())
+
+
+def test_suffix_normal_form_differs_on_an_unresolved_overlap():
+    system = braid_overlap_system()
+    w = (1, 1, 1)
+    assert system.normal_form_word(w).terms == {(1, 0, 1): 1}
+    assert_normal_forms_untouched(system, [w, (1, 1)])
+    assert system.normal_form(Polynomial.monomial(F2, system.alphabet, w)).terms == {(0, 0, 1): 1}
+
+
+@settings(max_examples=50, deadline=None)
+@given(relation_systems(), st.data())
+def test_suffix_normal_form_leaves_the_leftmost_first_memo_alone(system, data):
+    # the systems need not be complete, so the two normal forms may differ
+    try:
+        system = system.interreduce()
+    except ValueError:  # a relation reduced to a nonzero constant
+        return
+    word = words_of_degree_at_most(system.alphabet, 6)
+    assert_normal_forms_untouched(system, data.draw(st.lists(word, min_size=1, max_size=6)))
