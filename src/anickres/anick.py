@@ -56,6 +56,19 @@ class ModuleElement:
                     self.terms[key] = c
 
     @classmethod
+    def from_canonical(
+        cls, level: int, field, alphabet: Alphabet, terms: dict[tuple[Word, Word], int]
+    ) -> "ModuleElement":
+        """Wrap a term dict that is already canonical (every coefficient a
+        residue in 1..p-1); the dict is taken over, not copied or reduced."""
+        elem = cls.__new__(cls)
+        elem.level = level
+        elem.field = field
+        elem.alphabet = alphabet
+        elem.terms = terms
+        return elem
+
+    @classmethod
     def zero(cls, level: int, field, alphabet: Alphabet) -> "ModuleElement":
         return cls(level, field, alphabet)
 
@@ -213,7 +226,8 @@ class ResolutionPrefix:
             )
         nf = self.system.normal_form_word(m + t[:k])
         s = t[k:]
-        return ModuleElement(level - 1, self.field, self.alphabet, {(w, s): c for w, c in nf})
+        terms = {(w, s): c for w, c in nf}
+        return ModuleElement.from_canonical(level - 1, self.field, self.alphabet, terms)
 
     def j_map(self, level: int, m: Word, t: Word) -> Optional[ModuleElement]:
         """The splitting candidate m.t -> u.vt for the longest suffix v of m
@@ -234,7 +248,9 @@ class ResolutionPrefix:
             for w, c2 in self.system.normal_form_word(m + m1):
                 key = (w, t)
                 acc[key] = (acc.get(key, 0) + c * c2) % p
-        return ModuleElement(elem.level, self.field, self.alphabet, acc)
+        if 0 in acc.values():
+            acc = {key: c for key, c in acc.items() if c}
+        return ModuleElement.from_canonical(elem.level, self.field, self.alphabet, acc)
 
     # ----- differentials ---------------------------------------------
     def boundary(self, elem: ModuleElement) -> ModuleElement:
@@ -262,7 +278,7 @@ class ResolutionPrefix:
         acc: dict[tuple[Word, Word], int] = {}
         for (m, t), c in elem:
             accumulate(acc, c, self.act(m, self.d_generator(level, t)).terms, self.field.p)
-        return ModuleElement(level - 1, self.field, self.alphabet, acc)
+        return ModuleElement.from_canonical(level - 1, self.field, self.alphabet, acc)
 
     def lift_i(self, level: int, f: ModuleElement) -> ModuleElement:
         """The contracting lift i_level: a cycle f at level-1 goes to an
@@ -295,7 +311,7 @@ class ResolutionPrefix:
             g = g.scale(rest[(m, t)])
             accumulate(result, 1, g.terms, p)
             accumulate(rest, -1, self.boundary(g).terms, p)
-        return ModuleElement(level, self.field, self.alphabet, result)
+        return ModuleElement.from_canonical(level, self.field, self.alphabet, result)
 
     # ----- verification ----------------------------------------------
     def generators(self) -> list[tuple[int, Word]]:

@@ -8,11 +8,12 @@ m = x m' (Anick's module structure), so each one reduces only words x w
 with w already irreducible.
 
 The rank of d_level in degree d (level >= 0) is taken by one greedy
-elimination that never builds the matrix.  The basis is walked in its
-order, and only the generators (m empty) and the columns x m'.t whose
-suffix column m'.t was kept as independent in degree d - deg x are
-candidates; each candidate is reduced against the pivots found so far and
-kept if it stays nonzero.  The rank is the number kept.  This is exact
+elimination that never builds the matrix and never lists the basis.  The
+candidates are the generators (m empty) and the columns x m'.t for each
+m'.t kept as independent in degree d - deg x with x m' irreducible; since
+m' is irreducible, one trie walk from the front of x m' decides that.  In
+basis order, each candidate is reduced against the pivots found so far
+and kept if it stays nonzero.  The rank is the number kept.  This is exact
 because the image of d is a left submodule of the free module: by
 induction on the degree and then along the basis order, a dependent m'.t
 is a combination of kept columns m_i.t_i before it, and x times each of
@@ -21,13 +22,18 @@ columns smaller still, all in the span of the kept columns already.
 Nothing here needs exactness or d o d = 0, only the reduced complete system
 that the column images already assume.  Most columns of a large degree
 are never built: in degree 12 of the minimalized big(4,3,2) complex, 538
-of 11,684 level-2 columns are independent.
+of 11,684 level-2 columns are independent.  The exactness defect needs the
+number of columns too, and counts them on the automaton of the left-hand
+sides: the sum over the chains t of the irreducible words of degree
+d - deg t.
 
 `rank_fp` and the greedy rank share one incremental elimination kernel:
 int bitsets reduced by XOR for p = 2, monic sparse pivot rows for odd p.
+It numbers the keys of a row as it first sees them, so a column image goes
+in as its {(w, t'): c} dict, with no index of the rows.
 `differential_matrix` still builds a whole matrix as sparse rows, one
 {column: nonzero residue} dict per row; the rank uses it only for the
-augmentation at level -1, and the checks use it as an oracle.
+augmentation at level -1, and the checks use it and `basis` as oracles.
 
 Minimalization cancels each unit constant entry of a differential by one
 elimination step, in place and in one pass over the levels; the braid
@@ -47,8 +53,8 @@ from typing import Iterable, Sequence, Union
 from .anick import ModuleElement, ResolutionPrefix, accumulate
 from .words import Alphabet, Word
 
-# a matrix row: sparse {column: residue}, or dense, one int per column
-Row = Union[dict[int, int], Sequence[int]]
+# a matrix row: sparse {column key: residue}, or dense, one int per column
+Row = Union[dict, Sequence[int]]
 
 
 # ---------------------------------------------------------------------
@@ -59,29 +65,34 @@ def rank_fp(rows: Sequence[Row], p: int) -> int:
     """Rank of a matrix over F_p by Gaussian elimination on sparse rows.
 
     Rows are {column: residue} dicts (as `GradedComplex.differential_matrix`
-    builds them) or dense sequences of ints, and are left unchanged.
+    builds them; any hashable column keys) or dense sequences of ints, and
+    are left unchanged.
     Entries need not be reduced modulo p."""
     echelon = _echelon(p)
     return sum(map(echelon.insert, rows))
 
 
-def _entries(row: Row) -> Iterable[tuple[int, int]]:
+def _entries(row: Row) -> Iterable[tuple[object, int]]:
     return row.items() if isinstance(row, dict) else enumerate(row)
 
 
 class _F2Echelon:
     """Row echelon form over F_2 grown one row at a time: each row is packed
-    into an int bitset (column j is bit j) and reduced by XOR against the
-    pivot rows found so far, which are keyed by their lowest set bit."""
+    into an int bitset and reduced by XOR against the pivot rows found so
+    far, which are keyed by their lowest set bit.  A row's keys are numbered
+    as first seen (the rank does not depend on their order), so any hashable
+    keys will do: column indices, or the basis elements (w, t') of an image."""
 
     def __init__(self):
         self.pivots: dict[int, int] = {}
+        self.index: dict = {}  # row key -> its bit
 
     def insert(self, row: Row) -> bool:
         """Reduce the row; keep it as a new pivot row if it stays nonzero,
         and say whether it did."""
-        pivots = self.pivots
-        r = sum(1 << j for j, x in _entries(row) if x & 1)
+        pivots, index = self.pivots, self.index
+        number = index.setdefault
+        r = sum(1 << number(k, len(index)) for k, x in _entries(row) if x & 1)
         while r:
             low = r & -r
             pivot = pivots.get(low)
@@ -95,17 +106,20 @@ class _F2Echelon:
 class _SparseEchelon:
     """Row echelon form over F_p grown one sparse row at a time: each row is
     reduced against the monic pivot rows found so far until it vanishes or
-    leads in a new column."""
+    leads in a new column.  Row keys are numbered as first seen, as in
+    `_F2Echelon`."""
 
     def __init__(self, p: int):
         self.p = p
         self.pivots: dict[int, dict[int, int]] = {}
+        self.index: dict = {}  # row key -> its column
 
     def insert(self, row: Row) -> bool:
         """Reduce the row; keep it as a new pivot row if it stays nonzero,
         and say whether it did."""
-        p, pivots = self.p, self.pivots
-        r = {j: y for j, x in _entries(row) if (y := x % p)}
+        p, pivots, index = self.p, self.pivots, self.index
+        number = index.setdefault
+        r = {number(k, len(index)): y for k, x in _entries(row) if (y := x % p)}
         while r:
             col = min(r)
             pivot = pivots.get(col)
@@ -165,9 +179,13 @@ class GradedComplex:
         self._irr: dict[int, list[Word]] = {}  # irreducible words by degree
         self._irr_bound = -1  # every degree up to this one is in _irr
         self._bases: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
+        self._counts: dict[int, int] = {}  # irreducible words per degree
+        self._counts_bound = -1  # every degree up to this one is counted
+        # level -> chain degree -> the number of chains of that degree
+        self._chain_degrees: dict[int, dict[int, int]] = {}
         # (level, d) -> the independent columns, levels >= 0 (see independent_columns)
-        self._kept: dict[tuple[int, int], frozenset[tuple[Word, Word]]] = {}
-        # (level, m, t) -> {(w, t'): c}, the image m * d_level(.t); all kept
+        self._kept: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
+        # (level, m, t) -> {(w, t'): c}, the image m * d_level(.t)
         self._images: dict[tuple[int, Word, Word], dict[tuple[Word, Word], int]] = {}
 
     @classmethod
@@ -196,8 +214,7 @@ class GradedComplex:
 
         Elements with equal words mt (no builtin system has any) keep the
         order of their chains t, the same in every degree; the greedy rank
-        of `independent_columns` needs the order to be kept by left
-        multiplication."""
+        of `independent_columns` follows the same order."""
         key = (level, d)
         out = self._bases.get(key)
         if out is None:
@@ -213,6 +230,26 @@ class GradedComplex:
             pairs.sort(key=lambda mt: mt[0] + mt[1])
             out = self._bases[key] = tuple(pairs)
         return out
+
+    def _count_irreducible(self, max_degree: int) -> None:
+        """Count the irreducible words of every degree <= max_degree on the
+        automaton of the left-hand sides, unless they are counted already."""
+        if max_degree > self._counts_bound:
+            self._counts = self.system.irreducible_counts_by_degree(max_degree)
+            self._counts_bound = max_degree
+
+    def column_count(self, level: int, d: int) -> int:
+        """len(basis(level, d)) without listing it: the sum over the chains
+        t of the number of irreducible words of degree d - deg t."""
+        self._count_irreducible(d)
+        by_degree = self._chain_degrees.get(level)
+        if by_degree is None:
+            by_degree = self._chain_degrees[level] = {}
+            for t in self.chains.get(level, []):
+                dt = self.alphabet.degree(t)
+                by_degree[dt] = by_degree.get(dt, 0) + 1
+        counts = self._counts
+        return sum(n * counts.get(d - dt, 0) for dt, n in by_degree.items() if dt <= d)
 
     # ----- matrices ---------------------------------------------------
     def column_image(self, level: int, m: Word, t: Word) -> dict[tuple[Word, Word], int]:
@@ -236,11 +273,13 @@ class GradedComplex:
             x = m[:1]
             nf = self.system.normal_form_word
             p = self.field.p
-            acc: dict[tuple[Word, Word], int] = {}
+            image = {}
             for (w, t2), c in self.column_image(level, m[1:], t).items():
                 for u, c2 in nf(x + w).terms.items():
-                    acc[(u, t2)] = acc.get((u, t2), 0) + c * c2
-            image = {k: r for k, c in acc.items() if (r := c % p)}
+                    k = (u, t2)
+                    image[k] = (image.get(k, 0) + c * c2) % p
+            if 0 in image.values():
+                image = {k: c for k, c in image.items() if c}
         self._images[key] = image
         return image
 
@@ -249,11 +288,12 @@ class GradedComplex:
 
         Row i is {j: c} over the nonzero entries c, in increasing column j;
         column j is `column_image` of the j-th basis element.  Level -1
-        gives the augmentation row (nonzero only in degree 0).
+        gives the augmentation row, nonzero only in degree 0.
         """
-        cols = self.basis(level, d)
         if level == -1:
-            return [dict.fromkeys(range(len(cols)), 1)] if d == 0 and cols else []
+            cols = self.basis(level, d) if d == 0 else ()
+            return [dict.fromkeys(range(len(cols)), 1)] if cols else []
+        cols = self.basis(level, d)
         rows = self.basis(level - 1, d)
         row_index = {key: i for i, key in enumerate(rows)}
         mat: list[dict[int, int]] = [{} for _ in rows]
@@ -262,20 +302,22 @@ class GradedComplex:
                 mat[row_index[key]][jcol] = c
         return mat
 
-    def independent_columns(self, level: int, d: int) -> frozenset[tuple[Word, Word]]:
+    def independent_columns(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
         """The basis elements m.t of degree d whose columns one greedy
-        elimination keeps as independent; they span the image of d_level
-        in degree d, so their number is its rank.  Computed once per
-        (level, d), for levels >= 0.
+        elimination keeps as independent, in basis order; they span the
+        image of d_level in degree d, so their number is its rank.
+        Computed once per (level, d), for levels >= 0.
 
-        The basis is walked in its order, and a column is a candidate only
-        if m is empty or m = x m' with m'.t kept in degree d - deg x; each
-        candidate's image is reduced against the pivots found so far and
-        kept if it stays nonzero.  This is exact because the image of d is
-        a left submodule: by induction on d and then along the basis order,
-        every column lies in the span of the kept columns before or at it.
-        A column x m'.t that is no candidate has m'.t dependent, so m'.t is
-        a combination of kept m_i.t_i before it, and x m'.t the same
+        The candidates are the generators .t of degree d and the columns
+        x m'.t for each m'.t kept in degree d - deg x with x m' irreducible
+        (m' is, so one trie walk from the front of x m' decides it).  In
+        basis order, each candidate's image is reduced against the pivots
+        found so far and kept if it stays nonzero; the rest of the basis is
+        never listed.  This is exact because the image of d is a left
+        submodule: by induction on d and then along the basis order, every
+        column lies in the span of the kept columns before or at it.  A
+        column x m'.t that is no candidate has m'.t dependent, so m'.t is a
+        combination of kept m_i.t_i before it, and x m'.t the same
         combination of the x m_i.t_i.  Each of those is the column
         (x m_i).t_i before x m'.t when x m_i is irreducible, and otherwise a
         combination of columns u.t_i with u t_i < x m_i t_i (u in the
@@ -286,19 +328,31 @@ class GradedComplex:
         key = (level, d)
         kept = self._kept.get(key)
         if kept is None:
-            degrees = [self.alphabet.degree((x,)) for x in range(len(self.alphabet))]
-            # letter degree dx -> the columns kept in degree d - dx
-            below = {dx: self.independent_columns(level, d - dx) for dx in set(degrees) if dx <= d}
-            row_index = {b: i for i, b in enumerate(self.basis(level - 1, d))}
-            echelon = _echelon(self.field.p)
-            found = []
-            for m, t in self.basis(level, d):
-                if m and (m[1:], t) not in below[degrees[m[0]]]:
+            chains = self.chains.get(level, [])
+            degree, front_rule = self.alphabet.degree, self.system.front_rule
+            candidates = [((), t) for t in chains if degree(t) == d]
+            letters: dict[int, list[int]] = {}  # letter degree -> the letters
+            for x in range(len(self.alphabet)):
+                letters.setdefault(degree((x,)), []).append(x)
+            for dx, xs in letters.items():
+                if dx > d:
                     continue
-                image = self.column_image(level, m, t)
-                if echelon.insert({row_index[b]: c for b, c in image.items()}):
-                    found.append((m, t))
-            kept = self._kept[key] = frozenset(found)
+                # the kept columns m'.t one letter down, grouped by m'
+                below: dict[Word, list[Word]] = {}
+                for m, t in self.independent_columns(level, d - dx):
+                    below.setdefault(m, []).append(t)
+                for x in xs:
+                    for m, ts in below.items():
+                        xm = (x,) + m
+                        if front_rule(xm) is None:
+                            candidates.extend((xm, t) for t in ts)
+            # basis order: the word mt, then the position of t among the chains
+            position = {t: i for i, t in enumerate(chains)}
+            candidates.sort(key=lambda mt: (mt[0] + mt[1], position[mt[1]]))
+            echelon = _echelon(self.field.p)
+            kept = self._kept[key] = tuple(
+                (m, t) for m, t in candidates if echelon.insert(self.column_image(level, m, t))
+            )
         return kept
 
     def _rank(self, level: int, d: int) -> int:
@@ -312,11 +366,10 @@ class GradedComplex:
 
     def exactness_defect(self, level: int, d: int) -> int:
         """dim ker(d_level in degree d) minus rank(d_{level+1} in degree d)."""
-        ncols = len(self.basis(level, d))
-        return ncols - self._rank(level, d) - self._rank(level + 1, d)
+        return self.column_count(level, d) - self._rank(level, d) - self._rank(level + 1, d)
 
     def verify_exactness(self, levels: Iterable[int], max_degree: int) -> dict:
-        self._enumerate_irreducible(max_degree)
+        self._count_irreducible(max_degree)
         defects = {}
         for level in levels:
             for d in range(max_degree + 1):

@@ -202,7 +202,8 @@ class RewritingSystem:
         self._moves = None
         self._pf.clear()
         memo, buckets, degree = self._nf, self._nf_by_degree, self.alphabet.degree
-        for w in itertools.islice(memo, self._nf_bucketed, None):
+        # the tail, read from the end of the memo without walking its head
+        for w in itertools.islice(reversed(memo), len(memo) - self._nf_bucketed):
             buckets.setdefault(degree(w), []).append(w)
         d = degree(lhs)
         for e in [e for e in buckets if e > d]:
@@ -259,6 +260,21 @@ class RewritingSystem:
                     found = ridx
             if found is not None:
                 return (pos, found)
+        return None
+
+    def front_rule(self, w: Word) -> Optional[tuple[int, int]]:
+        """(length, rule index) of the shortest lhs that is a prefix of w, with
+        the lowest rule index ending there, or None: one trie walk from
+        position 0.  For w = x v with v irreducible, every lhs occurrence in
+        w starts at 0, so w is irreducible exactly when this is None."""
+        node = self._trie
+        for k, x in enumerate(w, 1):
+            node = node.get(x)
+            if node is None:
+                return None
+            ridx = node.get(_END)
+            if ridx is not None:
+                return k, ridx
         return None
 
     def lhs_occurrences(self, w: Word) -> list[tuple[int, int]]:
@@ -404,18 +420,11 @@ class RewritingSystem:
             poly = self._suffix_nf(v)
             # a reducible v lies above every word of nf(v)
             if v in poly.terms:
-                node, k, ridx = self._trie, 0, None
-                for x in w:
-                    node = node.get(x)
-                    if node is None:
-                        break
-                    k += 1
-                    ridx = node.get(_END)
-                    if ridx is not None:
-                        break
-                if ridx is None:
+                front = self.front_rule(w)
+                if front is None:
                     poly = None
                 else:
+                    k, ridx = front
                     head, poly, tail = (), self.rules[ridx].rhs, w[k:]
         if poly is None:
             nf = Polynomial.from_canonical(self.field, self.alphabet, {w: 1})

@@ -160,6 +160,18 @@ def test_act_reexpands():
     assert prefix.act(A.word("a0"), f).is_zero()
 
 
+def test_act_drops_terms_that_cancel():
+    # over F_3 with b a -> a b + a a: b * (a b . b) = a b b + a a b and
+    # b * (a a . b) = a a b + 2 a a a, so b * (a b - a a) . b cancels a a b
+    F3 = PrimeField(3)
+    A = Alphabet.from_names([("a", 1), ("b", 1)])
+    a, b = A.word("a"), A.word("b")
+    rel = Polynomial(F3, A, {b + a: 1, a + b: -1, a + a: -1})
+    prefix = ResolutionPrefix(RewritingSystem.from_relations(A, F3, [rel]))
+    f = ModuleElement(0, F3, A, {(a + b, b): 1, (a + a, b): -1})
+    assert prefix.act(b, f).terms == {(a + b + b, b): 1, (a + a + a, b): 1}
+
+
 def test_prefix_refuses_a_constant_tail():
     alphabet = Alphabet.from_names([("x", 1)])
     F3 = PrimeField(3)

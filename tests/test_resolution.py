@@ -99,6 +99,25 @@ def test_exactness_eliminates_each_degree_once(monkeypatch):
     assert len(echelons) == len(builds) + len(eliminations)
 
 
+def test_exactness_lists_a_basis_only_for_the_augmentation(monkeypatch):
+    # the greedy ranks build their candidate columns from the kept columns
+    # one letter down, and count columns on the lhs automaton; only the
+    # augmentation's matrix, at level -1, reads a basis, and every column
+    # image built is that of a basis element
+    gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
+    levels = []
+    basis = GradedComplex.basis
+
+    def counted_basis(self, level, d):
+        levels.append(level)
+        return basis(self, level, d)
+
+    monkeypatch.setattr(GradedComplex, "basis", counted_basis)
+    assert gc.verify_exactness([-1, 0, 1], 8) == {}
+    assert set(levels) == {-1}
+    assert all(gc.system.is_irreducible_word(m) for _level, m, _t in gc._images)
+
+
 def _small(l):
     return GradedComplex.from_prefix(ResolutionPrefix(small_system(l).system))
 
@@ -154,6 +173,55 @@ def test_cached_columns_equal_the_direct_image(built):
                 assert column == [row[j] for row in dense], (level, fmt(m), fmt(t))
                 checked += 1
     assert checked > 100
+
+
+def _walk_the_basis(gc, level, d, kept):
+    """Reference greedy rank: walk all of basis(level, d) in its order; a
+    column m.t is a candidate when m is empty or m[1:].t was kept one letter
+    down, and is kept when its image, m * d(.t) reduced from scratch by act,
+    is independent of the columns kept before it (dense elimination over
+    basis(level - 1, d)).  `kept` memoizes the answers by (level, d)."""
+    if (level, d) not in kept:
+        p = gc.field.p
+        row_index = {key: i for i, key in enumerate(gc.basis(level - 1, d))}
+        pivots = {}  # leading row -> column with leading entry 1
+        below = {}  # letter degree -> the columns kept one letter down
+        found = []
+        for m, t in gc.basis(level, d):
+            if m:
+                dx = gc.alphabet.degree(m[:1])
+                if dx not in below:
+                    below[dx] = set(_walk_the_basis(gc, level, d - dx, kept))
+                if (m[1:], t) not in below[dx]:
+                    continue
+            col = [0] * len(row_index)
+            for key, c in gc.prefix.act(m, gc.diff[level][t]):
+                col[row_index[key]] = c
+            for i in range(len(col)):
+                if col[i] and i in pivots:
+                    c = col[i]
+                    col = [(x - c * y) % p for x, y in zip(col, pivots[i])]
+            lead = next((i for i, x in enumerate(col) if x), None)
+            if lead is not None:
+                inv = pow(col[lead], p - 2, p)
+                pivots[lead] = [x * inv % p for x in col]
+                found.append((m, t))
+        kept[(level, d)] = found
+    return kept[(level, d)]
+
+
+def test_candidate_columns_match_the_full_basis_walk(built):
+    # the kept columns, in basis order, equal those of the greedy walk over
+    # the whole basis; the column counts read off the lhs automaton equal
+    # the basis sizes, at every level
+    gc = built
+    kept = {}
+    for level in range(-1, gc.top + 2):
+        for d in range(9):
+            assert gc.column_count(level, d) == len(gc.basis(level, d)), (level, d)
+            if 0 <= level <= gc.top:
+                walked = _walk_the_basis(gc, level, d, kept)
+                assert list(gc.independent_columns(level, d)) == walked, (level, d)
 
 
 def test_sparse_ranks_equal_the_dense_oracle(built):
