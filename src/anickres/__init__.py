@@ -29,7 +29,7 @@ from .kostant import (
     small_system,
     verify_small_against_big,
 )
-from .anick import LiftError, ModuleElement, ResolutionPrefix, chains_T2
+from .anick import LiftError, ModuleElement, ResolutionPrefix, extend_chains
 from .resolution import (
     GradedComplex,
     generic_minimalize,

@@ -3,9 +3,11 @@ attached to a reduced complete rewriting system (Anick, Trans. AMS 296,
 1986).
 
 Chains: level -1 is {e}, level 0 the alphabet, level 1 the rule leading
-words, level 2 the minimal overlap tips.  The free module at each level
-has basis m.t with m an irreducible word and t a chain.  One rule builds
-the differential at every level:
+words L, each with its tail L[1:]; `extend_chains` builds each level above
+from the one below, up to level 2, by lhs-trie walks as on Ufnarovski's
+chain graph (Cojocaru, Podoplelov, Ufnarovski, 1999).  The free module at
+each level has basis m.t with m an irreducible word and t a chain.  One
+rule builds the differential at every level:
 
     d_{n+1}(.t) = delta(.t) - i_n(d_n(delta(.t)))
     i_n(f)      = j(lt(f)) + i_n(f - d_n(j(lt(f))))
@@ -24,6 +26,8 @@ from typing import Optional
 
 from .rewriting import RewritingSystem
 from .words import Alphabet, Word
+
+_TOP = 2  # the highest chain level built
 
 
 class LiftError(RuntimeError):
@@ -69,10 +73,6 @@ class ModuleElement:
         return elem
 
     @classmethod
-    def zero(cls, level: int, field, alphabet: Alphabet) -> "ModuleElement":
-        return cls(level, field, alphabet)
-
-    @classmethod
     def basis(
         cls, level: int, field, alphabet: Alphabet, m: Word, t: Word, coeff: int = 1
     ) -> "ModuleElement":
@@ -111,9 +111,6 @@ class ModuleElement:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.level, frozenset(self.terms.items())))
-
     def basis_key(self, key: tuple[Word, Word]):
         """Order basis elements by the concatenated word mt (injective per level)."""
         m, t = key
@@ -124,9 +121,6 @@ class ModuleElement:
             raise ValueError("leading term of zero")
         key = max(self.terms, key=self.basis_key)
         return key, self.terms[key]
-
-    def support(self) -> list[tuple[Word, Word]]:
-        return sorted(self.terms, key=self.basis_key)
 
     def __str__(self):
         if not self.terms:
@@ -156,40 +150,27 @@ def accumulate(acc: dict, coeff: int, terms: dict, p: int) -> None:
             acc.pop(key, None)
 
 
-def chains_T2(system: RewritingSystem) -> list[Word]:
-    """Minimal overlap tips: tips containing no other tip as proper subword.
-
-    A tip occurs inside w exactly where two lhs occurrences (i1, L1) and
-    (i2, L2) overlap properly, i1 < i2 < i1 + L1 < i2 + L2; it is a proper
-    subword unless that span is all of w.
-    """
-    if not system.is_reduced():
-        raise ValueError("level-2 chains require a reduced system")
-    minimal = []
-    for w in {cp.tip for cp in system.find_critical_pairs() if cp.kind == "overlap"}:
-        n = len(w)
-        occurrences = system.lhs_occurrences(w)
-        if any(
-            i1 < i2 < i1 + L1 < i2 + L2 and (i1 > 0 or i2 + L2 < n)
-            for i1, L1 in occurrences
-            for i2, L2 in occurrences
-        ):
-            continue
-        # uniqueness of the realizing rules: exactly one proper prefix and
-        # one proper suffix of each minimal tip is a rule leading word
-        prefixes = [L for i, L in occurrences if i == 0 and 0 < L < n]
-        suffixes = [i for i, L in occurrences if 0 < i and i + L == n]
-        if len(prefixes) != 1 or len(suffixes) != 1:
-            raise ValueError(
-                f"tip {system.alphabet.format(w)} lacks a unique rule factorization"
-            )
-        minimal.append(w)
-    minimal.sort(key=system.alphabet.sort_key)
-    return minimal
+def extend_chains(
+    system: RewritingSystem, level: list[tuple[Word, Word]]
+) -> list[tuple[Word, Word]]:
+    """The next chain level from (chain, tail) pairs, sorted by chain: t
+    with tail u extends to t v, with tail v, when an lhs starting inside u
+    runs v past its end and u v holds no other lhs occurrence (in a reduced
+    system, Anick's condition that no proper prefix of u v longer than u
+    holds an lhs)."""
+    out = []
+    for t, u in level:
+        for v in system.lhs_overhangs(u):
+            if len(system.lhs_occurrences(u + v)) == 1:
+                out.append((t + v, v))
+    key = system.alphabet.sort_key
+    out.sort(key=lambda tv: key(tv[0]))
+    return out
 
 
 class ResolutionPrefix:
-    """Chain sets at levels -1..2 and the differentials d_0, d_1, d_2."""
+    """Chain sets at levels -1..2, each above level 1 by `extend_chains`
+    from the one below, and the differentials d_0, d_1, d_2."""
 
     def __init__(self, system: RewritingSystem):
         if not system.is_reduced():
@@ -204,12 +185,16 @@ class ResolutionPrefix:
         self.system = system
         self.field = system.field
         self.alphabet = alphabet
+        key = alphabet.sort_key
         self.chains: dict[int, list[Word]] = {
             -1: [e],
-            0: sorted(((i,) for i in range(len(alphabet))), key=alphabet.sort_key),
-            1: sorted(system.lhs_words(), key=alphabet.sort_key),
-            2: chains_T2(system),
+            0: sorted(((i,) for i in range(len(alphabet))), key=key),
         }
+        pairs = sorted(((L, L[1:]) for L in system.lhs_words()), key=lambda tu: key(tu[0]))
+        self.chains[1] = [t for t, _u in pairs]
+        for n in range(2, _TOP + 1):
+            pairs = extend_chains(system, pairs)
+            self.chains[n] = [t for t, _u in pairs]
         self._chain_sets = {level: set(ts) for level, ts in self.chains.items()}
         self._d_memo: dict[tuple[int, Word], ModuleElement] = {}
 

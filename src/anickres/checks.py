@@ -123,7 +123,7 @@ def criterion_5_golden_differentials() -> CriterionResult:
     def elem(level, *pairs):
         from .anick import ModuleElement
 
-        acc = ModuleElement.zero(level, F, A)
+        acc = ModuleElement(level, F, A)
         for m, t in pairs:
             acc = acc.combine(1, ModuleElement.basis(level, F, A, m, t))
         return acc

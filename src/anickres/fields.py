@@ -35,9 +35,6 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 

@@ -65,9 +65,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def support(self) -> list[Word]:
-        return sorted(self.terms, key=self.alphabet.sort_key)
-
     def __iter__(self) -> Iterator[tuple[Word, int]]:
         return iter(self.terms.items())
 

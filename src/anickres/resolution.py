@@ -176,8 +176,7 @@ class GradedComplex:
         self.chains = {lvl: list(ts) for lvl, ts in chains.items()}
         self.diff = {lvl: dict(table) for lvl, table in diff.items()}
         self.top = max(chains)
-        self._irr: dict[int, list[Word]] = {}  # irreducible words by degree
-        self._irr_bound = -1  # every degree up to this one is in _irr
+        self._irr: dict[int, list[Word]] = {0: [prefix.alphabet.empty_word]}  # by degree
         self._bases: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
         self._counts: dict[int, int] = {}  # irreducible words per degree
         self._counts_bound = -1  # every degree up to this one is counted
@@ -198,15 +197,19 @@ class GradedComplex:
         return cls(prefix, prefix.chains, diff)
 
     # ----- graded bases ----------------------------------------------
-    def _enumerate_irreducible(self, max_degree: int) -> None:
-        """Fill the irreducible words of every degree <= max_degree, in
-        one enumeration, unless they are there already."""
-        if max_degree > self._irr_bound:
-            self._irr = {}
-            degree = self.alphabet.degree
-            for w in self.system.irreducible_words(max_degree=max_degree):
-                self._irr.setdefault(degree(w), []).append(w)
-            self._irr_bound = max_degree
+    def _irreducible(self, d: int) -> list[Word]:
+        """The irreducible words of degree d in tuple order, built once: the x m
+        with m irreducible of degree d - deg x and no lhs a prefix of x m."""
+        if d not in self._irr:
+            degree, front_rule = self.alphabet.degree, self.system.front_rule
+            self._irr[d] = sorted(
+                (x,) + m
+                for x in range(len(self.alphabet))
+                if (dx := degree((x,))) <= d
+                for m in self._irreducible(d - dx)
+                if front_rule((x,) + m) is None
+            )
+        return self._irr[d]
 
     def basis(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
         """Degree-d basis elements m.t at the level, in the order of
@@ -218,13 +221,12 @@ class GradedComplex:
         key = (level, d)
         out = self._bases.get(key)
         if out is None:
-            self._enumerate_irreducible(d)
-            degree, irr = self.alphabet.degree, self._irr
+            degree = self.alphabet.degree
             pairs = [
                 (m, t)
                 for t in self.chains.get(level, [])
                 if (dt := degree(t)) <= d
-                for m in irr.get(d - dt, [])
+                for m in self._irreducible(d - dt)
             ]
             # every mt has degree d, so deglex order is tuple order on mt
             pairs.sort(key=lambda mt: mt[0] + mt[1])
@@ -353,6 +355,8 @@ class GradedComplex:
             kept = self._kept[key] = tuple(
                 (m, t) for m, t in candidates if echelon.insert(self.column_image(level, m, t))
             )
+            for m, t in set(candidates).difference(kept):  # only kept ones are extended
+                del self._images[(level, m, t)]
         return kept
 
     def _rank(self, level: int, d: int) -> int:

@@ -154,8 +154,6 @@ class RewritingSystem:
         self.field = field
         self.rules = tuple(rules)
         self.complete_up_to = complete_up_to
-        # lhs membership: word -> lowest rule index with that lhs
-        self._lhs_index: dict[Word, int] = {}
         # trie of the lhs: nested dicts keyed by letter; _END holds the lowest
         # rule index whose lhs ends at that node
         self._trie: dict = {}
@@ -175,7 +173,6 @@ class RewritingSystem:
 
     def _insert_lhs(self, ridx: int, lhs: Word) -> None:
         n = len(self.alphabet)
-        self._lhs_index.setdefault(lhs, ridx)
         node = self._trie
         for x in lhs:
             if not 0 <= x < n:
@@ -289,6 +286,25 @@ class RewritingSystem:
                     break
                 if _END in node:
                     out.append((pos, length))
+        return out
+
+    def lhs_overhangs(self, u: Word) -> list[Word]:
+        """Every nonempty v such that u[i:] v is an lhs for some i < len(u):
+        the letters by which an lhs starting inside u runs past its end,
+        found below the node of one trie walk over u[i:] per start i."""
+        out = []
+        for i in range(len(u)):
+            node = self._trie
+            for x in u[i:]:
+                node = node.get(x, {})
+            stack = [(node, ())]
+            while stack:
+                node, v = stack.pop()
+                for x, child in node.items():
+                    if x != _END:
+                        if _END in child:
+                            out.append(v + (x,))
+                        stack.append((child, v + (x,)))
         return out
 
     def is_irreducible_word(self, w: Word) -> bool:
@@ -557,7 +573,7 @@ class RewritingSystem:
 
     def _lhs_irredundant(self) -> bool:
         """No two rules share an lhs and no lhs contains another."""
-        return len(self._lhs_index) == len(self.rules) and all(
+        return len({rule.lhs for rule in self.rules}) == len(self.rules) and all(
             self.lhs_occurrences(rule.lhs) == [(0, len(rule.lhs))] for rule in self.rules
         )
 

@@ -1,8 +1,8 @@
 import pytest
 
-from anickres.anick import ModuleElement, ResolutionPrefix, chains_T2
+from anickres.anick import ModuleElement, ResolutionPrefix, extend_chains
 from anickres.fields import PrimeField
-from anickres.kostant import small_system
+from anickres.kostant import big_system, small_system
 from anickres.polynomials import Polynomial
 from anickres.rewriting import RewritingSystem
 from anickres.words import Alphabet, contains
@@ -29,18 +29,46 @@ def test_chains_single_rule():
     assert [fmt(t) for t in prefix.chains[2]] == ["a a a"]
 
 
-def test_chains_T2_requires_reduced():
-    alphabet = Alphabet.from_names([("a", 1)])
-    system = RewritingSystem.from_relations(
-        alphabet,
-        F2,
-        [
-            Polynomial.monomial(F2, alphabet, alphabet.word("a", "a")),
-            Polynomial.monomial(F2, alphabet, alphabet.word("a", "a", "a")),
-        ],
-    )
-    with pytest.raises(ValueError):
-        chains_T2(system)
+def _chain_levels(system, top):
+    """Chain words of levels -1..top: level 1 the lhs with their tails,
+    each level above by extend_chains."""
+    key = system.alphabet.sort_key
+    level = sorted(((L, L[1:]) for L in system.lhs_words()), key=lambda tu: key(tu[0]))
+    chains = {-1: [()], 0: [(x,) for x in range(len(system.alphabet))], 1: [t for t, _u in level]}
+    for n in range(2, top + 1):
+        level = extend_chains(system, level)
+        chains[n] = [t for t, _u in level]
+    return chains
+
+
+EULER_SYSTEMS = {
+    "small3": lambda: small_system(3).system,
+    "big332": lambda: big_system(3, 3, 2).system.interreduce(),
+    "big432": lambda: big_system(4, 3, 2).system.interreduce(),
+}
+
+
+@pytest.mark.parametrize("name", EULER_SYSTEMS)
+def test_euler_characteristic_holds_below_the_next_chain_level(name):
+    # (sum over n = -1..top of (-1)^(n+1) C_n(t)) H_A(t) = 1 exactly below
+    # the lowest degree of a level top+1 chain, and fails there
+    system = EULER_SYSTEMS[name]()
+    D = 14
+    degree = system.alphabet.degree
+    chains = _chain_levels(system, 4)
+    assert chains[2] == ResolutionPrefix(system).chains[2]
+    hilbert = system.irreducible_counts_by_degree(D)
+    for top in (1, 2, 3):
+        series = [0] * (D + 1)
+        for n in range(-1, top + 1):
+            for t in chains[n]:
+                if degree(t) <= D:
+                    series[degree(t)] += (-1) ** (n + 1)
+        product = [
+            sum(series[k] * hilbert.get(d - k, 0) for k in range(d + 1)) for d in range(D + 1)
+        ]
+        first_failure = next(d for d in range(D + 1) if product[d] != (d == 0))
+        assert first_failure == min(map(degree, chains[top + 1])) == top + 2
 
 
 def test_T2_families(prefix3):

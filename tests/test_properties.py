@@ -1,10 +1,10 @@
 """Randomized property tests: order laws on words, the deglex order against
 an independent reference, normal-form uniqueness for complete systems,
 reduction soundness, rank-oracle agreement, the trie lhs matcher, the
-irreducible-word automaton and the critical-pair scan against naive scans,
-completion against a rebuild per added rule, interreduction and generic
-minimalization against their restart loops, and the suffix-recursion normal
-form against leftmost-first reduction."""
+irreducible-word automaton, the critical-pair scan and chain levels 2 and 3
+against naive scans, completion against a rebuild per added rule,
+interreduction and generic minimalization against their restart loops, and
+the suffix-recursion normal form against leftmost-first reduction."""
 
 import functools
 import heapq
@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from anickres.anick import ModuleElement, ResolutionPrefix, accumulate, chains_T2
+from anickres.anick import ModuleElement, ResolutionPrefix, accumulate, extend_chains
 from anickres.fields import PrimeField
 from anickres.kostant import big_system, small_system
 from anickres.polynomials import Polynomial
@@ -303,7 +303,32 @@ def test_chains_T2_are_the_minimal_tips(gens_lhss):
         (w for w in tips if not any(t != w and contains(w, t) for t in tips)),
         key=LETTERS.sort_key,
     )
-    assert chains_T2(system) == minimal
+    level1 = sorted(((w, w[1:]) for w in antichain), key=lambda tu: LETTERS.sort_key(tu[0]))
+    level2 = extend_chains(system, level1)
+    assert [t for t, _u in level2] == minimal
+    assert ResolutionPrefix(system).chains[2] == minimal
+    assert level2 == naive_next_level(antichain, level1)
+    assert extend_chains(system, level2) == naive_next_level(antichain, level2)
+
+
+def naive_next_level(antichain, level):
+    """Reference: t v for each (chain t, tail u) and each v of up to the
+    longest lhs letters, enumerated letter by letter, such that u v ends in
+    an lhs that starts inside u and no proper prefix of u v longer than u
+    contains an lhs; (t v, v) sorted by chain."""
+    letters = sorted({x for w in antichain for x in w})
+    out = []
+    for t, u in level:
+        for k in range(1, max(map(len, antichain)) + 1):
+            for v in itertools.product(letters, repeat=k):
+                w = u + v
+                if any(
+                    len(w) - len(L) < len(u) and w[len(w) - len(L) :] == L for L in antichain
+                ) and not any(
+                    contains(w[:j], L) for j in range(len(u) + 1, len(w)) for L in antichain
+                ):
+                    out.append((t + v, v))
+    return sorted(out, key=lambda tv: LETTERS.sort_key(tv[0]))
 
 
 def per_rule_reduced(system):

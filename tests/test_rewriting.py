@@ -112,6 +112,25 @@ def test_critical_pairs_include_self_overlap():
     assert system.is_complete()[0]
 
 
+def test_lhs_overhangs_run_past_the_end_of_the_word():
+    # nested left-hand sides (a b inside a b c) each give their own overhang
+    alphabet = Alphabet.from_names([(x, 1) for x in "abcd"])
+    lhss = [("a", "b"), ("a", "b", "c"), ("b", "c", "d"), ("d", "a")]
+    system = RewritingSystem.from_relations(
+        alphabet, F2, [poly(alphabet, F2, (1, lhs)) for lhs in lhss]
+    )
+    word, fmt = alphabet.word, alphabet.format
+
+    def overhangs(*u):
+        return sorted(fmt(v) for v in system.lhs_overhangs(word(*u)))
+
+    assert overhangs("a") == ["b", "b c"]
+    # a b ends inside d a b, so only a b c and b c d run past it
+    assert overhangs("d", "a", "b") == ["c", "c d"]
+    assert overhangs("c") == []
+    assert overhangs() == []
+
+
 def test_critical_pair_tips(x1):
     system = RewritingSystem.from_relations(x1, F2, s1_relations(x1))
     tips = {cp.tip for cp in system.find_critical_pairs()}
