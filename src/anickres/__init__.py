@@ -29,7 +29,7 @@ from .kostant import (
     small_system,
     verify_small_against_big,
 )
-from .anick import LiftError, ModuleElement, ResolutionPrefix, extend_chains
+from .anick import LiftError, ResolutionPrefix, accumulate, extend_chains, format_terms
 from .resolution import (
     GradedComplex,
     generic_minimalize,

@@ -6,8 +6,10 @@ Chains: level -1 is {e}, level 0 the alphabet, level 1 the rule leading
 words L, each with its tail L[1:]; `extend_chains` builds each level above
 from the one below, up to level 2, by lhs-trie walks as on Ufnarovski's
 chain graph (Cojocaru, Podoplelov, Ufnarovski, 1999).  The free module at
-each level has basis m.t with m an irreducible word and t a chain.  One
-rule builds the differential at every level:
+each level has basis m.t with m an irreducible word and t a chain; an
+element is a term dict {(m, t): c} with every coefficient a residue in
+1..p-1 (zeros dropped), and its level is the caller's to know.  One rule
+builds the differential at every level:
 
     d_{n+1}(.t) = delta(.t) - i_n(d_n(delta(.t)))
     i_n(f)      = j(lt(f)) + i_n(f - d_n(j(lt(f))))
@@ -36,112 +38,26 @@ class LiftError(RuntimeError):
     the symptom of a sign-convention failure."""
 
 
-class ModuleElement:
-    """A finite F_p-combination of basis elements m.t at one level; the
-    alphabet of the words m and t orders and prints them."""
-
-    __slots__ = ("level", "field", "alphabet", "terms")
-
-    def __init__(
-        self,
-        level: int,
-        field,
-        alphabet: Alphabet,
-        terms: dict[tuple[Word, Word], int] | None = None,
-    ):
-        self.level = level
-        self.field = field
-        self.alphabet = alphabet
-        self.terms: dict[tuple[Word, Word], int] = {}
-        if terms:
-            for key, c in terms.items():
-                c %= field.p
-                if c:
-                    self.terms[key] = c
-
-    @classmethod
-    def from_canonical(
-        cls, level: int, field, alphabet: Alphabet, terms: dict[tuple[Word, Word], int]
-    ) -> "ModuleElement":
-        """Wrap a term dict that is already canonical (every coefficient a
-        residue in 1..p-1); the dict is taken over, not copied or reduced."""
-        elem = cls.__new__(cls)
-        elem.level = level
-        elem.field = field
-        elem.alphabet = alphabet
-        elem.terms = terms
-        return elem
-
-    @classmethod
-    def basis(
-        cls, level: int, field, alphabet: Alphabet, m: Word, t: Word, coeff: int = 1
-    ) -> "ModuleElement":
-        return cls(level, field, alphabet, {(m, t): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def combine(self, coeff: int, other: "ModuleElement") -> "ModuleElement":
-        if other.level != self.level:
-            raise ValueError("mixed levels")
-        acc = dict(self.terms)
-        p = self.field.p
-        for key, c in other.terms.items():
-            acc[key] = (acc.get(key, 0) + coeff * c) % p
-        return ModuleElement(self.level, self.field, self.alphabet, acc)
-
-    def __add__(self, other):
-        return self.combine(1, other)
-
-    def __sub__(self, other):
-        return self.combine(-1, other)
-
-    def scale(self, coeff: int) -> "ModuleElement":
-        return ModuleElement(
-            self.level, self.field, self.alphabet, {k: c * coeff for k, c in self.terms.items()}
-        )
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleElement)
-            and self.level == other.level
-            and self.terms == other.terms
-        )
-
-    def basis_key(self, key: tuple[Word, Word]):
-        """Order basis elements by the concatenated word mt (injective per level)."""
-        m, t = key
-        return self.alphabet.sort_key(m + t)
-
-    def leading(self) -> tuple[tuple[Word, Word], int]:
-        if not self.terms:
-            raise ValueError("leading term of zero")
-        key = max(self.terms, key=self.basis_key)
-        return key, self.terms[key]
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        fmt = self.alphabet.format
-        parts = []
-        for m, t in sorted(self.terms, key=self.basis_key, reverse=True):
-            c = self.terms[(m, t)]
-            head = "" if c == 1 else f"{c} "
-            mm = f"{fmt(m)} " if m else ""
-            parts.append(f"{head}{mm}. {fmt(t)}" if t else f"{head}{mm}. e")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"ModuleElement(level={self.level}, {self})"
+def format_terms(alphabet: Alphabet, terms: dict[tuple[Word, Word], int]) -> str:
+    """Print a module element {(m, t): c}, the largest word mt first, as
+    "c m . t" summands ("0" when empty; a unit c, an empty m and an empty
+    t, printed as e, are left out)."""
+    if not terms:
+        return "0"
+    fmt, key = alphabet.format, alphabet.sort_key
+    parts = []
+    for m, t in sorted(terms, key=lambda mt: key(mt[0] + mt[1]), reverse=True):
+        c = terms[(m, t)]
+        head = "" if c == 1 else f"{c} "
+        mm = f"{fmt(m)} " if m else ""
+        parts.append(f"{head}{mm}. {fmt(t) if t else 'e'}")
+    return " + ".join(parts)
 
 
 def accumulate(acc: dict, coeff: int, terms: dict, p: int) -> None:
-    """acc += coeff * terms in place over F_p.  A key that reaches zero is
-    removed, so acc keeps the key order of the equivalent chain of
-    `ModuleElement.combine` calls."""
+    """acc += coeff * terms in place over F_p, for term dicts of module
+    elements or of polynomials.  A key that reaches zero is removed, so acc
+    stays canonical."""
     for key, c in terms.items():
         x = (acc.get(key, 0) + coeff * c) % p
         if x:
@@ -196,10 +112,10 @@ class ResolutionPrefix:
             pairs = extend_chains(system, pairs)
             self.chains[n] = [t for t, _u in pairs]
         self._chain_sets = {level: set(ts) for level, ts in self.chains.items()}
-        self._d_memo: dict[tuple[int, Word], ModuleElement] = {}
+        self._d_memo: dict[tuple[int, Word], dict[tuple[Word, Word], int]] = {}
 
     # ----- delta and j -----------------------------------------------
-    def delta(self, level: int, m: Word, t: Word) -> ModuleElement:
+    def delta(self, level: int, m: Word, t: Word) -> dict[tuple[Word, Word], int]:
         """The uncorrected differential on a basis element m.t: with t = u s
         and s the longest suffix of t that is a chain one level down,
         m.t -> nf(m u).s."""
@@ -209,78 +125,76 @@ class ResolutionPrefix:
             raise ValueError(
                 f"{self.alphabet.format(t)} has no suffix chain at level {level - 1}"
             )
-        nf = self.system.normal_form_word(m + t[:k])
         s = t[k:]
-        terms = {(w, s): c for w, c in nf}
-        return ModuleElement.from_canonical(level - 1, self.field, self.alphabet, terms)
+        return {(w, s): c for w, c in self.system.normal_form_word(m + t[:k])}
 
-    def j_map(self, level: int, m: Word, t: Word) -> Optional[ModuleElement]:
-        """The splitting candidate m.t -> u.vt for the longest suffix v of m
-        that makes vt a chain at the level, or None when there is none."""
+    def j_map(self, level: int, m: Word, t: Word) -> Optional[tuple[Word, Word]]:
+        """The splitting candidate m.t -> u.vt, as (u, vt), for the longest
+        suffix v of m that makes vt a chain at the level, or None when there
+        is none."""
         chains = self._chain_sets[level]
         for cut in range(len(m) + 1):
             cand = m[cut:] + t
             if cand in chains:
-                return ModuleElement.basis(level, self.field, self.alphabet, m[:cut], cand)
+                return m[:cut], cand
         return None
 
     # ----- module structure ------------------------------------------
-    def act(self, m: Word, elem: ModuleElement) -> ModuleElement:
+    def act(self, m: Word, terms: dict) -> dict[tuple[Word, Word], int]:
         """Left multiplication by m, re-expanded into the m'.t basis."""
         acc: dict[tuple[Word, Word], int] = {}
         p = self.field.p
-        for (m1, t), c in elem:
+        for (m1, t), c in terms.items():
             for w, c2 in self.system.normal_form_word(m + m1):
                 key = (w, t)
                 acc[key] = (acc.get(key, 0) + c * c2) % p
         if 0 in acc.values():
             acc = {key: c for key, c in acc.items() if c}
-        return ModuleElement.from_canonical(elem.level, self.field, self.alphabet, acc)
+        return acc
 
     # ----- differentials ---------------------------------------------
-    def boundary(self, elem: ModuleElement) -> ModuleElement:
-        """The differential of an element: d_level by linear extension, and
-        at level -1 the augmentation, the coefficient of e.e, carried as a
-        multiple of e.e at level -2."""
-        if elem.level == -1:
+    def boundary(self, level: int, terms: dict) -> dict[tuple[Word, Word], int]:
+        """The differential of an element at the level: d(m.t) = m * d(.t)
+        extended linearly, and at level -1 the augmentation, the
+        coefficient of e.e, carried as a multiple of e.e at level -2."""
+        if level == -1:
             e = self.alphabet.empty_word
-            return ModuleElement(-2, self.field, self.alphabet, {(e, e): elem.terms.get((e, e), 0)})
-        return self.apply_d(elem.level, elem)
+            c = terms.get((e, e))
+            return {(e, e): c} if c else {}
+        acc: dict[tuple[Word, Word], int] = {}
+        for (m, t), c in terms.items():
+            accumulate(acc, c, self.act(m, self.d_generator(level, t)), self.field.p)
+        return acc
 
-    def d_generator(self, level: int, t: Word) -> ModuleElement:
-        """d_level on the generator .t, tabulated."""
+    def d_generator(self, level: int, t: Word) -> dict[tuple[Word, Word], int]:
+        """d_level on the generator .t, tabulated; the dict is shared, so
+        callers must not change it."""
         key = (level, t)
         if key in self._d_memo:
             return self._d_memo[key]
-        delta_t = self.delta(level, self.alphabet.empty_word, t)
-        below = self.boundary(delta_t)
-        val = delta_t if below.is_zero() else delta_t - self.lift_i(level - 1, below)
+        val = self.delta(level, self.alphabet.empty_word, t)
+        below = self.boundary(level - 1, val)
+        if below:
+            accumulate(val, -1, self.lift_i(level - 1, below), self.field.p)
         self._d_memo[key] = val
         return val
 
-    def apply_d(self, level: int, elem: ModuleElement) -> ModuleElement:
-        """Linear extension: d(m.t) = m * d(.t)."""
-        acc: dict[tuple[Word, Word], int] = {}
-        for (m, t), c in elem:
-            accumulate(acc, c, self.act(m, self.d_generator(level, t)).terms, self.field.p)
-        return ModuleElement.from_canonical(level - 1, self.field, self.alphabet, acc)
-
-    def lift_i(self, level: int, f: ModuleElement) -> ModuleElement:
+    def lift_i(self, level: int, f: dict) -> dict[tuple[Word, Word], int]:
         """The contracting lift i_level: a cycle f at level-1 goes to an
         element one level up with d_level(i(f)) = f."""
-        if f.level != level - 1:
-            raise ValueError("lift input at the wrong level")
-        below = self.boundary(f)
-        if not below.is_zero():
-            raise LiftError(f"lift input is not a cycle: boundary {below}")
+        below = self.boundary(level - 1, f)
+        if below:
+            raise LiftError(
+                f"lift input is not a cycle: boundary {format_terms(self.alphabet, below)}"
+            )
         p = self.field.p
-        fmt = self.alphabet.format
+        fmt, key = self.alphabet.format, self.alphabet.sort_key
         result: dict[tuple[Word, Word], int] = {}
-        rest = dict(f.terms)
+        rest = dict(f)
         guard = None
         while rest:
-            m, t = max(rest, key=f.basis_key)
-            lead = f.basis_key((m, t))
+            m, t = max(rest, key=lambda mt: key(mt[0] + mt[1]))
+            lead = key(m + t)
             if guard is not None and lead >= guard:
                 raise LiftError(
                     f"leading element failed to decrease at {fmt(m)}.{fmt(t)} "
@@ -293,10 +207,10 @@ class ResolutionPrefix:
                     f"leading element {fmt(m)}.{fmt(t)} of a cycle is not liftable "
                     f"(sign convention breaks down here)"
                 )
-            g = g.scale(rest[(m, t)])
-            accumulate(result, 1, g.terms, p)
-            accumulate(rest, -1, self.boundary(g).terms, p)
-        return ModuleElement.from_canonical(level, self.field, self.alphabet, result)
+            g_terms = {g: rest[(m, t)]}
+            accumulate(result, 1, g_terms, p)
+            accumulate(rest, -1, self.boundary(level, g_terms), p)
+        return result
 
     # ----- verification ----------------------------------------------
     def generators(self) -> list[tuple[int, Word]]:
@@ -307,9 +221,12 @@ class ResolutionPrefix:
         """d_{n-1} d_n = 0 on every generator, epsilon d_0 = 0 included."""
         problems = []
         for level, t in self.generators():
-            square = self.boundary(self.d_generator(level, t))
-            if not square.is_zero():
-                problems.append(f"d_{level-1} d_{level}(.{self.alphabet.format(t)}) = {square}")
+            square = self.boundary(level - 1, self.d_generator(level, t))
+            if square:
+                problems.append(
+                    f"d_{level-1} d_{level}(.{self.alphabet.format(t)}) = "
+                    f"{format_terms(self.alphabet, square)}"
+                )
         return (not problems, problems)
 
     def degree_check(self) -> bool:
@@ -318,5 +235,5 @@ class ResolutionPrefix:
         return all(
             degree(m + t2) == degree(t)
             for level, t in self.generators()
-            for (m, t2), _ in self.d_generator(level, t)
+            for m, t2 in self.d_generator(level, t)
         )

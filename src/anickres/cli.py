@@ -4,7 +4,8 @@ Subcommands: nf, check, anick, betti, verify, conjectures.  Exit codes:
 0 pass, 1 verification failure, 2 usage/parse error.  With --json the
 command prints a canonical machine-readable report.  anick and betti
 interreduce the presentation unless it is reduced and exit 1 naming the
-first critical pair that does not resolve.
+first critical pair that does not resolve; betti exits 2 on a rule that is
+not homogeneous.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import sys
 
 from . import checks
-from .anick import ResolutionPrefix
+from .anick import ResolutionPrefix, format_terms
 from .documents import (
     DocumentError,
     LoadedPresentation,
@@ -76,6 +77,19 @@ def _resolvable(system: RewritingSystem) -> RewritingSystem:
     return system
 
 
+def _require_homogeneous(system: RewritingSystem) -> None:
+    """Graded Betti numbers need homogeneous relations: refuse the first
+    rule whose tail leaves the degree of its lhs."""
+    degree = system.alphabet.degree
+    for rule in system.rules:
+        d = degree(rule.lhs)
+        if any(degree(w) != d for w in rule.rhs.terms):
+            raise ValueError(
+                f"graded Betti numbers need homogeneous relations: "
+                f"the tail of rule {rule} leaves degree {d}"
+            )
+
+
 def _emit(report: Report, args, exit_code: int) -> int:
     if args.json:
         print(report.to_json())
@@ -133,8 +147,10 @@ def cmd_anick(args) -> int:
     if not args.json:
         for level, ts in prefix.chains.items():
             print(f"T_{level}: {len(ts)} chains")
+        alphabet = prefix.alphabet
         for level, t in prefix.generators():
-            print(f"d_{level}(.{prefix.alphabet.format(t)}) = {prefix.d_generator(level, t)}")
+            d_t = format_terms(alphabet, prefix.d_generator(level, t))
+            print(f"d_{level}(.{alphabet.format(t)}) = {d_t}")
         print(f"complex identities hold: {ok}")
     report = Report(
         "anick",
@@ -152,6 +168,7 @@ def cmd_betti(args) -> int:
     _require_nonnegative("--D", args.D)
     loaded = _load(args)
     prefix = ResolutionPrefix(_resolvable(loaded.system))
+    _require_homogeneous(prefix.system)
     gc = GradedComplex.from_prefix(prefix)
     if args.minimal:
         gc = generic_minimalize(gc)

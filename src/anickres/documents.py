@@ -82,7 +82,7 @@ class PresentationDocument:
             return LoadedPresentation.from_builtin(self.builtin, self.params)
         if self.p is None or self.alphabet is None or self.relations is None:
             raise DocumentError("document needs either a builtin or p/alphabet/relations")
-        field = PrimeField(self.p)
+        field = PrimeField(_integer(self.p, "p"))
         seen = set()
         gens = []
         for entry in self.alphabet:
@@ -91,12 +91,19 @@ class PresentationDocument:
             if name in seen:
                 raise DocumentError(f"duplicate generator name {name!r}")
             seen.add(name)
-            gens.append(Generator(name, entry["degree"], entry["rank"]))
+            degree = _integer(entry["degree"], f"the degree of generator {name!r}")
+            rank = _integer(entry["rank"], f"the rank of generator {name!r}")
+            gens.append(Generator(name, degree, rank))
         alphabet = Alphabet(gens)
         relations = []
-        for rel in self.relations:
+        for number, rel in enumerate(self.relations, 1):
             terms = []
-            for coeff, names in rel:
+            for term in rel:
+                where = f"term {term!r} of relation {number}"
+                if not (isinstance(term, list) and len(term) == 2 and isinstance(term[1], list)):
+                    raise DocumentError(f"{where} is not a pair [coefficient, [names...]]")
+                coeff, names = term
+                _integer(coeff, f"the coefficient of {where}")
                 for n in names:
                     if n not in seen:
                         raise DocumentError(f"relation uses undeclared generator {n!r}")
@@ -174,6 +181,14 @@ def _is_integer(token: str) -> bool:
         return True
     except ValueError:
         return False
+
+
+def _integer(value, what: str) -> int:
+    """The value, which must be an int: JSON true, false and floats are
+    refused although Python would compute with them."""
+    if type(value) is not int:
+        raise DocumentError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 def _check_generator_name(name) -> None:

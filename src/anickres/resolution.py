@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Union
 
-from .anick import ModuleElement, ResolutionPrefix, accumulate
+from .anick import ResolutionPrefix, accumulate
 from .words import Alphabet, Word
 
 # a matrix row: sparse {column key: residue}, or dense, one int per column
@@ -160,14 +160,16 @@ class GradedComplex:
     """Chain sets and tabulated differentials, possibly after minimalization.
 
     `chains[level]` lists the generators .t at chain levels -1..top;
-    `diff[level][t]` is d_level(.t), an element one level down.
+    `diff[level][t]` is d_level(.t), a term dict {(m, t'): c} one level
+    down.  The dicts may be shared with the prefix's tabulated
+    differentials or with another complex, and are never changed.
     """
 
     def __init__(
         self,
         prefix: ResolutionPrefix,
         chains: dict[int, list[Word]],
-        diff: dict[int, dict[Word, ModuleElement]],
+        diff: dict[int, dict[Word, dict[tuple[Word, Word], int]]],
     ):
         self.prefix = prefix
         self.system = prefix.system
@@ -212,8 +214,8 @@ class GradedComplex:
         return self._irr[d]
 
     def basis(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
-        """Degree-d basis elements m.t at the level, in the order of
-        ModuleElement.basis_key (deglex in the word mt); computed once.
+        """Degree-d basis elements m.t at the level, in deglex order of the
+        word mt, the order `format_terms` prints in; computed once.
 
         Elements with equal words mt (no builtin system has any) keep the
         order of their chains t, the same in every degree; the greedy rank
@@ -257,11 +259,12 @@ class GradedComplex:
     def column_image(self, level: int, m: Word, t: Word) -> dict[tuple[Word, Word], int]:
         """The image m * d_level(.t) of the basis element m.t, as {(w, t'): c}.
 
-        The empty m gives the terms of d_level(.t).  For m = x m' with x
-        the first letter, the image is the sum of c nf(x w).t' over the
-        cached image of m'.t (m' is irreducible, a suffix of m).  This
-        equals `prefix.act(m, diff[level][t])` only because the system is
-        complete, where nf(x nf(u)) = nf(x u).  `normal_form_word` assumes
+        The empty m gives d_level(.t) itself.  For m = x m' with x the
+        first letter, the image is `prefix.act(x, ...)` of the cached image
+        of m'.t (m' is irreducible, a suffix of m), which reduces only
+        words x w with w irreducible.  This equals `prefix.act(m,
+        diff[level][t])` only because the system is complete, where
+        nf(x nf(u)) = nf(x u).  `normal_form_word` assumes
         the same contract: every caller builds on a reduced complete system,
         and neither checks it.
         """
@@ -270,18 +273,9 @@ class GradedComplex:
         if image is not None:
             return image
         if not m:
-            image = dict(self.diff[level][t].terms)
+            image = self.diff[level][t]
         else:
-            x = m[:1]
-            nf = self.system.normal_form_word
-            p = self.field.p
-            image = {}
-            for (w, t2), c in self.column_image(level, m[1:], t).items():
-                for u, c2 in nf(x + w).terms.items():
-                    k = (u, t2)
-                    image[k] = (image.get(k, 0) + c * c2) % p
-            if 0 in image.values():
-                image = {k: c for k, c in image.items() if c}
+            image = self.prefix.act(m[:1], self.column_image(level, m[1:], t))
         self._images[key] = image
         return image
 
@@ -388,7 +382,7 @@ class GradedComplex:
         offenders = [
             t
             for t in self.chains.get(level, [])
-            if any(not m for (m, _t2), _c in self.diff[level][t])
+            if any(not m for m, _t2 in self.diff[level][t])
         ]
         return (not offenders, offenders)
 
@@ -451,14 +445,13 @@ def minimalize(complex_: GradedComplex) -> GradedComplex:
         a_k = braid[1]
         t2 = b_next + (a_k, a_k)
         d2 = complex_.diff[2][t2]
-        expected_constant = d2.terms.get((e, braid), 0)
-        if expected_constant != 1:
+        if d2.get((e, braid)) != 1:
             raise ValueError(
                 f"differential of .{alphabet.format(t2)} does not reach "
                 f".{alphabet.format(braid)} with a unit"
             )
         partner[braid] = t2
-        replacement[braid] = d2 - ModuleElement.basis(1, complex_.field, alphabet, e, braid)
+        replacement[braid] = {key: c for key, c in d2.items() if key != (e, braid)}
 
     removed_t1 = set(partner)
     removed_t2 = set(partner.values())
@@ -469,12 +462,12 @@ def minimalize(complex_: GradedComplex) -> GradedComplex:
         2: [t for t in complex_.chains[2] if t not in removed_t2],
     }
 
-    def substitute(elem: ModuleElement) -> ModuleElement:
+    def substitute(terms: dict) -> dict:
         acc: dict[tuple[Word, Word], int] = {}
-        for (m, t), c in elem:
-            image = prefix.act(m, replacement[t]).terms if t in removed_t1 else {(m, t): 1}
+        for (m, t), c in terms.items():
+            image = prefix.act(m, replacement[t]) if t in removed_t1 else {(m, t): 1}
             accumulate(acc, c, image, complex_.field.p)
-        return ModuleElement(1, complex_.field, alphabet, acc)
+        return acc
 
     new_diff = {
         0: {t: complex_.diff[0][t] for t in new_chains[0]},
@@ -503,7 +496,7 @@ def generic_minimalize(complex_: GradedComplex) -> GradedComplex:
     for level in sorted(complex_.diff):
         below = chains[level - 1]  # without the generators cancelled one level down
         table = tables[level] = {
-            s: {k: c for k, c in complex_.diff[level][s].terms.items() if k[1] in below}
+            s: {k: c for k, c in complex_.diff[level][s].items() if k[1] in below}
             for s in chains[level]
         }
         # t' -> the generators s whose d(.s) may hold a term m.t' (stale entries allowed)
@@ -516,22 +509,19 @@ def generic_minimalize(complex_: GradedComplex) -> GradedComplex:
             if pivot is None:
                 continue
             t2, inv = pivot[0], field.inv(pivot[1])
-            d_t = ModuleElement(level - 1, field, alphabet, table.pop(t))
+            d_t = table.pop(t)
             del chains[level][t], below[t2]
             for s in filter(table.__contains__, carriers.pop(t2)):
                 d_s = table[s]
                 for m, cc in [(m, cc) for (m, tt), cc in d_s.items() if tt == t2]:
-                    accumulate(d_s, -cc * inv, prefix.act(m, d_t).terms, field.p)
+                    accumulate(d_s, -cc * inv, prefix.act(m, d_t), field.p)
                 if any(tt == t2 for (_m, tt) in d_s):
                     ft, ft2, fs = alphabet.format(t), alphabet.format(t2), alphabet.format(s)
                     raise ValueError(
                         f"cancelling .{ft} against .{ft2} left .{ft2} in d_{level}(.{fs}): "
                         f"the pivot of d_{level}(.{ft}) is not a bare scalar"
                     )
-                for _m, tt in d_t.terms:
+                for _m, tt in d_t:
                     carriers.setdefault(tt, {})[s] = None
-    diff = {
-        lvl: {s: ModuleElement(lvl - 1, field, alphabet, table[s]) for s in chains[lvl]}
-        for lvl, table in tables.items()
-    }
+    diff = {lvl: {s: table[s] for s in chains[lvl]} for lvl, table in tables.items()}
     return GradedComplex(prefix, {lvl: list(ts) for lvl, ts in chains.items()}, diff)

@@ -112,6 +112,9 @@ def test_check_mutilated_fails(tmp_path, capsys):
     assert "complete: False" in out
 
 
+AB = [{"name": "a", "degree": 1, "rank": 0}, {"name": "b", "degree": 1, "rank": 1}]
+
+
 @pytest.mark.parametrize(
     "doc, reason",
     [
@@ -119,6 +122,26 @@ def test_check_mutilated_fails(tmp_path, capsys):
         ({"p": 3, "alphabet": 5, "relations": []}, "not iterable"),
         ({"builtin": "conjectural", "params": {}}, "missing key 'variant'"),
         ([1, 2], "must be a JSON object"),
+        (
+            {"p": 3, "alphabet": [{"name": "x", "degree": True, "rank": 0}], "relations": []},
+            "the degree of generator 'x' must be an integer, not True",
+        ),
+        (
+            {"p": 3, "alphabet": [{"name": "x", "degree": 1, "rank": False}], "relations": []},
+            "the rank of generator 'x' must be an integer, not False",
+        ),
+        (
+            {"p": 3, "alphabet": AB, "relations": [[[1, "ab"]]]},
+            "term [1, 'ab'] of relation 1 is not a pair [coefficient, [names...]]",
+        ),
+        (
+            {"p": 3, "alphabet": AB, "relations": [[[1, ["a"]], [1.5, ["b"]]]]},
+            "the coefficient of term [1.5, ['b']] of relation 1 must be an integer, not 1.5",
+        ),
+        (
+            {"p": 3, "alphabet": AB, "relations": [[], [[1, ["a"], 3]]]},
+            "term [1, ['a'], 3] of relation 2 is not a pair [coefficient, [names...]]",
+        ),
     ],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, doc, reason):
@@ -210,6 +233,26 @@ def test_presentation_not_augmented_is_refused(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert code == 2
     assert err == "error: presentation is not augmented: rule x -> 1 has a constant term\n"
+
+
+def test_betti_refuses_an_inhomogeneous_presentation(tmp_path, capsys):
+    # x y - x is complete and augmented, so anick resolves it, but it has
+    # no grading: the Betti table would cancel x y (degree 2) against x
+    doc = {
+        "p": 3,
+        "alphabet": [{"name": "x", "degree": 1, "rank": 0}, {"name": "y", "degree": 1, "rank": 1}],
+        "relations": [[[1, ["x", "y"]], [-1, ["x"]]]],
+    }
+    path = write_doc(tmp_path, doc)
+    assert main(["anick", "--file", path]) == 0
+    capsys.readouterr()
+    code = main(["betti", "--file", path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: graded Betti numbers need homogeneous relations: "
+        "the tail of rule x y -> x leaves degree 2\n"
+    )
 
 
 def test_anick_interreduces_big(capsys):

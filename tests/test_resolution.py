@@ -1,7 +1,7 @@
 import pytest
 
 from anickres import resolution
-from anickres.anick import ModuleElement, ResolutionPrefix
+from anickres.anick import ResolutionPrefix, format_terms
 from anickres.checks import expected_betti_table
 from anickres.fields import PrimeField
 from anickres.kostant import big_system, small_system
@@ -133,7 +133,7 @@ def _dense_by_act(gc, level, d):
     cols = gc.basis(level, d)
     dense = [[0] * len(cols) for _ in row_index]
     for j, (m, t) in enumerate(cols):
-        for key, c in gc.prefix.act(m, gc.diff[level][t]):
+        for key, c in gc.prefix.act(m, gc.diff[level][t]).items():
             dense[row_index[key]][j] = c
     return dense
 
@@ -195,7 +195,7 @@ def _walk_the_basis(gc, level, d, kept):
                 if (m[1:], t) not in below[dx]:
                     continue
             col = [0] * len(row_index)
-            for key, c in gc.prefix.act(m, gc.diff[level][t]):
+            for key, c in gc.prefix.act(m, gc.diff[level][t]).items():
                 col[row_index[key]] = c
             for i in range(len(col)):
                 if col[i] and i in pivots:
@@ -269,7 +269,7 @@ def test_minimalized_d2_value(gc2):
     mn = minimalize(gc2)
     A = gc2.system.alphabet
     val = mn.diff[2][A.word("a1", "b0", "b0")]
-    assert str(val) == "b1 . a0 a0 + a1 . b0 b0 + b0 . a1 b0 + a0 . b1 a0"
+    assert format_terms(A, val) == "b1 . a0 a0 + a1 . b0 b0 + b0 . a1 b0 + a0 . b1 a0"
 
 
 def test_minimalize_keeps_exactness(gc2):
@@ -301,6 +301,28 @@ def test_betti_truncation_stability():
         assert tables[2][level] == tables[3][level]
 
 
+@pytest.mark.parametrize("build", [lambda: _small(2), _big], ids=["small l=2", "big(3,3,2)"])
+def test_shared_differentials_are_never_changed(build):
+    # the prefix's tabulated d(.t) and the complexes' diff entries are the
+    # same dicts; no step of the pipeline may change one in place
+    gc = build()
+    prefix = gc.prefix
+
+    def snapshot():
+        return {key: list(prefix.d_generator(*key).items()) for key in prefix.generators()}
+
+    before = snapshot()
+    assert all(gc.diff[lvl][t] is prefix.d_generator(lvl, t) for lvl, t in prefix.generators())
+    assert prefix.verify_complex()[0]
+    assert gc.verify_exactness([-1, 0, 1], 8) == {}
+    minimal = [generic_minimalize(gc)]
+    if gc.field.p == 2:
+        minimal.append(minimalize(gc))
+    for mn in minimal:
+        assert mn.verify_exactness([-1, 0, 1], 8) == {}
+    assert snapshot() == before
+
+
 def test_generic_minimalize_rejects_a_non_scalar_pivot():
     # no rules: d_1(.t) = e.a + a.a has the unit pivot e.a, but cancelling it
     # out of d_1(.s) = a.a leaves a a.a term, which a bare scalar cannot clear
@@ -313,8 +335,8 @@ def test_generic_minimalize_rejects_a_non_scalar_pivot():
     diff = {
         0: {a: prefix.d_generator(0, a)},
         1: {
-            t: ModuleElement(0, field, alphabet, {(e, a): 1, (a, a): 1}),
-            s: ModuleElement(0, field, alphabet, {(a, a): 1}),
+            t: {(e, a): 1, (a, a): 1},
+            s: {(a, a): 1},
         },
     }
     with pytest.raises(ValueError, match=r"d_1\(\.a a a\)"):
