@@ -5,7 +5,9 @@ Subcommands: nf, check, anick, betti, verify, conjectures.  Exit codes:
 command prints a canonical machine-readable report.  anick and betti
 interreduce the presentation unless it is reduced and exit 1 naming the
 first critical pair that does not resolve; betti exits 2 on a rule that is
-not homogeneous.
+not homogeneous.  check lists the critical pairs whose obstruction the
+normal-form engine leaves nonzero; the verdict does not depend on its
+strategy, but on a presentation that is not complete the list may.
 """
 
 from __future__ import annotations

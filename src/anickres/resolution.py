@@ -263,10 +263,8 @@ class GradedComplex:
         first letter, the image is `prefix.act(x, ...)` of the cached image
         of m'.t (m' is irreducible, a suffix of m), which reduces only
         words x w with w irreducible.  This equals `prefix.act(m,
-        diff[level][t])` only because the system is complete, where
-        nf(x nf(u)) = nf(x u).  `normal_form_word` assumes
-        the same contract: every caller builds on a reduced complete system,
-        and neither checks it.
+        diff[level][t])` since nf(x nf(u)) = nf(x u) on any system: it is
+        the step by which the rewriting engine reduces x u.
         """
         key = (level, m, t)
         image = self._images.get(key)

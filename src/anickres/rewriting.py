@@ -6,42 +6,37 @@ of irreducible words.
 Words are tuples of letter indices (see `words`); every comparison of
 words goes through the alphabet's deglex `sort_key`.
 
-The reduction strategy is deterministic: the deglex-largest reducible word
-of the polynomial is rewritten first, at its leftmost reducible position,
-by the first matching rule in system order.  Rules are matched by walking
-a trie of the left-hand sides from each position of a word (a prefix tree
-as in Aho and Corasick, CACM 18, 1975), so one walk per position finds
-every left-hand side that starts there.  Normal forms are computed per
-support word (reduction is linear in the polynomial) and memoized on the
-system, which is immutable once constructed.
+Rules are matched by walking a trie of the left-hand sides from each
+position of a word (a prefix tree as in Aho and Corasick, CACM 18, 1975).
+The single-step API (`first_step`, `apply_step`, `reduce_once`) rewrites
+the deglex-largest reducible word at its leftmost reducible position, by
+the first matching rule in system order.
 
-`normal_form_word`, which the resolution calls for every differential
-entry and matrix column, assumes instead that the system is complete in
-the degree of its word, where the normal form does not depend on the
-strategy (Bergman's diamond lemma, Adv. Math. 29, 1978).  It recurses on
-suffixes: for w = x v with x a letter, nf(v) comes first.  If v is
-irreducible, every lhs occurrence in w starts at position 0, so one trie
-walk from there finds the rewrite; otherwise nf(w) = nf(x nf(v)).  Its own
-memo is filled in two ways: by this recursion, and, on a miss, from the
-leftmost-first memo, whose entries are the same normal forms in a complete
-system (the CLI's completeness check fills that memo first).  It reads
-that memo but never writes it: on a system that is not complete the two
-strategies may disagree, and `normal_form`, completion, interreduction and
-`is_complete` must keep their leftmost-first results.  Adding a rule
-clears it.
+Normal forms have one strategy and one memo, shared by `normal_form`,
+`normal_form_word`, completion, interreduction, `is_complete` and the
+resolution.  They are computed per support word by suffix recursion: for
+w = x v with x a letter, nf(v) comes first.  If v is reducible, nf(w) =
+nf(x nf(v)); otherwise every lhs occurrence in w starts at 0, so one trie
+walk from there finds the rewrite or shows w irreducible.  Every step goes
+to deglex-smaller words, so this reduces correctly on any system.  On a
+complete one every strategy gives the same normal form, and whether every
+critical pair reduces to 0 never depends on the strategy (Bergman's
+diamond lemma, Adv. Math. 29, 1978).  The recursion runs as a stack of
+generators, not as nested calls, so long words do not reach Python's
+recursion limit.
 
-Completion grows one private working system instead of building a new one
-per added rule, and carries its normal-form memo across each addition.
-The memo invariant: every entry equals the normal form that a new system
-with the same rules, in the same order, computes.  Appending a rule L -> R
-of degree d whose words are all irreducible keeps it.  An entry of degree
-< d stays, since no such word or any word its reduction reaches contains L
-(letter degrees are >= 1 and reduction never raises the degree).  An entry
-of degree d gets L replaced by R: in its reduction tree L can only be a
-leaf, the tree is otherwise unchanged, the words of R are irreducible
-before and after, and the entry is linear in its leaves.  Entries above
-degree d are dropped.  Memo words are bucketed by degree when a rule is
-added, so an addition visits only the entries of degree >= d.
+Completion grows one private working system and carries the memo across
+each added rule, keeping every entry equal to what a new system with the
+same rules computes.  Take a new rule L -> R of degree d whose words are
+irreducible.  An entry of degree < d stays, since no word its derivation
+reaches contains L (letter degrees are >= 1 and reduction never raises
+the degree).  Each step of the derivation of a degree-d entry depends on
+whether a suffix of lower degree is reducible and on the lhs that are
+prefixes of a degree-d word, and L is a prefix of no degree-d word but
+itself.  So every step stays, L can only be a leaf, the words of R stay
+irreducible, and by linearity L is replaced by R.  Entries above degree d
+are dropped.  Memo words are bucketed by degree as rules are added, so an
+addition visits only the entries of degree >= d.
 
 Irreducible words are counted and enumerated on the Aho-Corasick automaton
 of the left-hand sides (the trie with failure links, built once per system
@@ -75,6 +70,14 @@ class UnorderableRelationError(ValueError):
 
 class SubalphabetError(ValueError):
     """Restriction hypothesis violated: a kept rule's tail leaves the subalphabet."""
+
+
+class WordCapError(ValueError):
+    """More irreducible words up to the degree bound than the cap allows."""
+
+    def __init__(self, cap: int, max_degree: int | None):
+        bound = "with no degree bound" if max_degree is None else f"up to degree {max_degree}"
+        super().__init__(f"irreducible word enumeration exceeded its cap of {cap} words {bound}")
 
 
 class CompletionCapError(RuntimeError):
@@ -111,6 +114,21 @@ class CriticalPair:
     kind: str  # "overlap" | "inclusion"
     u: Word
     v: Word
+
+
+def _drive(derivation, w: Word) -> None:
+    """Run the generator derivation(w), which memoizes the value of w.  It
+    yields each word whose value it needs and finds no memo entry for, and
+    reads that entry once resumed.  A needed word gets its own generator on
+    a stack instead of a nested call, so the depth of a derivation is not
+    bounded by Python's recursion limit."""
+    stack = [derivation(w)]
+    while stack:
+        need = next(stack[-1], None)
+        if need is None:
+            stack.pop()
+        else:
+            stack.append(derivation(need))
 
 
 def make_rule(f: Polynomial) -> RewriteRule:
@@ -167,9 +185,6 @@ class RewritingSystem:
         self._nf: dict[Word, Polynomial] = {}
         self._nf_by_degree: dict[int, list[Word]] = {}
         self._nf_bucketed = 0
-        # normal forms by suffix recursion (normal_form_word), which assumes
-        # completeness; it reads _nf but never writes it
-        self._pf: dict[Word, Polynomial] = {}
 
     def _insert_lhs(self, ridx: int, lhs: Word) -> None:
         n = len(self.alphabet)
@@ -197,7 +212,6 @@ class RewritingSystem:
         self._insert_lhs(len(self.rules), lhs)
         self.rules += (rule,)
         self._moves = None
-        self._pf.clear()
         memo, buckets, degree = self._nf, self._nf_by_degree, self.alphabet.degree
         # the tail, read from the end of the memo without walking its head
         for w in itertools.islice(reversed(memo), len(memo) - self._nf_bucketed):
@@ -207,17 +221,11 @@ class RewritingSystem:
             for w in buckets.pop(e):
                 del memo[w]
         self._nf_bucketed = len(memo)
-        p = self.field.p
+        relation = rule.polynomial()  # lhs first: it drops out, the rhs words follow
         for w in buckets.get(d, ()):
-            nf = memo[w]
-            c = nf.terms.get(lhs)
-            if c is None:
-                continue
-            acc = dict(nf.terms)
-            del acc[lhs]
-            for y, cy in rhs.terms.items():
-                acc[y] = (acc.get(y, 0) + c * cy) % p
-            memo[w] = self._canonical(acc)
+            c = memo[w].terms.get(lhs)
+            if c is not None:
+                memo[w] = memo[w].combine(-c, relation)
 
     @classmethod
     def from_relations(
@@ -337,39 +345,47 @@ class RewritingSystem:
             acc = {y: c for y, c in acc.items() if c}
         return Polynomial.from_canonical(self.field, self.alphabet, acc)
 
-    def _nf_word(self, w: Word) -> Polynomial:
+    def _derivation(self, w: Word):
+        """Generator that memoizes nf(w), driven by `_drive`.  For w = x v,
+        a reducible v gives nf(w) = nf(x nf(v)); an irreducible v leaves
+        every lhs occurrence in w at 0, where the shortest lhs, if any, is
+        rewritten."""
         memo = self._nf
-        if w in memo:
-            return memo[w]
+        poly = None
+        if w:
+            v = w[1:]
+            nf_v = memo.get(v)
+            if nf_v is None:
+                yield v
+                nf_v = memo[v]
+            if v not in nf_v.terms:  # a reducible v lies above every word of nf(v)
+                head, poly, tail = w[:1], nf_v, ()
+            elif (front := self.front_rule(w)) is not None:
+                head, poly, tail = (), self.rules[front[1]].rhs, w[front[0] :]
+        if poly is None:
+            memo[w] = Polynomial.from_canonical(self.field, self.alphabet, {w: 1})
+            return
         p = self.field.p
-        # entries (word, its one-step expansion once computed); a word is
-        # popped only once it is memoized, so when an entry is reached again
-        # every word of its expansion has a normal form
-        stack: list[tuple[Word, Optional[Polynomial]]] = [(w, None)]
-        while stack:
-            top, expansion = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            if expansion is None:
-                step = self.first_step(top)
-                if step is None:
-                    memo[top] = Polynomial.from_canonical(self.field, self.alphabet, {top: 1})
-                    stack.pop()
-                    continue
-                expansion = self.apply_step(top, *step)
-                stack[-1] = (top, expansion)
-                pending = [(x, None) for x in expansion.terms if x not in memo]
-                if pending:
-                    stack.extend(pending)
-                    continue
-            acc: dict[Word, int] = {}
-            for x, c in expansion:
-                for y, cy in memo[x].terms.items():
-                    acc[y] = (acc.get(y, 0) + c * cy) % p
-            memo[top] = self._canonical(acc)
-            stack.pop()
-        return memo[w]
+        acc: dict[Word, int] = {}
+        for u, c in poly.terms.items():
+            nf_x = memo.get(x := head + u + tail)
+            if nf_x is None:
+                yield x
+                nf_x = memo[x]
+            for y, cy in nf_x.terms.items():
+                acc[y] = (acc.get(y, 0) + c * cy) % p
+        memo[w] = self._canonical(acc)
+
+    def _word_nf(self, w: Word) -> Polynomial:
+        nf = self._nf.get(w)
+        if nf is None:
+            _drive(self._derivation, w)
+            nf = self._nf[w]
+        return nf
+
+    # the public name; the engine calls _word_nf, so a wrapper put on this
+    # name sees outside calls only
+    normal_form_word = _word_nf
 
     def normal_form(self, g: Polynomial) -> Polynomial:
         # accumulated in place; a word whose coefficient cancels is removed
@@ -377,7 +393,7 @@ class RewritingSystem:
         acc: dict[Word, int] = {}
         p = self.field.p
         for w, c in g:
-            for y, cy in self._nf_word(w).terms.items():
+            for y, cy in self._word_nf(w).terms.items():
                 v = (acc.get(y, 0) + c * cy) % p
                 if v:
                     acc[y] = v
@@ -386,77 +402,30 @@ class RewritingSystem:
         return Polynomial.from_canonical(self.field, self.alphabet, acc)
 
     def normal_form_with_steps(self, g: Polynomial) -> tuple[Polynomial, int]:
-        """The normal form of g and the number of rewriting steps of its
-        reduction, summed over the support: 0 for an irreducible word,
-        otherwise 1 plus the counts of the words of its one-step expansion."""
-        steps: dict[Word, int] = {}
-        # entries (word, its one-step expansion once computed), as in _nf_word
-        stack: list[tuple[Word, Optional[Polynomial]]] = [(w, None) for w in g.terms]
-        while stack:
-            top, expansion = stack[-1]
-            if top in steps:
-                stack.pop()
-                continue
-            if expansion is None:
-                step = self.first_step(top)
-                if step is None:
-                    steps[top] = 0
-                    stack.pop()
-                    continue
-                expansion = self.apply_step(top, *step)
-                stack[-1] = (top, expansion)
-                pending = [(x, None) for x in expansion.terms if x not in steps]
-                if pending:
-                    stack.extend(pending)
-                    continue
-            steps[top] = 1 + sum(steps[x] for x in expansion.terms)
-            stack.pop()
-        return self.normal_form(g), sum(steps[w] for w in g.terms)
+        """The normal form of g and the number of rule applications in the
+        derivations of its support words, summed.  For w = x v, they are
+        those of v, one if a rule rewrites w itself, and those of each word
+        the next step of `_derivation` reduces."""
+        counts: dict[Word, int] = {}
 
-    def _suffix_nf(self, w: Word) -> Polynomial:
-        """The normal form of the word w, for a system that is complete in
-        the degree of w; elsewhere it may differ from `normal_form`.
+        def applications(w: Word):  # memoizes in counts, driven by _drive
+            n, needs = 0, ()
+            if w:
+                v = w[1:]
+                nf_v = self._word_nf(v)
+                if v not in nf_v.terms:
+                    needs = (v, *(w[:1] + u for u in nf_v.terms))
+                elif (front := self.front_rule(w)) is not None:
+                    n, needs = 1, [u + w[front[0] :] for u in self.rules[front[1]].rhs.terms]
+            for x in needs:
+                if x not in counts:
+                    yield x
+                n += counts[x]
+            counts[w] = n
 
-        Computed from nf(v) for v = w[1:] (see the module docstring): if v
-        is irreducible, every lhs occurrence in w starts at 0 and one trie
-        walk from there finds the rewrite; otherwise nf(w) = nf(w[0] nf(v)).
-        """
-        memo = self._pf
-        nf = memo.get(w)
-        if nf is not None:
-            return nf
-        nf = self._nf.get(w)
-        if nf is not None:
-            memo[w] = nf
-            return nf
-        # nf(w) = the sum of c nf(head u tail) over the terms c u of poly
-        head, poly, tail = w[:1], None, ()
-        if w:
-            v = w[1:]
-            poly = self._suffix_nf(v)
-            # a reducible v lies above every word of nf(v)
-            if v in poly.terms:
-                front = self.front_rule(w)
-                if front is None:
-                    poly = None
-                else:
-                    k, ridx = front
-                    head, poly, tail = (), self.rules[ridx].rhs, w[k:]
-        if poly is None:
-            nf = Polynomial.from_canonical(self.field, self.alphabet, {w: 1})
-        else:
-            p = self.field.p
-            acc: dict[Word, int] = {}
-            for u, c in poly.terms.items():
-                for y, cy in self._suffix_nf(head + u + tail).terms.items():
-                    acc[y] = (acc.get(y, 0) + c * cy) % p
-            nf = self._canonical(acc)
-        memo[w] = nf
-        return nf
-
-    # the public name; the recursion calls _suffix_nf, so a wrapper put on
-    # this name sees outside calls only
-    normal_form_word = _suffix_nf
+        for w in g.terms:
+            _drive(applications, w)
+        return self.normal_form(g), sum(counts[w] for w in g.terms)
 
     # ----- critical pairs --------------------------------------------
     def find_critical_pairs(self) -> list[CriticalPair]:
@@ -658,7 +627,7 @@ class RewritingSystem:
         while frontier:
             out.extend(w for w, _, _ in frontier)
             if len(out) > max_count:
-                raise RuntimeError("irreducible word enumeration exceeded its cap")
+                raise WordCapError(max_count, max_degree)
             frontier = [
                 (w + (x,), d + dx, t)
                 for w, d, s in frontier
@@ -685,7 +654,7 @@ class RewritingSystem:
             counts[d] = sum(states.values())
             total += counts[d]
             if total > _WORD_CAP:
-                raise RuntimeError("irreducible word enumeration exceeded its cap")
+                raise WordCapError(_WORD_CAP, max_degree)
             for s, c in states.items():
                 for _x, dx, t in moves[s]:
                     e = d + dx

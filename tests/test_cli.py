@@ -61,7 +61,49 @@ def test_nf_prints_the_normal_form_and_its_reduction_steps(capsys):
     assert code == 0
     assert out == (
         "normal form: a1_0 a2_0 a1_0 a2_0 a1_0 + 2 a1_0 a1_0 a2_0 a1_0 a2_0\n"
-        "reduction steps: 7\n"
+        "reduction steps: 5\n"
+    )
+
+
+XY = [{"name": "x", "degree": 1, "rank": 0}, {"name": "y", "degree": 1, "rank": 1}]
+
+
+def test_nf_counts_the_steps_of_a_long_word(tmp_path, capsys):
+    # y x^1100 needs one rewrite per x, and a derivation 1100 words deep
+    doc = {"p": 2, "alphabet": XY, "relations": [[[1, ["y", "x"]], [1, ["x", "y"]]]]}
+    code, out = run(capsys, "nf", "--file", write_doc(tmp_path, doc), "y " + "x " * 1100)
+    assert code == 0
+    assert out == f"normal form: {'x ' * 1100}y\nreduction steps: 1100\n"
+
+
+def test_nf_of_a_3000_letter_word(capsys):
+    # the algebra of small l=1 is finite-dimensional, so a long word is 0
+    code, out = run(capsys, "nf", "--builtin", "small", "--l", "1", " ".join(["b1 a0 b0"] * 1000))
+    assert code == 0
+    assert out.startswith("normal form: 0\nreduction steps: ")
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [(["anick"], "complex identities hold: True"), (["betti", "--D", "4"], "exactness defects: 0")],
+)
+def test_a_long_left_hand_side_resolves(tmp_path, capsys, argv, line):
+    # the lhs y x^1500 is longer than Python's recursion limit
+    doc = {"p": 2, "alphabet": XY, "relations": [[[1, ["y"] + ["x"] * 1500]]]}
+    code, out = run(capsys, argv[0], "--file", write_doc(tmp_path, doc), *argv[1:])
+    assert code == 0
+    assert line in out.splitlines()
+
+
+def test_betti_past_the_irreducible_word_cap_exits_2(tmp_path, capsys):
+    # words free of x x over three letters outgrow the cap by degree 16
+    alphabet = [{"name": name, "degree": 1, "rank": i} for i, name in enumerate("xyz")]
+    doc = {"p": 2, "alphabet": alphabet, "relations": [[[1, ["x", "x"]]]]}
+    code = main(["betti", "--file", write_doc(tmp_path, doc), "--D", "16"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: irreducible word enumeration exceeded its cap of 2000000 words up to degree 16\n"
     )
 
 

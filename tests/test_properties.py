@@ -4,7 +4,9 @@ reduction soundness, rank-oracle agreement, the trie lhs matcher, the
 irreducible-word automaton, the critical-pair scan and chain levels 2 and 3
 against naive scans, completion against a rebuild per added rule,
 interreduction and generic minimalization against their restart loops, and
-the suffix-recursion normal form against leftmost-first reduction."""
+the normal-form engine against leftmost-first reduction: the normal forms
+it gives, on complete systems and after completion, and the completeness
+verdicts it gives on any system."""
 
 import functools
 import heapq
@@ -705,7 +707,7 @@ NF_DEGREE = 10
 @functools.cache
 def complete_system(name, warm):
     """A complete system, not necessarily reduced; a warm one has had its
-    leftmost-first memo filled by a full completeness check."""
+    memo filled by a full completeness check."""
     systems = {
         "small l=2": lambda: small_system(2).system,
         "small l=3": lambda: small_system(3).system,
@@ -742,45 +744,58 @@ def test_suffix_normal_form_matches_leftmost_first(name, warm, data):
     if not warm:
         system = system.with_rules(system.rules)
     w = data.draw(words_of_degree_at_most(system.alphabet, NF_DEGREE))
-    fresh = system.with_rules(system.rules)
-    expected = fresh.normal_form(Polynomial.monomial(system.field, system.alphabet, w))
+    expected = reduce_fully(system, Polynomial.monomial(system.field, system.alphabet, w))
     assert system.normal_form_word(w) == expected
 
 
-def braid_overlap_system():
-    """x1 x1 -> x0 x1 over F_2: reduced, and its overlap x1 x1 x1 does not
-    resolve (x0 x0 x1 by the leftmost rewrite, x1 x0 x1 by the rightmost)."""
-    alphabet = Alphabet.from_names([("x0", 1), ("x1", 1)])
-    rule = make_rule(Polynomial.from_terms(F2, alphabet, [(1, (1, 1)), (1, (0, 1))]))
-    return RewritingSystem(alphabet, F2, [rule])
+def reduce_fully(system, g):
+    """Reference: iterate the leftmost-first `reduce_once` until g is
+    irreducible."""
+    while (h := system.reduce_once(g)) is not None:
+        g = h
+    return g
 
 
-def assert_normal_forms_untouched(system, ws):
-    """normal_form_word on the words of ws leaves every leftmost-first
-    normal form, with its term order, as a fresh system computes it."""
-    fresh = system.with_rules(system.rules)
-    for w in ws:
-        system.normal_form_word(w)
-    for w in ws:
-        g = Polynomial.monomial(system.field, system.alphabet, w)
-        assert list(system.normal_form(g).terms.items()) == list(fresh.normal_form(g).terms.items())
+def homogeneous(system):
+    degree = system.alphabet.degree
+    return all(degree(w) == degree(r.lhs) for r in system.rules for w in r.rhs.terms)
 
 
-def test_suffix_normal_form_differs_on_an_unresolved_overlap():
-    system = braid_overlap_system()
-    w = (1, 1, 1)
-    assert system.normal_form_word(w).terms == {(1, 0, 1): 1}
-    assert_normal_forms_untouched(system, [w, (1, 1)])
-    assert system.normal_form(Polynomial.monomial(F2, system.alphabet, w)).terms == {(0, 0, 1): 1}
+@settings(max_examples=60, deadline=None)
+@given(presentations().filter(lambda case: homogeneous(case[0])), st.data())
+def test_normal_form_is_irreducible_and_agrees_after_completion(case, data):
+    # the engine's normal form is irreducible on any system; g and it lie
+    # in one coset of the ideal, so a homogeneous system completed to the
+    # degree of g reduces both to one polynomial, by any strategy
+    system, _bound = case
+    word = st.lists(st.sampled_from(range(len(system.alphabet))), max_size=3).map(tuple)
+    terms = data.draw(st.lists(st.tuples(st.integers(1, system.field.p - 1), word), max_size=4))
+    g = Polynomial.from_terms(system.field, system.alphabet, terms)
+    nf = system.normal_form(g)
+    assert all(system.is_irreducible_word(w) for w in nf.terms)
+    complete = system.complete(max(map(system.alphabet.degree, g.terms), default=0))
+    expected = reduce_fully(complete, g)
+    assert reduce_fully(complete, nf) == expected
+    assert complete.normal_form(g) == expected
 
 
-@settings(max_examples=50, deadline=None)
-@given(relation_systems(), st.data())
-def test_suffix_normal_form_leaves_the_leftmost_first_memo_alone(system, data):
-    # the systems need not be complete, so the two normal forms may differ
+def reference_verdict(system, bound):
+    degree = system.alphabet.degree
+    return all(
+        reduce_fully(system, system.pair_obstruction(cp)).is_zero()
+        for cp in system.find_critical_pairs()
+        if degree(cp.tip) <= bound
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_systems(), st.integers(0, 8))
+def test_is_complete_verdict_matches_iterated_reduce_once(system, bound):
+    # whether every obstruction reduces to 0 does not depend on the
+    # strategy; the completed system is one on which it holds
+    assert system.is_complete(bound)[0] == reference_verdict(system, bound)
     try:
-        system = system.interreduce()
-    except ValueError:  # a relation reduced to a nonzero constant
+        completed = system.complete(bound, max_new_rules=12)
+    except (CompletionCapError, UnorderableRelationError):
         return
-    word = words_of_degree_at_most(system.alphabet, 6)
-    assert_normal_forms_untouched(system, data.draw(st.lists(word, min_size=1, max_size=6)))
+    assert completed.is_complete(bound)[0] and reference_verdict(completed, bound)
