@@ -35,10 +35,23 @@ in as its {(w, t'): c} dict, with no index of the rows.
 {column: nonzero residue} dict per row; the rank uses it only for the
 augmentation at level -1, and the checks use it and `basis` as oracles.
 
+Differentials are tabulated on first read: the level tables of
+`GradedComplex.from_prefix` and of the braid `minimalize` fill an entry
+d(.t) when it is first looked up, so a run never builds the differential
+of a chain it does not read.  Every term m.t' of d(.t) has deg t' <= deg t,
+so the ranks and defects up to degree D read no chain above D, and
+`GradedComplex.truncated(D)`, the subcomplex on the chains of degree <= D,
+has the same Betti table and defects up to D.  An on-demand table knows
+only the entries read so far (its len, iteration and `in` see no others),
+so every reader goes through the chain lists.
+
 Minimalization cancels each unit constant entry of a differential by one
 elimination step, in place and in one pass over the levels; the braid
 cancellation of the p = 2, n = 3 small system is kept as an independent
-oracle for it.
+oracle for it.  A cancellation pairs two chains of equal degree and
+changes only the differentials of chains of that degree or above, which
+come later in the degree-ordered chain lists, so minimalizing
+`truncated(D)` gives the truncation at D of the minimalized complex.
 
 Homological indexing of the Betti table: level 0 is the free cover of the
 trivial module (one generator in degree 0, chain level -1), level 1 counts
@@ -48,6 +61,7 @@ minimalization.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence, Union
 
 from .anick import ResolutionPrefix, accumulate
@@ -156,13 +170,34 @@ def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
 # graded complex
 # ---------------------------------------------------------------------
 
+class _OnDemand(dict):
+    """A level table {t: d(.t)} over a fixed chain set that fills an entry
+    from `fill(t)` on its first read; reading a t outside the chains raises
+    KeyError, as a full table would.  len, iteration and `in` see only the
+    entries read so far."""
+
+    def __init__(self, chains, fill):
+        super().__init__()
+        self.chains = chains
+        self.fill = fill
+
+    def __missing__(self, t):
+        if t not in self.chains:
+            raise KeyError(t)
+        value = self[t] = self.fill(t)
+        return value
+
+
 class GradedComplex:
-    """Chain sets and tabulated differentials, possibly after minimalization.
+    """Chain sets and differentials, possibly after minimalization.
 
     `chains[level]` lists the generators .t at chain levels -1..top;
     `diff[level][t]` is d_level(.t), a term dict {(m, t'): c} one level
-    down.  The dicts may be shared with the prefix's tabulated
-    differentials or with another complex, and are never changed.
+    down.  The level tables may fill on first read (see `from_prefix`), so
+    they are read only through the chain lists: `diff[level][t]` for t in
+    `chains[level]`.  Tables and their dicts may be shared with the
+    prefix's tabulated differentials or with another complex (`truncated`
+    shares them all), and are never changed.
     """
 
     def __init__(
@@ -176,7 +211,7 @@ class GradedComplex:
         self.field = prefix.field
         self.alphabet = prefix.alphabet
         self.chains = {lvl: list(ts) for lvl, ts in chains.items()}
-        self.diff = {lvl: dict(table) for lvl, table in diff.items()}
+        self.diff = diff
         self.top = max(chains)
         self._irr: dict[int, list[Word]] = {0: [prefix.alphabet.empty_word]}  # by degree
         self._bases: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
@@ -191,12 +226,26 @@ class GradedComplex:
 
     @classmethod
     def from_prefix(cls, prefix: ResolutionPrefix) -> "GradedComplex":
+        """The complex of the prefix's chains.  Its level tables call
+        `prefix.d_generator` on first read, so only the differentials a run
+        reads are ever tabulated, once, in the prefix's memo."""
         diff = {
-            lvl: {t: prefix.d_generator(lvl, t) for t in ts}
+            lvl: _OnDemand(set(ts), functools.partial(prefix.d_generator, lvl))
             for lvl, ts in prefix.chains.items()
             if lvl >= 0
         }
         return cls(prefix, prefix.chains, diff)
+
+    def truncated(self, max_degree: int) -> "GradedComplex":
+        """The subcomplex on the chains of degree <= max_degree, sharing the
+        level tables.  It is closed under d, since every term m.t' of d(.t)
+        has deg t' <= deg t, and it has the same Betti table and exactness
+        defects up to max_degree, before or after minimalization."""
+        degree = self.alphabet.degree
+        chains = {
+            lvl: [t for t in ts if degree(t) <= max_degree] for lvl, ts in self.chains.items()
+        }
+        return GradedComplex(self.prefix, chains, self.diff)
 
     # ----- graded bases ----------------------------------------------
     def _irreducible(self, d: int) -> list[Word]:
@@ -422,7 +471,9 @@ def minimalize(complex_: GradedComplex) -> GradedComplex:
 
     Every level-2 differential term f.(b_k a_k b_k a_k) is replaced by
     f.(b_{k+1}.a_k^2 + a_k.b_{k+1}a_k), after which the braid chains are
-    dropped from level 1 and their partners from level 2.
+    dropped from level 1 and their partners from level 2.  The level 0 and
+    1 tables are the input's; a level-2 differential is substituted on its
+    first read.
     """
     prefix = complex_.prefix
     alphabet = complex_.system.alphabet
@@ -468,9 +519,9 @@ def minimalize(complex_: GradedComplex) -> GradedComplex:
         return acc
 
     new_diff = {
-        0: {t: complex_.diff[0][t] for t in new_chains[0]},
-        1: {t: complex_.diff[1][t] for t in new_chains[1]},
-        2: {t: substitute(complex_.diff[2][t]) for t in new_chains[2]},
+        0: complex_.diff[0],
+        1: complex_.diff[1],
+        2: _OnDemand(set(new_chains[2]), lambda t: substitute(complex_.diff[2][t])),
     }
     return GradedComplex(prefix, new_chains, new_diff)
 

@@ -239,6 +239,50 @@ def test_betti_no_minimal_superset(capsys):
         assert braw["2"].get(degree, 0) >= count
 
 
+def _betti_report(params, betti):
+    """The exact bytes `betti --json` prints: one canonical report."""
+    data = {
+        "command": "betti",
+        "params": params,
+        "tables": {"betti": betti, "betti_bound_levels": ["3"]},
+        "verdicts": {"exact": True},
+    }
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+# Both systems have chains above D (up to degrees 48 and 12), which betti
+# leaves out of its resolution; the reports are those of the whole complex.
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["--builtin", "small", "--l", "3", "--D", "8"],
+            _betti_report(
+                {"D": 8, "l": 3, "minimal": True},
+                {
+                    "0": {"0": 1},
+                    "1": {"1": 2, "2": 2, "4": 2, "8": 2},
+                    "2": {"2": 2, "3": 4, "4": 2, "5": 4, "6": 4, "8": 2},
+                    "3": {"3": 2, "4": 3, "5": 6, "6": 9, "7": 8, "8": 5},
+                },
+            ),
+        ),
+        (
+            ["--builtin", "big", "--n", "3", "--p", "3", "--expbound", "2", "--D", "6"],
+            _betti_report(
+                {"D": 6, "exponent_bound": 2, "minimal": True, "n": 3, "p": 3},
+                {"0": {"0": 1}, "1": {"1": 2}, "2": {"3": 4, "6": 1}, "3": {"4": 10, "5": 18, "6": 10}},
+            ),
+        ),
+    ],
+    ids=["small l=3 D=8", "big(3,3,2) D=6"],
+)
+def test_betti_json_golden(capsys, argv, expected):
+    code, out = run(capsys, "betti", *argv, "--json")
+    assert code == 0
+    assert out == expected
+
+
 def test_conjectures_exits_zero(capsys):
     code, out = run(capsys, "conjectures")
     assert code == 0

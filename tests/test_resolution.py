@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from anickres import resolution
@@ -321,6 +323,83 @@ def test_shared_differentials_are_never_changed(build):
     for mn in minimal:
         assert mn.verify_exactness([-1, 0, 1], 8) == {}
     assert snapshot() == before
+
+
+def test_betti_small_reads_no_differential_above_D():
+    # the benchmark's betti-small path: the on-demand tables tabulate the
+    # level-2 chains of degree <= 18 and the braid partner b4 a3 a3 that
+    # minimalize checks eagerly, and nothing else at level 2
+    prefix = ResolutionPrefix(small_system(4).system)
+    gc = GradedComplex.from_prefix(prefix)
+    mn = minimalize(gc)
+    table, defects = mn.betti_table(18), mn.verify_exactness([-1, 0, 1], 18)
+    alphabet = prefix.alphabet
+    partner = alphabet.word("b4", "a3", "a3")
+    read = [t for level, t in prefix._d_memo if level == 2]
+    assert all(alphabet.degree(t) <= 18 or t == partner for t in read)
+    assert partner in read and len(read) < len(prefix.chains[2])
+    assert all(gc.diff[lvl][t] is prefix.d_generator(lvl, t) for lvl, t in prefix.generators())
+    # the same answers from a complex whose every differential was tabulated up front
+    eager = ResolutionPrefix(small_system(4).system)
+    diff = {
+        lvl: {t: eager.d_generator(lvl, t) for t in ts} for lvl, ts in eager.chains.items() if lvl >= 0
+    }
+    eager_mn = minimalize(GradedComplex(eager, eager.chains, diff))
+    assert eager_mn.betti_table(18) == table
+    assert eager_mn.verify_exactness([-1, 0, 1], 18) == defects == {}
+
+
+def test_on_demand_table_refuses_a_word_outside_its_chains(gc2):
+    # reading a non-chain raises KeyError, as a full table would, and
+    # tabulates nothing in the prefix
+    word = gc2.alphabet.word("a0", "a0", "a0")
+    with pytest.raises(KeyError):
+        gc2.diff[1][word]
+    assert (1, word) not in gc2.prefix._d_memo
+    with pytest.raises(KeyError):
+        gc2.diff[0][gc2.alphabet.empty_word]
+
+
+@functools.cache
+def _minimalized(name):
+    """A system's complex and its generic minimalization, built once."""
+    systems = {
+        "small l=2": lambda: small_system(2).system,
+        "small l=3": lambda: small_system(3).system,
+        "small l=4": lambda: small_system(4).system,
+        "big(3,3,2)": lambda: big_system(3, 3, 2).system.interreduce(),
+        "big(3,2,7)": lambda: big_system(3, 2, 7).system.interreduce(),
+    }
+    gc = GradedComplex.from_prefix(ResolutionPrefix(systems[name]()))
+    return gc, generic_minimalize(gc)
+
+
+@pytest.mark.parametrize(
+    "name, D",
+    [
+        ("small l=2", 5),
+        ("small l=2", 9),
+        ("small l=3", 8),
+        ("small l=3", 13),
+        ("small l=4", 10),
+        ("small l=4", 18),
+        ("big(3,3,2)", 5),
+        ("big(3,3,2)", 9),
+        ("big(3,2,7)", 6),
+        ("big(3,2,7)", 11),
+    ],
+)
+def test_minimalizing_the_truncation_truncates_the_minimal_complex(name, D):
+    gc, full = _minimalized(name)
+    degree = gc.alphabet.degree
+    truncated = gc.truncated(D)
+    assert sum(map(len, truncated.chains.values())) < sum(map(len, gc.chains.values()))
+    mn = generic_minimalize(truncated)
+    for level, ts in full.chains.items():
+        assert mn.chains[level] == [t for t in ts if degree(t) <= D]
+        assert all(mn.diff[level][t] == full.diff[level][t] for t in mn.chains[level] if level >= 0)
+    assert mn.betti_table(D) == full.betti_table(D)
+    assert mn.verify_exactness([-1, 0, 1], D) == full.verify_exactness([-1, 0, 1], D)
 
 
 def test_generic_minimalize_rejects_a_non_scalar_pivot():
