@@ -11,7 +11,6 @@ from .rewriting import (
     CriticalPair,
     RewriteRule,
     RewritingSystem,
-    SubalphabetError,
     UnorderableRelationError,
     make_rule,
 )

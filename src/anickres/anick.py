@@ -228,12 +228,3 @@ class ResolutionPrefix:
                     f"{format_terms(self.alphabet, square)}"
                 )
         return (not problems, problems)
-
-    def degree_check(self) -> bool:
-        """Homogeneous systems: d preserves the total degree m.t -> deg(mt)."""
-        degree = self.alphabet.degree
-        return all(
-            degree(m + t2) == degree(t)
-            for level, t in self.generators()
-            for m, t2 in self.d_generator(level, t)
-        )

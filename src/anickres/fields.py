@@ -41,12 +41,6 @@ class PrimeField:
     def sub(self, a: int, b: int) -> int:
         return (a - b) % self.p
 
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:

@@ -1,7 +1,6 @@
 """Rewriting systems in the free associative algebra: reduction to normal
 form, critical pairs, completeness checking, degree-bounded completion,
-interreduction, subalphabet restriction, and the enumeration and counting
-of irreducible words.
+interreduction, and the enumeration and counting of irreducible words.
 
 Words are tuples of letter indices (see `words`); every comparison of
 words goes through the alphabet's deglex `sort_key`.
@@ -38,6 +37,13 @@ irreducible, and by linearity L is replaced by R.  Entries above degree d
 are dropped.  Memo words are bucketed by degree as rules are added, so an
 addition visits only the entries of degree >= d.
 
+Critical pairs are read off one `LhsIndex` per system, built on the first
+pair request (so a system that never asks pays nothing) and grown by each
+rule completion adds.  A new rule's pairs take two lookups instead of a
+scan of every lhs, and neither builds a pair whose tip lies above the
+degree bound; the pairs come in the order of `critical_pairs_between`,
+which completion's heap relies on to break ties between equal tips.
+
 Irreducible words are counted and enumerated on the Aho-Corasick automaton
 of the left-hand sides (the trie with failure links, built once per system
 on first use): a word is irreducible exactly when reading it from the
@@ -51,25 +57,22 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Optional, Sequence
 
 from .fields import PrimeField
 from .polynomials import Polynomial
-from .words import Alphabet, Generator, Word
+from .words import Alphabet, Word
 
 
 _END = -1  # trie key of the rule index ending at a node; letters are >= 0
-_PAST = -2  # trie key of the rules passing a node (in critical_pairs_between)
+_PAST = -2  # trie key of the rules passing a node and longer than its word (pair tries)
 _WORD_CAP = 2_000_000  # irreducible words enumerated or counted without a degree bound
 
 
 class UnorderableRelationError(ValueError):
     """A relation whose leading word does not dominate its tail."""
-
-
-class SubalphabetError(ValueError):
-    """Restriction hypothesis violated: a kept rule's tail leaves the subalphabet."""
 
 
 class WordCapError(ValueError):
@@ -114,6 +117,121 @@ class CriticalPair:
     kind: str  # "overlap" | "inclusion"
     u: Word
     v: Word
+
+
+class LhsIndex:
+    """The left-hand sides of a system indexed for critical pairs, grown one
+    rule at a time.
+
+    A trie of the lhs holds at each node, under _END, the rules whose lhs
+    ends there and, under _PAST, the rules passing it that are longer than
+    its word, both in rule order.  `starts` maps each letter to the
+    (rule, position, degree of the lhs before that position) of its
+    occurrences, in rule order and then by position.
+
+    The pairs of rule k with the rules indexed so far come from two lookups
+    (`pairs_as_second`, `pairs_as_first`), in the order in which
+    `critical_pairs_between` lists them, and a pair whose tip lies above
+    the degree bound is never built: an overlap tip u lhs_i = lhs_j v has
+    degree deg(lhs_j before its overlap) + deg(lhs_i), an inclusion tip is
+    lhs_j, and neither is below lhs_i or lhs_j.
+    """
+
+    def __init__(self, alphabet: Alphabet):
+        self.degrees = [g.degree for g in alphabet]
+        self.lhs: list[Word] = []
+        self.lhs_degree: list[int] = []
+        self.trie: dict = {}
+        self.starts: dict[int, list[tuple[int, int, int]]] = {}
+
+    def add(self, lhs: Word) -> None:
+        """Index the lhs of the next rule."""
+        k = len(self.lhs)
+        node = self.trie
+        before = 0
+        for pos, x in enumerate(lhs):
+            node.setdefault(_PAST, []).append(k)
+            self.starts.setdefault(x, []).append((k, pos, before))
+            before += self.degrees[x]
+            node = node.setdefault(x, {})
+        node.setdefault(_END, []).append(k)
+        self.lhs.append(lhs)
+        self.lhs_degree.append(before)
+
+    def pairs_as_second(self, j: int, bound: float) -> list[CriticalPair]:
+        """The pairs (i, j) over the indexed rules i, by ascending i; each
+        (i, j) lists its overlaps by ascending t before its inclusions by
+        ascending position.  Walks of the trie from each position of lhs_j:
+        an lhs_i ending on a walk occurs inside lhs_j, an inclusion unless
+        i = j.  A walk from pos > 0 that uses up lhs_j ends at the node of
+        its suffix of length t = len(lhs_j) - pos, and each lhs_i passing
+        that node begins with that suffix: an overlap."""
+        m2, d2 = self.lhs[j], self.lhs_degree[j]
+        if d2 > bound:
+            return []
+        overlaps: dict[int, list[CriticalPair]] = {}  # by descending t
+        inside: dict[int, list[CriticalPair]] = {}
+        suffix = d2  # the degree of m2[pos:]
+        for pos in range(len(m2)):
+            node = self.trie
+            for x in m2[pos:]:
+                node = node.get(x)
+                if node is None:
+                    break
+                for i in node.get(_END, ()):
+                    if i != j:
+                        v = m2[pos + len(self.lhs[i]) :]
+                        inside.setdefault(i, []).append(
+                            CriticalPair(m2, i, j, "inclusion", m2[:pos], v)
+                        )
+            else:
+                if pos:
+                    t = len(m2) - pos
+                    for i in node.get(_PAST, ()):
+                        if d2 + self.lhs_degree[i] - suffix <= bound:
+                            v = self.lhs[i][t:]
+                            overlaps.setdefault(i, []).append(
+                                CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
+                            )
+            suffix -= self.degrees[m2[pos]]
+        pairs = []
+        for i in sorted(overlaps.keys() | inside.keys()):
+            pairs += reversed(overlaps.get(i, ()))
+            pairs += inside.get(i, ())
+        return pairs
+
+    def pairs_as_first(self, i: int, bound: float) -> list[CriticalPair]:
+        """The pairs (i, j) over the indexed rules j, by ascending j, each
+        (i, j) in the order of `pairs_as_second`.  Both kinds begin lhs_i at
+        a position of lhs_j, so they are read off the starts of its first
+        letter: lhs_j running out first is an overlap, lhs_i doing so is an
+        inclusion."""
+        m1, d1 = self.lhs[i], self.lhs_degree[i]
+        if not m1:
+            return []
+        n1 = len(m1)
+        found: dict[int, tuple[list, list]] = {}  # j -> overlaps by descending t, inclusions
+        for j, pos, before in self.starts[m1[0]]:
+            if before + d1 > bound:
+                continue
+            m2 = self.lhs[j]
+            rest = m2[pos:]
+            t = len(rest)
+            if t < n1:
+                if pos and m1[:t] == rest:
+                    v = m1[t:]
+                    found.setdefault(j, ([], []))[0].append(
+                        CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
+                    )
+            elif j != i and rest[:n1] == m1 and self.lhs_degree[j] <= bound:
+                found.setdefault(j, ([], []))[1].append(
+                    CriticalPair(m2, i, j, "inclusion", m2[:pos], rest[n1:])
+                )
+        pairs = []
+        for overlaps, inside in found.values():
+            pairs += reversed(overlaps)
+            pairs += inside
+        return pairs
 
 
 def _drive(derivation, w: Word) -> None:
@@ -177,8 +295,10 @@ class RewritingSystem:
         self._trie: dict = {}
         for ridx, rule in enumerate(self.rules):
             self._insert_lhs(ridx, rule.lhs)
-        # the automaton of the lhs, built on first use
+        # the automaton of the lhs and their index for critical pairs, each
+        # built on first use
         self._moves: list[list[tuple[int, int, int]]] | None = None
+        self._index: LhsIndex | None = None
         # normal-form memo; private, rebuilt per instance.  When a rule is
         # added, the words memoized since the last one (the memo's tail in
         # insertion order) are bucketed by degree (see _add_rule).
@@ -212,6 +332,8 @@ class RewritingSystem:
         self._insert_lhs(len(self.rules), lhs)
         self.rules += (rule,)
         self._moves = None
+        if self._index is not None:
+            self._index.add(lhs)
         memo, buckets, degree = self._nf, self._nf_by_degree, self.alphabet.degree
         # the tail, read from the end of the memo without walking its head
         for w in itertools.islice(reversed(memo), len(memo) - self._nf_bucketed):
@@ -428,8 +550,21 @@ class RewritingSystem:
         return self.normal_form(g), sum(counts[w] for w in g.terms)
 
     # ----- critical pairs --------------------------------------------
-    def find_critical_pairs(self) -> list[CriticalPair]:
-        return critical_pairs_between(self.rules, range(len(self.rules)), range(len(self.rules)))
+    def _lhs_index(self) -> LhsIndex:
+        """The index of the lhs for critical pairs, built on the first pair
+        request; `_add_rule` grows it."""
+        if self._index is None:
+            self._index = LhsIndex(self.alphabet)
+            for rule in self.rules:
+                self._index.add(rule.lhs)
+        return self._index
+
+    def find_critical_pairs(self, degree_bound: int | None = None) -> list[CriticalPair]:
+        """Every critical pair whose tip has degree <= degree_bound (None =
+        all), in the order of `critical_pairs_between` over all rules."""
+        index = self._lhs_index()
+        bound = math.inf if degree_bound is None else degree_bound
+        return [cp for i in range(len(self.rules)) for cp in index.pairs_as_first(i, bound)]
 
     def pair_obstruction(self, cp: CriticalPair) -> Polynomial:
         f1 = self.rules[cp.rule1].rhs
@@ -447,9 +582,7 @@ class RewritingSystem:
     ) -> tuple[bool, list[tuple[CriticalPair, Polynomial]]]:
         """Reduce every critical-pair obstruction; collect irreducible witnesses."""
         witnesses = []
-        for cp in self.find_critical_pairs():
-            if degree_bound is not None and self.alphabet.degree(cp.tip) > degree_bound:
-                continue
+        for cp in self.find_critical_pairs(degree_bound):
             nf = self.normal_form(self.pair_obstruction(cp))
             if not nf.is_zero():
                 witnesses.append((cp, nf))
@@ -470,12 +603,11 @@ class RewritingSystem:
 
         def push_pairs(pairs):
             for cp in pairs:
-                key = sort_key(cp.tip)
-                if key[0] <= degree_bound:
-                    heapq.heappush(heap, (key, next(counter), cp))
+                heapq.heappush(heap, (sort_key(cp.tip), next(counter), cp))
 
         current = self.with_rules(self.rules)
-        push_pairs(current.find_critical_pairs())
+        push_pairs(current.find_critical_pairs(degree_bound))
+        index = current._lhs_index()  # grown by _add_rule
         added = 0
         while True:
             while heap:
@@ -492,16 +624,13 @@ class RewritingSystem:
                         self.with_rules(rules),
                     )
                 new = len(rules) - 1
-                push_pairs(
-                    critical_pairs_between(rules, range(len(rules)), [new])
-                    + critical_pairs_between(rules, [new], range(len(rules)))
-                )
+                push_pairs(index.pairs_as_second(new, degree_bound))
+                push_pairs(index.pairs_as_first(new, degree_bound))
             # re-verify: earlier resolutions used fewer rules
             ok, witnesses = current.is_complete(degree_bound)
             if ok:
                 return self.with_rules(current.rules, complete_up_to=degree_bound)
-            for cp, _ in witnesses:
-                heapq.heappush(heap, (sort_key(cp.tip), next(counter), cp))
+            push_pairs(cp for cp, _ in witnesses)
 
     # ----- interreduction --------------------------------------------
     def interreduce(self, max_passes: int = 1_000) -> "RewritingSystem":
@@ -552,35 +681,6 @@ class RewritingSystem:
         return self._lhs_irredundant() and all(
             self.is_irreducible_word(w) for rule in self.rules for w in rule.rhs.terms
         )
-
-    # ----- subalphabet restriction -----------------------------------
-    def restrict_to_subalphabet(self, keep: Iterable[Generator]) -> "RewritingSystem":
-        """Keep the rules whose lhs lies in the subalphabet; the tails must too.
-
-        Letter indices are renumbered into the subalphabet's rank order."""
-        kept_gens = set(keep)
-        for g in kept_gens:
-            if g not in self.alphabet:
-                raise ValueError(f"generator {g.name} is not in the alphabet")
-        sub = Alphabet(kept_gens)
-        to_sub = {self.alphabet.index(g.name): sub.index(g.name) for g in kept_gens}
-
-        def renumber(w: Word) -> Word:
-            return tuple(to_sub[x] for x in w)
-
-        kept_rules = []
-        for rule in self.rules:
-            if all(x in to_sub for x in rule.lhs):
-                for w in rule.rhs.terms:
-                    if not all(x in to_sub for x in w):
-                        raise SubalphabetError(
-                            f"rule {rule} has a tail word leaving the subalphabet"
-                        )
-                tail = {renumber(w): c for w, c in rule.rhs.terms.items()}
-                kept_rules.append(
-                    RewriteRule(renumber(rule.lhs), Polynomial(self.field, sub, tail))
-                )
-        return RewritingSystem(sub, self.field, kept_rules, complete_up_to=self.complete_up_to)
 
     # ----- irreducible words -----------------------------------------
     def _lhs_automaton(self) -> list[list[tuple[int, int, int]]]:
@@ -683,7 +783,14 @@ def critical_pairs_between(
     than t begins with that suffix: an overlap.  The pairs are listed for i
     in idx1, then j in idx2, overlaps by ascending t before inclusions by
     ascending position; a repeated (i, j) lists its inclusions again and
-    its overlaps only once."""
+    its overlaps only once.
+
+    This scan builds a throwaway trie and every pair, with no degree bound.
+    Systems find their pairs on their grown `LhsIndex` instead, which lists
+    the same pairs in the same order, less those above the bound: for all
+    rules, and for a new rule k the two lists (range(k + 1), [k]) and
+    ([k], range(k + 1)).  This scan is the reference the tests compare the
+    index against."""
     idx1, idx2 = list(idx1), list(idx2)
     # trie of the idx1 lhs: _END holds the rules ending at a node, _PAST
     # those passing it that are longer than its word, both in order

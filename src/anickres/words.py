@@ -81,13 +81,6 @@ class Alphabet:
     def word(self, *names: str) -> Word:
         return tuple(self.index(n) for n in names)
 
-    def parse_word(self, text: str) -> Word:
-        """Whitespace-separated generator names; '' or '1' is the empty word."""
-        text = text.strip()
-        if text in ("", "1", "e"):
-            return self.empty_word
-        return self.word(*text.split())
-
     def degree(self, w: Word) -> int:
         return sum(map(self._degrees.__getitem__, w))
 

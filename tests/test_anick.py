@@ -148,7 +148,13 @@ def test_complex_identities(prefix3):
 
 
 def test_degree_preservation(prefix3):
-    assert prefix3.degree_check()
+    # homogeneous relations: every term m.t' of d(.t) has deg(m t') = deg(t)
+    degree = prefix3.alphabet.degree
+    assert all(
+        degree(m + t2) == degree(t)
+        for level, t in prefix3.generators()
+        for m, t2 in prefix3.d_generator(level, t)
+    )
 
 
 def test_lift_roundtrip(prefix3):

@@ -154,6 +154,77 @@ def test_check_mutilated_fails(tmp_path, capsys):
     assert "complete: False" in out
 
 
+# `check --json` of an incomplete and a complete presentation, byte for byte:
+# the witnesses list the unresolved tips in pair order
+CHECK_CONJECTURAL_JSON = (
+    '{\n'
+    '  "command": "check",\n'
+    '  "params": {\n'
+    '    "degree_bound": 12,\n'
+    '    "index_bound": 2,\n'
+    '    "n": 3,\n'
+    '    "p": 3,\n'
+    '    "variant": "odd_p_n3"\n'
+    '  },\n'
+    '  "tables": {},\n'
+    '  "verdicts": {\n'
+    '    "complete": false,\n'
+    '    "witnesses": [\n'
+    '      "a2_2 a1_0 a1_0 a1_0",\n'
+    '      "a1_2 a2_0 a2_0 a2_0",\n'
+    '      "a1_1 a2_0 a2_0 a1_0",\n'
+    '      "a1_2 a2_0 a2_0 a1_0",\n'
+    '      "a1_1 a2_0 a1_0 a1_0",\n'
+    '      "a1_2 a2_0 a1_0 a1_0",\n'
+    '      "a1_1 a2_0 a1_0 a2_0 a1_0 a2_0 a1_0",\n'
+    '      "a1_1 a1_1 a1_1 a2_0",\n'
+    '      "a2_1 a2_1 a1_1 a2_0",\n'
+    '      "a2_1 a1_1 a1_1 a2_0",\n'
+    '      "a2_1 a2_1 a2_1 a1_0"\n'
+    '    ]\n'
+    '  }\n'
+    '}\n'
+)
+
+CHECK_BIG_JSON = (
+    '{\n'
+    '  "command": "check",\n'
+    '  "params": {\n'
+    '    "degree_bound": 14,\n'
+    '    "exponent_bound": 8,\n'
+    '    "n": 3,\n'
+    '    "p": 3\n'
+    '  },\n'
+    '  "tables": {},\n'
+    '  "verdicts": {\n'
+    '    "complete": true,\n'
+    '    "witnesses": []\n'
+    '  }\n'
+    '}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (
+            ["--builtin", "conjectural", "--variant", "odd_p_n3", "--p", "3",
+             "--indexbound", "2", "--degree-bound", "12"],
+            1,
+            CHECK_CONJECTURAL_JSON,
+        ),
+        (
+            ["--builtin", "big", "--n", "3", "--p", "3", "--expbound", "8",
+             "--degree-bound", "14"],
+            0,
+            CHECK_BIG_JSON,
+        ),
+    ],
+)
+def test_check_json_is_pinned(capsys, argv, code, expected):
+    assert run(capsys, "check", *argv, "--json") == (code, expected)
+
+
 AB = [{"name": "a", "degree": 1, "rank": 0}, {"name": "b", "degree": 1, "rank": 1}]
 
 

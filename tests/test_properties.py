@@ -2,7 +2,8 @@
 an independent reference, normal-form uniqueness for complete systems,
 reduction soundness, rank-oracle agreement, the trie lhs matcher, the
 irreducible-word automaton, the critical-pair scan and chain levels 2 and 3
-against naive scans, completion against a rebuild per added rule,
+against naive scans, the grown lhs index and the degree-bounded pair lists
+against that scan, completion against a rebuild per added rule,
 interreduction and generic minimalization against their restart loops, and
 the normal-form engine against leftmost-first reduction: the normal forms
 it gives, on complete systems and after completion, and the completeness
@@ -26,6 +27,7 @@ from anickres.resolution import GradedComplex, generic_minimalize, rank_fp, rank
 from anickres.rewriting import (
     CompletionCapError,
     CriticalPair,
+    LhsIndex,
     RewriteRule,
     RewritingSystem,
     UnorderableRelationError,
@@ -281,6 +283,31 @@ def test_critical_pairs_between_match_the_naive_scan(gens_lhss, data):
         assert critical_pairs_between(rules, idx1, idx2) == naive_critical_pairs(
             rules, idx1, idx2
         )
+
+
+def below(pairs, bound):
+    return [cp for cp in pairs if LETTERS.degree(cp.tip) <= bound]
+
+
+@given(lhs_lists(), st.integers(0, 14))
+def test_grown_lhs_index_matches_the_pair_scan(gens_lhss, bound):
+    # in order too: completion pushes each new rule's pairs as listed here
+    _gens, lhss = gens_lhss
+    system = monomial_system(lhss)
+    rules = system.rules
+    index = LhsIndex(LETTERS)
+    for new, rule in enumerate(rules):
+        index.add(rule.lhs)
+        upto = range(new + 1)
+        scan = critical_pairs_between(rules, upto, [new]) + critical_pairs_between(
+            rules, [new], upto
+        )
+        grown = index.pairs_as_second(new, bound) + index.pairs_as_first(new, bound)
+        assert grown == below(scan, bound)
+    every = range(len(rules))
+    scan = critical_pairs_between(rules, every, every)
+    assert system.find_critical_pairs() == scan
+    assert system.find_critical_pairs(bound) == below(scan, bound)
 
 
 @st.composite
@@ -792,8 +819,17 @@ def reference_verdict(system, bound):
 @given(relation_systems(), st.integers(0, 8))
 def test_is_complete_verdict_matches_iterated_reduce_once(system, bound):
     # whether every obstruction reduces to 0 does not depend on the
-    # strategy; the completed system is one on which it holds
+    # strategy; the completed system is one on which it holds.  The bounded
+    # check lists the witnesses of the unbounded pair scan below the bound.
     assert system.is_complete(bound)[0] == reference_verdict(system, bound)
+    every = range(len(system.rules))
+    witnesses = [
+        (cp, nf)
+        for cp in critical_pairs_between(system.rules, every, every)
+        if system.alphabet.degree(cp.tip) <= bound
+        and not (nf := system.normal_form(system.pair_obstruction(cp))).is_zero()
+    ]
+    assert system.is_complete(bound) == (not witnesses, witnesses)
     try:
         completed = system.complete(bound, max_new_rules=12)
     except (CompletionCapError, UnorderableRelationError):

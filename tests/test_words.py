@@ -55,13 +55,6 @@ def test_word_degree_and_concat(alphabet):
     assert alphabet.degree(w + v) == 5
 
 
-def test_parse_word(alphabet):
-    assert alphabet.parse_word("a b") == alphabet.word("a", "b")
-    assert alphabet.parse_word("1") == ()
-    assert alphabet.parse_word("") == ()
-    assert alphabet.parse_word("e") == ()
-
-
 def test_deglex_degree_first(alphabet):
     # degree dominates: c (degree 2) beats any degree-1 word
     key, w = alphabet.sort_key, alphabet.word
