@@ -213,7 +213,7 @@ class GradedComplex:
         self.chains = {lvl: list(ts) for lvl, ts in chains.items()}
         self.diff = diff
         self.top = max(chains)
-        self._irr: dict[int, list[Word]] = {0: [prefix.alphabet.empty_word]}  # by degree
+        self._irr: dict[int, list[Word]] = {}  # by degree
         self._bases: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
         self._counts: dict[int, int] = {}  # irreducible words per degree
         self._counts_bound = -1  # every degree up to this one is counted
@@ -249,17 +249,11 @@ class GradedComplex:
 
     # ----- graded bases ----------------------------------------------
     def _irreducible(self, d: int) -> list[Word]:
-        """The irreducible words of degree d in tuple order, built once: the x m
-        with m irreducible of degree d - deg x and no lhs a prefix of x m."""
+        """The irreducible words of degree d in tuple order (deglex within
+        one degree), built once."""
         if d not in self._irr:
-            degree, front_rule = self.alphabet.degree, self.system.front_rule
-            self._irr[d] = sorted(
-                (x,) + m
-                for x in range(len(self.alphabet))
-                if (dx := degree((x,))) <= d
-                for m in self._irreducible(d - dx)
-                if front_rule((x,) + m) is None
-            )
+            degree = self.alphabet.degree
+            self._irr[d] = [m for m in self.system.irreducible_words(d) if degree(m) == d]
         return self._irr[d]
 
     def basis(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:

@@ -41,8 +41,10 @@ Critical pairs are read off one `LhsIndex` per system, built on the first
 pair request (so a system that never asks pays nothing) and grown by each
 rule completion adds.  A new rule's pairs take two lookups instead of a
 scan of every lhs, and neither builds a pair whose tip lies above the
-degree bound; the pairs come in the order of `critical_pairs_between`,
-which completion's heap relies on to break ties between equal tips.
+degree bound.  Pairs come by first rule, then by second rule, and each
+rule pair lists its overlaps by ascending overlap length before its
+inclusions by ascending position; completion's heap breaks ties between
+equal tips by this order.
 
 Irreducible words are counted and enumerated on the Aho-Corasick automaton
 of the left-hand sides (the trie with failure links, built once per system
@@ -58,7 +60,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .fields import PrimeField
@@ -67,7 +69,7 @@ from .words import Alphabet, Word
 
 
 _END = -1  # trie key of the rule index ending at a node; letters are >= 0
-_PAST = -2  # trie key of the rules passing a node and longer than its word (pair tries)
+_PAST = -2  # trie key of the rules passing a node and longer than its word (LhsIndex)
 _WORD_CAP = 2_000_000  # irreducible words enumerated or counted without a degree bound
 
 
@@ -130,9 +132,10 @@ class LhsIndex:
     occurrences, in rule order and then by position.
 
     The pairs of rule k with the rules indexed so far come from two lookups
-    (`pairs_as_second`, `pairs_as_first`), in the order in which
-    `critical_pairs_between` lists them, and a pair whose tip lies above
-    the degree bound is never built: an overlap tip u lhs_i = lhs_j v has
+    (`pairs_as_second`, `pairs_as_first`), each by first rule, then by
+    second rule, with overlaps by ascending overlap length before
+    inclusions by ascending position.  A pair whose tip lies above the
+    degree bound is never built: an overlap tip u lhs_i = lhs_j v has
     degree deg(lhs_j before its overlap) + deg(lhs_i), an inclusion tip is
     lhs_j, and neither is below lhs_i or lhs_j.
     """
@@ -561,7 +564,8 @@ class RewritingSystem:
 
     def find_critical_pairs(self, degree_bound: int | None = None) -> list[CriticalPair]:
         """Every critical pair whose tip has degree <= degree_bound (None =
-        all), in the order of `critical_pairs_between` over all rules."""
+        all), by first rule, then by second rule, with overlaps by ascending
+        overlap length before inclusions by ascending position."""
         index = self._lhs_index()
         bound = math.inf if degree_bound is None else degree_bound
         return [cp for i in range(len(self.rules)) for cp in index.pairs_as_first(i, bound)]
@@ -596,6 +600,17 @@ class RewritingSystem:
         fits under the bound are resolved.  Each nonzero normal form becomes
         a rule of one working system, whose memo carries over (see the
         module docstring); the systems returned or raised are new ones.
+
+        One pass suffices.  Each pair of the final rules whose tip has
+        degree <= degree_bound is pushed when the later of its two rules is
+        added (at the start, for two given rules) and is reduced once
+        popped.  A pair that reduced to 0, or became a rule, did so by steps
+        on words below its tip, and those steps stay valid while rules are
+        only appended: its obstruction stays resolvable relative to its tip.
+        So when the heap runs empty, Bergman's diamond lemma on the words of
+        degree <= degree_bound (closed under subwords and under deglex-
+        smaller words) makes every such obstruction reduce to 0 under any
+        strategy, and the result is complete up to the bound.
         """
         counter = itertools.count()
         heap: list[tuple[tuple, int, CriticalPair]] = []
@@ -609,28 +624,23 @@ class RewritingSystem:
         push_pairs(current.find_critical_pairs(degree_bound))
         index = current._lhs_index()  # grown by _add_rule
         added = 0
-        while True:
-            while heap:
-                _, _, cp = heapq.heappop(heap)
-                nf = current.normal_form(current.pair_obstruction(cp))
-                if nf.is_zero():
-                    continue
-                current._add_rule(make_rule(nf))
-                rules = current.rules
-                added += 1
-                if added > max_new_rules:
-                    raise CompletionCapError(
-                        f"completion cap of {max_new_rules} new rules exceeded",
-                        self.with_rules(rules),
-                    )
-                new = len(rules) - 1
-                push_pairs(index.pairs_as_second(new, degree_bound))
-                push_pairs(index.pairs_as_first(new, degree_bound))
-            # re-verify: earlier resolutions used fewer rules
-            ok, witnesses = current.is_complete(degree_bound)
-            if ok:
-                return self.with_rules(current.rules, complete_up_to=degree_bound)
-            push_pairs(cp for cp, _ in witnesses)
+        while heap:
+            _, _, cp = heapq.heappop(heap)
+            nf = current.normal_form(current.pair_obstruction(cp))
+            if nf.is_zero():
+                continue
+            current._add_rule(make_rule(nf))
+            rules = current.rules
+            added += 1
+            if added > max_new_rules:
+                raise CompletionCapError(
+                    f"completion cap of {max_new_rules} new rules exceeded",
+                    self.with_rules(rules),
+                )
+            new = len(rules) - 1
+            push_pairs(index.pairs_as_second(new, degree_bound))
+            push_pairs(index.pairs_as_first(new, degree_bound))
+        return self.with_rules(current.rules, complete_up_to=degree_bound)
 
     # ----- interreduction --------------------------------------------
     def interreduce(self, max_passes: int = 1_000) -> "RewritingSystem":
@@ -767,77 +777,3 @@ class RewritingSystem:
     def __str__(self):
         body = "; ".join(str(r) for r in self.rules)
         return f"RewritingSystem({len(self.rules)} rules over {self.field}: {body})"
-
-
-def critical_pairs_between(
-    rules: Sequence[RewriteRule], idx1: Iterable[int], idx2: Iterable[int]
-) -> list[CriticalPair]:
-    """Overlaps (tip = u lhs_{i} = lhs_{j} v) and inclusions, for i in idx1,
-    j in idx2, deduplicated by (tip, rule pair, offset).
-
-    Both are found by walking a trie of the idx1 left-hand sides from each
-    position of each idx2 lhs.  An lhs_i ending on the walk occurs inside
-    lhs_j: an inclusion, unless i = j.  A walk from a position pos > 0 that
-    uses up lhs_j ends at a node spelling its proper suffix of length
-    t = len(lhs_j) - pos; each lhs_i that passes that node and is longer
-    than t begins with that suffix: an overlap.  The pairs are listed for i
-    in idx1, then j in idx2, overlaps by ascending t before inclusions by
-    ascending position; a repeated (i, j) lists its inclusions again and
-    its overlaps only once.
-
-    This scan builds a throwaway trie and every pair, with no degree bound.
-    Systems find their pairs on their grown `LhsIndex` instead, which lists
-    the same pairs in the same order, less those above the bound: for all
-    rules, and for a new rule k the two lists (range(k + 1), [k]) and
-    ([k], range(k + 1)).  This scan is the reference the tests compare the
-    index against."""
-    idx1, idx2 = list(idx1), list(idx2)
-    # trie of the idx1 lhs: _END holds the rules ending at a node, _PAST
-    # those passing it that are longer than its word, both in order
-    trie: dict = {}
-    for i in dict.fromkeys(idx1):
-        node = trie
-        for x in rules[i].lhs:
-            node.setdefault(_PAST, []).append(i)
-            node = node.setdefault(x, {})
-        node.setdefault(_END, []).append(i)
-    # (i, j) -> the overlap lengths t, descending; the positions of lhs_i inside lhs_j
-    overlaps: dict[tuple[int, int], list[int]] = {}
-    inside: dict[tuple[int, int], list[int]] = {}
-    partners: dict[int, set[int]] = {}  # i -> the j it overlaps or occurs in
-    for j in dict.fromkeys(idx2):
-        m2 = rules[j].lhs
-        for pos in range(len(m2)):
-            node = trie
-            for x in m2[pos:]:
-                node = node.get(x)
-                if node is None:
-                    break
-                for i in node.get(_END, ()):
-                    if i != j:
-                        inside.setdefault((i, j), []).append(pos)
-                        partners.setdefault(i, set()).add(j)
-            else:
-                if pos:
-                    for i in node.get(_PAST, ()):
-                        overlaps.setdefault((i, j), []).append(len(m2) - pos)
-                        partners.setdefault(i, set()).add(j)
-    where: dict[int, list[int]] = {}  # j -> its positions in idx2
-    for k, j in enumerate(idx2):
-        where.setdefault(j, []).append(k)
-    pairs = []
-    listed = set()  # the (i, j) whose overlaps are listed
-    for i in idx1:
-        m1 = rules[i].lhs
-        for k in sorted(k for j in partners.get(i, ()) for k in where[j]):
-            j = idx2[k]
-            m2 = rules[j].lhs
-            if (i, j) not in listed:
-                listed.add((i, j))
-                for t in reversed(overlaps.get((i, j), ())):
-                    pairs.append(
-                        CriticalPair(m2 + m1[t:], i, j, "overlap", m2[: len(m2) - t], m1[t:])
-                    )
-            for pos in inside.get((i, j), ()):
-                pairs.append(CriticalPair(m2, i, j, "inclusion", m2[:pos], m2[pos + len(m1) :]))
-    return pairs

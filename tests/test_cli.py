@@ -474,16 +474,6 @@ def test_conjectures_prints_criterion_9(capsys):
     assert json.loads(out)["verdicts"] == criterion_9_conjectures().details
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [("betti_report.py", ["--l", "2", "--D", "8", "--json"]), ("conjecture_scan.py", ["--json"])],
-)
-def test_script_wrappers_emit_json(script, args):
-    proc = run_python(str(ROOT / "scripts" / script), *args)
-    assert proc.returncode == 0, proc.stderr
-    json.loads(proc.stdout)
-
-
 def test_python_m_anickres_runs_the_cli():
     proc = run_python("-m", "anickres", "betti", "--builtin", "small", "--l", "2", "--D", "8", "--json")
     assert proc.returncode == 0, proc.stderr

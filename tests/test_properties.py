@@ -1,13 +1,12 @@
 """Randomized property tests: order laws on words, the deglex order against
 an independent reference, normal-form uniqueness for complete systems,
 reduction soundness, rank-oracle agreement, the trie lhs matcher, the
-irreducible-word automaton, the critical-pair scan and chain levels 2 and 3
-against naive scans, the grown lhs index and the degree-bounded pair lists
-against that scan, completion against a rebuild per added rule,
-interreduction and generic minimalization against their restart loops, and
-the normal-form engine against leftmost-first reduction: the normal forms
-it gives, on complete systems and after completion, and the completeness
-verdicts it gives on any system."""
+irreducible-word automaton, chain levels 2 and 3, the grown lhs index and
+the degree-bounded pair lists against naive scans, completion against a
+rebuild per added rule, interreduction and generic minimalization against
+their restart loops, and the normal-form engine against leftmost-first
+reduction: the normal forms it gives, on complete systems and after
+completion, and the completeness verdicts it gives on any system."""
 
 import functools
 import heapq
@@ -31,7 +30,6 @@ from anickres.rewriting import (
     RewriteRule,
     RewritingSystem,
     UnorderableRelationError,
-    critical_pairs_between,
     make_rule,
 )
 from anickres.words import Alphabet, Generator, contains, find, words_up_to_degree
@@ -272,19 +270,6 @@ def naive_critical_pairs(rules, idx1, idx2):
     return pairs
 
 
-@given(lhs_lists(), st.data())
-def test_critical_pairs_between_match_the_naive_scan(gens_lhss, data):
-    # completion's heap breaks ties by push order, so the order must match too
-    _gens, lhss = gens_lhss
-    rules = monomial_system(lhss).rules
-    every = range(len(rules))
-    some = data.draw(st.lists(st.sampled_from(every), max_size=4))
-    for idx1, idx2 in ((every, every), (every, some), (some, every)):
-        assert critical_pairs_between(rules, idx1, idx2) == naive_critical_pairs(
-            rules, idx1, idx2
-        )
-
-
 def below(pairs, bound):
     return [cp for cp in pairs if LETTERS.degree(cp.tip) <= bound]
 
@@ -299,13 +284,13 @@ def test_grown_lhs_index_matches_the_pair_scan(gens_lhss, bound):
     for new, rule in enumerate(rules):
         index.add(rule.lhs)
         upto = range(new + 1)
-        scan = critical_pairs_between(rules, upto, [new]) + critical_pairs_between(
+        scan = naive_critical_pairs(rules, upto, [new]) + naive_critical_pairs(
             rules, [new], upto
         )
         grown = index.pairs_as_second(new, bound) + index.pairs_as_first(new, bound)
         assert grown == below(scan, bound)
     every = range(len(rules))
-    scan = critical_pairs_between(rules, every, every)
+    scan = naive_critical_pairs(rules, every, every)
     assert system.find_critical_pairs() == scan
     assert system.find_critical_pairs(bound) == below(scan, bound)
 
@@ -459,7 +444,8 @@ def test_interreduce_matches_the_restart_loop(system):
 
 def rebuild_complete(system, degree_bound, max_new_rules):
     """Reference: completion building a new system, with an empty memo, for
-    every added rule."""
+    every added rule, and repeating until a full `is_complete` finds no
+    witness."""
     rules = list(system.rules)
     counter = itertools.count()
     heap = []
@@ -470,7 +456,7 @@ def rebuild_complete(system, degree_bound, max_new_rules):
             if key(cp.tip)[0] <= degree_bound:
                 heapq.heappush(heap, (key(cp.tip), next(counter), cp))
 
-    push_pairs(critical_pairs_between(rules, range(len(rules)), range(len(rules))))
+    push_pairs(naive_critical_pairs(rules, range(len(rules)), range(len(rules))))
     current = system.with_rules(rules)
     while True:
         while heap:
@@ -487,8 +473,8 @@ def rebuild_complete(system, degree_bound, max_new_rules):
                 )
             new = len(rules) - 1
             push_pairs(
-                critical_pairs_between(rules, range(len(rules)), [new])
-                + critical_pairs_between(rules, [new], range(len(rules)))
+                naive_critical_pairs(rules, range(len(rules)), [new])
+                + naive_critical_pairs(rules, [new], range(len(rules)))
             )
         ok, witnesses = current.is_complete(degree_bound)
         if ok:
@@ -825,7 +811,7 @@ def test_is_complete_verdict_matches_iterated_reduce_once(system, bound):
     every = range(len(system.rules))
     witnesses = [
         (cp, nf)
-        for cp in critical_pairs_between(system.rules, every, every)
+        for cp in naive_critical_pairs(system.rules, every, every)
         if system.alphabet.degree(cp.tip) <= bound
         and not (nf := system.normal_form(system.pair_obstruction(cp))).is_zero()
     ]

@@ -269,6 +269,7 @@ def test_completion_of_odd_p_n3_is_pinned():
 
     completed = conjectural_system("odd_p_n3", 3, 3, 2).system.complete(12)
     assert len(completed.rules) == 38
+    assert completed.is_complete(12) == (True, [])
     text = "\n".join(str(r) for r in completed.rules)
     assert (
         hashlib.sha256(text.encode()).hexdigest()
@@ -292,6 +293,22 @@ def test_higher_completions_of_odd_p_n3_are_pinned(bound, count, digest):
     assert len(completed.rules) == count
     text = "\n".join(str(r) for r in completed.rules)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert completed.is_complete(bound) == (True, [])
+
+
+@pytest.mark.parametrize("bound, reduced", [(12, 73), (16, 278), (18, 475)])
+def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced):
+    # one pass over the heap: no closing check reduces the same pairs again
+    calls = []
+    obstruction = RewritingSystem.pair_obstruction
+
+    def counted(self, cp):
+        calls.append(cp)
+        return obstruction(self, cp)
+
+    monkeypatch.setattr(RewritingSystem, "pair_obstruction", counted)
+    conjectural_system("odd_p_n3", 3, 3, 2).system.complete(bound)
+    assert len(calls) == reduced
 
 
 def test_irreducible_counts_without_a_degree_bound():
