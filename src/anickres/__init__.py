@@ -3,9 +3,9 @@ presentations of the enveloping algebra of strictly upper-triangular
 matrices, and the first steps of the associated minimal free resolution.
 """
 
-from .fields import PrimeField, binomial_mod_p, multinomial_p_power_coefficient
+from .fields import PrimeField, binomial_mod_p
 from .words import Alphabet, Generator, Word, contains, find, words_up_to_degree
-from .polynomials import Polynomial
+from .polynomials import Polynomial, accumulate
 from .rewriting import (
     CompletionCapError,
     CriticalPair,
@@ -22,13 +22,12 @@ from .kostant import (
     conjectural_system,
     default_position_order,
     frobenius_shift_check,
-    graded_pbw_dimension,
     graded_pbw_dimensions,
     pbw_dimension,
     small_system,
     verify_small_against_big,
 )
-from .anick import LiftError, ResolutionPrefix, accumulate, extend_chains, format_terms
+from .anick import LiftError, ResolutionPrefix, extend_chains, format_terms
 from .resolution import (
     GradedComplex,
     generic_minimalize,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .polynomials import accumulate
 from .rewriting import RewritingSystem
 from .words import Alphabet, Word
 
@@ -52,18 +53,6 @@ def format_terms(alphabet: Alphabet, terms: dict[tuple[Word, Word], int]) -> str
         mm = f"{fmt(m)} " if m else ""
         parts.append(f"{head}{mm}. {fmt(t) if t else 'e'}")
     return " + ".join(parts)
-
-
-def accumulate(acc: dict, coeff: int, terms: dict, p: int) -> None:
-    """acc += coeff * terms in place over F_p, for term dicts of module
-    elements or of polynomials.  A key that reaches zero is removed, so acc
-    stays canonical."""
-    for key, c in terms.items():
-        x = (acc.get(key, 0) + coeff * c) % p
-        if x:
-            acc[key] = x
-        else:
-            acc.pop(key, None)
 
 
 def extend_chains(
@@ -126,7 +115,7 @@ class ResolutionPrefix:
                 f"{self.alphabet.format(t)} has no suffix chain at level {level - 1}"
             )
         s = t[k:]
-        return {(w, s): c for w, c in self.system.normal_form_word(m + t[:k])}
+        return {(w, s): c for w, c in self.system.normal_form_word(m + t[:k]).items()}
 
     def j_map(self, level: int, m: Word, t: Word) -> Optional[tuple[Word, Word]]:
         """The splitting candidate m.t -> u.vt, as (u, vt), for the longest
@@ -145,7 +134,7 @@ class ResolutionPrefix:
         acc: dict[tuple[Word, Word], int] = {}
         p = self.field.p
         for (m1, t), c in terms.items():
-            for w, c2 in self.system.normal_form_word(m + m1):
+            for w, c2 in self.system.normal_form_word(m + m1).items():
                 key = (w, t)
                 acc[key] = (acc.get(key, 0) + c * c2) % p
         if 0 in acc.values():

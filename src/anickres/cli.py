@@ -4,8 +4,9 @@ Subcommands: nf, check, anick, betti, verify, conjectures.  Exit codes:
 0 pass, 1 verification failure, 2 usage/parse error.  With --json the
 command prints a canonical machine-readable report.  anick and betti
 interreduce the presentation unless it is reduced and exit 1 naming the
-first critical pair that does not resolve; betti exits 2 on a rule that is
-not homogeneous.  betti resolves only the chains of degree <= D: no chain
+first critical pair that does not resolve (betti checks only the tips of
+degree <= D, the degrees it reads); betti exits 2 on a rule that is not
+homogeneous.  betti resolves only the chains of degree <= D: no chain
 above D reaches a rank, a defect or a count up to D, nor, since a
 cancellation pairs chains of equal degree, the minimalization below D, so
 the output is the same as from the whole complex.  check lists the
@@ -69,12 +70,13 @@ class IncompleteSystemError(Exception):
     """A critical pair of the presentation does not resolve (exit 1)."""
 
 
-def _resolvable(system: RewritingSystem) -> RewritingSystem:
-    """The reduced complete system the resolution is built on: interreduce
-    unless already reduced, then require every critical pair to resolve."""
+def _resolvable(system: RewritingSystem, degree_bound: int | None = None) -> RewritingSystem:
+    """The reduced system the resolution is built on: interreduce unless
+    already reduced, then require every critical pair whose tip has degree
+    <= degree_bound (None = all) to resolve."""
     if not system.is_reduced():
         system = system.interreduce()
-    ok, witnesses = system.is_complete()
+    ok, witnesses = system.is_complete(degree_bound)
     if not ok:
         raise IncompleteSystemError(
             f"not complete: the critical pair at tip "
@@ -173,7 +175,7 @@ def cmd_anick(args) -> int:
 def cmd_betti(args) -> int:
     _require_nonnegative("--D", args.D)
     loaded = _load(args)
-    prefix = ResolutionPrefix(_resolvable(loaded.system))
+    prefix = ResolutionPrefix(_resolvable(loaded.system, args.D))
     _require_homogeneous(prefix.system)
     gc = GradedComplex.from_prefix(prefix).truncated(args.D)
     if args.minimal:

@@ -1,5 +1,5 @@
-"""Exact arithmetic in prime fields F_p, plus the binomial helpers used by
-the divided-power rewriting rules.
+"""Exact arithmetic in prime fields F_p, plus the binomial coefficients mod
+p used by the divided-power rewriting rules.
 
 Coefficients are stored as least nonnegative residues; everything is exact
 integer arithmetic.
@@ -35,12 +35,6 @@ class PrimeField:
         if not _is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def inv(self, a: int) -> int:
         a %= self.p
         if a == 0:
@@ -49,15 +43,6 @@ class PrimeField:
 
     def __str__(self):
         return f"F_{self.p}"
-
-
-def base_p_digits(n: int, p: int) -> list[int]:
-    """Digits of n in base p, least significant first.  n == 0 gives []."""
-    digits = []
-    while n:
-        n, r = divmod(n, p)
-        digits.append(r)
-    return digits
 
 
 def binomial_mod_p(n: int, k: int, p: int) -> int:
@@ -82,26 +67,3 @@ def _small_binomial(n: int, k: int) -> int:
     for i in range(k):
         num = num * (n - i) // (i + 1)
     return num
-
-
-def multinomial_p_power_coefficient(k: int, p: int) -> int:
-    """k! / prod_s (p^s!)^{k_s} mod p, where k_s are the base-p digits of k.
-
-    This is the coefficient relating the product of p-power divided powers
-    to the single divided power of exponent k; it is never divisible by p,
-    so the result is always a unit.
-    """
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
-    # Accumulate the product of binomials obtained by splitting off one
-    # p^s factor at a time: k!/prod (p^s!)^{k_s} = prod C(m_i, p^{s_i})
-    # over the sequence of partial sums m_i.
-    result = 1
-    remaining = k
-    for s, digit in enumerate(base_p_digits(k, p)):
-        for _ in range(digit):
-            result = result * binomial_mod_p(remaining, p**s, p) % p
-            remaining -= p**s
-    assert remaining == 0
-    assert result != 0, f"unit coefficient vanished for k={k}, p={p}"
-    return result

@@ -229,10 +229,6 @@ def graded_pbw_dimensions(n: int, p: int, l: int, max_degree: int) -> dict[int, 
     return counts
 
 
-def graded_pbw_dimension(n: int, p: int, l: int, d: int) -> int:
-    return graded_pbw_dimensions(n, p, l, d).get(d, 0)
-
-
 # ---------------------------------------------------------------------
 # small system (p = 2, n = 3)
 # ---------------------------------------------------------------------
@@ -303,7 +299,7 @@ def _image_check(
     normal forms are the failures."""
     failures = []
     for rule in src.rules:
-        terms = [(c, tuple(letter[x] for x in w)) for w, c in rule.polynomial()]
+        terms = [(c, tuple(letter[x] for x in w)) for w, c in rule.polynomial().terms.items()]
         nf = dst.normal_form(Polynomial.from_terms(dst.field, dst.alphabet, terms))
         if not nf.is_zero():
             failures.append(nf)

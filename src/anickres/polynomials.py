@@ -1,17 +1,33 @@
-"""Polynomials of the free associative algebra F_p<X*>.
+"""Polynomials of the free associative algebra F_p<X*>, and `accumulate`,
+the one in-place sum of term dicts over F_p.
 
 A polynomial is a finite mapping from words to nonzero field elements.
 Zero coefficients are dropped eagerly, so equality of the term dicts is
 equality of polynomials.  A polynomial also holds the alphabet of its
 words, which orders them (leading term, support) and names their letters.
+It is the API's type only (rules, normal forms, pair obstructions, parsing
+and printing): below it, terms are canonical {key: c} dicts, {word: c} in
+the normal-form memo and {(m, t): c} for module elements.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .fields import PrimeField
 from .words import Alphabet, Word
+
+
+def accumulate(acc: dict, coeff: int, terms: dict, p: int) -> None:
+    """acc += coeff * terms in place over F_p, for term dicts of module
+    elements or of polynomials.  A key that reaches zero is removed, so acc
+    stays canonical."""
+    for key, c in terms.items():
+        x = (acc.get(key, 0) + coeff * c) % p
+        if x:
+            acc[key] = x
+        else:
+            acc.pop(key, None)
 
 
 class Polynomial:
@@ -30,10 +46,6 @@ class Polynomial:
                     self.terms[w] = c
 
     # constructors -----------------------------------------------------
-    @classmethod
-    def zero(cls, field: PrimeField, alphabet: Alphabet) -> "Polynomial":
-        return cls(field, alphabet)
-
     @classmethod
     def from_canonical(
         cls, field: PrimeField, alphabet: Alphabet, terms: dict[Word, int]
@@ -65,9 +77,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __iter__(self) -> Iterator[tuple[Word, int]]:
-        return iter(self.terms.items())
-
     def __len__(self):
         return len(self.terms)
 
@@ -96,16 +105,8 @@ class Polynomial:
         if self.field != other.field:
             raise ValueError("mixed coefficient fields")
         acc = dict(self.terms)
-        p = self.field.p
-        for w, c in other.terms.items():
-            acc[w] = (acc.get(w, 0) + coeff * c) % p
-        return Polynomial(self.field, self.alphabet, acc)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self.combine(1, other)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self.combine(-1, other)
+        accumulate(acc, coeff, other.terms, self.field.p)
+        return Polynomial.from_canonical(self.field, self.alphabet, acc)
 
     def scale(self, coeff: int) -> "Polynomial":
         return Polynomial(self.field, self.alphabet, {w: c * coeff for w, c in self.terms.items()})
@@ -116,9 +117,6 @@ class Polynomial:
         return Polynomial.from_canonical(
             self.field, self.alphabet, {left + w + right: c for w, c in self.terms.items()}
         )
-
-    def coefficient(self, word: Word) -> int:
-        return self.terms.get(word, 0)
 
     def __str__(self):
         if not self.terms:

@@ -29,8 +29,9 @@ d - deg t.
 
 `rank_fp` and the greedy rank share one incremental elimination kernel:
 int bitsets reduced by XOR for p = 2, monic sparse pivot rows for odd p.
-It numbers the keys of a row as it first sees them, so a column image goes
-in as its {(w, t'): c} dict, with no index of the rows.
+It takes {key: entry} rows only and numbers their keys as it first sees
+them, so a column image goes in as its {(w, t'): c} dict, with no index of
+the rows; `rank_fp` and `rank_fp_oracle` make dense rows dicts.
 `differential_matrix` still builds a whole matrix as sparse rows, one
 {column: nonzero residue} dict per row; the rank uses it only for the
 augmentation at level -1, and the checks use it and `basis` as oracles.
@@ -64,30 +65,24 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Sequence, Union
 
-from .anick import ResolutionPrefix, accumulate
+from .anick import ResolutionPrefix
+from .polynomials import accumulate
 from .words import Alphabet, Word
-
-# a matrix row: sparse {column key: residue}, or dense, one int per column
-Row = Union[dict, Sequence[int]]
 
 
 # ---------------------------------------------------------------------
 # exact rank computation over F_p
 # ---------------------------------------------------------------------
 
-def rank_fp(rows: Sequence[Row], p: int) -> int:
+def rank_fp(rows: Sequence[Union[dict, Sequence[int]]], p: int) -> int:
     """Rank of a matrix over F_p by Gaussian elimination on sparse rows.
 
     Rows are {column: residue} dicts (as `GradedComplex.differential_matrix`
-    builds them; any hashable column keys) or dense sequences of ints, and
-    are left unchanged.
-    Entries need not be reduced modulo p."""
+    builds them; any hashable column keys) or dense sequences of ints, read
+    as {index: entry}, and are left unchanged.  Entries need not be reduced
+    modulo p."""
     echelon = _echelon(p)
-    return sum(map(echelon.insert, rows))
-
-
-def _entries(row: Row) -> Iterable[tuple[object, int]]:
-    return row.items() if isinstance(row, dict) else enumerate(row)
+    return sum(echelon.insert(r if isinstance(r, dict) else dict(enumerate(r))) for r in rows)
 
 
 class _F2Echelon:
@@ -101,12 +96,12 @@ class _F2Echelon:
         self.pivots: dict[int, int] = {}
         self.index: dict = {}  # row key -> its bit
 
-    def insert(self, row: Row) -> bool:
-        """Reduce the row; keep it as a new pivot row if it stays nonzero,
-        and say whether it did."""
+    def insert(self, row: dict) -> bool:
+        """Reduce the {key: entry} row; keep it as a new pivot row if it
+        stays nonzero, and say whether it did."""
         pivots, index = self.pivots, self.index
         number = index.setdefault
-        r = sum(1 << number(k, len(index)) for k, x in _entries(row) if x & 1)
+        r = sum(1 << number(k, len(index)) for k, x in row.items() if x & 1)
         while r:
             low = r & -r
             pivot = pivots.get(low)
@@ -128,12 +123,12 @@ class _SparseEchelon:
         self.pivots: dict[int, dict[int, int]] = {}
         self.index: dict = {}  # row key -> its column
 
-    def insert(self, row: Row) -> bool:
-        """Reduce the row; keep it as a new pivot row if it stays nonzero,
-        and say whether it did."""
+    def insert(self, row: dict) -> bool:
+        """Reduce the {key: entry} row; keep it as a new pivot row if it
+        stays nonzero, and say whether it did."""
         p, pivots, index = self.p, self.pivots, self.index
         number = index.setdefault
-        r = {number(k, len(index)): y for k, x in _entries(row) if (y := x % p)}
+        r = {number(k, len(index)): y for k, x in row.items() if (y := x % p)}
         while r:
             col = min(r)
             pivot = pivots.get(col)
@@ -163,7 +158,7 @@ def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
         return 0
     transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
     echelon = _SparseEchelon(p)
-    return sum(map(echelon.insert, transpose))
+    return sum(echelon.insert(dict(enumerate(col))) for col in transpose)
 
 
 # ---------------------------------------------------------------------

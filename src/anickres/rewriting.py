@@ -22,7 +22,8 @@ complete one every strategy gives the same normal form, and whether every
 critical pair reduces to 0 never depends on the strategy (Bergman's
 diamond lemma, Adv. Math. 29, 1978).  The recursion runs as a stack of
 generators, not as nested calls, so long words do not reach Python's
-recursion limit.
+recursion limit.  Memo entries are canonical {word: c} dicts, shared with
+the callers of `normal_form_word`, who must not change them.
 
 Completion grows one private working system and carries the memo across
 each added rule, keeping every entry equal to what a new system with the
@@ -35,7 +36,7 @@ prefixes of a degree-d word, and L is a prefix of no degree-d word but
 itself.  So every step stays, L can only be a leaf, the words of R stay
 irreducible, and by linearity L is replaced by R.  Entries above degree d
 are dropped.  Memo words are bucketed by degree as rules are added, so an
-addition visits only the entries of degree >= d.
+addition visits only the entries of degree >= d; a patched entry is a copy.
 
 Critical pairs are read off one `LhsIndex` per system, built on the first
 pair request (so a system that never asks pays nothing) and grown by each
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .fields import PrimeField
-from .polynomials import Polynomial
+from .polynomials import Polynomial, accumulate
 from .words import Alphabet, Word
 
 
@@ -302,10 +303,10 @@ class RewritingSystem:
         # built on first use
         self._moves: list[list[tuple[int, int, int]]] | None = None
         self._index: LhsIndex | None = None
-        # normal-form memo; private, rebuilt per instance.  When a rule is
-        # added, the words memoized since the last one (the memo's tail in
-        # insertion order) are bucketed by degree (see _add_rule).
-        self._nf: dict[Word, Polynomial] = {}
+        # normal-form memo of {word: c} dicts; private, rebuilt per instance.
+        # When a rule is added, the words memoized since the last one (the
+        # memo's tail in insertion order) are bucketed by degree (see _add_rule).
+        self._nf: dict[Word, dict[Word, int]] = {}
         self._nf_by_degree: dict[int, list[Word]] = {}
         self._nf_bucketed = 0
 
@@ -346,11 +347,13 @@ class RewritingSystem:
             for w in buckets.pop(e):
                 del memo[w]
         self._nf_bucketed = len(memo)
-        relation = rule.polynomial()  # lhs first: it drops out, the rhs words follow
+        relation = rule.polynomial().terms  # lhs first: it drops out, the rhs words follow
+        p = self.field.p
         for w in buckets.get(d, ()):
-            c = memo[w].terms.get(lhs)
+            c = memo[w].get(lhs)
             if c is not None:
-                memo[w] = memo[w].combine(-c, relation)
+                nf = memo[w] = dict(memo[w])
+                accumulate(nf, -c, relation, p)
 
     @classmethod
     def from_relations(
@@ -463,45 +466,41 @@ class RewritingSystem:
         return g.combine(-coeff, monomial).combine(coeff, replaced)
 
     # ----- normal forms ----------------------------------------------
-    def _canonical(self, acc: dict[Word, int]) -> Polynomial:
-        """Wrap residues summed in place: the zeros are dropped, and the
-        other words keep the order in which they were first summed."""
-        if 0 in acc.values():
-            acc = {y: c for y, c in acc.items() if c}
-        return Polynomial.from_canonical(self.field, self.alphabet, acc)
-
     def _derivation(self, w: Word):
         """Generator that memoizes nf(w), driven by `_drive`.  For w = x v,
         a reducible v gives nf(w) = nf(x nf(v)); an irreducible v leaves
         every lhs occurrence in w at 0, where the shortest lhs, if any, is
-        rewritten."""
+        rewritten.  Zeros are dropped at the end, so the other words keep
+        the order in which they were first summed."""
         memo = self._nf
-        poly = None
+        terms = None
         if w:
             v = w[1:]
             nf_v = memo.get(v)
             if nf_v is None:
                 yield v
                 nf_v = memo[v]
-            if v not in nf_v.terms:  # a reducible v lies above every word of nf(v)
-                head, poly, tail = w[:1], nf_v, ()
+            if v not in nf_v:  # a reducible v lies above every word of nf(v)
+                head, terms, tail = w[:1], nf_v, ()
             elif (front := self.front_rule(w)) is not None:
-                head, poly, tail = (), self.rules[front[1]].rhs, w[front[0] :]
-        if poly is None:
-            memo[w] = Polynomial.from_canonical(self.field, self.alphabet, {w: 1})
+                head, terms, tail = (), self.rules[front[1]].rhs.terms, w[front[0] :]
+        if terms is None:
+            memo[w] = {w: 1}
             return
         p = self.field.p
         acc: dict[Word, int] = {}
-        for u, c in poly.terms.items():
+        for u, c in terms.items():
             nf_x = memo.get(x := head + u + tail)
             if nf_x is None:
                 yield x
                 nf_x = memo[x]
-            for y, cy in nf_x.terms.items():
+            for y, cy in nf_x.items():
                 acc[y] = (acc.get(y, 0) + c * cy) % p
-        memo[w] = self._canonical(acc)
+        if 0 in acc.values():
+            acc = {y: c for y, c in acc.items() if c}
+        memo[w] = acc
 
-    def _word_nf(self, w: Word) -> Polynomial:
+    def _word_nf(self, w: Word) -> dict[Word, int]:
         nf = self._nf.get(w)
         if nf is None:
             _drive(self._derivation, w)
@@ -509,7 +508,7 @@ class RewritingSystem:
         return nf
 
     # the public name; the engine calls _word_nf, so a wrapper put on this
-    # name sees outside calls only
+    # name sees outside calls only.  It returns the memo's own dict: never change it.
     normal_form_word = _word_nf
 
     def normal_form(self, g: Polynomial) -> Polynomial:
@@ -517,13 +516,8 @@ class RewritingSystem:
         # at once, so the terms keep the order of summing one word at a time
         acc: dict[Word, int] = {}
         p = self.field.p
-        for w, c in g:
-            for y, cy in self._word_nf(w).terms.items():
-                v = (acc.get(y, 0) + c * cy) % p
-                if v:
-                    acc[y] = v
-                else:
-                    del acc[y]
+        for w, c in g.terms.items():
+            accumulate(acc, c, self._word_nf(w), p)
         return Polynomial.from_canonical(self.field, self.alphabet, acc)
 
     def normal_form_with_steps(self, g: Polynomial) -> tuple[Polynomial, int]:
@@ -538,8 +532,8 @@ class RewritingSystem:
             if w:
                 v = w[1:]
                 nf_v = self._word_nf(v)
-                if v not in nf_v.terms:
-                    needs = (v, *(w[:1] + u for u in nf_v.terms))
+                if v not in nf_v:
+                    needs = (v, *(w[:1] + u for u in nf_v))
                 elif (front := self.front_rule(w)) is not None:
                     n, needs = 1, [u + w[front[0] :] for u in self.rules[front[1]].rhs.terms]
             for x in needs:
@@ -602,9 +596,9 @@ class RewritingSystem:
         module docstring); the systems returned or raised are new ones.
 
         One pass suffices.  Each pair of the final rules whose tip has
-        degree <= degree_bound is pushed when the later of its two rules is
-        added (at the start, for two given rules) and is reduced once
-        popped.  A pair that reduced to 0, or became a rule, did so by steps
+        degree <= degree_bound is pushed once, when the later of its two
+        rules is added (at the start, for two given rules), and is reduced
+        once popped.  A pair that reduced to 0, or became a rule, did so by steps
         on words below its tip, and those steps stay valid while rules are
         only appended: its obstruction stays resolvable relative to its tip.
         So when the heap runs empty, Bergman's diamond lemma on the words of
@@ -639,7 +633,8 @@ class RewritingSystem:
                 )
             new = len(rules) - 1
             push_pairs(index.pairs_as_second(new, degree_bound))
-            push_pairs(index.pairs_as_first(new, degree_bound))
+            # the self-overlaps (new, new) were pushed just above
+            push_pairs(cp for cp in index.pairs_as_first(new, degree_bound) if cp.rule2 != new)
         return self.with_rules(current.rules, complete_up_to=degree_bound)
 
     # ----- interreduction --------------------------------------------

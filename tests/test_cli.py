@@ -379,6 +379,24 @@ def test_incomplete_presentation_names_the_tip(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "tip y x y x y" in err
 
 
+ODD_P_N3 = ["--builtin", "conjectural", "--variant", "odd_p_n3", "--p", "3", "--indexbound", "1"]
+
+
+def test_betti_needs_completeness_only_up_to_D(capsys):
+    # the first pair of odd_p_n3 (index 1) that does not resolve has a tip of
+    # degree 6: below it the system is complete, and betti resolves it
+    code, out = run(capsys, "betti", *ODD_P_N3, "--D", "5", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdicts"] == {"exact": True}
+    assert report["tables"]["betti"]["1"] == {"1": 2, "3": 2}
+    assert report["tables"]["betti"]["2"] == {"3": 4, "4": 2}
+    code = main(["betti", *ODD_P_N3, "--D", "6"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "tip a1_1 a2_0 a2_0 a1_0" in err
+
+
 @pytest.mark.parametrize("command", ["anick", "betti"])
 def test_presentation_not_augmented_is_refused(tmp_path, capsys, command):
     doc = {

@@ -100,7 +100,7 @@ def test_parse_expression():
     g = parse_expression(system, "1")
     assert list(g.terms) == [system.alphabet.empty_word]
     h = parse_expression(system, "3 a0 b0 + a0 b0")
-    assert h.coefficient(system.alphabet.word("a0", "b0")) == 0
+    assert h.terms.get(system.alphabet.word("a0", "b0"), 0) == 0
 
 
 def test_parse_expression_errors():

@@ -26,7 +26,7 @@ def test_from_terms_merges(setup):
     f = Polynomial.from_terms(F, alphabet, [(1, w), (2, w)])
     assert f.is_zero()
     g = Polynomial.from_terms(F, alphabet, [(1, w), (1, w)])
-    assert g.coefficient(w) == 2
+    assert g.terms.get(w, 0) == 2
 
 
 def test_addition_subtraction(setup):
@@ -34,9 +34,9 @@ def test_addition_subtraction(setup):
     u, v = alphabet.word("a"), alphabet.word("b")
     f = Polynomial.from_terms(F, alphabet, [(1, u), (1, v)])
     g = Polynomial.monomial(F, alphabet, v)
-    assert (f - g).terms == {u: 1}
-    assert (f + f).coefficient(u) == 2
-    assert f.combine(2, g).coefficient(v) == 0
+    assert f.combine(-1, g).terms == {u: 1}
+    assert f.combine(1, f).terms.get(u, 0) == 2
+    assert f.combine(2, g).terms.get(v, 0) == 0
 
 
 def test_mixed_fields_rejected(setup):
@@ -44,7 +44,7 @@ def test_mixed_fields_rejected(setup):
     f = Polynomial.monomial(F, alphabet, alphabet.word("a"))
     g = Polynomial.monomial(PrimeField(5), alphabet, alphabet.word("a"))
     with pytest.raises(ValueError):
-        f + g
+        f.combine(1, g)
 
 
 def test_leading_term(setup):
@@ -55,21 +55,21 @@ def test_leading_term(setup):
     assert lm == alphabet.word("b", "a")
     assert lc == 2
     with pytest.raises(ValueError):
-        Polynomial.zero(F, alphabet).leading_term()
+        Polynomial(F, alphabet).leading_term()
 
 
 def test_sandwich(setup):
     alphabet, F = setup
     f = Polynomial.from_terms(F, alphabet, [(1, alphabet.word("a")), (2, alphabet.word("b"))])
     g = f.sandwich(alphabet.word("b"), alphabet.word("a"))
-    assert g.coefficient(alphabet.word("b", "a", "a")) == 1
-    assert g.coefficient(alphabet.word("b", "b", "a")) == 2
+    assert g.terms.get(alphabet.word("b", "a", "a"), 0) == 1
+    assert g.terms.get(alphabet.word("b", "b", "a"), 0) == 2
 
 
 def test_scale(setup):
     alphabet, F = setup
     f = Polynomial.monomial(F, alphabet, alphabet.word("a"), 2)
-    assert f.scale(2).coefficient(alphabet.word("a")) == 1
+    assert f.scale(2).terms.get(alphabet.word("a"), 0) == 1
     assert f.scale(0).is_zero()
 
 
@@ -79,7 +79,7 @@ def test_str(setup):
         F, alphabet, [(1, alphabet.word("a")), (2, alphabet.word("b", "a")), (1, ())]
     )
     assert str(f) == "2 b a + a + 1"
-    assert str(Polynomial.zero(F, alphabet)) == "0"
+    assert str(Polynomial(F, alphabet)) == "0"
 
 
 def test_equality_and_hash(setup):

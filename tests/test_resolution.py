@@ -306,14 +306,18 @@ def test_betti_truncation_stability():
 @pytest.mark.parametrize("build", [lambda: _small(2), _big], ids=["small l=2", "big(3,3,2)"])
 def test_shared_differentials_are_never_changed(build):
     # the prefix's tabulated d(.t) and the complexes' diff entries are the
-    # same dicts; no step of the pipeline may change one in place
+    # same dicts, and normal_form_word hands out the memo's own dicts; no
+    # step of the pipeline may change one in place
     gc = build()
     prefix = gc.prefix
+    system = prefix.system
 
     def snapshot():
         return {key: list(prefix.d_generator(*key).items()) for key in prefix.generators()}
 
     before = snapshot()
+    read = {w: list(nf.items()) for w, nf in system._nf.items()}  # what tabulating read
+    assert read
     assert all(gc.diff[lvl][t] is prefix.d_generator(lvl, t) for lvl, t in prefix.generators())
     assert prefix.verify_complex()[0]
     assert gc.verify_exactness([-1, 0, 1], 8) == {}
@@ -323,6 +327,9 @@ def test_shared_differentials_are_never_changed(build):
     for mn in minimal:
         assert mn.verify_exactness([-1, 0, 1], 8) == {}
     assert snapshot() == before
+    assert {w: list(system._nf[w].items()) for w in read} == read
+    fresh = system.with_rules(system.rules)
+    assert all(nf == fresh.normal_form_word(w) for w, nf in system._nf.items())
 
 
 def test_betti_small_reads_no_differential_above_D():

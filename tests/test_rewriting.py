@@ -9,7 +9,7 @@ from anickres.rewriting import (
     WordCapError,
     make_rule,
 )
-from anickres.words import Alphabet
+from anickres.words import Alphabet, words_up_to_degree
 
 
 F2 = PrimeField(2)
@@ -66,7 +66,7 @@ def test_system_rejects_a_letter_index_outside_its_alphabet(x1):
 
 def test_make_rule_rejects_zero_and_unit(x1):
     with pytest.raises(ValueError):
-        make_rule(Polynomial.zero(F2, x1))
+        make_rule(Polynomial(F2, x1))
     with pytest.raises(UnorderableRelationError):
         make_rule(poly(x1, F2, (1, ())))
 
@@ -296,7 +296,7 @@ def test_higher_completions_of_odd_p_n3_are_pinned(bound, count, digest):
     assert completed.is_complete(bound) == (True, [])
 
 
-@pytest.mark.parametrize("bound, reduced", [(12, 73), (16, 278), (18, 475)])
+@pytest.mark.parametrize("bound, reduced", [(12, 73), (16, 278), (18, 473)])
 def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced):
     # one pass over the heap: no closing check reduces the same pairs again
     calls = []
@@ -309,6 +309,27 @@ def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced):
     monkeypatch.setattr(RewritingSystem, "pair_obstruction", counted)
     conjectural_system("odd_p_n3", 3, 3, 2).system.complete(bound)
     assert len(calls) == reduced
+
+
+def test_added_rule_keeps_the_memo_exact():
+    # _add_rule patches the warm memo in place of recomputing it: every
+    # entry must equal a fresh system's normal form under the new rules,
+    # and a memo dict handed out before the addition must not change
+    system = conjectural_system("odd_p_n3", 3, 3, 1).system
+    ok, witnesses = system.is_complete()
+    assert not ok
+    rule = make_rule(witnesses[0][1])
+    d = system.alphabet.degree(rule.lhs)
+    for w in words_up_to_degree(system.alphabet, d + 1):
+        system.normal_form_word(w)
+    held = {w: nf for w, nf in system._nf.items() if rule.lhs in nf}
+    assert held
+    copies = {w: dict(nf) for w, nf in held.items()}
+    system._add_rule(rule)
+    fresh = system.with_rules(system.rules)
+    assert all(nf == fresh.normal_form_word(w) for w, nf in system._nf.items())
+    assert all(rule.lhs not in system._nf[w] for w in held)
+    assert held == copies
 
 
 def test_irreducible_counts_without_a_degree_bound():
