@@ -8,33 +8,46 @@ m = x m' (Anick's module structure), so each one reduces only words x w
 with w already irreducible.
 
 The rank of d_level in degree d (level >= 0) is taken by one greedy
-elimination that never builds the matrix and never lists the basis.  The
-candidates are the generators (m empty) and the columns x m'.t for each
-m'.t kept as independent in degree d - deg x with x m' irreducible; since
-m' is irreducible, one trie walk from the front of x m' decides that.  In
-basis order, each candidate is reduced against the pivots found so far
-and kept if it stays nonzero.  The rank is the number kept.  This is exact
-because the image of d is a left submodule of the free module: by
-induction on the degree and then along the basis order, a dependent m'.t
-is a combination of kept columns m_i.t_i before it, and x times each of
-those is a column before x m'.t or, where x m_i reduces, a combination of
-columns smaller still, all in the span of the kept columns already.
-Nothing here needs exactness or d o d = 0, only the reduced complete system
-that the column images already assume.  Most columns of a large degree
-are never built: in degree 12 of the minimalized big(4,3,2) complex, 538
-of 11,684 level-2 columns are independent.  The exactness defect needs the
-number of columns too, and counts them on the automaton of the left-hand
-sides: the sum over the chains t of the irreducible words of degree
-d - deg t.
+elimination that never builds the matrix, never lists the basis, and
+builds few column images.  The candidates are the generators (m empty) and
+the columns x m'.t for each m'.t kept as independent in degree d - deg x
+with x m' irreducible.  Each candidate carries the lead of its image: its
+largest basis element (w.t', c) in basis order, with its coefficient.  A
+generator's lead is read off d(.t).  Left multiplication keeps basis order
+and reduction only lowers a word, so when x m1 is irreducible for the lead
+(m1.t1, c) of m'.t, x m'.t leads with ((x m1).t1, c) and its image is not
+built; only otherwise is it built to find its lead.  Since m' and m1 are
+irreducible, and m1 = m' u as long as leads carry, one trie walk from the
+front of x m1 decides both whether x m' is irreducible and whether the
+lead carries.  In basis order, a candidate whose lead no pivot has yet is
+kept with no arithmetic, as the pivot of that lead.  Only on a collision
+are its image and the pivot rows it meets built, and it is reduced until
+it leads with a new key (kept) or vanishes (dropped).  The rank is the
+number kept.  Rows with distinct leads are independent, so a candidate is
+kept exactly when it is independent of the columns kept before it, as in
+an elimination that builds every image.  This is exact because the image
+of d is a left submodule of the free module: by induction on the degree
+and then along the basis order, a dependent m'.t is a combination of kept
+columns m_i.t_i before it, and x times each of those is a column before
+x m'.t or, where x m_i reduces, a combination of columns smaller still,
+all in the span of the kept columns already.  Nothing here needs
+exactness or d o d = 0, only the reduced complete system that the column
+images already assume.  Most columns of a large degree are never built:
+in degree 12 of the minimalized big(4,3,2) complex, 538 of 11,684 level-2
+columns are independent, and in the minimalized small l=4 complex to
+degree 18, 1,904 of the 8,303 candidates have their image built.  Only
+the images of kept columns stay cached, since only they are extended.
+The exactness defect needs the number of columns too, and counts them on
+the automaton of the left-hand sides: the sum over the chains t of the
+irreducible words of degree d - deg t.
 
-`rank_fp` and the greedy rank share one incremental elimination kernel:
-int bitsets reduced by XOR for p = 2, monic sparse pivot rows for odd p.
-It takes {key: entry} rows only and numbers their keys as it first sees
-them, so a column image goes in as its {(w, t'): c} dict, with no index of
-the rows; `rank_fp` and `rank_fp_oracle` make dense rows dicts.
-`differential_matrix` still builds a whole matrix as sparse rows, one
-{column: nonzero residue} dict per row; the rank uses it only for the
-augmentation at level -1, and the checks use it and `basis` as oracles.
+The greedy rank pivots on sparse rows {(w, t'): c}.  `rank_fp` runs on the
+same lead-pivoted kernel for odd p, with a row's column keys as its order,
+and on int bitsets reduced by XOR for p = 2, which are faster on the dense
+rows of the oracles and of criterion 8.  `differential_matrix` still
+builds a whole matrix as sparse rows, one {column: nonzero residue} dict
+per row; the rank uses it only for the augmentation at level -1, and the
+checks use it and `basis` as oracles.
 
 Differentials are tabulated on first read: the level tables of
 `GradedComplex.from_prefix` and of the braid `minimalize` fill an entry
@@ -63,7 +76,7 @@ minimalization.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .anick import ResolutionPrefix
 from .polynomials import accumulate
@@ -78,30 +91,69 @@ def rank_fp(rows: Sequence[Union[dict, Sequence[int]]], p: int) -> int:
     """Rank of a matrix over F_p by Gaussian elimination on sparse rows.
 
     Rows are {column: residue} dicts (as `GradedComplex.differential_matrix`
-    builds them; any hashable column keys) or dense sequences of ints, read
-    as {index: entry}, and are left unchanged.  Entries need not be reduced
-    modulo p."""
-    echelon = _echelon(p)
-    return sum(echelon.insert(r if isinstance(r, dict) else dict(enumerate(r))) for r in rows)
+    builds them; any column keys that compare with each other) or dense
+    sequences of ints, read as {index: entry}, and are left unchanged.
+    Entries need not be reduced modulo p.  For p = 2 the rows are reduced as
+    int bitsets, which eliminate the dense rows of the oracles and of
+    criterion 8 faster than sparse rows do."""
+    echelon = _F2Echelon() if p == 2 else _Echelon(p)
+    return sum(echelon.insert(_residues(r, p)) for r in rows)
+
+
+def _residues(row: Union[dict, Sequence[int]], p: int) -> dict:
+    """A {key: entry} dict or a dense row, read as {index: entry}, as a new
+    {key: nonzero residue} row."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {k: y for k, x in items if (y := x % p)}
+
+
+class _Echelon:
+    """Row echelon form over F_p grown one sparse row at a time, pivoting on
+    leading keys: a row's lead is its largest key under `order` (the keys
+    themselves by default), and the pivot rows found so far are kept in
+    `pivots`, one per lead.  A row is reduced against the pivot of its lead
+    until it vanishes or leads with a key no pivot has.  A caller that knows
+    a row's lead may store a function that builds the row under that lead
+    instead of the row; it is called once, when a reduction first needs it.
+    """
+
+    def __init__(self, p: int, order: Optional[Callable] = None):
+        self.p = p
+        self.order = order
+        self.pivots: dict = {}  # lead -> its row, or a function that builds it
+
+    def insert(self, row: dict) -> bool:
+        """Reduce the {key: nonzero residue} row in place; keep it as a new
+        pivot row if it stays nonzero, and say whether it did."""
+        p, order, pivots = self.p, self.order, self.pivots
+        while row:
+            lead = max(row, key=order)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                return True
+            if callable(pivot):
+                pivot = pivots[lead] = pivot()
+            accumulate(row, -row[lead] * pow(pivot[lead], p - 2, p), pivot, p)
+        return False
 
 
 class _F2Echelon:
     """Row echelon form over F_2 grown one row at a time: each row is packed
     into an int bitset and reduced by XOR against the pivot rows found so
     far, which are keyed by their lowest set bit.  A row's keys are numbered
-    as first seen (the rank does not depend on their order), so any hashable
-    keys will do: column indices, or the basis elements (w, t') of an image."""
+    as first seen (the rank does not depend on their order)."""
 
     def __init__(self):
         self.pivots: dict[int, int] = {}
         self.index: dict = {}  # row key -> its bit
 
     def insert(self, row: dict) -> bool:
-        """Reduce the {key: entry} row; keep it as a new pivot row if it
-        stays nonzero, and say whether it did."""
+        """Reduce the {key: 1} row; keep it as a new pivot row if it stays
+        nonzero, and say whether it did."""
         pivots, index = self.pivots, self.index
         number = index.setdefault
-        r = sum(1 << number(k, len(index)) for k, x in row.items() if x & 1)
+        r = sum(1 << number(k, len(index)) for k in row)
         while r:
             low = r & -r
             pivot = pivots.get(low)
@@ -112,53 +164,13 @@ class _F2Echelon:
         return False
 
 
-class _SparseEchelon:
-    """Row echelon form over F_p grown one sparse row at a time: each row is
-    reduced against the monic pivot rows found so far until it vanishes or
-    leads in a new column.  Row keys are numbered as first seen, as in
-    `_F2Echelon`."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.pivots: dict[int, dict[int, int]] = {}
-        self.index: dict = {}  # row key -> its column
-
-    def insert(self, row: dict) -> bool:
-        """Reduce the {key: entry} row; keep it as a new pivot row if it
-        stays nonzero, and say whether it did."""
-        p, pivots, index = self.p, self.pivots, self.index
-        number = index.setdefault
-        r = {number(k, len(index)): y for k, x in row.items() if (y := x % p)}
-        while r:
-            col = min(r)
-            pivot = pivots.get(col)
-            if pivot is None:
-                inv = pow(r[col], p - 2, p)
-                pivots[col] = {j: x * inv % p for j, x in r.items()}
-                return True
-            c = r[col]
-            for j, y in pivot.items():
-                x = (r.get(j, 0) - c * y) % p
-                if x:
-                    r[j] = x
-                else:
-                    r.pop(j, None)
-        return False
-
-
-def _echelon(p: int) -> Union[_F2Echelon, _SparseEchelon]:
-    """An empty row echelon form over F_p: int bitsets for p = 2, monic
-    sparse pivot rows for odd p."""
-    return _F2Echelon() if p == 2 else _SparseEchelon(p)
-
-
 def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
     """Independent check: eliminate the transpose with the generic routine."""
     if not rows or not rows[0]:
         return 0
     transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    echelon = _SparseEchelon(p)
-    return sum(echelon.insert(dict(enumerate(col))) for col in transpose)
+    echelon = _Echelon(p)
+    return sum(echelon.insert(_residues(col, p)) for col in transpose)
 
 
 # ---------------------------------------------------------------------
@@ -216,8 +228,11 @@ class GradedComplex:
         self._chain_degrees: dict[int, dict[int, int]] = {}
         # (level, d) -> the independent columns, levels >= 0 (see independent_columns)
         self._kept: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
-        # (level, m, t) -> {(w, t'): c}, the image m * d_level(.t)
+        # (level, m, t) -> {(w, t'): c}, the image m * d_level(.t), where built
         self._images: dict[tuple[int, Word, Word], dict[tuple[Word, Word], int]] = {}
+        # (level, d) -> the lead ((w, t'), c) of each independent column's image
+        self._leads: dict[tuple[int, int], tuple[tuple[tuple[Word, Word], int], ...]] = {}
+        self._orders: dict[int, Callable] = {}  # level -> the sort key of basis order
 
     @classmethod
     def from_prefix(cls, prefix: ResolutionPrefix) -> "GradedComplex":
@@ -334,59 +349,103 @@ class GradedComplex:
                 mat[row_index[key]][jcol] = c
         return mat
 
+    def _basis_order(self, level: int) -> Callable:
+        """The sort key of basis order on the elements m.t at the level: the
+        word mt, then the position of t among the chains."""
+        order = self._orders.get(level)
+        if order is None:
+            position = {t: i for i, t in enumerate(self.chains.get(level, []))}
+            order = self._orders[level] = lambda mt: (mt[0] + mt[1], position[mt[1]])
+        return order
+
+    def _image_lead(self, level: int, m: Word, t: Word) -> Optional[tuple[tuple[Word, Word], int]]:
+        """The lead ((w, t'), c) of the image of m.t, its largest basis
+        element in basis order with its coefficient, or None for a zero
+        image; the image is built."""
+        image = self.column_image(level, m, t)
+        if not image:
+            return None
+        top = max(image, key=self._basis_order(level - 1))
+        return top, image[top]
+
     def independent_columns(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
         """The basis elements m.t of degree d whose columns one greedy
         elimination keeps as independent, in basis order; they span the
         image of d_level in degree d, so their number is its rank.
-        Computed once per (level, d), for levels >= 0.
+        Computed once per (level, d), for levels >= 0, with the lead of each
+        kept column's image (see `_image_lead`) in `_leads`.
 
         The candidates are the generators .t of degree d and the columns
-        x m'.t for each m'.t kept in degree d - deg x with x m' irreducible
-        (m' is, so one trie walk from the front of x m' decides it).  In
-        basis order, each candidate's image is reduced against the pivots
-        found so far and kept if it stays nonzero; the rest of the basis is
-        never listed.  This is exact because the image of d is a left
-        submodule: by induction on d and then along the basis order, every
-        column lies in the span of the kept columns before or at it.  A
-        column x m'.t that is no candidate has m'.t dependent, so m'.t is a
-        combination of kept m_i.t_i before it, and x m'.t the same
-        combination of the x m_i.t_i.  Each of those is the column
-        (x m_i).t_i before x m'.t when x m_i is irreducible, and otherwise a
-        combination of columns u.t_i with u t_i < x m_i t_i (u in the
-        support of nf(x m_i)); all lie in the span already.  Only what
-        `column_image` assumes is used: a reduced complete system and a
-        basis order that left multiplication keeps.
+        x m'.t for each m'.t kept in degree d - deg x with x m' irreducible.
+        Each carries the lead of its image.  A generator's is read off
+        d(.t).  For x m'.t, let (m1.t1, c) be the lead of m'.t: when x m1
+        is irreducible, the lead of x m'.t is ((x m1).t1, c) and no image is
+        built; otherwise the image is built and its maximum taken.  While
+        m1 = m' u, one trie walk from the front of x m1 decides both
+        questions, since any lhs in it is a prefix, ending within x m' or
+        past it.
+
+        In basis order, a candidate whose lead no pivot has yet is kept at
+        once, with its image left unbuilt as the pivot of that lead.  On a
+        collision its image is built and reduced against the pivots, each
+        pivot's row built on its first use, until it leads with a new key
+        (kept, the reduced row its pivot) or vanishes (dropped).  Any
+        combination of rows with distinct leads leads with one of their
+        leads, so a candidate is kept exactly when it is independent of the
+        columns kept before it: the kept columns are those of an
+        elimination that builds every image.  The module docstring shows
+        why they span the image; the argument needs neither exactness nor
+        d o d = 0, only a reduced complete system, as `column_image` does.
         """
         key = (level, d)
         kept = self._kept.get(key)
-        if kept is None:
-            chains = self.chains.get(level, [])
-            degree, front_rule = self.alphabet.degree, self.system.front_rule
-            candidates = [((), t) for t in chains if degree(t) == d]
-            letters: dict[int, list[int]] = {}  # letter degree -> the letters
-            for x in range(len(self.alphabet)):
-                letters.setdefault(degree((x,)), []).append(x)
-            for dx, xs in letters.items():
-                if dx > d:
-                    continue
-                # the kept columns m'.t one letter down, grouped by m'
-                below: dict[Word, list[Word]] = {}
-                for m, t in self.independent_columns(level, d - dx):
-                    below.setdefault(m, []).append(t)
-                for x in xs:
-                    for m, ts in below.items():
-                        xm = (x,) + m
-                        if front_rule(xm) is None:
-                            candidates.extend((xm, t) for t in ts)
-            # basis order: the word mt, then the position of t among the chains
-            position = {t: i for i, t in enumerate(chains)}
-            candidates.sort(key=lambda mt: (mt[0] + mt[1], position[mt[1]]))
-            echelon = _echelon(self.field.p)
-            kept = self._kept[key] = tuple(
-                (m, t) for m, t in candidates if echelon.insert(self.column_image(level, m, t))
-            )
-            for m, t in set(candidates).difference(kept):  # only kept ones are extended
-                del self._images[(level, m, t)]
+        if kept is not None:
+            return kept
+        degree, front_rule = self.alphabet.degree, self.system.front_rule
+        # (m, t, the lead of its image, or None where the image gives it)
+        candidates = [((), t, None) for t in self.chains.get(level, []) if degree(t) == d]
+        letters: dict[int, list[int]] = {}  # letter degree -> the letters
+        for x in range(len(self.alphabet)):
+            letters.setdefault(degree((x,)), []).append(x)
+        for dx, xs in letters.items():
+            if dx > d:
+                continue
+            # the kept columns m'.t one letter down, with their leads, grouped by m'
+            below: dict[Word, list] = {}
+            for (m, t), lead in zip(
+                self.independent_columns(level, d - dx), self._leads[(level, d - dx)]
+            ):
+                below.setdefault(m, []).append((t, lead))
+            for x in xs:
+                for m, column in below.items():
+                    xm, k = (x,) + m, len(m)
+                    for t, ((m1, t1), c) in column:
+                        xm1 = (x,) + m1
+                        if m1[:k] == m:
+                            front = front_rule(xm1)
+                            if front is not None and front[0] <= k + 1:
+                                break  # x m' is reducible
+                        elif front_rule(xm) is not None:
+                            break
+                        else:
+                            front = front_rule(xm1)
+                        candidates.append((xm, t, None if front else ((xm1, t1), c)))
+        candidates.sort(key=self._basis_order(level))
+        echelon = _Echelon(self.field.p, self._basis_order(level - 1))
+        pivots = echelon.pivots
+        kept, leads = [], []
+        for m, t, lead in candidates:
+            if lead is None:
+                lead = self._image_lead(level, m, t)
+            if lead is not None and lead[0] not in pivots:
+                pivots[lead[0]] = functools.partial(self.column_image, level, m, t)
+            elif lead is None or not echelon.insert(dict(self.column_image(level, m, t))):
+                del self._images[(level, m, t)]  # only kept columns are extended
+                continue
+            kept.append((m, t))
+            leads.append(lead)
+        self._leads[key] = tuple(leads)
+        kept = self._kept[key] = tuple(kept)
         return kept
 
     def _rank(self, level: int, d: int) -> int:

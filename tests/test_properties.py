@@ -716,6 +716,41 @@ def test_greedy_ranks_need_no_cycles(gc):
             assert gc._rank(level, d) == rank_fp_oracle(dense, gc.field.p), (level, d)
 
 
+def real_complexes():
+    """The complexes of small l=2, big(3,3,2) and big(3,5,4) on their chains
+    up to degree 8, with their own differentials."""
+    names = st.sampled_from(("small l=2", "big(3,3,2)", "big(3,5,4)"))
+    return names.map(
+        lambda name: GradedComplex.from_prefix(real_chains(name).prefix).truncated(NONCYCLE_DEGREE)
+    )
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(noncycle_complexes(), real_complexes()))
+def test_leads_carry_under_left_multiplication(gc):
+    # the lead the greedy rank stores for each kept column m.t is the largest
+    # basis element of m * d(.t) reduced from scratch by act, with its
+    # coefficient c; and for every letter x with x m1 irreducible,
+    # x m * d(.t) leads with ((x m1).t1, c), the lead carried without an image
+    degree = gc.alphabet.degree
+
+    def lead(level, d, terms):
+        position = {key: i for i, key in enumerate(gc.basis(level - 1, d))}
+        top = max(terms, key=position.__getitem__)
+        return top, terms[top]
+
+    for level in range(gc.top + 1):
+        for d in range(NONCYCLE_DEGREE + 1):
+            kept = gc.independent_columns(level, d)
+            for (m, t), ((m1, t1), c) in zip(kept, gc._leads[(level, d)], strict=True):
+                d_t = gc.diff[level][t]
+                assert lead(level, d, gc.prefix.act(m, d_t)) == ((m1, t1), c)
+                for x in range(len(gc.alphabet)):
+                    if gc.system.is_irreducible_word((x,) + m1):
+                        image = gc.prefix.act((x,) + m, d_t)
+                        assert lead(level, d + degree((x,)), image) == (((x,) + m1, t1), c)
+
+
 NF_DEGREE = 10
 
 

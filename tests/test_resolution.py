@@ -81,18 +81,22 @@ def test_exactness_eliminates_each_degree_once(monkeypatch):
     # built are the augmentation's, at level -1, one rank_fp echelon each
     gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
     builds, echelons = [], []
-    matrix, echelon = GradedComplex.differential_matrix, resolution._echelon
+    matrix = GradedComplex.differential_matrix
 
     def counted_matrix(self, level, d):
         builds.append((level, d))
         return matrix(self, level, d)
 
-    def counted_echelon(p):
-        echelons.append(p)
-        return echelon(p)
+    def counted(kernel):
+        def make(*args):
+            echelons.append(kernel)
+            return kernel(*args)
+
+        return make
 
     monkeypatch.setattr(GradedComplex, "differential_matrix", counted_matrix)
-    monkeypatch.setattr(resolution, "_echelon", counted_echelon)
+    for kernel in ("_Echelon", "_F2Echelon"):
+        monkeypatch.setattr(resolution, kernel, counted(getattr(resolution, kernel)))
     assert gc.verify_exactness([-1, 0, 1], 8) == {}
     assert sorted(builds) == [(-1, d) for d in range(9)]
     # levels -1, 0, 1 each need their own rank and the one above, up to the top
@@ -105,19 +109,24 @@ def test_exactness_lists_a_basis_only_for_the_augmentation(monkeypatch):
     # the greedy ranks build their candidate columns from the kept columns
     # one letter down, and count columns on the lhs automaton; only the
     # augmentation's matrix, at level -1, reads a basis, and every column
-    # image built is that of a basis element
+    # image built, kept or dropped, is that of a basis element
     gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
-    levels = []
-    basis = GradedComplex.basis
+    levels, images = [], []
+    basis, column_image = GradedComplex.basis, GradedComplex.column_image
 
     def counted_basis(self, level, d):
         levels.append(level)
         return basis(self, level, d)
 
+    def counted_image(self, level, m, t):
+        images.append(m)
+        return column_image(self, level, m, t)
+
     monkeypatch.setattr(GradedComplex, "basis", counted_basis)
+    monkeypatch.setattr(GradedComplex, "column_image", counted_image)
     assert gc.verify_exactness([-1, 0, 1], 8) == {}
     assert set(levels) == {-1}
-    assert all(gc.system.is_irreducible_word(m) for _level, m, _t in gc._images)
+    assert images and all(gc.system.is_irreducible_word(m) for m in images)
 
 
 def _small(l):
@@ -224,6 +233,34 @@ def test_candidate_columns_match_the_full_basis_walk(built):
             if 0 <= level <= gc.top:
                 walked = _walk_the_basis(gc, level, d, kept)
                 assert list(gc.independent_columns(level, d)) == walked, (level, d)
+
+
+def test_greedy_takes_both_slow_paths(monkeypatch):
+    # on the minimalized big(3,3,2) complex some candidate x m'.t has a lead
+    # that does not carry (x m1 reduces, so its image is built) and some
+    # candidate's lead collides with a pivot's (so its image is reduced);
+    # the kept columns still equal those of the greedy walk over the basis
+    gc = generic_minimalize(_big())
+    uncarried, collisions = [], []
+    image_lead, insert = GradedComplex._image_lead, resolution._Echelon.insert
+
+    def counted_lead(self, level, m, t):
+        if m:  # a generator's lead is read off d(.t)
+            uncarried.append((level, m, t))
+        return image_lead(self, level, m, t)
+
+    def counted_insert(self, row):
+        collisions.append(len(row))
+        return insert(self, row)
+
+    monkeypatch.setattr(GradedComplex, "_image_lead", counted_lead)
+    monkeypatch.setattr(resolution._Echelon, "insert", counted_insert)
+    kept = {}
+    for level in range(gc.top + 1):
+        for d in range(9):
+            walked = _walk_the_basis(gc, level, d, kept)
+            assert list(gc.independent_columns(level, d)) == walked, (level, d)
+    assert uncarried and collisions
 
 
 def test_sparse_ranks_equal_the_dense_oracle(built):
