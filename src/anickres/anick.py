@@ -20,10 +20,19 @@ u.(v t) for the longest suffix v of m = u v that makes v t a chain one
 level up.  d_{-1} is the augmentation.  The lift terminates because the
 leading basis element strictly drops in the (artinian) order induced by
 m.t -> mt.
+
+Every term m.t' of d(.t) has deg t' <= deg t (rewriting never raises the
+degree), so the chains of degree <= D span a subcomplex with the same
+ranks, exactness defects and Betti table up to D.  Given a bound D, the
+prefix lists only those chains, each level extending only the chains kept
+below it.  `diff[level]` tabulates d(.t) when t is first read, so a run
+builds no differential it does not read; its len, iteration and `in` see
+only the entries read so far, so readers go through the chain lists.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .polynomials import accumulate
@@ -73,11 +82,29 @@ def extend_chains(
     return out
 
 
-class ResolutionPrefix:
-    """Chain sets at levels -1..2, each above level 1 by `extend_chains`
-    from the one below, and the differentials d_0, d_1, d_2."""
+class _OnDemand(dict):
+    """A level table {t: d(.t)} over a fixed chain set that fills an entry
+    from `fill(t)` on its first read; reading a t outside the chains raises
+    KeyError, as a full table would."""
 
-    def __init__(self, system: RewritingSystem):
+    def __init__(self, chains, fill):
+        super().__init__()
+        self.chains = chains
+        self.fill = fill
+
+    def __missing__(self, t):
+        if t not in self.chains:
+            raise KeyError(t)
+        value = self[t] = self.fill(t)
+        return value
+
+
+class ResolutionPrefix:
+    """Chain sets at levels -1..2 of degree <= max_degree (None: all), each
+    above level 1 by `extend_chains` from the one below, and the
+    differentials d_0, d_1, d_2, one on-demand table `diff[level]` each."""
+
+    def __init__(self, system: RewritingSystem, max_degree: Optional[int] = None):
         if not system.is_reduced():
             raise ValueError("resolution prefix requires a reduced system")
         alphabet = system.alphabet
@@ -90,24 +117,32 @@ class ResolutionPrefix:
         self.system = system
         self.field = system.field
         self.alphabet = alphabet
-        key = alphabet.sort_key
+        key, degree = alphabet.sort_key, alphabet.degree
+        bound = float("inf") if max_degree is None else max_degree
         self.chains: dict[int, list[Word]] = {
             -1: [e],
-            0: sorted(((i,) for i in range(len(alphabet))), key=key),
+            0: sorted(((i,) for i in range(len(alphabet)) if degree((i,)) <= bound), key=key),
         }
-        pairs = sorted(((L, L[1:]) for L in system.lhs_words()), key=lambda tu: key(tu[0]))
+        pairs = sorted(
+            ((L, L[1:]) for L in system.lhs_words() if degree(L) <= bound),
+            key=lambda tu: key(tu[0]),
+        )
         self.chains[1] = [t for t, _u in pairs]
         for n in range(2, _TOP + 1):
-            pairs = extend_chains(system, pairs)
+            pairs = [tv for tv in extend_chains(system, pairs) if degree(tv[0]) <= bound]
             self.chains[n] = [t for t, _u in pairs]
         self._chain_sets = {level: set(ts) for level, ts in self.chains.items()}
-        self._d_memo: dict[tuple[int, Word], dict[tuple[Word, Word], int]] = {}
+        self.diff: dict[int, dict[Word, dict[tuple[Word, Word], int]]] = {
+            level: _OnDemand(self._chain_sets[level], functools.partial(self._tabulate, level))
+            for level in self.chains
+            if level >= 0
+        }
 
     # ----- delta and j -----------------------------------------------
-    def delta(self, level: int, m: Word, t: Word) -> dict[tuple[Word, Word], int]:
-        """The uncorrected differential on a basis element m.t: with t = u s
-        and s the longest suffix of t that is a chain one level down,
-        m.t -> nf(m u).s."""
+    def delta(self, level: int, t: Word) -> dict[tuple[Word, Word], int]:
+        """The uncorrected differential on a generator .t: with t = u s and
+        s the longest suffix of t that is a chain one level down,
+        .t -> nf(u).s."""
         below = self._chain_sets.get(level - 1, ())
         k = next((k for k in range(len(t) + 1) if t[k:] in below), None)
         if k is None:
@@ -115,7 +150,7 @@ class ResolutionPrefix:
                 f"{self.alphabet.format(t)} has no suffix chain at level {level - 1}"
             )
         s = t[k:]
-        return {(w, s): c for w, c in self.system.normal_form_word(m + t[:k]).items()}
+        return {(w, s): c for w, c in self.system.normal_form_word(t[:k]).items()}
 
     def j_map(self, level: int, m: Word, t: Word) -> Optional[tuple[Word, Word]]:
         """The splitting candidate m.t -> u.vt, as (u, vt), for the longest
@@ -151,21 +186,22 @@ class ResolutionPrefix:
             c = terms.get((e, e))
             return {(e, e): c} if c else {}
         acc: dict[tuple[Word, Word], int] = {}
+        diff = self.diff[level]
         for (m, t), c in terms.items():
-            accumulate(acc, c, self.act(m, self.d_generator(level, t)), self.field.p)
+            accumulate(acc, c, self.act(m, diff[t]), self.field.p)
         return acc
 
     def d_generator(self, level: int, t: Word) -> dict[tuple[Word, Word], int]:
-        """d_level on the generator .t, tabulated; the dict is shared, so
-        callers must not change it."""
-        key = (level, t)
-        if key in self._d_memo:
-            return self._d_memo[key]
-        val = self.delta(level, self.alphabet.empty_word, t)
+        """d_level on the generator .t, read from `diff`; the dict is
+        shared, so callers must not change it."""
+        return self.diff[level][t]
+
+    def _tabulate(self, level: int, t: Word) -> dict[tuple[Word, Word], int]:
+        """d_level(.t) = delta(.t) - i(d(delta(.t))), on its first read."""
+        val = self.delta(level, t)
         below = self.boundary(level - 1, val)
         if below:
             accumulate(val, -1, self.lift_i(level - 1, below), self.field.p)
-        self._d_memo[key] = val
         return val
 
     def lift_i(self, level: int, f: dict) -> dict[tuple[Word, Word], int]:
@@ -210,7 +246,7 @@ class ResolutionPrefix:
         """d_{n-1} d_n = 0 on every generator, epsilon d_0 = 0 included."""
         problems = []
         for level, t in self.generators():
-            square = self.boundary(level - 1, self.d_generator(level, t))
+            square = self.boundary(level - 1, self.diff[level][t])
             if square:
                 problems.append(
                     f"d_{level-1} d_{level}(.{self.alphabet.format(t)}) = "

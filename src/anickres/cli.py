@@ -6,13 +6,13 @@ command prints a canonical machine-readable report.  anick and betti
 interreduce the presentation unless it is reduced and exit 1 naming the
 first critical pair that does not resolve (betti checks only the tips of
 degree <= D, the degrees it reads); betti exits 2 on a rule that is not
-homogeneous.  betti resolves only the chains of degree <= D: no chain
-above D reaches a rank, a defect or a count up to D, nor, since a
-cancellation pairs chains of equal degree, the minimalization below D, so
-the output is the same as from the whole complex.  check lists the
-critical pairs whose obstruction the normal-form engine leaves nonzero;
-the verdict does not depend on its strategy, but on a presentation that
-is not complete the list may.
+homogeneous.  betti gives the resolution prefix the bound D, so it lists
+only the chains of degree <= D: no chain above D reaches a rank, a defect
+or a count up to D, nor, since a cancellation pairs chains of equal
+degree, the minimalization below D, so the output is the same as from the
+whole complex.  check lists the critical pairs whose obstruction the
+normal-form engine leaves nonzero; the verdict does not depend on its
+strategy, but on a presentation that is not complete the list may.
 """
 
 from __future__ import annotations
@@ -175,9 +175,9 @@ def cmd_anick(args) -> int:
 def cmd_betti(args) -> int:
     _require_nonnegative("--D", args.D)
     loaded = _load(args)
-    prefix = ResolutionPrefix(_resolvable(loaded.system, args.D))
+    prefix = ResolutionPrefix(_resolvable(loaded.system, args.D), args.D)
     _require_homogeneous(prefix.system)
-    gc = GradedComplex.from_prefix(prefix).truncated(args.D)
+    gc = GradedComplex.from_prefix(prefix)
     if args.minimal:
         gc = generic_minimalize(gc)
     table = gc.betti_table(args.D)

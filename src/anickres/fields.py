@@ -7,6 +7,7 @@ integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -58,12 +59,5 @@ def binomial_mod_p(n: int, k: int, p: int) -> int:
         k, kd = divmod(k, p)
         if kd > nd:
             return 0
-        result = result * _small_binomial(nd, kd) % p
+        result = result * math.comb(nd, kd) % p
     return result
-
-
-def _small_binomial(n: int, k: int) -> int:
-    num = 1
-    for i in range(k):
-        num = num * (n - i) // (i + 1)
-    return num

@@ -25,7 +25,7 @@ from .words import Alphabet, Generator, Word
 
 
 class AlphabetTooSmallError(ValueError):
-    """A product of divided powers leaves the truncated alphabet with a
+    """A product of divided powers leaves the bounded alphabet with a
     nonzero coefficient; raise the exponent bound (a p-power minus one
     makes the truncation close)."""
 
@@ -67,7 +67,6 @@ class KostantPresentation:
 
     n: int
     p: int
-    flavor: str  # "big" | "small" | "conjectural"
     system: RewritingSystem
     params: dict
     experimental: bool = False
@@ -194,7 +193,6 @@ def big_system(
     return KostantPresentation(
         n,
         p,
-        "big",
         system,
         {"exponent_bound": exponent_bound, "position_order": [str(q) for q in order]},
     )
@@ -205,7 +203,7 @@ def big_system(
 # ---------------------------------------------------------------------
 
 def pbw_dimension(n: int, p: int, l: int) -> int:
-    """Total dimension of the exponent-truncated subalgebra: (p^l)^(n(n-1)/2)."""
+    """Total dimension of the exponent-bounded subalgebra: (p^l)^(n(n-1)/2)."""
     if l < 1:
         raise ValueError("need l >= 1")
     return (p**l) ** (n * (n - 1) // 2)
@@ -288,7 +286,7 @@ def small_system(l: int) -> KostantPresentation:
     alphabet = small_alphabet(l)
     rules = [make_rule(f) for f in small_relations(alphabet, l, field)]
     system = RewritingSystem(alphabet, field, rules)
-    return KostantPresentation(3, 2, "small", system, {"index_bound": l})
+    return KostantPresentation(3, 2, system, {"index_bound": l})
 
 
 def _image_check(
@@ -358,7 +356,7 @@ def conjectural_system(
     variant: str, n: int, p: int, index_bound: int
 ) -> KostantPresentation:
     """Experimental relation sets over the simple-root divided powers
-    a_{ik} = e_{i,i+1}^(p^k), truncated at index k <= index_bound."""
+    a_{ik} = e_{i,i+1}^(p^k), for indices k <= index_bound."""
     if index_bound < 0:
         raise ValueError("need index_bound >= 0")
     field = PrimeField(p)
@@ -468,7 +466,6 @@ def conjectural_system(
     return KostantPresentation(
         n,
         p,
-        "conjectural",
         system,
         {"variant": variant, "index_bound": index_bound},
         experimental=True,

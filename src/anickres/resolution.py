@@ -41,31 +41,23 @@ The exactness defect needs the number of columns too, and counts them on
 the automaton of the left-hand sides: the sum over the chains t of the
 irreducible words of degree d - deg t.
 
-The greedy rank pivots on sparse rows {(w, t'): c}.  `rank_fp` runs on the
-same lead-pivoted kernel for odd p, with a row's column keys as its order,
-and on int bitsets reduced by XOR for p = 2, which are faster on the dense
-rows of the oracles and of criterion 8.  `differential_matrix` still
-builds a whole matrix as sparse rows, one {column: nonzero residue} dict
-per row; the rank uses it only for the augmentation at level -1, and the
-checks use it and `basis` as oracles.
-
-Differentials are tabulated on first read: the level tables of
-`GradedComplex.from_prefix` and of the braid `minimalize` fill an entry
-d(.t) when it is first looked up, so a run never builds the differential
-of a chain it does not read.  Every term m.t' of d(.t) has deg t' <= deg t,
-so the ranks and defects up to degree D read no chain above D, and
-`GradedComplex.truncated(D)`, the subcomplex on the chains of degree <= D,
-has the same Betti table and defects up to D.  An on-demand table knows
-only the entries read so far (its len, iteration and `in` see no others),
-so every reader goes through the chain lists.
+The greedy rank pivots on sparse rows {(w, t'): c}.  The augmentation's
+rank, at level -1, is 1 in degree 0 and 0 elsewhere.  `basis`,
+`differential_matrix` (a whole matrix as sparse rows, one {column: nonzero
+residue} dict per row) and `rank_fp` are oracles for the checks only; the
+pipeline calls none of them.  `rank_fp` runs on the greedy rank's
+lead-pivoted kernel for odd p, and on int bitsets reduced by XOR for
+p = 2, which are faster on the dense rows of the oracles and of criterion
+8.
 
 Minimalization cancels each unit constant entry of a differential by one
 elimination step, in place and in one pass over the levels; the braid
 cancellation of the p = 2, n = 3 small system is kept as an independent
 oracle for it.  A cancellation pairs two chains of equal degree and
 changes only the differentials of chains of that degree or above, which
-come later in the degree-ordered chain lists, so minimalizing
-`truncated(D)` gives the truncation at D of the minimalized complex.
+come later in the degree-ordered chain lists, so minimalizing the complex
+of a prefix bounded at D gives the truncation at D of the minimalized
+complex.
 
 Homological indexing of the Betti table: level 0 is the free cover of the
 trivial module (one generator in degree 0, chain level -1), level 1 counts
@@ -78,7 +70,7 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .anick import ResolutionPrefix
+from .anick import ResolutionPrefix, _OnDemand
 from .polynomials import accumulate
 from .words import Alphabet, Word
 
@@ -177,34 +169,15 @@ def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
 # graded complex
 # ---------------------------------------------------------------------
 
-class _OnDemand(dict):
-    """A level table {t: d(.t)} over a fixed chain set that fills an entry
-    from `fill(t)` on its first read; reading a t outside the chains raises
-    KeyError, as a full table would.  len, iteration and `in` see only the
-    entries read so far."""
-
-    def __init__(self, chains, fill):
-        super().__init__()
-        self.chains = chains
-        self.fill = fill
-
-    def __missing__(self, t):
-        if t not in self.chains:
-            raise KeyError(t)
-        value = self[t] = self.fill(t)
-        return value
-
-
 class GradedComplex:
     """Chain sets and differentials, possibly after minimalization.
 
     `chains[level]` lists the generators .t at chain levels -1..top;
     `diff[level][t]` is d_level(.t), a term dict {(m, t'): c} one level
-    down.  The level tables may fill on first read (see `from_prefix`), so
+    down.  The level tables may fill on first read (the prefix's do), so
     they are read only through the chain lists: `diff[level][t]` for t in
-    `chains[level]`.  Tables and their dicts may be shared with the
-    prefix's tabulated differentials or with another complex (`truncated`
-    shares them all), and are never changed.
+    `chains[level]`.  Tables and their dicts may be shared with the prefix
+    or with another complex, and are never changed.
     """
 
     def __init__(
@@ -236,26 +209,8 @@ class GradedComplex:
 
     @classmethod
     def from_prefix(cls, prefix: ResolutionPrefix) -> "GradedComplex":
-        """The complex of the prefix's chains.  Its level tables call
-        `prefix.d_generator` on first read, so only the differentials a run
-        reads are ever tabulated, once, in the prefix's memo."""
-        diff = {
-            lvl: _OnDemand(set(ts), functools.partial(prefix.d_generator, lvl))
-            for lvl, ts in prefix.chains.items()
-            if lvl >= 0
-        }
-        return cls(prefix, prefix.chains, diff)
-
-    def truncated(self, max_degree: int) -> "GradedComplex":
-        """The subcomplex on the chains of degree <= max_degree, sharing the
-        level tables.  It is closed under d, since every term m.t' of d(.t)
-        has deg t' <= deg t, and it has the same Betti table and exactness
-        defects up to max_degree, before or after minimalization."""
-        degree = self.alphabet.degree
-        chains = {
-            lvl: [t for t in ts if degree(t) <= max_degree] for lvl, ts in self.chains.items()
-        }
-        return GradedComplex(self.prefix, chains, self.diff)
+        """The complex of the prefix's chains, sharing its level tables."""
+        return cls(prefix, prefix.chains, prefix.diff)
 
     # ----- graded bases ----------------------------------------------
     def _irreducible(self, d: int) -> list[Word]:
@@ -334,12 +289,8 @@ class GradedComplex:
         """d_level in degree d as sparse rows (rows: level-1, cols: level).
 
         Row i is {j: c} over the nonzero entries c, in increasing column j;
-        column j is `column_image` of the j-th basis element.  Level -1
-        gives the augmentation row, nonzero only in degree 0.
+        column j is `column_image` of the j-th basis element (level >= 0).
         """
-        if level == -1:
-            cols = self.basis(level, d) if d == 0 else ()
-            return [dict.fromkeys(range(len(cols)), 1)] if cols else []
         cols = self.basis(level, d)
         rows = self.basis(level - 1, d)
         row_index = {key: i for i, key in enumerate(rows)}
@@ -449,12 +400,13 @@ class GradedComplex:
         return kept
 
     def _rank(self, level: int, d: int) -> int:
-        """The rank of d_level in degree d: the augmentation's matrix at
-        level -1, the independent columns above."""
+        """The rank of d_level in degree d: the augmentation's at level -1,
+        which maps e.e to 1 and has no other basis element in degree 0, the
+        independent columns above."""
         if level > self.top:
             return 0
         if level == -1:
-            return rank_fp(self.differential_matrix(level, d), self.field.p)
+            return int(d == 0)
         return len(self.independent_columns(level, d))
 
     def exactness_defect(self, level: int, d: int) -> int:

@@ -98,7 +98,7 @@ def test_T1_antichain(prefix3):
 def test_delta0(prefix3):
     A = prefix3.system.alphabet
     e = A.empty_word
-    val = prefix3.delta(0, e, A.word("a0"))
+    val = prefix3.delta(0, A.word("a0"))
     assert val == {(A.word("a0"), e): 1}
 
 

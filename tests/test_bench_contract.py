@@ -79,3 +79,31 @@ def test_only_completion_builds_the_lhs_index(monkeypatch, name, builds_pairs):
     _report, facts = workload.pipeline(loaded.system, size.params)
     assert size.oracle(facts) == []
     assert bool(built) == builds_pairs
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_pipeline_calls_no_matrix_oracle(monkeypatch, name):
+    # basis, differential_matrix and rank_fp are the checks' oracles: the
+    # greedy ranks, the column counts and the augmentation's rank need none
+    from anickres import resolution
+
+    called = []
+
+    def recording(owner, attr):
+        original = getattr(owner, attr)
+
+        def record(*args, **kwargs):
+            called.append(attr)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, record)
+
+    recording(resolution.GradedComplex, "basis")
+    recording(resolution.GradedComplex, "differential_matrix")
+    recording(resolution, "rank_fp")
+    workload = workloads.WORKLOADS[name]
+    size = workload.size(smoke=True)
+    loaded = PresentationDocument.from_json(workload.document_json(smoke=True)).build()
+    _report, facts = workload.pipeline(loaded.system, size.params)
+    assert size.oracle(facts) == []
+    assert called == []

@@ -1,7 +1,8 @@
 """Randomized property tests: order laws on words, the deglex order against
 an independent reference, normal-form uniqueness for complete systems,
 reduction soundness, rank-oracle agreement, the trie lhs matcher, the
-irreducible-word automaton, chain levels 2 and 3, the grown lhs index and
+irreducible-word automaton, chain levels 2 and 3, the degree-bounded
+resolution prefix against the unbounded one, the grown lhs index and
 the degree-bounded pair lists against naive scans, completion against a
 rebuild per added rule, interreduction and generic minimalization against
 their restart loops, and the normal-form engine against leftmost-first
@@ -669,12 +670,8 @@ def real_chains(name):
         "big(3,3,2)": lambda: big_system(3, 3, 2).system.interreduce(),
         "big(3,5,4)": lambda: big_system(3, 5, 4).system.interreduce(),
     }
-    prefix = ResolutionPrefix(systems[name]())
-    degree = prefix.alphabet.degree
-    chains = {
-        lvl: [t for t in ts if degree(t) <= NONCYCLE_DEGREE] for lvl, ts in prefix.chains.items()
-    }
-    return GradedComplex(prefix, chains, {})
+    prefix = ResolutionPrefix(systems[name](), NONCYCLE_DEGREE)
+    return GradedComplex(prefix, prefix.chains, {})
 
 
 @st.composite
@@ -720,9 +717,7 @@ def real_complexes():
     """The complexes of small l=2, big(3,3,2) and big(3,5,4) on their chains
     up to degree 8, with their own differentials."""
     names = st.sampled_from(("small l=2", "big(3,3,2)", "big(3,5,4)"))
-    return names.map(
-        lambda name: GradedComplex.from_prefix(real_chains(name).prefix).truncated(NONCYCLE_DEGREE)
-    )
+    return names.map(lambda name: GradedComplex.from_prefix(real_chains(name).prefix))
 
 
 @settings(max_examples=12, deadline=None)
@@ -749,6 +744,31 @@ def test_leads_carry_under_left_multiplication(gc):
                     if gc.system.is_irreducible_word((x,) + m1):
                         image = gc.prefix.act((x,) + m, d_t)
                         assert lead(level, d + degree((x,)), image) == (((x,) + m1, t1), c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        overlapping_antichains().map(monomial_system),
+        st.sampled_from(("small l=2", "big(3,3,2)", "big(3,5,4)")).map(
+            lambda name: real_chains(name).prefix.system
+        ),
+    ),
+    st.integers(0, 12),
+)
+def test_bounded_prefix_is_the_unbounded_one_up_to_its_bound(system, D):
+    # at every level the prefix bounded at D lists the unbounded prefix's
+    # chains of degree <= D, with the same d(.t), and d o d = 0 holds on it;
+    # D = 0 and a D below every lhs degree are tried on each system too
+    full = ResolutionPrefix(system)
+    degree = system.alphabet.degree
+    for bound in {0, min(map(degree, system.lhs_words())) - 1, D}:
+        prefix = ResolutionPrefix(system, bound)
+        assert prefix.chains == {
+            lvl: [t for t in ts if degree(t) <= bound] for lvl, ts in full.chains.items()
+        }
+        assert all(prefix.diff[lvl][t] == full.diff[lvl][t] for lvl, t in prefix.generators())
+        assert prefix.verify_complex() == (True, [])
 
 
 NF_DEGREE = 10

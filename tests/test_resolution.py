@@ -67,18 +67,13 @@ def test_differential_matrix_level0_degree1(gc2):
     assert rank_fp(mat, 2) == 2
 
 
-def test_augmentation_matrix(gc2):
-    assert gc2.differential_matrix(-1, 0) == [{0: 1}]
-    assert gc2.differential_matrix(-1, 3) == []
-
-
 def test_exactness_unmodified(gc2):
     assert gc2.verify_exactness([-1, 0, 1], 10) == {}
 
 
 def test_exactness_eliminates_each_degree_once(monkeypatch):
-    # one greedy elimination per (level, d) at levels >= 0; the only matrices
-    # built are the augmentation's, at level -1, one rank_fp echelon each
+    # one greedy elimination per (level, d) at levels >= 0, the augmentation's
+    # rank read off its degree, and no matrix built
     gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
     builds, echelons = [], []
     matrix = GradedComplex.differential_matrix
@@ -98,18 +93,18 @@ def test_exactness_eliminates_each_degree_once(monkeypatch):
     for kernel in ("_Echelon", "_F2Echelon"):
         monkeypatch.setattr(resolution, kernel, counted(getattr(resolution, kernel)))
     assert gc.verify_exactness([-1, 0, 1], 8) == {}
-    assert sorted(builds) == [(-1, d) for d in range(9)]
+    assert builds == []
     # levels -1, 0, 1 each need their own rank and the one above, up to the top
     eliminations = {(level, d) for level in (0, 1, 2) for d in range(9)}
     assert set(gc._kept) == eliminations
-    assert len(echelons) == len(builds) + len(eliminations)
+    assert len(echelons) == len(eliminations)
 
 
-def test_exactness_lists_a_basis_only_for_the_augmentation(monkeypatch):
+def test_exactness_lists_no_basis(monkeypatch):
     # the greedy ranks build their candidate columns from the kept columns
-    # one letter down, and count columns on the lhs automaton; only the
-    # augmentation's matrix, at level -1, reads a basis, and every column
-    # image built, kept or dropped, is that of a basis element
+    # one letter down, and count columns on the lhs automaton; no basis is
+    # listed, and every column image built, kept or dropped, is that of a
+    # basis element
     gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
     levels, images = [], []
     basis, column_image = GradedComplex.basis, GradedComplex.column_image
@@ -125,7 +120,7 @@ def test_exactness_lists_a_basis_only_for_the_augmentation(monkeypatch):
     monkeypatch.setattr(GradedComplex, "basis", counted_basis)
     monkeypatch.setattr(GradedComplex, "column_image", counted_image)
     assert gc.verify_exactness([-1, 0, 1], 8) == {}
-    assert set(levels) == {-1}
+    assert levels == []
     assert images and all(gc.system.is_irreducible_word(m) for m in images)
 
 
@@ -370,19 +365,20 @@ def test_shared_differentials_are_never_changed(build):
 
 
 def test_betti_small_reads_no_differential_above_D():
-    # the benchmark's betti-small path: the on-demand tables tabulate the
-    # level-2 chains of degree <= 18 and the braid partner b4 a3 a3 that
-    # minimalize checks eagerly, and nothing else at level 2
+    # the benchmark's betti-small path: the prefix's on-demand tables, which
+    # the complex shares, tabulate the level-2 chains of degree <= 18 and the
+    # braid partner b4 a3 a3 that minimalize checks eagerly, and nothing else
+    # at level 2
     prefix = ResolutionPrefix(small_system(4).system)
     gc = GradedComplex.from_prefix(prefix)
+    assert gc.diff is prefix.diff
     mn = minimalize(gc)
     table, defects = mn.betti_table(18), mn.verify_exactness([-1, 0, 1], 18)
     alphabet = prefix.alphabet
     partner = alphabet.word("b4", "a3", "a3")
-    read = [t for level, t in prefix._d_memo if level == 2]
+    read = list(prefix.diff[2])
     assert all(alphabet.degree(t) <= 18 or t == partner for t in read)
     assert partner in read and len(read) < len(prefix.chains[2])
-    assert all(gc.diff[lvl][t] is prefix.d_generator(lvl, t) for lvl, t in prefix.generators())
     # the same answers from a complex whose every differential was tabulated up front
     eager = ResolutionPrefix(small_system(4).system)
     diff = {
@@ -399,7 +395,7 @@ def test_on_demand_table_refuses_a_word_outside_its_chains(gc2):
     word = gc2.alphabet.word("a0", "a0", "a0")
     with pytest.raises(KeyError):
         gc2.diff[1][word]
-    assert (1, word) not in gc2.prefix._d_memo
+    assert word not in gc2.prefix.diff[1]
     with pytest.raises(KeyError):
         gc2.diff[0][gc2.alphabet.empty_word]
 
@@ -434,11 +430,13 @@ def _minimalized(name):
     ],
 )
 def test_minimalizing_the_truncation_truncates_the_minimal_complex(name, D):
+    # the complex of the prefix bounded at D minimalizes to the minimal
+    # complex's chains of degree <= D, with the same differentials
     gc, full = _minimalized(name)
     degree = gc.alphabet.degree
-    truncated = gc.truncated(D)
-    assert sum(map(len, truncated.chains.values())) < sum(map(len, gc.chains.values()))
-    mn = generic_minimalize(truncated)
+    bounded = GradedComplex.from_prefix(ResolutionPrefix(gc.system, D))
+    assert sum(map(len, bounded.chains.values())) < sum(map(len, gc.chains.values()))
+    mn = generic_minimalize(bounded)
     for level, ts in full.chains.items():
         assert mn.chains[level] == [t for t in ts if degree(t) <= D]
         assert all(mn.diff[level][t] == full.diff[level][t] for t in mn.chains[level] if level >= 0)
