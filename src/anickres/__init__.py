@@ -34,6 +34,7 @@ from .resolution import (
     minimalize,
     rank_fp,
     rank_fp_oracle,
+    resolve,
 )
 from .documents import (
     DocumentError,

@@ -25,9 +25,10 @@ Every term m.t' of d(.t) has deg t' <= deg t (rewriting never raises the
 degree), so the chains of degree <= D span a subcomplex with the same
 ranks, exactness defects and Betti table up to D.  Given a bound D, the
 prefix lists only those chains, each level extending only the chains kept
-below it.  `diff[level]` tabulates d(.t) when t is first read, so a run
-builds no differential it does not read; its len, iteration and `in` see
-only the entries read so far, so readers go through the chain lists.
+below it, and only up to D.  `diff[level]` tabulates d(.t) when t is first
+read, so a run builds no differential it does not read; its len, iteration
+and `in` see only the entries read so far, so readers go through the chain
+lists.
 """
 
 from __future__ import annotations
@@ -43,9 +44,12 @@ _TOP = 2  # the highest chain level built
 
 
 class LiftError(RuntimeError):
-    """The contracting lift got stuck (leading term not liftable, or the
-    leading element failed to decrease); for odd characteristic this is
-    the symptom of a sign-convention failure."""
+    """The contracting lift got stuck.  It cannot on a reduced system that
+    is complete up to the chain's degree, so the system is not, or this is
+    a bug."""
+
+
+_STUCK = "the system is not complete up to this degree, or this is a bug"
 
 
 def format_terms(alphabet: Alphabet, terms: dict[tuple[Word, Word], int]) -> str:
@@ -65,17 +69,23 @@ def format_terms(alphabet: Alphabet, terms: dict[tuple[Word, Word], int]) -> str
 
 
 def extend_chains(
-    system: RewritingSystem, level: list[tuple[Word, Word]]
+    system: RewritingSystem,
+    level: list[tuple[Word, Word]],
+    max_degree: Optional[int] = None,
 ) -> list[tuple[Word, Word]]:
     """The next chain level from (chain, tail) pairs, sorted by chain: t
     with tail u extends to t v, with tail v, when an lhs starting inside u
     runs v past its end and u v holds no other lhs occurrence (in a reduced
     system, Anick's condition that no proper prefix of u v longer than u
-    holds an lhs)."""
+    holds an lhs).  With max_degree, a t v of higher degree is dropped
+    before its occurrence test."""
+    degree = system.alphabet.degree
+    bound = float("inf") if max_degree is None else max_degree
     out = []
     for t, u in level:
+        room = bound - degree(t)
         for v in system.lhs_overhangs(u):
-            if len(system.lhs_occurrences(u + v)) == 1:
+            if degree(v) <= room and len(system.lhs_occurrences(u + v)) == 1:
                 out.append((t + v, v))
     key = system.alphabet.sort_key
     out.sort(key=lambda tv: key(tv[0]))
@@ -129,7 +139,7 @@ class ResolutionPrefix:
         )
         self.chains[1] = [t for t, _u in pairs]
         for n in range(2, _TOP + 1):
-            pairs = [tv for tv in extend_chains(system, pairs) if degree(tv[0]) <= bound]
+            pairs = extend_chains(system, pairs, max_degree)
             self.chains[n] = [t for t, _u in pairs]
         self._chain_sets = {level: set(ts) for level, ts in self.chains.items()}
         self.diff: dict[int, dict[Word, dict[tuple[Word, Word], int]]] = {
@@ -210,7 +220,8 @@ class ResolutionPrefix:
         below = self.boundary(level - 1, f)
         if below:
             raise LiftError(
-                f"lift input is not a cycle: boundary {format_terms(self.alphabet, below)}"
+                f"lift input is not a cycle: boundary "
+                f"{format_terms(self.alphabet, below)}; {_STUCK}"
             )
         p = self.field.p
         fmt, key = self.alphabet.format, self.alphabet.sort_key
@@ -222,15 +233,13 @@ class ResolutionPrefix:
             lead = key(m + t)
             if guard is not None and lead >= guard:
                 raise LiftError(
-                    f"leading element failed to decrease at {fmt(m)}.{fmt(t)} "
-                    f"(sign convention breaks down here)"
+                    f"leading element failed to decrease at {fmt(m)}.{fmt(t)}; {_STUCK}"
                 )
             guard = lead
             g = self.j_map(level, m, t)
             if g is None:
                 raise LiftError(
-                    f"leading element {fmt(m)}.{fmt(t)} of a cycle is not liftable "
-                    f"(sign convention breaks down here)"
+                    f"leading element {fmt(m)}.{fmt(t)} of a cycle is not liftable; {_STUCK}"
                 )
             g_terms = {g: rest[(m, t)]}
             accumulate(result, 1, g_terms, p)

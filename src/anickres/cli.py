@@ -2,16 +2,17 @@
 
 Subcommands: nf, check, anick, betti, verify, conjectures.  Exit codes:
 0 pass, 1 verification failure, 2 usage/parse error.  With --json the
-command prints a canonical machine-readable report.  anick and betti
-interreduce the presentation unless it is reduced and exit 1 naming the
-first critical pair that does not resolve (betti checks only the tips of
-degree <= D, the degrees it reads); betti exits 2 on a rule that is not
-homogeneous.  betti gives the resolution prefix the bound D, so it lists
-only the chains of degree <= D: no chain above D reaches a rank, a defect
-or a count up to D, nor, since a cancellation pairs chains of equal
-degree, the minimalization below D, so the output is the same as from the
-whole complex.  check lists the critical pairs whose obstruction the
-normal-form engine leaves nonzero; the verdict does not depend on its
+command prints a canonical machine-readable report.  anick interreduces
+the presentation unless it is reduced and exits 1 naming the first
+critical pair that does not resolve.  betti reads the complex of
+`resolution.resolve(system, D)`: interreduced, completed up to D when a
+critical pair of tip degree <= D does not resolve (exit 2 if completion
+hits its cap), refused with exit 2 when not augmented or not homogeneous,
+and listing only the chains of degree <= D: no chain above D reaches a
+rank, a defect or a count up to D, nor, since a cancellation pairs chains
+of equal degree, the minimalization below D, so the output is the same as
+from the whole complex.  check lists the critical pairs whose obstruction
+the normal-form engine leaves nonzero; the verdict does not depend on its
 strategy, but on a presentation that is not complete the list may.
 """
 
@@ -29,8 +30,8 @@ from .documents import (
     Report,
     parse_expression,
 )
-from .resolution import GradedComplex, generic_minimalize
-from .rewriting import RewritingSystem
+from .resolution import generic_minimalize, resolve
+from .rewriting import CompletionCapError, RewritingSystem
 
 
 def _add_presentation_args(parser: argparse.ArgumentParser):
@@ -70,32 +71,18 @@ class IncompleteSystemError(Exception):
     """A critical pair of the presentation does not resolve (exit 1)."""
 
 
-def _resolvable(system: RewritingSystem, degree_bound: int | None = None) -> RewritingSystem:
-    """The reduced system the resolution is built on: interreduce unless
-    already reduced, then require every critical pair whose tip has degree
-    <= degree_bound (None = all) to resolve."""
+def _resolvable(system: RewritingSystem) -> RewritingSystem:
+    """The reduced system anick resolves: interreduce unless already
+    reduced, then require every critical pair to resolve."""
     if not system.is_reduced():
         system = system.interreduce()
-    ok, witnesses = system.is_complete(degree_bound)
+    ok, witnesses = system.is_complete()
     if not ok:
         raise IncompleteSystemError(
             f"not complete: the critical pair at tip "
             f"{system.alphabet.format(witnesses[0][0].tip)} does not resolve"
         )
     return system
-
-
-def _require_homogeneous(system: RewritingSystem) -> None:
-    """Graded Betti numbers need homogeneous relations: refuse the first
-    rule whose tail leaves the degree of its lhs."""
-    degree = system.alphabet.degree
-    for rule in system.rules:
-        d = degree(rule.lhs)
-        if any(degree(w) != d for w in rule.rhs.terms):
-            raise ValueError(
-                f"graded Betti numbers need homogeneous relations: "
-                f"the tail of rule {rule} leaves degree {d}"
-            )
 
 
 def _emit(report: Report, args, exit_code: int) -> int:
@@ -175,9 +162,7 @@ def cmd_anick(args) -> int:
 def cmd_betti(args) -> int:
     _require_nonnegative("--D", args.D)
     loaded = _load(args)
-    prefix = ResolutionPrefix(_resolvable(loaded.system, args.D), args.D)
-    _require_homogeneous(prefix.system)
-    gc = GradedComplex.from_prefix(prefix)
+    gc = resolve(loaded.system, args.D)
     if args.minimal:
         gc = generic_minimalize(gc)
     table = gc.betti_table(args.D)
@@ -278,10 +263,7 @@ def main(argv=None) -> int:
     except IncompleteSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (CompletionCapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

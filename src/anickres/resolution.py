@@ -8,37 +8,26 @@ m = x m' (Anick's module structure), so each one reduces only words x w
 with w already irreducible.
 
 The rank of d_level in degree d (level >= 0) is taken by one greedy
-elimination that never builds the matrix, never lists the basis, and
-builds few column images.  The candidates are the generators (m empty) and
-the columns x m'.t for each m'.t kept as independent in degree d - deg x
-with x m' irreducible.  Each candidate carries the lead of its image: its
-largest basis element (w.t', c) in basis order, with its coefficient.  A
-generator's lead is read off d(.t).  Left multiplication keeps basis order
-and reduction only lowers a word, so when x m1 is irreducible for the lead
-(m1.t1, c) of m'.t, x m'.t leads with ((x m1).t1, c) and its image is not
-built; only otherwise is it built to find its lead.  Since m' and m1 are
-irreducible, and m1 = m' u as long as leads carry, one trie walk from the
-front of x m1 decides both whether x m' is irreducible and whether the
-lead carries.  In basis order, a candidate whose lead no pivot has yet is
-kept with no arithmetic, as the pivot of that lead.  Only on a collision
-are its image and the pivot rows it meets built, and it is reduced until
-it leads with a new key (kept) or vanishes (dropped).  The rank is the
-number kept.  Rows with distinct leads are independent, so a candidate is
-kept exactly when it is independent of the columns kept before it, as in
-an elimination that builds every image.  This is exact because the image
-of d is a left submodule of the free module: by induction on the degree
-and then along the basis order, a dependent m'.t is a combination of kept
-columns m_i.t_i before it, and x times each of those is a column before
-x m'.t or, where x m_i reduces, a combination of columns smaller still,
-all in the span of the kept columns already.  Nothing here needs
-exactness or d o d = 0, only the reduced complete system that the column
-images already assume.  Most columns of a large degree are never built:
-in degree 12 of the minimalized big(4,3,2) complex, 538 of 11,684 level-2
-columns are independent, and in the minimalized small l=4 complex to
-degree 18, 1,904 of the 8,303 candidates have their image built.  Only
-the images of kept columns stay cached, since only they are extended.
-The exactness defect needs the number of columns too, and counts them on
-the automaton of the left-hand sides: the sum over the chains t of the
+elimination, `independent_columns`, that never builds the matrix, never
+lists the basis, and builds few column images: each candidate carries
+the lead of its image from the column one letter down (left
+multiplication keeps basis order and reduction only lowers a word), and
+an image is built only where the lead does not carry or collides with a
+pivot.  It keeps the columns of an elimination that builds every image.
+This is exact because the image of d is a left submodule of the free
+module: by induction on the degree and then along the basis order, a
+dependent m'.t is a combination of kept columns m_i.t_i before it, and x
+times each of those is a column before x m'.t or, where x m_i reduces, a
+combination of columns smaller still, all in the span of the kept
+columns already.  Nothing here needs exactness or d o d = 0, only the
+reduced complete system that the column images already assume.  Most
+columns of a large degree are never built: in degree 12 of the
+minimalized big(4,3,2) complex, 538 of 11,684 level-2 columns are
+independent, and in the minimalized small l=4 complex to degree 18,
+1,904 of the 8,303 candidates have their image built.  Only the images
+of kept columns stay cached, since only they are extended.  The
+exactness defect needs the number of columns too, and counts them on the
+automaton of the left-hand sides: the sum over the chains t of the
 irreducible words of degree d - deg t.
 
 The greedy rank pivots on sparse rows {(w, t'): c}.  The augmentation's
@@ -59,6 +48,12 @@ come later in the degree-ordered chain lists, so minimalizing the complex
 of a prefix bounded at D gives the truncation at D of the minimalized
 complex.
 
+`resolve(system, D)` is the one route from a presentation to the complex
+read up to D: it interreduces, completes up to D (Bergman's diamond
+lemma) only if `is_complete(D)` fails, so a complete system keeps its
+warm memo, interreduces again, and refuses a presentation that is not
+augmented (the prefix) or not homogeneous.
+
 Homological indexing of the Betti table: level 0 is the free cover of the
 trivial module (one generator in degree 0, chain level -1), level 1 counts
 the alphabet chains, level 2 the surviving rule chains after
@@ -72,6 +67,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .anick import ResolutionPrefix, _OnDemand
 from .polynomials import accumulate
+from .rewriting import RewritingSystem
 from .words import Alphabet, Word
 
 
@@ -445,6 +441,27 @@ class GradedComplex:
                     counts[d] = counts.get(d, 0) + 1
             table[hlevel] = counts
         return table
+
+
+def resolve(system: RewritingSystem, max_degree: int) -> GradedComplex:
+    """The complex of `system`, interreduced and completed up to max_degree,
+    on its chains of degree <= max_degree; see the module docstring."""
+    if not system.is_reduced():
+        system = system.interreduce()
+    if not system.is_complete(max_degree)[0]:
+        system = system.complete(max_degree)
+        if not system.is_reduced():
+            system = system.interreduce()
+    prefix = ResolutionPrefix(system, max_degree)
+    degree = system.alphabet.degree
+    for rule in system.rules:
+        d = degree(rule.lhs)
+        if any(degree(w) != d for w in rule.rhs.terms):
+            raise ValueError(
+                f"graded Betti numbers need homogeneous relations: "
+                f"the tail of rule {rule} leaves degree {d}"
+            )
+    return GradedComplex.from_prefix(prefix)
 
 
 # ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from anickres.anick import ResolutionPrefix, extend_chains, format_terms
+from anickres.anick import LiftError, ResolutionPrefix, extend_chains, format_terms
 from anickres.fields import PrimeField
 from anickres.kostant import big_system, small_system
 from anickres.polynomials import Polynomial
@@ -246,3 +246,35 @@ def test_single_letter_lhs_splits_at_k0():
     ok, problems = prefix.verify_complex()
     assert ok, problems
     assert format_terms(alphabet, prefix.d_generator(1, w("y"))) == ". y + 2 . x"
+
+
+STUCK = "; the system is not complete up to this degree, or this is a bug"
+
+
+def test_incomplete_system_gets_the_lift_stuck():
+    # y x y + x y x over F_3 is reduced but not complete (its self-overlap at
+    # y x y x y does not resolve): building d_2 on it finds no cycle to lift,
+    # and the error says that the system, not a sign, is at fault
+    F3 = PrimeField(3)
+    alphabet = Alphabet.from_names([("x", 1), ("y", 1)])
+    w = alphabet.word
+    rel = Polynomial.from_terms(F3, alphabet, [(1, w("y", "x", "y")), (1, w("x", "y", "x"))])
+    system = RewritingSystem.from_relations(alphabet, F3, [rel])
+    assert system.is_reduced() and not system.is_complete()[0]
+    prefix = ResolutionPrefix(system)
+    with pytest.raises(LiftError) as raised:
+        prefix.d_generator(2, w("y", "x", "y", "x", "y"))
+    assert str(raised.value) == (
+        "lift input is not a cycle: boundary y x x y x . e + 2 x y x x y . e" + STUCK
+    )
+
+
+def test_lift_needing_a_chain_above_the_bound_is_not_liftable():
+    # a . a a is a cycle of the a a -> 0 resolution whose lift is .a a a, a
+    # chain of degree 3, which a prefix bounded at degree 2 does not list
+    prefix = ResolutionPrefix(single_rule_system(), 2)
+    a = prefix.alphabet.word("a")
+    assert prefix.chains[2] == [] and prefix.boundary(1, {(a, a + a): 1}) == {}
+    with pytest.raises(LiftError) as raised:
+        prefix.lift_i(2, {(a, a + a): 1})
+    assert str(raised.value) == "leading element a.a a of a cycle is not liftable" + STUCK

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from anickres.cli import main
+from anickres.rewriting import CompletionCapError, RewritingSystem
 
 
 def run(capsys, *argv):
@@ -366,17 +368,47 @@ def write_doc(tmp_path, doc):
     return str(path)
 
 
+def betti_rows(out):
+    """The rows {level: {degree: count}} of betti's text table, the levels
+    labelled upper bounds, and its exactness line."""
+    rows, bounds = {}, set()
+    for line in out.splitlines():
+        m = re.fullmatch(r"  level (\d+)  degree (\d+)  count (\d+)(  \(upper bound\))?", line)
+        if m:
+            level, degree, count = map(int, m.groups()[:3])
+            rows.setdefault(level, {})[degree] = count
+            if m.group(4):
+                bounds.add(level)
+    return rows, bounds, out.splitlines()[-1]
+
+
 @pytest.mark.parametrize("command", ["anick", "betti"])
 def test_incomplete_presentation_names_the_tip(tmp_path, capsys, command):
+    # y x y + x y x over F_3 is not complete: anick needs every critical pair
+    # to resolve and names the first tip that does not; betti completes the
+    # system up to D and prints the table of the one relation in degree 3
     doc = {
         "p": 3,
         "alphabet": [{"name": "x", "degree": 1, "rank": 0}, {"name": "y", "degree": 1, "rank": 1}],
         "relations": [[[1, ["y", "x", "y"]], [1, ["x", "y", "x"]]]],
     }
-    code = main([command, "--file", write_doc(tmp_path, doc)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.count("\n") == 1 and "tip y x y x y" in err
+    path = write_doc(tmp_path, doc)
+    if command == "anick":
+        code = main(["anick", "--file", path])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "tip y x y x y" in err
+        return
+    code, out = run(capsys, "betti", "--file", path, "--D", "8")
+    assert code == 0
+    rows, bounds, last = betti_rows(out)
+    assert {level: rows.get(level, {}) for level in (0, 1, 2)} == {
+        0: {0: 1},
+        1: {1: 2},
+        2: {3: 1},
+    }
+    assert bounds == {3} and max(rows) == 3
+    assert last == "exactness defects: 0"
 
 
 ODD_P_N3 = ["--builtin", "conjectural", "--variant", "odd_p_n3", "--p", "3", "--indexbound", "1"]
@@ -384,17 +416,53 @@ ODD_P_N3 = ["--builtin", "conjectural", "--variant", "odd_p_n3", "--p", "3", "--
 
 def test_betti_needs_completeness_only_up_to_D(capsys):
     # the first pair of odd_p_n3 (index 1) that does not resolve has a tip of
-    # degree 6: below it the system is complete, and betti resolves it
+    # degree 6: below it the system is complete and betti resolves it as it
+    # is; at D = 6 betti completes it up to degree 6 first
     code, out = run(capsys, "betti", *ODD_P_N3, "--D", "5", "--json")
     assert code == 0
     report = json.loads(out)
     assert report["verdicts"] == {"exact": True}
     assert report["tables"]["betti"]["1"] == {"1": 2, "3": 2}
     assert report["tables"]["betti"]["2"] == {"3": 4, "4": 2}
-    code = main(["betti", *ODD_P_N3, "--D", "6"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.count("\n") == 1 and "tip a1_1 a2_0 a2_0 a1_0" in err
+    code, out = run(capsys, "betti", *ODD_P_N3, "--D", "6")
+    assert code == 0
+    rows, bounds, last = betti_rows(out)
+    assert rows[1] == {1: 2, 3: 2} and rows[2] == {3: 4, 4: 2}
+    assert bounds == {3} and last == "exactness defects: 0"
+
+
+@pytest.mark.parametrize(
+    "argv, row1, row2",
+    [
+        (["--variant", "odd_p_n3", "--p", "3", "--indexbound", "1", "--D", "12"],
+         {1: 2, 3: 2}, {3: 4, 4: 2, 9: 4}),
+        (["--variant", "odd_p_n3", "--p", "3", "--indexbound", "2", "--D", "14"],
+         {1: 2, 3: 2, 9: 2}, {3: 4, 4: 2, 9: 4, 10: 2, 12: 2}),
+        (["--variant", "p2_general_n", "--p", "2", "--n", "4", "--indexbound", "1", "--D", "8"],
+         {1: 3, 2: 3}, {2: 3, 4: 6, 6: 1, 8: 3}),
+    ],
+    ids=["odd_p_n3 index 1 D=12", "odd_p_n3 index 2 D=14", "p2_general_n n=4 D=8"],
+)
+def test_betti_completes_the_conjectural_presentations(capsys, argv, row1, row2):
+    # these presentations are not complete up to D: betti completes them and
+    # prints exact rows 0-2, with the top row labelled a bound
+    code, out = run(capsys, "betti", "--builtin", "conjectural", *argv)
+    assert code == 0
+    rows, bounds, last = betti_rows(out)
+    assert (rows[0], rows[1], rows[2]) == ({0: 1}, row1, row2)
+    assert bounds == {3} and max(rows) == 3
+    assert last == "exactness defects: 0"
+
+
+def test_betti_completion_cap_exits_2(monkeypatch, capsys):
+    def capped(self, degree_bound, max_new_rules=10_000):
+        raise CompletionCapError(f"completion cap of {max_new_rules} new rules exceeded", self)
+
+    monkeypatch.setattr(RewritingSystem, "complete", capped)
+    code = main(["betti", *ODD_P_N3, "--D", "12"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: completion cap of 10000 new rules exceeded\n"
 
 
 @pytest.mark.parametrize("command", ["anick", "betti"])

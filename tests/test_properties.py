@@ -2,12 +2,13 @@
 an independent reference, normal-form uniqueness for complete systems,
 reduction soundness, rank-oracle agreement, the trie lhs matcher, the
 irreducible-word automaton, chain levels 2 and 3, the degree-bounded
-resolution prefix against the unbounded one, the grown lhs index and
-the degree-bounded pair lists against naive scans, completion against a
-rebuild per added rule, interreduction and generic minimalization against
-their restart loops, and the normal-form engine against leftmost-first
-reduction: the normal forms it gives, on complete systems and after
-completion, and the completeness verdicts it gives on any system."""
+resolution prefix and chain extension against the unbounded ones, the
+grown lhs index and the degree-bounded pair lists against naive scans,
+completion against a rebuild per added rule, interreduction and generic
+minimalization against their restart loops, and the normal-form engine
+against leftmost-first reduction: the normal forms it gives, on complete
+systems and after completion, and the completeness verdicts it gives on
+any system."""
 
 import functools
 import heapq
@@ -729,9 +730,12 @@ def test_leads_carry_under_left_multiplication(gc):
     # x m * d(.t) leads with ((x m1).t1, c), the lead carried without an image
     degree = gc.alphabet.degree
 
+    @functools.cache
+    def position(level, d):
+        return {key: i for i, key in enumerate(gc.basis(level - 1, d))}.__getitem__
+
     def lead(level, d, terms):
-        position = {key: i for i, key in enumerate(gc.basis(level - 1, d))}
-        top = max(terms, key=position.__getitem__)
+        top = max(terms, key=position(level, d))
         return top, terms[top]
 
     for level in range(gc.top + 1):
@@ -769,6 +773,38 @@ def test_bounded_prefix_is_the_unbounded_one_up_to_its_bound(system, D):
         }
         assert all(prefix.diff[lvl][t] == full.diff[lvl][t] for lvl, t in prefix.generators())
         assert prefix.verify_complex() == (True, [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        overlapping_antichains().map(monomial_system),
+        st.sampled_from(("small l=2", "big(3,3,2)", "big(3,5,4)")).map(
+            lambda name: real_chains(name).prefix.system
+        ),
+    ),
+    st.integers(0, 12),
+)
+def test_bounded_extension_tests_no_chain_above_its_bound(system, D):
+    # at levels 2 and 3, extend_chains bounded at D lists the unbounded
+    # extensions of degree <= D, and runs the lhs occurrence test on u v for
+    # exactly the extensions t v of degree <= D
+    degree, key = system.alphabet.degree, system.alphabet.sort_key
+    level = sorted(((L, L[1:]) for L in system.lhs_words()), key=lambda tu: key(tu[0]))
+    occurrences = system.lhs_occurrences
+    for _ in range(2):
+        full = extend_chains(system, level)
+        tested = Counter()
+        system.lhs_occurrences = lambda w: tested.update([w]) or occurrences(w)
+        try:
+            bounded = extend_chains(system, level, D)
+        finally:
+            del system.lhs_occurrences
+        assert bounded == [tv for tv in full if degree(tv[0]) <= D]
+        assert tested == Counter(
+            u + v for t, u in level for v in system.lhs_overhangs(u) if degree(t + v) <= D
+        )
+        level = full
 
 
 NF_DEGREE = 10

@@ -4,9 +4,9 @@ import pytest
 
 from anickres import resolution
 from anickres.anick import ResolutionPrefix, format_terms
-from anickres.checks import expected_betti_table
+from anickres.checks import bar_betti_table, expected_betti_table
 from anickres.fields import PrimeField
-from anickres.kostant import big_system, small_system
+from anickres.kostant import big_system, conjectural_system, small_system
 from anickres.rewriting import RewritingSystem
 from anickres.words import Alphabet
 from anickres.resolution import (
@@ -15,6 +15,7 @@ from anickres.resolution import (
     minimalize,
     rank_fp,
     rank_fp_oracle,
+    resolve,
 )
 
 
@@ -462,3 +463,46 @@ def test_generic_minimalize_rejects_a_non_scalar_pivot():
     }
     with pytest.raises(ValueError, match=r"d_1\(\.a a a\)"):
         generic_minimalize(GradedComplex(prefix, chains, diff))
+
+
+def test_resolve_completes_only_a_system_that_is_not_complete(monkeypatch):
+    # odd_p_n3 (index 1) is not complete up to 12: resolve completes it (12
+    # -> 25 rules) to a reduced system complete up to 12; a complete builtin
+    # is only checked, never completed
+    conj = conjectural_system("odd_p_n3", 3, 3, 1).system
+    gc = resolve(conj, 12)
+    assert len(conj.rules) == 12 and len(gc.system.rules) == 25
+    assert gc.system.is_reduced() and gc.system.is_complete(12)[0]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a complete system was completed")
+
+    monkeypatch.setattr(RewritingSystem, "complete", refuse)
+    for system, D in ((small_system(2).system, 8), (big_system(3, 3, 2).system, 7)):
+        assert resolve(system, D).chains == ResolutionPrefix(system.interreduce(), D).chains
+
+
+@pytest.mark.parametrize(
+    "build, D",
+    [
+        (lambda: small_system(2).system, 8),
+        (lambda: small_system(3).system, 8),
+        (lambda: big_system(3, 3, 2).system, 7),
+        (lambda: conjectural_system("odd_p_n3", 3, 3, 1).system, 7),
+    ],
+    ids=["small l=2", "small l=3", "big(3,3,2)", "odd_p_n3 index 1"],
+)
+def test_bar_construction_gives_the_betti_rows(build, D):
+    # Tor from the reduced bar construction shares nothing with the chains,
+    # the lift or the greedy ranks; rows 0-2 of betti's table (resolve, then
+    # generic_minimalize) must equal it, the top row being only a bound.
+    # odd_p_n3 is not complete up to 7, so its table is that of the completion
+    system = build()
+    gc = resolve(system, D)
+    table = generic_minimalize(gc).betti_table(D)
+    assert {n: table[n] for n in (0, 1, 2)} == bar_betti_table(gc.system, D, 3)
+
+
+def test_bar_construction_caps_its_cells():
+    with pytest.raises(ValueError, match="^bar construction exceeded its cap of 100 cells up to degree 8$"):
+        bar_betti_table(small_system(2).system, 8, 3, max_cells=100)
