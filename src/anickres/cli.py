@@ -167,13 +167,18 @@ def cmd_betti(args) -> int:
         gc = generic_minimalize(gc)
     table = gc.betti_table(args.D)
     # chains stop at level 2: the top row still counts the level-2 chains
-    # that a level-3 differential would cancel, so it is only an upper bound
-    top = max(table)
+    # that a level-3 differential would cancel, so it is only an upper bound;
+    # unminimalized, every row above 0 counts raw chains, which only bound
+    # the Betti numbers
+    if args.minimal:
+        bounds = [max(table)]
+    else:
+        bounds = [level for level in sorted(table) if level >= 1]
     defects = gc.verify_exactness([-1, 0, 1], args.D)
     if not args.json:
         print(f"betti table (minimal={args.minimal}, D={args.D}):")
         for level in sorted(table):
-            bound = "  (upper bound)" if level == top else ""
+            bound = "  (upper bound)" if level in bounds else ""
             for degree in sorted(table[level]):
                 print(f"  level {level}  degree {degree}  count {table[level][degree]}{bound}")
         print(f"exactness defects: {len(defects)}")
@@ -181,7 +186,7 @@ def cmd_betti(args) -> int:
         "betti",
         {"D": args.D, "minimal": args.minimal, **loaded.document.params},
         {"exact": not defects},
-        tables={"betti": _str_keys(table), "betti_bound_levels": [str(top)]},
+        tables={"betti": _str_keys(table), "betti_bound_levels": [str(lv) for lv in bounds]},
     )
     return _emit(report, args, 0 if not defects else 1)
 

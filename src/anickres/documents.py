@@ -13,12 +13,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Any, Optional
 
 from .fields import PrimeField
-from .kostant import (
-    KostantPresentation,
-    big_system,
-    conjectural_system,
-    small_system,
-)
+from .kostant import big_system, conjectural_system, small_system
 from .polynomials import Polynomial
 from .rewriting import RewritingSystem
 from .words import Alphabet, Generator
@@ -119,7 +114,6 @@ class PresentationDocument:
 class LoadedPresentation:
     system: RewritingSystem
     document: PresentationDocument
-    kostant: Optional[KostantPresentation] = None
 
     @classmethod
     def from_builtin(cls, builtin: str, params: dict) -> "LoadedPresentation":
@@ -141,7 +135,7 @@ class LoadedPresentation:
         else:
             raise DocumentError(f"unknown builtin {builtin!r}")
         doc = PresentationDocument(builtin=builtin, params=dict(params))
-        return cls(system=pres.system, document=doc, kostant=pres)
+        return cls(system=pres.system, document=doc)
 
 
 def parse_expression(system: RewritingSystem, text: str) -> Polynomial:

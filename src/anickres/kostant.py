@@ -63,12 +63,11 @@ def default_position_order(n: int) -> list[Position]:
 
 @dataclass
 class KostantPresentation:
-    """A presentation: alphabet plus rewriting system, with its parameters."""
+    """A presentation: alphabet plus rewriting system."""
 
     n: int
     p: int
     system: RewritingSystem
-    params: dict
     experimental: bool = False
 
     @property
@@ -190,12 +189,7 @@ def big_system(
 
     rules = [make_rule(f) for f in relations if not f.is_zero()]
     system = RewritingSystem(alphabet, field, rules)
-    return KostantPresentation(
-        n,
-        p,
-        system,
-        {"exponent_bound": exponent_bound, "position_order": [str(q) for q in order]},
-    )
+    return KostantPresentation(n, p, system)
 
 
 # ---------------------------------------------------------------------
@@ -286,7 +280,7 @@ def small_system(l: int) -> KostantPresentation:
     alphabet = small_alphabet(l)
     rules = [make_rule(f) for f in small_relations(alphabet, l, field)]
     system = RewritingSystem(alphabet, field, rules)
-    return KostantPresentation(3, 2, system, {"index_bound": l})
+    return KostantPresentation(3, 2, system)
 
 
 def _image_check(
@@ -463,10 +457,4 @@ def conjectural_system(
 
     rules = [make_rule(f) for f in rels if not f.is_zero()]
     system = RewritingSystem(alphabet, field, rules)
-    return KostantPresentation(
-        n,
-        p,
-        system,
-        {"variant": variant, "index_bound": index_bound},
-        experimental=True,
-    )
+    return KostantPresentation(n, p, system, experimental=True)

@@ -5,11 +5,13 @@ interreduction, and the enumeration and counting of irreducible words.
 Words are tuples of letter indices (see `words`); every comparison of
 words goes through the alphabet's deglex `sort_key`.
 
-Rules are matched by walking a trie of the left-hand sides from each
-position of a word (a prefix tree as in Aho and Corasick, CACM 18, 1975).
-The single-step API (`first_step`, `apply_step`, `reduce_once`) rewrites
-the deglex-largest reducible word at its leftmost reducible position, by
-the first matching rule in system order.
+Each system has one trie of the left-hand sides (a prefix tree as in Aho
+and Corasick, CACM 18, 1975), grown rule by rule by completion.  A node
+lists the rules whose lhs ends there and the rules passing it that are
+longer than its word, both in rule order.  Walked from each position of a
+word, it serves the single-step API (`first_step`, `apply_step`,
+`reduce_once`): the deglex-largest reducible word is rewritten at its
+leftmost reducible position, by the first matching rule in system order.
 
 Normal forms have one strategy and one memo, shared by `normal_form`,
 `normal_form_word`, completion, interreduction, `is_complete` and the
@@ -38,11 +40,10 @@ irreducible, and by linearity L is replaced by R.  Entries above degree d
 are dropped.  Memo words are bucketed by degree as rules are added, so an
 addition visits only the entries of degree >= d; a patched entry is a copy.
 
-Critical pairs are read off one `LhsIndex` per system, built on the first
-pair request (so a system that never asks pays nothing) and grown by each
-rule completion adds.  A new rule's pairs take two lookups instead of a
-scan of every lhs, and neither builds a pair whose tip lies above the
-degree bound.  Pairs come by first rule, then by second rule, and each
+A rule's critical pairs take two lookups, the trie walked from each
+position of its lhs and the starts of its first letter among all lhs,
+instead of a scan of every lhs; neither builds a pair whose tip lies above
+the degree bound.  Pairs come by first rule, then by second rule, and each
 rule pair lists its overlaps by ascending overlap length before its
 inclusions by ascending position; completion's heap breaks ties between
 equal tips by this order.
@@ -69,8 +70,10 @@ from .polynomials import Polynomial, accumulate
 from .words import Alphabet, Word
 
 
-_END = -1  # trie key of the rule index ending at a node; letters are >= 0
-_PAST = -2  # trie key of the rules passing a node and longer than its word (LhsIndex)
+# trie keys beside the letters (>= 0); not -1 and -2, which CPython hashes
+# alike, so that a lookup in a node holding both keys probes once
+_END = -1  # the rules whose lhs ends at a node, in rule order
+_PAST = -3  # the rules passing a node and longer than its word, in rule order
 _WORD_CAP = 2_000_000  # irreducible words enumerated or counted without a degree bound
 
 
@@ -120,122 +123,6 @@ class CriticalPair:
     kind: str  # "overlap" | "inclusion"
     u: Word
     v: Word
-
-
-class LhsIndex:
-    """The left-hand sides of a system indexed for critical pairs, grown one
-    rule at a time.
-
-    A trie of the lhs holds at each node, under _END, the rules whose lhs
-    ends there and, under _PAST, the rules passing it that are longer than
-    its word, both in rule order.  `starts` maps each letter to the
-    (rule, position, degree of the lhs before that position) of its
-    occurrences, in rule order and then by position.
-
-    The pairs of rule k with the rules indexed so far come from two lookups
-    (`pairs_as_second`, `pairs_as_first`), each by first rule, then by
-    second rule, with overlaps by ascending overlap length before
-    inclusions by ascending position.  A pair whose tip lies above the
-    degree bound is never built: an overlap tip u lhs_i = lhs_j v has
-    degree deg(lhs_j before its overlap) + deg(lhs_i), an inclusion tip is
-    lhs_j, and neither is below lhs_i or lhs_j.
-    """
-
-    def __init__(self, alphabet: Alphabet):
-        self.degrees = [g.degree for g in alphabet]
-        self.lhs: list[Word] = []
-        self.lhs_degree: list[int] = []
-        self.trie: dict = {}
-        self.starts: dict[int, list[tuple[int, int, int]]] = {}
-
-    def add(self, lhs: Word) -> None:
-        """Index the lhs of the next rule."""
-        k = len(self.lhs)
-        node = self.trie
-        before = 0
-        for pos, x in enumerate(lhs):
-            node.setdefault(_PAST, []).append(k)
-            self.starts.setdefault(x, []).append((k, pos, before))
-            before += self.degrees[x]
-            node = node.setdefault(x, {})
-        node.setdefault(_END, []).append(k)
-        self.lhs.append(lhs)
-        self.lhs_degree.append(before)
-
-    def pairs_as_second(self, j: int, bound: float) -> list[CriticalPair]:
-        """The pairs (i, j) over the indexed rules i, by ascending i; each
-        (i, j) lists its overlaps by ascending t before its inclusions by
-        ascending position.  Walks of the trie from each position of lhs_j:
-        an lhs_i ending on a walk occurs inside lhs_j, an inclusion unless
-        i = j.  A walk from pos > 0 that uses up lhs_j ends at the node of
-        its suffix of length t = len(lhs_j) - pos, and each lhs_i passing
-        that node begins with that suffix: an overlap."""
-        m2, d2 = self.lhs[j], self.lhs_degree[j]
-        if d2 > bound:
-            return []
-        overlaps: dict[int, list[CriticalPair]] = {}  # by descending t
-        inside: dict[int, list[CriticalPair]] = {}
-        suffix = d2  # the degree of m2[pos:]
-        for pos in range(len(m2)):
-            node = self.trie
-            for x in m2[pos:]:
-                node = node.get(x)
-                if node is None:
-                    break
-                for i in node.get(_END, ()):
-                    if i != j:
-                        v = m2[pos + len(self.lhs[i]) :]
-                        inside.setdefault(i, []).append(
-                            CriticalPair(m2, i, j, "inclusion", m2[:pos], v)
-                        )
-            else:
-                if pos:
-                    t = len(m2) - pos
-                    for i in node.get(_PAST, ()):
-                        if d2 + self.lhs_degree[i] - suffix <= bound:
-                            v = self.lhs[i][t:]
-                            overlaps.setdefault(i, []).append(
-                                CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
-                            )
-            suffix -= self.degrees[m2[pos]]
-        pairs = []
-        for i in sorted(overlaps.keys() | inside.keys()):
-            pairs += reversed(overlaps.get(i, ()))
-            pairs += inside.get(i, ())
-        return pairs
-
-    def pairs_as_first(self, i: int, bound: float) -> list[CriticalPair]:
-        """The pairs (i, j) over the indexed rules j, by ascending j, each
-        (i, j) in the order of `pairs_as_second`.  Both kinds begin lhs_i at
-        a position of lhs_j, so they are read off the starts of its first
-        letter: lhs_j running out first is an overlap, lhs_i doing so is an
-        inclusion."""
-        m1, d1 = self.lhs[i], self.lhs_degree[i]
-        if not m1:
-            return []
-        n1 = len(m1)
-        found: dict[int, tuple[list, list]] = {}  # j -> overlaps by descending t, inclusions
-        for j, pos, before in self.starts[m1[0]]:
-            if before + d1 > bound:
-                continue
-            m2 = self.lhs[j]
-            rest = m2[pos:]
-            t = len(rest)
-            if t < n1:
-                if pos and m1[:t] == rest:
-                    v = m1[t:]
-                    found.setdefault(j, ([], []))[0].append(
-                        CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
-                    )
-            elif j != i and rest[:n1] == m1 and self.lhs_degree[j] <= bound:
-                found.setdefault(j, ([], []))[1].append(
-                    CriticalPair(m2, i, j, "inclusion", m2[:pos], rest[n1:])
-                )
-        pairs = []
-        for overlaps, inside in found.values():
-            pairs += reversed(overlaps)
-            pairs += inside
-        return pairs
 
 
 def _drive(derivation, w: Word) -> None:
@@ -294,15 +181,17 @@ class RewritingSystem:
         self.field = field
         self.rules = tuple(rules)
         self.complete_up_to = complete_up_to
-        # trie of the lhs: nested dicts keyed by letter; _END holds the lowest
-        # rule index whose lhs ends at that node
+        # the one trie of the lhs (nested dicts keyed by letter, _END and
+        # _PAST) and beside it each lhs, its degree and each letter's starts
+        self._degrees = [g.degree for g in alphabet]
         self._trie: dict = {}
-        for ridx, rule in enumerate(self.rules):
-            self._insert_lhs(ridx, rule.lhs)
-        # the automaton of the lhs and their index for critical pairs, each
-        # built on first use
+        self._lhs: list[Word] = []
+        self._lhs_degree: list[int] = []
+        self._starts: dict[int, list[int]] = {}
+        for rule in self.rules:
+            self._insert_lhs(rule.lhs)
+        # the automaton of the lhs, built on first use
         self._moves: list[list[tuple[int, int, int]]] | None = None
-        self._index: LhsIndex | None = None
         # normal-form memo of {word: c} dicts; private, rebuilt per instance.
         # When a rule is added, the words memoized since the last one (the
         # memo's tail in insertion order) are bucketed by degree (see _add_rule).
@@ -310,17 +199,30 @@ class RewritingSystem:
         self._nf_by_degree: dict[int, list[Word]] = {}
         self._nf_bucketed = 0
 
-    def _insert_lhs(self, ridx: int, lhs: Word) -> None:
+    def _insert_lhs(self, lhs: Word) -> None:
+        """Index the lhs of the next rule k: k joins _END at the node where
+        lhs ends and _PAST at each node on the way, and each letter's starts
+        get (k, its position, the degree of lhs before it).  Every system
+        builds these, so they are kept small: the starts as a flat list of
+        ints, not a tuple each, and an _END list at its exact size."""
         n = len(self.alphabet)
-        node = self._trie
         for x in lhs:
             if not 0 <= x < n:
                 raise ValueError(
                     f"rule lhs {lhs} has letter index {x!r} outside the "
                     f"alphabet of {n} letters"
                 )
+        k = len(self._lhs)
+        node = self._trie
+        before = 0
+        for pos, x in enumerate(lhs):
+            node.setdefault(_PAST, []).append(k)
+            self._starts.setdefault(x, []).extend((k, pos, before))
+            before += self._degrees[x]
             node = node.setdefault(x, {})
-        node.setdefault(_END, ridx)
+        node[_END] = node.get(_END, []) + [k]
+        self._lhs.append(lhs)
+        self._lhs_degree.append(before)
 
     def _add_rule(self, rule: RewriteRule) -> None:
         """Append a rule whose words are irreducible here (as those of a
@@ -333,16 +235,14 @@ class RewritingSystem:
         lhs, rhs = rule.lhs, rule.rhs
         if any(self.first_step(w) is not None for w in (lhs, *rhs.terms)):
             raise ValueError(f"the rule {rule} holds a reducible word")
-        self._insert_lhs(len(self.rules), lhs)
+        self._insert_lhs(lhs)
         self.rules += (rule,)
         self._moves = None
-        if self._index is not None:
-            self._index.add(lhs)
         memo, buckets, degree = self._nf, self._nf_by_degree, self.alphabet.degree
         # the tail, read from the end of the memo without walking its head
         for w in itertools.islice(reversed(memo), len(memo) - self._nf_bucketed):
             buckets.setdefault(degree(w), []).append(w)
-        d = degree(lhs)
+        d = self._lhs_degree[-1]
         for e in [e for e in buckets if e > d]:
             for w in buckets.pop(e):
                 del memo[w]
@@ -388,9 +288,9 @@ class RewritingSystem:
                 node = node.get(x)
                 if node is None:
                     break
-                ridx = node.get(_END)
-                if ridx is not None and (found is None or ridx < found):
-                    found = ridx
+                ends = node.get(_END)
+                if ends is not None and (found is None or ends[0] < found):
+                    found = ends[0]
             if found is not None:
                 return (pos, found)
         return None
@@ -405,9 +305,9 @@ class RewritingSystem:
             node = node.get(x)
             if node is None:
                 return None
-            ridx = node.get(_END)
-            if ridx is not None:
-                return k, ridx
+            ends = node.get(_END)
+            if ends is not None:
+                return k, ends[0]
         return None
 
     def lhs_occurrences(self, w: Word) -> list[tuple[int, int]]:
@@ -425,22 +325,20 @@ class RewritingSystem:
         return out
 
     def lhs_overhangs(self, u: Word) -> list[Word]:
-        """Every nonempty v such that u[i:] v is an lhs for some i < len(u):
-        the letters by which an lhs starting inside u runs past its end,
-        found below the node of one trie walk over u[i:] per start i."""
+        """Every nonempty v such that u[i:] v is an lhs for some i < len(u),
+        once per start i and lhs word: the letters by which an lhs starting
+        inside u runs past its end, read off the rules passing the node that
+        one trie walk over u[i:] reaches."""
         out = []
         for i in range(len(u)):
             node = self._trie
             for x in u[i:]:
-                node = node.get(x, {})
-            stack = [(node, ())]
-            while stack:
-                node, v = stack.pop()
-                for x, child in node.items():
-                    if x != _END:
-                        if _END in child:
-                            out.append(v + (x,))
-                        stack.append((child, v + (x,)))
+                node = node.get(x)
+                if node is None:
+                    break
+            else:
+                t = len(u) - i
+                out += dict.fromkeys(self._lhs[k][t:] for k in node.get(_PAST, ()))
         return out
 
     def is_irreducible_word(self, w: Word) -> bool:
@@ -547,22 +445,88 @@ class RewritingSystem:
         return self.normal_form(g), sum(counts[w] for w in g.terms)
 
     # ----- critical pairs --------------------------------------------
-    def _lhs_index(self) -> LhsIndex:
-        """The index of the lhs for critical pairs, built on the first pair
-        request; `_add_rule` grows it."""
-        if self._index is None:
-            self._index = LhsIndex(self.alphabet)
-            for rule in self.rules:
-                self._index.add(rule.lhs)
-        return self._index
-
     def find_critical_pairs(self, degree_bound: int | None = None) -> list[CriticalPair]:
         """Every critical pair whose tip has degree <= degree_bound (None =
         all), by first rule, then by second rule, with overlaps by ascending
         overlap length before inclusions by ascending position."""
-        index = self._lhs_index()
         bound = math.inf if degree_bound is None else degree_bound
-        return [cp for i in range(len(self.rules)) for cp in index.pairs_as_first(i, bound)]
+        return [cp for i in range(len(self.rules)) for cp in self._pairs_as_first(i, bound)]
+
+    def _pairs_as_second(self, j: int, bound: float) -> list[CriticalPair]:
+        """The pairs (i, j) over all rules i, by ascending i; each (i, j)
+        lists its overlaps by ascending t before its inclusions by ascending
+        position.  Walks of the trie from each position of lhs_j: an lhs_i
+        ending on a walk occurs inside lhs_j, an inclusion unless i = j.  A
+        walk from pos > 0 that uses up lhs_j ends at the node of its suffix
+        of length t = len(lhs_j) - pos, and each lhs_i passing that node
+        begins with that suffix: an overlap."""
+        m2, d2 = self._lhs[j], self._lhs_degree[j]
+        if d2 > bound:
+            return []
+        overlaps: dict[int, list[CriticalPair]] = {}  # by descending t
+        inside: dict[int, list[CriticalPair]] = {}
+        suffix = d2  # the degree of m2[pos:]
+        for pos in range(len(m2)):
+            node = self._trie
+            for x in m2[pos:]:
+                node = node.get(x)
+                if node is None:
+                    break
+                for i in node.get(_END, ()):
+                    if i != j:
+                        v = m2[pos + len(self._lhs[i]) :]
+                        inside.setdefault(i, []).append(
+                            CriticalPair(m2, i, j, "inclusion", m2[:pos], v)
+                        )
+            else:
+                if pos:
+                    t = len(m2) - pos
+                    for i in node.get(_PAST, ()):
+                        if d2 + self._lhs_degree[i] - suffix <= bound:
+                            v = self._lhs[i][t:]
+                            overlaps.setdefault(i, []).append(
+                                CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
+                            )
+            suffix -= self._degrees[m2[pos]]
+        pairs = []
+        for i in sorted(overlaps.keys() | inside.keys()):
+            pairs += reversed(overlaps.get(i, ()))
+            pairs += inside.get(i, ())
+        return pairs
+
+    def _pairs_as_first(self, i: int, bound: float) -> list[CriticalPair]:
+        """The pairs (i, j) over all rules j, by ascending j, each (i, j) in
+        the order of `_pairs_as_second`.  Both kinds begin lhs_i at a
+        position of lhs_j, so they are read off the starts of its first
+        letter: lhs_j running out first is an overlap, lhs_i doing so is an
+        inclusion."""
+        m1, d1 = self._lhs[i], self._lhs_degree[i]
+        if not m1:
+            return []
+        n1 = len(m1)
+        found: dict[int, tuple[list, list]] = {}  # j -> overlaps by descending t, inclusions
+        starts = iter(self._starts[m1[0]])  # flat (rule, position, degree before)
+        for j, pos, before in zip(starts, starts, starts):
+            if before + d1 > bound:
+                continue
+            m2 = self._lhs[j]
+            rest = m2[pos:]
+            t = len(rest)
+            if t < n1:
+                if pos and m1[:t] == rest:
+                    v = m1[t:]
+                    found.setdefault(j, ([], []))[0].append(
+                        CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
+                    )
+            elif j != i and rest[:n1] == m1 and self._lhs_degree[j] <= bound:
+                found.setdefault(j, ([], []))[1].append(
+                    CriticalPair(m2, i, j, "inclusion", m2[:pos], rest[n1:])
+                )
+        pairs = []
+        for overlaps, inside in found.values():
+            pairs += reversed(overlaps)
+            pairs += inside
+        return pairs
 
     def pair_obstruction(self, cp: CriticalPair) -> Polynomial:
         f1 = self.rules[cp.rule1].rhs
@@ -616,7 +580,6 @@ class RewritingSystem:
 
         current = self.with_rules(self.rules)
         push_pairs(current.find_critical_pairs(degree_bound))
-        index = current._lhs_index()  # grown by _add_rule
         added = 0
         while heap:
             _, _, cp = heapq.heappop(heap)
@@ -632,9 +595,11 @@ class RewritingSystem:
                     self.with_rules(rules),
                 )
             new = len(rules) - 1
-            push_pairs(index.pairs_as_second(new, degree_bound))
+            push_pairs(current._pairs_as_second(new, degree_bound))
             # the self-overlaps (new, new) were pushed just above
-            push_pairs(cp for cp in index.pairs_as_first(new, degree_bound) if cp.rule2 != new)
+            push_pairs(
+                cp for cp in current._pairs_as_first(new, degree_bound) if cp.rule2 != new
+            )
         return self.with_rules(current.rules, complete_up_to=degree_bound)
 
     # ----- interreduction --------------------------------------------
@@ -713,9 +678,8 @@ class RewritingSystem:
                     fail.append(via_fail)
                     ends.append(_END in child or ends[via_fail])
                 goto.append(row)
-            degrees = [g.degree for g in self.alphabet]
             self._moves = [
-                [(x, degrees[x], t) for x, t in enumerate(row) if not ends[t]]
+                [(x, self._degrees[x], t) for x, t in enumerate(row) if not ends[t]]
                 for row in goto
             ]
         return self._moves

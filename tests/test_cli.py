@@ -307,9 +307,17 @@ def test_betti_no_minimal_superset(capsys):
         capsys, "betti", "--builtin", "small", "--l", "2", "--D", "8", "--no-minimal", "--json"
     )
     bmin = json.loads(out_min)["tables"]["betti"]
-    braw = json.loads(out_raw)["tables"]["betti"]
+    braw = json.loads(out_raw)["tables"]
     for degree, count in bmin["2"].items():
-        assert braw["2"].get(degree, 0) >= count
+        assert braw["betti"]["2"].get(degree, 0) >= count
+    # raw chain counts only bound the Betti numbers: every row above 0 says so
+    assert braw["betti_bound_levels"] == ["1", "2", "3"]
+    _, text = run(capsys, "betti", "--builtin", "small", "--l", "2", "--D", "8", "--no-minimal")
+    rows = [line.split() for line in text.splitlines() if line.startswith("  level")]
+    assert len(rows) == sum(len(row) for row in braw["betti"].values())
+    for row in rows:
+        assert (row[-2:] == ["(upper", "bound)"]) == (row[1] != "0")
+    assert "  level 2  degree 4  count 3  (upper bound)" in text.splitlines()
 
 
 def _betti_report(params, betti):

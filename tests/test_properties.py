@@ -28,7 +28,6 @@ from anickres.resolution import GradedComplex, generic_minimalize, rank_fp, rank
 from anickres.rewriting import (
     CompletionCapError,
     CriticalPair,
-    LhsIndex,
     RewriteRule,
     RewritingSystem,
     UnorderableRelationError,
@@ -280,23 +279,40 @@ def below(pairs, bound):
 
 @given(lhs_lists(), st.integers(0, 14))
 def test_grown_lhs_index_matches_the_pair_scan(gens_lhss, bound):
-    # in order too: completion pushes each new rule's pairs as listed here
+    # each new rule's pairs as the system's lhs trie lists them when the rule
+    # is added, in order too: completion pushes them as listed here
     _gens, lhss = gens_lhss
     system = monomial_system(lhss)
     rules = system.rules
-    index = LhsIndex(LETTERS)
-    for new, rule in enumerate(rules):
-        index.add(rule.lhs)
+    for new in range(len(rules)):
+        grown = system.with_rules(rules[: new + 1])
         upto = range(new + 1)
         scan = naive_critical_pairs(rules, upto, [new]) + naive_critical_pairs(
             rules, [new], upto
         )
-        grown = index.pairs_as_second(new, bound) + index.pairs_as_first(new, bound)
-        assert grown == below(scan, bound)
+        pairs = grown._pairs_as_second(new, bound) + grown._pairs_as_first(new, bound)
+        assert pairs == below(scan, bound)
     every = range(len(rules))
     scan = naive_critical_pairs(rules, every, every)
     assert system.find_critical_pairs() == scan
     assert system.find_critical_pairs(bound) == below(scan, bound)
+
+
+@given(lhs_lists(), st.data())
+def test_lhs_overhangs_match_a_scan_of_the_rules(gens_lhss, data):
+    # one v per start i and lhs word, duplicate and nested lhs included: the
+    # occurrence tests extend_chains runs are counted against this list
+    gens, lhss = gens_lhss
+    system = monomial_system(lhss)
+    probe = st.lists(st.sampled_from(gens), max_size=6).map(tuple)
+    for u in data.draw(st.lists(probe, max_size=10)):
+        scan = [
+            lhs[len(u) - i :]
+            for i in range(len(u))
+            for lhs in set(lhss)
+            if len(lhs) > len(u) - i and lhs[: len(u) - i] == u[i:]
+        ]
+        assert Counter(system.lhs_overhangs(u)) == Counter(scan)
 
 
 @st.composite

@@ -4,6 +4,8 @@ from anickres.fields import PrimeField
 from anickres.kostant import conjectural_system, small_system
 from anickres.polynomials import Polynomial
 from anickres.rewriting import (
+    _END,
+    _PAST,
     RewritingSystem,
     UnorderableRelationError,
     WordCapError,
@@ -134,6 +136,11 @@ def test_lhs_overhangs_run_past_the_end_of_the_word():
     assert overhangs("d", "a", "b") == ["c", "c d"]
     assert overhangs("c") == []
     assert overhangs() == []
+
+
+def test_trie_keys_hash_apart():
+    # a node holding both keys would probe twice for each if they collided
+    assert hash(_END) != hash(_PAST)
 
 
 def test_critical_pair_tips(x1):
