@@ -16,7 +16,6 @@ from .rewriting import (
 )
 from .kostant import (
     AlphabetTooSmallError,
-    KostantPresentation,
     Position,
     big_system,
     conjectural_system,

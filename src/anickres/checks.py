@@ -51,7 +51,7 @@ def criterion_1_small_complete() -> CriterionResult:
     details = {}
     ok = True
     for l in range(4):
-        system = small_system(l).system
+        system = small_system(l)
         complete, witnesses = system.is_complete()
         reduced = system.interreduce().rules == system.rules
         details[f"l={l}"] = {"complete": complete, "interreduce_identity": reduced}
@@ -65,7 +65,7 @@ def criterion_2_dimensions() -> CriterionResult:
     details = {}
     ok = True
     for l in (1, 2, 3):
-        system = small_system(l - 1).system
+        system = small_system(l - 1)
         total = len(system.irreducible_words())
         expected_total = 8**l
         counts = system.irreducible_counts_by_degree(16)
@@ -85,7 +85,7 @@ def criterion_3_big_complete() -> CriterionResult:
     details = {}
     ok = True
     for n, p, l in ((3, 2, 1), (3, 2, 2), (3, 3, 1), (4, 2, 1)):
-        system = big_system(n, p, p**l - 1).system
+        system = big_system(n, p, p**l - 1)
         complete, _ = system.is_complete()
         total = len(system.irreducible_words())
         expected = pbw_dimension(n, p, l)
@@ -113,7 +113,7 @@ def criterion_5_golden_differentials() -> CriterionResult:
     """The tabulated d_1 and d_2 values match the printed formulas for all
     indices <= 3."""
     K = 3
-    system = small_system(K).system
+    system = small_system(K)
     prefix = ResolutionPrefix(system)
     A = system.alphabet
     a = [A.word(f"a{k}") for k in range(K + 1)]
@@ -161,7 +161,7 @@ def criterion_5_golden_differentials() -> CriterionResult:
 
 def criterion_6_exactness() -> CriterionResult:
     """d o d = 0 on all generators; zero exactness defects through degree 16."""
-    prefix = ResolutionPrefix(small_system(3).system)
+    prefix = ResolutionPrefix(small_system(3))
     complex_ok, problems = prefix.verify_complex()
     gc = GradedComplex.from_prefix(prefix)
     defects = gc.verify_exactness([-1, 0, 1], 16)
@@ -197,7 +197,7 @@ def expected_betti_table(max_degree: int = 16, K: int = 3) -> dict[int, dict[int
 def criterion_7_minimality() -> CriterionResult:
     """After minimalization: radical criterion at levels 0-2, zero defects,
     and the expected Betti table; the generic cancellation path agrees."""
-    prefix = ResolutionPrefix(small_system(3).system)
+    prefix = ResolutionPrefix(small_system(3))
     gc = GradedComplex.from_prefix(prefix)
     mn = minimalize(gc)
     radical = {lvl: mn.radical_image_check(lvl)[0] for lvl in (0, 1, 2)}
@@ -256,7 +256,7 @@ def check_monoid_laws(cases: int = 1000, seed: int = 0) -> int:
 def check_nf_uniqueness(cases: int = 1000, seed: int = 1) -> int:
     """A complete system gives one normal form no matter the strategy."""
     rng = random.Random(seed)
-    system = small_system(1).system
+    system = small_system(1)
     failures = 0
     for _ in range(cases):
         g = Polynomial.from_terms(
@@ -288,7 +288,7 @@ def check_nf_uniqueness(cases: int = 1000, seed: int = 1) -> int:
 def check_reduction_soundness(cases: int = 1000, seed: int = 2) -> int:
     """Two-sided multiples of the relations reduce to zero."""
     rng = random.Random(seed)
-    system = small_system(1).system
+    system = small_system(1)
     failures = 0
     for _ in range(cases):
         rule = rng.choice(system.rules)
@@ -322,8 +322,8 @@ def check_complex_ranks() -> int:
     rank: small l=3 to degree 12, interreduced big(3,3,2) to degree 8."""
     failures = 0
     for system, max_degree in (
-        (small_system(3).system, 12),
-        (big_system(3, 3, 2).system, 8),
+        (small_system(3), 12),
+        (big_system(3, 3, 2), 8),
     ):
         gc = resolve(system, max_degree)
         for level in range(gc.top + 1):
@@ -402,14 +402,14 @@ def criterion_9_conjectures() -> CriterionResult:
         ("odd_p_n3 (p=3, degree<=9)", "odd_p_n3", 3, 3, 1, 9),
         ("p2_general_n (n=4, degree<=8)", "p2_general_n", 4, 2, 2, 8),
     ):
-        pres = conjectural_system(variant, n, p, index_bound)
+        system = conjectural_system(variant, n, p, index_bound)
         try:
-            completed = pres.system.complete(bound)
+            completed = system.complete(bound)
         except CompletionCapError:
             details[name] = "inconclusive: completion cap reached"
             consistent = False
             continue
-        new = completed.rules[len(pres.system.rules):]
+        new = completed.rules[len(system.rules):]
         details[name] = (
             "consistent up to bound"
             if not new

@@ -24,6 +24,7 @@ import sys
 from . import checks
 from .anick import ResolutionPrefix, format_terms
 from .documents import (
+    BUILTINS,
     DocumentError,
     LoadedPresentation,
     PresentationDocument,
@@ -35,36 +36,36 @@ from .rewriting import CompletionCapError, RewritingSystem
 
 
 def _add_presentation_args(parser: argparse.ArgumentParser):
-    parser.add_argument("--builtin", choices=("small", "big", "conjectural"))
+    # a parameter flag left out takes the builtin's default (documents.BUILTINS)
+    parser.add_argument("--builtin", choices=tuple(BUILTINS))
     parser.add_argument("--file", help="presentation document (JSON)")
-    parser.add_argument("--l", type=int, default=3, help="small-system index bound")
-    parser.add_argument("--n", type=int, default=3)
-    parser.add_argument("--p", type=int, default=2)
-    parser.add_argument("--expbound", type=int, default=1, help="big-system exponent bound")
-    parser.add_argument("--indexbound", type=int, default=1)
+    parser.add_argument("--l", type=int, help="small-system index bound")
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--expbound", type=int, help="big-system exponent bound")
+    parser.add_argument("--indexbound", type=int)
     parser.add_argument("--variant", choices=("odd_p_n3", "p2_general_n"))
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
+# builtin parameter -> the flag that sets it, where their names differ
+_FLAGS = {"exponent_bound": "expbound", "index_bound": "indexbound"}
+
+
 def _load(args) -> LoadedPresentation:
+    """The presentation of --file, or the builtin document of the flags:
+    both are built and checked by `PresentationDocument.build`."""
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             return PresentationDocument.from_json(fh.read()).build()
     builtin = args.builtin or "small"
-    if builtin == "small":
-        params = {"l": args.l}
-    elif builtin == "big":
-        params = {"n": args.n, "p": args.p, "exponent_bound": args.expbound}
-    else:
-        if not args.variant:
-            raise DocumentError("--builtin conjectural requires --variant")
-        params = {
-            "variant": args.variant,
-            "n": args.n,
-            "p": args.p,
-            "index_bound": args.indexbound,
-        }
-    return LoadedPresentation.from_builtin(builtin, params)
+    if builtin == "conjectural" and not args.variant:
+        raise DocumentError("--builtin conjectural requires --variant")
+    params = {}
+    for key, default in BUILTINS[builtin][1].items():
+        value = getattr(args, _FLAGS.get(key, key))
+        params[key] = default if value is None else value
+    return PresentationDocument(builtin=builtin, params=params).build()
 
 
 class IncompleteSystemError(Exception):

@@ -2,14 +2,15 @@
 parsing, and machine-readable reports.
 
 A presentation document either lists an explicit alphabet and relations or
-names a builtin family with its parameters.  Reports serialize with sorted
+names a builtin family with its parameters, never both; the command line's
+builtin flags build the same document.  Reports serialize with sorted
 keys so identical inputs give byte-identical output (timing excluded).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from typing import Any, Optional
 
 from .fields import PrimeField
@@ -41,13 +42,11 @@ class PresentationDocument:
             raise DocumentError(f"invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise DocumentError(f"document must be a JSON object, not {type(data).__name__}")
-        return cls(
-            p=data.get("p"),
-            alphabet=data.get("alphabet"),
-            relations=data.get("relations"),
-            builtin=data.get("builtin"),
-            params=data.get("params", {}),
-        )
+        known = {f.name for f in fields(cls)}
+        for key in data:
+            if key not in known:
+                raise DocumentError(f"unknown key {key!r} in the document")
+        return cls(**data)
 
     def to_json(self) -> str:
         data: dict[str, Any] = {}
@@ -74,7 +73,7 @@ class PresentationDocument:
 
     def _build(self) -> "LoadedPresentation":
         if self.builtin:
-            return LoadedPresentation.from_builtin(self.builtin, self.params)
+            return LoadedPresentation(system=self._builtin_system(), document=self)
         if self.p is None or self.alphabet is None or self.relations is None:
             raise DocumentError("document needs either a builtin or p/alphabet/relations")
         field = PrimeField(_integer(self.p, "p"))
@@ -109,33 +108,44 @@ class PresentationDocument:
         )
         return LoadedPresentation(system=system, document=self)
 
+    def _builtin_system(self) -> RewritingSystem:
+        """The builtin's system, from its parameters over their defaults;
+        every parameter is checked as an explicit document's fields are."""
+        if self.p is not None or self.alphabet is not None or self.relations is not None:
+            raise DocumentError("a builtin document cannot also give p, alphabet or relations")
+        if self.builtin not in BUILTINS:
+            raise DocumentError(f"unknown builtin {self.builtin!r}")
+        if not isinstance(self.params, dict):
+            raise DocumentError(f"params must be a JSON object, not {self.params!r}")
+        builder, defaults = BUILTINS[self.builtin]
+        for key in self.params:
+            if key not in defaults:
+                raise DocumentError(f"unknown parameter {key!r} of builtin {self.builtin!r}")
+        kwargs = {}
+        for key, default in defaults.items():
+            if default is None:  # required: conjectural's variant, a name
+                kwargs[key] = self.params[key]
+            else:
+                kwargs[key] = _integer(self.params.get(key, default), f"parameter {key!r}")
+        return builder(**kwargs)
+
+
+# builtin -> (builder, {parameter: default}): the one table of builtins.  A
+# default of None marks a required parameter; every other one is an integer.
+BUILTINS = {
+    "small": (small_system, {"l": 3}),
+    "big": (big_system, {"n": 3, "p": 2, "exponent_bound": 1}),
+    "conjectural": (
+        conjectural_system,
+        {"variant": None, "n": 3, "p": 2, "index_bound": 1},
+    ),
+}
+
 
 @dataclass
 class LoadedPresentation:
     system: RewritingSystem
     document: PresentationDocument
-
-    @classmethod
-    def from_builtin(cls, builtin: str, params: dict) -> "LoadedPresentation":
-        if builtin == "small":
-            pres = small_system(params.get("l", 3))
-        elif builtin == "big":
-            pres = big_system(
-                params.get("n", 3),
-                params.get("p", 2),
-                params.get("exponent_bound", 1),
-            )
-        elif builtin == "conjectural":
-            pres = conjectural_system(
-                params["variant"],
-                params.get("n", 3),
-                params.get("p", 2),
-                params.get("index_bound", 1),
-            )
-        else:
-            raise DocumentError(f"unknown builtin {builtin!r}")
-        doc = PresentationDocument(builtin=builtin, params=dict(params))
-        return cls(system=pres.system, document=doc)
 
 
 def parse_expression(system: RewritingSystem, text: str) -> Polynomial:

@@ -10,13 +10,15 @@ Three flavors are constructed:
   a finite reduced Groebner basis per index bound;
 * two experimental conjectural systems (odd p at n = 3, and p = 2 at
   general n).
+
+Each builder returns the rewriting system of its relations.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .fields import PrimeField, binomial_mod_p
 from .polynomials import Polynomial
@@ -61,33 +63,15 @@ def default_position_order(n: int) -> list[Position]:
     return sorted(all_positions(n), key=lambda q: (-q.span, -q.i))
 
 
-@dataclass
-class KostantPresentation:
-    """A presentation: alphabet plus rewriting system."""
-
-    n: int
-    p: int
-    system: RewritingSystem
-    experimental: bool = False
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.system.alphabet
-
-    @property
-    def field(self) -> PrimeField:
-        return self.system.field
-
-
 # ---------------------------------------------------------------------
 # big system
 # ---------------------------------------------------------------------
 
 def _big_alphabet(
-    n: int, exponent_bound: int, position_order: Sequence[Position]
+    order: Sequence[Position], exponent_bound: int
 ) -> tuple[Alphabet, dict[tuple[Position, int], Generator]]:
     gens = {}
-    for pidx, pos in enumerate(position_order):
+    for pidx, pos in enumerate(order):
         for k in range(1, exponent_bound + 1):
             # descending exponent within a position: larger k, smaller rank
             rank = pidx * exponent_bound + (exponent_bound - k)
@@ -97,12 +81,7 @@ def _big_alphabet(
     return Alphabet(gens.values()), gens
 
 
-def big_system(
-    n: int,
-    p: int,
-    exponent_bound: int,
-    position_order: Optional[Sequence[Position]] = None,
-) -> KostantPresentation:
+def big_system(n: int, p: int, exponent_bound: int) -> RewritingSystem:
     """All straightening rules on divided powers e_ij^(k), k <= exponent_bound.
 
     With exponent_bound = p^l - 1 the equal-position products close up
@@ -113,10 +92,8 @@ def big_system(
     if n < 2 or exponent_bound < 1:
         raise ValueError("need n >= 2 and exponent_bound >= 1")
     field = PrimeField(p)
-    order = list(position_order) if position_order is not None else default_position_order(n)
-    if sorted(order, key=lambda q: (q.i, q.j)) != all_positions(n):
-        raise ValueError("position order must enumerate every position exactly once")
-    alphabet, gen_of = _big_alphabet(n, exponent_bound, order)
+    order = default_position_order(n)
+    alphabet, gen_of = _big_alphabet(order, exponent_bound)
     rank_of_pos = {pos: idx for idx, pos in enumerate(order)}
 
     def e(pos: Position, k: int) -> Word:
@@ -188,8 +165,7 @@ def big_system(
                         )
 
     rules = [make_rule(f) for f in relations if not f.is_zero()]
-    system = RewritingSystem(alphabet, field, rules)
-    return KostantPresentation(n, p, system)
+    return RewritingSystem(alphabet, field, rules)
 
 
 # ---------------------------------------------------------------------
@@ -274,13 +250,12 @@ def small_relations(alphabet: Alphabet, l: int, field: PrimeField) -> list[Polyn
     return rels
 
 
-def small_system(l: int) -> KostantPresentation:
+def small_system(l: int) -> RewritingSystem:
     """The finite reduced Groebner basis S_l over indices 0..l (p=2, n=3)."""
     field = PrimeField(2)
     alphabet = small_alphabet(l)
     rules = [make_rule(f) for f in small_relations(alphabet, l, field)]
-    system = RewritingSystem(alphabet, field, rules)
-    return KostantPresentation(3, 2, system)
+    return RewritingSystem(alphabet, field, rules)
 
 
 def _image_check(
@@ -307,7 +282,7 @@ def verify_small_against_big(l: int) -> tuple[bool, list[Polynomial]]:
         big.alphabet.index(f"{'e12' if g.name[0] == 'a' else 'e23'}_{2 ** int(g.name[1:])}")
         for g in small.alphabet
     ]
-    return _image_check(small.system, big.system, letter)
+    return _image_check(small, big, letter)
 
 
 def frobenius_shift_check(l: int, j: int) -> tuple[bool, list[Polynomial]]:
@@ -318,7 +293,7 @@ def frobenius_shift_check(l: int, j: int) -> tuple[bool, list[Polynomial]]:
     src = small_system(l)
     dst = small_system(l + j)
     letter = [dst.alphabet.index(f"{g.name[0]}{int(g.name[1:]) + j}") for g in src.alphabet]
-    return _image_check(src.system, dst.system, letter)
+    return _image_check(src, dst, letter)
 
 
 # ---------------------------------------------------------------------
@@ -348,7 +323,7 @@ def _conjectural_alphabet(n: int, p: int, index_bound: int) -> Alphabet:
 
 def conjectural_system(
     variant: str, n: int, p: int, index_bound: int
-) -> KostantPresentation:
+) -> RewritingSystem:
     """Experimental relation sets over the simple-root divided powers
     a_{ik} = e_{i,i+1}^(p^k), for indices k <= index_bound."""
     if index_bound < 0:
@@ -456,5 +431,4 @@ def conjectural_system(
         raise ValueError(f"unknown variant {variant!r}")
 
     rules = [make_rule(f) for f in rels if not f.is_zero()]
-    system = RewritingSystem(alphabet, field, rules)
-    return KostantPresentation(n, p, system, experimental=True)
+    return RewritingSystem(alphabet, field, rules)

@@ -246,17 +246,22 @@ class GradedComplex:
             self._counts = self.system.irreducible_counts_by_degree(max_degree)
             self._counts_bound = max_degree
 
-    def column_count(self, level: int, d: int) -> int:
-        """len(basis(level, d)) without listing it: the sum over the chains
-        t of the number of irreducible words of degree d - deg t."""
-        self._count_irreducible(d)
+    def _chain_degree_counts(self, level: int) -> dict[int, int]:
+        """Chain degree -> the number of chains of that degree at the level,
+        counted once."""
         by_degree = self._chain_degrees.get(level)
         if by_degree is None:
             by_degree = self._chain_degrees[level] = {}
             for t in self.chains.get(level, []):
                 dt = self.alphabet.degree(t)
                 by_degree[dt] = by_degree.get(dt, 0) + 1
-        counts = self._counts
+        return by_degree
+
+    def column_count(self, level: int, d: int) -> int:
+        """len(basis(level, d)) without listing it: the sum over the chains
+        t of the number of irreducible words of degree d - deg t."""
+        self._count_irreducible(d)
+        counts, by_degree = self._counts, self._chain_degree_counts(level)
         return sum(n * counts.get(d - dt, 0) for dt, n in by_degree.items() if dt <= d)
 
     # ----- matrices ---------------------------------------------------
@@ -431,16 +436,11 @@ class GradedComplex:
 
     def betti_table(self, max_degree: int) -> dict[int, dict[int, int]]:
         """Homological level k counts the chains at chain level k-1 by degree."""
-        degree = self.alphabet.degree
-        table: dict[int, dict[int, int]] = {}
-        for hlevel in range(self.top + 2):
-            counts: dict[int, int] = {}
-            for t in self.chains[hlevel - 1]:
-                d = degree(t)
-                if d <= max_degree:
-                    counts[d] = counts.get(d, 0) + 1
-            table[hlevel] = counts
-        return table
+        counts = self._chain_degree_counts
+        return {
+            hlevel: {d: n for d, n in counts(hlevel - 1).items() if d <= max_degree}
+            for hlevel in range(self.top + 2)
+        }
 
 
 def resolve(system: RewritingSystem, max_degree: int) -> GradedComplex:

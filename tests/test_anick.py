@@ -12,7 +12,7 @@ F2 = PrimeField(2)
 
 @pytest.fixture(scope="module")
 def prefix3():
-    return ResolutionPrefix(small_system(3).system)
+    return ResolutionPrefix(small_system(3))
 
 
 def single_rule_system():
@@ -42,9 +42,9 @@ def _chain_levels(system, top):
 
 
 EULER_SYSTEMS = {
-    "small3": lambda: small_system(3).system,
-    "big332": lambda: big_system(3, 3, 2).system.interreduce(),
-    "big432": lambda: big_system(4, 3, 2).system.interreduce(),
+    "small3": lambda: small_system(3),
+    "big332": lambda: big_system(3, 3, 2).interreduce(),
+    "big432": lambda: big_system(4, 3, 2).interreduce(),
 }
 
 
@@ -176,7 +176,7 @@ def test_lift_rejects_noncycles(prefix3):
 
 
 def test_act_reexpands():
-    system = small_system(0).system
+    system = small_system(0)
     prefix = ResolutionPrefix(system)
     A = system.alphabet
     f = {(A.word("a0"), A.word("a0")): 1}

@@ -227,6 +227,39 @@ def test_check_json_is_pinned(capsys, argv, code, expected):
     assert run(capsys, "check", *argv, "--json") == (code, expected)
 
 
+# each builtin's flags and the document they stand for, with an expression
+# in its alphabet
+BUILTIN_FLAGS_AND_DOCUMENTS = [
+    (["--builtin", "small", "--l", "1"], {"builtin": "small", "params": {"l": 1}}, "b0 a0 b0 a1"),
+    (
+        ["--builtin", "big", "--n", "3", "--p", "3", "--expbound", "2"],
+        {"builtin": "big", "params": {"n": 3, "p": 3, "exponent_bound": 2}},
+        "e12_1 e23_2",
+    ),
+    (
+        ["--builtin", "conjectural", "--variant", "odd_p_n3", "--p", "3", "--indexbound", "1"],
+        {
+            "builtin": "conjectural",
+            "params": {"variant": "odd_p_n3", "n": 3, "p": 3, "index_bound": 1},
+        },
+        "a2_0 a1_0 a2_0 a1_0 a1_0",
+    ),
+]
+
+
+@pytest.mark.parametrize("command", ["nf", "check", "betti"])
+@pytest.mark.parametrize("flags, doc, expression", BUILTIN_FLAGS_AND_DOCUMENTS)
+def test_builtin_flags_and_their_document_print_the_same_report(
+    tmp_path, capsys, command, flags, doc, expression
+):
+    # flags and --file take one route, so their reports agree byte for byte
+    extra = {"nf": [expression], "check": [], "betti": ["--D", "6"]}[command]
+    from_flags = run(capsys, command, *flags, *extra, "--json")
+    from_file = run(capsys, command, "--file", write_doc(tmp_path, doc), *extra, "--json")
+    assert from_flags == from_file
+    assert json.loads(from_file[1])["command"] == command
+
+
 AB = [{"name": "a", "degree": 1, "rank": 0}, {"name": "b", "degree": 1, "rank": 1}]
 
 
@@ -257,6 +290,27 @@ AB = [{"name": "a", "degree": 1, "rank": 0}, {"name": "b", "degree": 1, "rank": 
             {"p": 3, "alphabet": AB, "relations": [[], [[1, ["a"], 3]]]},
             "term [1, ['a'], 3] of relation 2 is not a pair [coefficient, [names...]]",
         ),
+        ({"builtin": "small", "params": {"l": True}}, "parameter 'l' must be an integer, not True"),
+        (
+            {"builtin": "big", "params": {"n": 3, "p": 2, "exponent_bound": True}},
+            "parameter 'exponent_bound' must be an integer, not True",
+        ),
+        (
+            {"builtin": "conjectural", "params": {"variant": "odd_p_n3", "p": 3, "index_bound": 1.0}},
+            "parameter 'index_bound' must be an integer, not 1.0",
+        ),
+        (
+            {"builtin": "small", "params": {"l": 1, "bogus": 5}},
+            "unknown parameter 'bogus' of builtin 'small'",
+        ),
+        ({"builtin": "small", "params": [1]}, "params must be a JSON object, not [1]"),
+        (
+            {"builtin": "small", "p": 2, "alphabet": AB, "relations": []},
+            "a builtin document cannot also give p, alphabet or relations",
+        ),
+        ({"builtin": "small", "relations": []}, "cannot also give p, alphabet or relations"),
+        ({"builtin": "tiny"}, "unknown builtin 'tiny'"),
+        ({"builtin": "small", "param": {"l": 1}}, "unknown key 'param' in the document"),
     ],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, doc, reason):

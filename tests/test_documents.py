@@ -2,7 +2,6 @@ import pytest
 
 from anickres.documents import (
     DocumentError,
-    LoadedPresentation,
     PresentationDocument,
     Report,
     parse_expression,
@@ -28,7 +27,7 @@ EXPLICIT = """
 
 def test_explicit_document_builds_small_l0():
     loaded = PresentationDocument.from_json(EXPLICIT).build()
-    reference = small_system(0).system
+    reference = small_system(0)
     assert {str(r.lhs) for r in loaded.system.rules} == {
         str(r.lhs) for r in reference.rules
     }
@@ -80,10 +79,12 @@ def test_document_needs_content():
 
 
 def test_builtin_selector():
-    loaded = LoadedPresentation.from_builtin("small", {"l": 1})
+    doc = PresentationDocument(builtin="small", params={"l": 1})
+    loaded = doc.build()
     assert len(loaded.system.alphabet) == 4
+    assert loaded.document is doc
     with pytest.raises(DocumentError):
-        LoadedPresentation.from_builtin("nope", {})
+        PresentationDocument(builtin="nope").build()
 
 
 def test_document_json_roundtrip():
@@ -94,7 +95,7 @@ def test_document_json_roundtrip():
 
 
 def test_parse_expression():
-    system = small_system(1).system
+    system = small_system(1)
     f = parse_expression(system, "b0 a0 b0 a0 + a0 b0 a0 b0")
     assert system.normal_form(f).is_zero()
     g = parse_expression(system, "1")
@@ -104,7 +105,7 @@ def test_parse_expression():
 
 
 def test_parse_expression_errors():
-    system = small_system(0).system
+    system = small_system(0)
     with pytest.raises(DocumentError):
         parse_expression(system, "a0 + ")
     with pytest.raises(DocumentError):

@@ -31,27 +31,27 @@ def test_position_validation():
 
 
 def test_exponent_rank_descending():
-    pres = big_system(3, 2, 3)
+    system = big_system(3, 2, 3)
     # same position: larger exponent has smaller rank
-    assert pres.alphabet.generator("e12_2").rank < pres.alphabet.generator("e12_1").rank
+    assert system.alphabet.generator("e12_2").rank < system.alphabet.generator("e12_1").rank
 
 
 def test_big_system_base_swap():
-    pres = big_system(3, 2, 3)
-    f = Polynomial.monomial(pres.field, pres.alphabet, pres.alphabet.word("e12_1", "e23_1"))
-    nf = pres.system.normal_form(f)
+    system = big_system(3, 2, 3)
+    f = Polynomial.monomial(system.field, system.alphabet, system.alphabet.word("e12_1", "e23_1"))
+    nf = system.normal_form(f)
     expected = Polynomial.from_terms(
-        pres.field,
-        pres.alphabet,
-        [(1, pres.alphabet.word("e23_1", "e12_1")), (1, pres.alphabet.word("e13_1",))],
+        system.field,
+        system.alphabet,
+        [(1, system.alphabet.word("e23_1", "e12_1")), (1, system.alphabet.word("e13_1",))],
     )
     assert nf == expected
 
 
 def test_big_system_square_vanishes():
-    pres = big_system(3, 2, 1)
-    f = Polynomial.monomial(pres.field, pres.alphabet, pres.alphabet.word("e12_1", "e12_1"))
-    assert pres.system.normal_form(f).is_zero()
+    system = big_system(3, 2, 1)
+    f = Polynomial.monomial(system.field, system.alphabet, system.alphabet.word("e12_1", "e12_1"))
+    assert system.normal_form(f).is_zero()
 
 
 def test_big_system_bad_bound_raises():
@@ -62,9 +62,9 @@ def test_big_system_bad_bound_raises():
 
 @pytest.mark.parametrize("n,p,l", [(3, 2, 1), (3, 3, 1), (4, 2, 1)])
 def test_big_system_complete_and_counts(n, p, l):
-    pres = big_system(n, p, p**l - 1)
-    assert pres.system.is_complete()[0]
-    assert len(pres.system.irreducible_words()) == pbw_dimension(n, p, l)
+    system = big_system(n, p, p**l - 1)
+    assert system.is_complete()[0]
+    assert len(system.irreducible_words()) == pbw_dimension(n, p, l)
 
 
 def test_pbw_dimension():
@@ -80,23 +80,23 @@ def test_graded_pbw_dimension():
 
 
 def test_small_system_l0():
-    pres = small_system(0)
-    lhss = {pres.alphabet.format(r.lhs) for r in pres.system.rules}
+    system = small_system(0)
+    lhss = {system.alphabet.format(r.lhs) for r in system.rules}
     assert lhss == {"a0 a0", "b0 b0", "b0 a0 b0 a0"}
-    assert pres.system.is_complete()[0]
-    assert pres.system.is_reduced()
+    assert system.is_complete()[0]
+    assert system.is_reduced()
 
 
 def test_small_system_skew_l1():
-    pres = small_system(1)
-    rule = next(r for r in pres.system.rules if pres.alphabet.format(r.lhs) == "a1 b0")
+    system = small_system(1)
+    rule = next(r for r in system.rules if system.alphabet.format(r.lhs) == "a1 b0")
     assert str(rule.rhs) in ("a0 b0 a0 + b0 a1", "b0 a1 + a0 b0 a0")
-    assert set(map(pres.alphabet.format, rule.rhs.terms)) == {"b0 a1", "a0 b0 a0"}
+    assert set(map(system.alphabet.format, rule.rhs.terms)) == {"b0 a1", "a0 b0 a0"}
 
 
 def test_small_system_graded_counts_match():
     for l in (0, 1, 2):
-        counts = small_system(l).system.irreducible_counts_by_degree()
+        counts = small_system(l).irreducible_counts_by_degree()
         assert counts == graded_pbw_dimensions(3, 2, l + 1, max(counts))
 
 
@@ -133,17 +133,15 @@ def test_conjectural_parameter_validation():
 
 def test_conjectural_systems_build_and_are_experimental():
     odd = conjectural_system("odd_p_n3", 3, 3, 1)
-    assert odd.experimental
-    assert any(odd.alphabet.format(r.lhs) == "a1_0 a1_0 a1_0" for r in odd.system.rules)
+    assert any(odd.alphabet.format(r.lhs) == "a1_0 a1_0 a1_0" for r in odd.rules)
     gen = conjectural_system("p2_general_n", 4, 2, 0)
-    assert gen.experimental
-    assert any(gen.alphabet.format(r.lhs) == "a1_0 a1_0" for r in gen.system.rules)
+    assert any(gen.alphabet.format(r.lhs) == "a1_0 a1_0" for r in gen.rules)
 
 
 def test_conjectural_relations_hold_in_big_algebra():
     # every input relation of the p=2, n=4 conjecture maps to zero under
     # a_{ik} -> e_{i,i+1}^(2^k)
-    pres = conjectural_system("p2_general_n", 4, 2, 1)
+    system = conjectural_system("p2_general_n", 4, 2, 1)
     big = big_system(4, 2, 7)
     gen = {
         (i, k): big.alphabet.index(f"e{i}{i+1}_{2**k}")
@@ -152,11 +150,11 @@ def test_conjectural_relations_hold_in_big_algebra():
     }
 
     def image(w):
-        names = [pres.alphabet[x].name for x in w]
+        names = [system.alphabet[x].name for x in w]
         return tuple(gen[(int(n[1]), int(n[3:]))] for n in names)
 
-    for rule in pres.system.rules:
+    for rule in system.rules:
         f = rule.polynomial()
         terms = [(c, image(w)) for w, c in f.terms.items()]
         img = Polynomial.from_terms(big.field, big.alphabet, terms)
-        assert big.system.normal_form(img).is_zero(), str(rule)
+        assert big.normal_form(img).is_zero(), str(rule)

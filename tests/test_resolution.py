@@ -21,7 +21,7 @@ from anickres.resolution import (
 
 @pytest.fixture(scope="module")
 def gc2():
-    return GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
+    return GradedComplex.from_prefix(ResolutionPrefix(small_system(2)))
 
 
 def test_rank_basic():
@@ -75,7 +75,7 @@ def test_exactness_unmodified(gc2):
 def test_exactness_eliminates_each_degree_once(monkeypatch):
     # one greedy elimination per (level, d) at levels >= 0, the augmentation's
     # rank read off its degree, and no matrix built
-    gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
+    gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2)))
     builds, echelons = [], []
     matrix = GradedComplex.differential_matrix
 
@@ -106,7 +106,7 @@ def test_exactness_lists_no_basis(monkeypatch):
     # one letter down, and count columns on the lhs automaton; no basis is
     # listed, and every column image built, kept or dropped, is that of a
     # basis element
-    gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2).system))
+    gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(2)))
     levels, images = [], []
     basis, column_image = GradedComplex.basis, GradedComplex.column_image
 
@@ -126,11 +126,11 @@ def test_exactness_lists_no_basis(monkeypatch):
 
 
 def _small(l):
-    return GradedComplex.from_prefix(ResolutionPrefix(small_system(l).system))
+    return GradedComplex.from_prefix(ResolutionPrefix(small_system(l)))
 
 
 def _big():
-    return GradedComplex.from_prefix(ResolutionPrefix(big_system(3, 3, 2).system.interreduce()))
+    return GradedComplex.from_prefix(ResolutionPrefix(big_system(3, 3, 2).interreduce()))
 
 
 def _dense_by_act(gc, level, d):
@@ -319,7 +319,7 @@ def test_generic_agrees_with_explicit(gc2):
 
 
 def test_betti_table_K3():
-    gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(3).system))
+    gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(3)))
     table = minimalize(gc).betti_table(16)
     expected = expected_betti_table(16, 3)
     for level in (0, 1, 2):
@@ -330,7 +330,7 @@ def test_betti_truncation_stability():
     # counts for d <= 2^K agree between K = 2 and K = 3
     tables = {}
     for K in (2, 3):
-        gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(K).system))
+        gc = GradedComplex.from_prefix(ResolutionPrefix(small_system(K)))
         tables[K] = minimalize(gc).betti_table(4)
     for level in (0, 1, 2):
         assert tables[2][level] == tables[3][level]
@@ -370,7 +370,7 @@ def test_betti_small_reads_no_differential_above_D():
     # the complex shares, tabulate the level-2 chains of degree <= 18 and the
     # braid partner b4 a3 a3 that minimalize checks eagerly, and nothing else
     # at level 2
-    prefix = ResolutionPrefix(small_system(4).system)
+    prefix = ResolutionPrefix(small_system(4))
     gc = GradedComplex.from_prefix(prefix)
     assert gc.diff is prefix.diff
     mn = minimalize(gc)
@@ -381,7 +381,7 @@ def test_betti_small_reads_no_differential_above_D():
     assert all(alphabet.degree(t) <= 18 or t == partner for t in read)
     assert partner in read and len(read) < len(prefix.chains[2])
     # the same answers from a complex whose every differential was tabulated up front
-    eager = ResolutionPrefix(small_system(4).system)
+    eager = ResolutionPrefix(small_system(4))
     diff = {
         lvl: {t: eager.d_generator(lvl, t) for t in ts} for lvl, ts in eager.chains.items() if lvl >= 0
     }
@@ -405,11 +405,11 @@ def test_on_demand_table_refuses_a_word_outside_its_chains(gc2):
 def _minimalized(name):
     """A system's complex and its generic minimalization, built once."""
     systems = {
-        "small l=2": lambda: small_system(2).system,
-        "small l=3": lambda: small_system(3).system,
-        "small l=4": lambda: small_system(4).system,
-        "big(3,3,2)": lambda: big_system(3, 3, 2).system.interreduce(),
-        "big(3,2,7)": lambda: big_system(3, 2, 7).system.interreduce(),
+        "small l=2": lambda: small_system(2),
+        "small l=3": lambda: small_system(3),
+        "small l=4": lambda: small_system(4),
+        "big(3,3,2)": lambda: big_system(3, 3, 2).interreduce(),
+        "big(3,2,7)": lambda: big_system(3, 2, 7).interreduce(),
     }
     gc = GradedComplex.from_prefix(ResolutionPrefix(systems[name]()))
     return gc, generic_minimalize(gc)
@@ -469,7 +469,7 @@ def test_resolve_completes_only_a_system_that_is_not_complete(monkeypatch):
     # odd_p_n3 (index 1) is not complete up to 12: resolve completes it (12
     # -> 25 rules) to a reduced system complete up to 12; a complete builtin
     # is only checked, never completed
-    conj = conjectural_system("odd_p_n3", 3, 3, 1).system
+    conj = conjectural_system("odd_p_n3", 3, 3, 1)
     gc = resolve(conj, 12)
     assert len(conj.rules) == 12 and len(gc.system.rules) == 25
     assert gc.system.is_reduced() and gc.system.is_complete(12)[0]
@@ -478,17 +478,17 @@ def test_resolve_completes_only_a_system_that_is_not_complete(monkeypatch):
         raise AssertionError("a complete system was completed")
 
     monkeypatch.setattr(RewritingSystem, "complete", refuse)
-    for system, D in ((small_system(2).system, 8), (big_system(3, 3, 2).system, 7)):
+    for system, D in ((small_system(2), 8), (big_system(3, 3, 2), 7)):
         assert resolve(system, D).chains == ResolutionPrefix(system.interreduce(), D).chains
 
 
 @pytest.mark.parametrize(
     "build, D",
     [
-        (lambda: small_system(2).system, 8),
-        (lambda: small_system(3).system, 8),
-        (lambda: big_system(3, 3, 2).system, 7),
-        (lambda: conjectural_system("odd_p_n3", 3, 3, 1).system, 7),
+        (lambda: small_system(2), 8),
+        (lambda: small_system(3), 8),
+        (lambda: big_system(3, 3, 2), 7),
+        (lambda: conjectural_system("odd_p_n3", 3, 3, 1), 7),
     ],
     ids=["small l=2", "small l=3", "big(3,3,2)", "odd_p_n3 index 1"],
 )
@@ -505,4 +505,4 @@ def test_bar_construction_gives_the_betti_rows(build, D):
 
 def test_bar_construction_caps_its_cells():
     with pytest.raises(ValueError, match="^bar construction exceeded its cap of 100 cells up to degree 8$"):
-        bar_betti_table(small_system(2).system, 8, 3, max_cells=100)
+        bar_betti_table(small_system(2), 8, 3, max_cells=100)

@@ -87,7 +87,7 @@ def test_reduce_once_deterministic(x1):
 def test_normal_form_matches_iterated_reduce_once():
     # small l=1 is complete, so its normal forms do not depend on the
     # strategy (the s1 relations lack the braid rule, and are not)
-    system = small_system(1).system
+    system = small_system(1)
     alphabet = system.alphabet
     g = poly(
         alphabet, F2, (1, ("b1", "a1", "b0", "a0")), (1, ("a0", "a0")), (1, ("b1", "a0", "b0"))
@@ -196,7 +196,7 @@ def test_completion_derives_braid(x1):
     from anickres.rewriting import make_rule
 
     full = done.with_rules(list(done.rules) + [make_rule(braid1)]).complete(8)
-    reference = small_system(1).system
+    reference = small_system(1)
     assert {x1.format(r.lhs) for r in full.interreduce().rules} == {
         x1.format(r.lhs) for r in reference.rules
     }
@@ -204,7 +204,7 @@ def test_completion_derives_braid(x1):
 
 
 def test_complete_is_identity_on_complete_systems():
-    system = small_system(1).system
+    system = small_system(1)
     done = system.complete(8)
     assert done.rules == system.rules
 
@@ -225,7 +225,7 @@ def test_interreduce_drops_redundant():
 
 
 def test_interreduce_identity_on_reduced():
-    system = small_system(2).system
+    system = small_system(2)
     assert system.interreduce().rules == system.rules
 
 
@@ -243,10 +243,10 @@ def test_interreduce_preserves_normal_forms(x1):
 
 def test_small_system_holds_the_lower_index_on_its_letters():
     # the index-3 rules over the index-1 letters are the index-1 system
-    big = small_system(3).system
+    big = small_system(3)
     keep = {"a0", "b0", "a1", "b1"}
     kept = {str(r) for r in big.rules if {big.alphabet[x].name for x in r.lhs} <= keep}
-    assert kept == {str(r) for r in small_system(1).system.rules}
+    assert kept == {str(r) for r in small_system(1).rules}
 
 
 def test_irreducible_words_bounded(x1):
@@ -274,7 +274,7 @@ def test_completion_of_odd_p_n3_is_pinned():
     # produced them before words became index tuples
     import hashlib
 
-    completed = conjectural_system("odd_p_n3", 3, 3, 2).system.complete(12)
+    completed = conjectural_system("odd_p_n3", 3, 3, 2).complete(12)
     assert len(completed.rules) == 38
     assert completed.is_complete(12) == (True, [])
     text = "\n".join(str(r) for r in completed.rules)
@@ -296,7 +296,7 @@ def test_higher_completions_of_odd_p_n3_are_pinned(bound, count, digest):
     # ties by push order, so these also pin the order of the pairs pushed
     import hashlib
 
-    completed = conjectural_system("odd_p_n3", 3, 3, 2).system.complete(bound)
+    completed = conjectural_system("odd_p_n3", 3, 3, 2).complete(bound)
     assert len(completed.rules) == count
     text = "\n".join(str(r) for r in completed.rules)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -314,7 +314,7 @@ def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced):
         return obstruction(self, cp)
 
     monkeypatch.setattr(RewritingSystem, "pair_obstruction", counted)
-    conjectural_system("odd_p_n3", 3, 3, 2).system.complete(bound)
+    conjectural_system("odd_p_n3", 3, 3, 2).complete(bound)
     assert len(calls) == reduced
 
 
@@ -322,7 +322,7 @@ def test_added_rule_keeps_the_memo_exact():
     # _add_rule patches the warm memo in place of recomputing it: every
     # entry must equal a fresh system's normal form under the new rules,
     # and a memo dict handed out before the addition must not change
-    system = conjectural_system("odd_p_n3", 3, 3, 1).system
+    system = conjectural_system("odd_p_n3", 3, 3, 1)
     ok, witnesses = system.is_complete()
     assert not ok
     rule = make_rule(witnesses[0][1])
@@ -341,7 +341,7 @@ def test_added_rule_keeps_the_memo_exact():
 
 def test_irreducible_counts_without_a_degree_bound():
     # finite: the 64 irreducible words of the index-1 small system
-    system = small_system(1).system
+    system = small_system(1)
     counts = system.irreducible_counts_by_degree()
     tally = {}
     for w in system.irreducible_words():
