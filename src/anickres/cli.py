@@ -32,7 +32,7 @@ from .documents import (
     parse_expression,
 )
 from .resolution import generic_minimalize, resolve
-from .rewriting import CompletionCapError, RewritingSystem
+from .rewriting import CompletionCapError
 
 
 def _add_presentation_args(parser: argparse.ArgumentParser):
@@ -66,24 +66,6 @@ def _load(args) -> LoadedPresentation:
         value = getattr(args, _FLAGS.get(key, key))
         params[key] = default if value is None else value
     return PresentationDocument(builtin=builtin, params=params).build()
-
-
-class IncompleteSystemError(Exception):
-    """A critical pair of the presentation does not resolve (exit 1)."""
-
-
-def _resolvable(system: RewritingSystem) -> RewritingSystem:
-    """The reduced system anick resolves: interreduce unless already
-    reduced, then require every critical pair to resolve."""
-    if not system.is_reduced():
-        system = system.interreduce()
-    ok, witnesses = system.is_complete()
-    if not ok:
-        raise IncompleteSystemError(
-            f"not complete: the critical pair at tip "
-            f"{system.alphabet.format(witnesses[0][0].tip)} does not resolve"
-        )
-    return system
 
 
 def _emit(report: Report, args, exit_code: int) -> int:
@@ -138,7 +120,18 @@ def cmd_check(args) -> int:
 
 def cmd_anick(args) -> int:
     loaded = _load(args)
-    prefix = ResolutionPrefix(_resolvable(loaded.system))
+    system = loaded.system
+    if not system.is_reduced():
+        system = system.interreduce()
+    complete, witnesses = system.is_complete()
+    if not complete:
+        tip = system.alphabet.format(witnesses[0][0].tip)
+        print(
+            f"error: not complete: the critical pair at tip {tip} does not resolve",
+            file=sys.stderr,
+        )
+        return 1
+    prefix = ResolutionPrefix(system)
     ok, problems = prefix.verify_complex()
     if not args.json:
         for level, ts in prefix.chains.items():
@@ -266,9 +259,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except IncompleteSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (CompletionCapError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,9 +47,6 @@ class Position:
     def span(self) -> int:
         return self.j - self.i
 
-    def __str__(self):
-        return f"({self.i},{self.j})"
-
 
 def all_positions(n: int) -> list[Position]:
     return [Position(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]

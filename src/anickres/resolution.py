@@ -35,9 +35,7 @@ rank, at level -1, is 1 in degree 0 and 0 elsewhere.  `basis`,
 `differential_matrix` (a whole matrix as sparse rows, one {column: nonzero
 residue} dict per row) and `rank_fp` are oracles for the checks only; the
 pipeline calls none of them.  `rank_fp` runs on the greedy rank's
-lead-pivoted kernel for odd p, and on int bitsets reduced by XOR for
-p = 2, which are faster on the dense rows of the oracles and of criterion
-8.
+lead-pivoted kernel for every p.
 
 Minimalization cancels each unit constant entry of a differential by one
 elimination step, in place and in one pass over the levels; the braid
@@ -81,10 +79,8 @@ def rank_fp(rows: Sequence[Union[dict, Sequence[int]]], p: int) -> int:
     Rows are {column: residue} dicts (as `GradedComplex.differential_matrix`
     builds them; any column keys that compare with each other) or dense
     sequences of ints, read as {index: entry}, and are left unchanged.
-    Entries need not be reduced modulo p.  For p = 2 the rows are reduced as
-    int bitsets, which eliminate the dense rows of the oracles and of
-    criterion 8 faster than sparse rows do."""
-    echelon = _F2Echelon() if p == 2 else _Echelon(p)
+    Entries need not be reduced modulo p."""
+    echelon = _Echelon(p)
     return sum(echelon.insert(_residues(r, p)) for r in rows)
 
 
@@ -126,39 +122,9 @@ class _Echelon:
         return False
 
 
-class _F2Echelon:
-    """Row echelon form over F_2 grown one row at a time: each row is packed
-    into an int bitset and reduced by XOR against the pivot rows found so
-    far, which are keyed by their lowest set bit.  A row's keys are numbered
-    as first seen (the rank does not depend on their order)."""
-
-    def __init__(self):
-        self.pivots: dict[int, int] = {}
-        self.index: dict = {}  # row key -> its bit
-
-    def insert(self, row: dict) -> bool:
-        """Reduce the {key: 1} row; keep it as a new pivot row if it stays
-        nonzero, and say whether it did."""
-        pivots, index = self.pivots, self.index
-        number = index.setdefault
-        r = sum(1 << number(k, len(index)) for k in row)
-        while r:
-            low = r & -r
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = r
-                return True
-            r ^= pivot
-        return False
-
-
 def rank_fp_oracle(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Independent check: eliminate the transpose with the generic routine."""
-    if not rows or not rows[0]:
-        return 0
-    transpose = [[rows[i][j] for i in range(len(rows))] for j in range(len(rows[0]))]
-    echelon = _Echelon(p)
-    return sum(echelon.insert(_residues(col, p)) for col in transpose)
+    """Independent check: the rank of the transpose of the dense rows."""
+    return rank_fp(list(zip(*rows)), p)
 
 
 # ---------------------------------------------------------------------

@@ -65,10 +65,6 @@ class Alphabet:
         """The generator of a letter index."""
         return self.generators[index]
 
-    def __contains__(self, g: Generator) -> bool:
-        i = self._index.get(g.name)
-        return i is not None and self.generators[i] == g
-
     def generator(self, name: str) -> Generator:
         return self.generators[self.index(name)]
 

@@ -35,15 +35,21 @@ def annotations(tree: ast.Module):
             yield node.annotation
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    """Every name the module reads, in code or in a quoted annotation."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def quoted_names(tree: ast.Module) -> set[str]:
+    """Every name read in a quoted annotation."""
+    quoted = set()
     for annotation in annotations(tree):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                quoted = ast.parse(node.value, mode="eval")
-                used.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
-    return used
+                text = ast.parse(node.value, mode="eval")
+                quoted.update(n.id for n in ast.walk(text) if isinstance(n, ast.Name))
+    return quoted
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, in code or in a quoted annotation."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | quoted_names(tree)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -52,3 +58,48 @@ def test_every_import_is_used(path):
     used = used_names(tree)
     unused = {name: line for name, line in imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def is_private(name: str) -> bool:
+    """One leading underscore, not a dunder."""
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(tree: ast.Module):
+    """(name, line) of each private module-level function, class or constant,
+    and of each private method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield member.name, member.lineno
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, as a name or as an attribute."""
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    return read | quoted_names(tree)
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    referenced = set().union(*map(referenced_names, trees.values()))
+    dead = sorted(
+        f"{path.name}:{line} {name}"
+        for path, tree in trees.items()
+        for name, line in private_definitions(tree)
+        if is_private(name) and name not in referenced
+    )
+    assert not dead, f"private definitions nothing in the package references: {dead}"

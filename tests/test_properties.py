@@ -577,9 +577,19 @@ def odd_sign_case():
     return RewritingSystem(alphabet, F3, [make_rule(relation)]), 3
 
 
+def incomplete_case():
+    """y x y + x y x over F_3 (x, y of degree 1), bound 4: interreduced it
+    is one rule whose self-overlap at y x y x y does not resolve, and
+    `resolve` completes it to three rules before the chains are read."""
+    alphabet = Alphabet.from_names([("x", 1), ("y", 1)])
+    relation = Polynomial.from_terms(F3, alphabet, [(1, (1, 0, 1)), (1, (0, 1, 0))])
+    return RewritingSystem(alphabet, F3, [make_rule(relation)]), 4
+
+
 @settings(max_examples=60, deadline=None)
 @given(presentations(homogeneous=True), st.integers(0, 2))
 @example(odd_sign_case(), 2)
+@example(incomplete_case(), 2)
 def test_resolve_then_minimalize_agrees_with_the_bar_construction(case, raise_D):
     # end to end on random presentations: the Betti table that betti prints
     # (resolve, then generic_minimalize) is exact at levels -1..1, and its
