@@ -13,7 +13,10 @@ lists the basis, and builds few column images: each candidate carries
 the lead of its image from the column one letter down (left
 multiplication keeps basis order and reduction only lowers a word), and
 an image is built only where the lead does not carry or collides with a
-pivot.  It keeps the columns of an elimination that builds every image.
+pivot.  Each kept column carries the prepend automaton's states of its
+coefficient word and its lead's, so whether x m' and x m1 reduce is one
+table step each; the candidates come out in basis order with no sort.
+It keeps the columns of an elimination that builds every image.
 This is exact because the image of d is a left submodule of the free
 module: by induction on the degree and then along the basis order, a
 dependent m'.t is a combination of kept columns m_i.t_i before it, and x
@@ -60,6 +63,7 @@ minimalization.
 
 from __future__ import annotations
 
+import bisect
 import functools
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -159,14 +163,11 @@ class GradedComplex:
         self._bases: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
         self._counts: dict[int, int] = {}  # irreducible words per degree
         self._counts_bound = -1  # every degree up to this one is counted
-        # level -> chain degree -> the number of chains of that degree
-        self._chain_degrees: dict[int, dict[int, int]] = {}
-        # (level, d) -> the independent columns, levels >= 0 (see independent_columns)
-        self._kept: dict[tuple[int, int], tuple[tuple[Word, Word], ...]] = {}
+        self._by_degree: dict[int, dict[int, list[Word]]] = {}  # level -> degree -> chains
+        # (level, d) -> the records of the independent columns, levels >= 0 (see _kept_records)
+        self._records: dict[tuple[int, int], list[tuple]] = {}
         # (level, m, t) -> {(w, t'): c}, the image m * d_level(.t), where built
         self._images: dict[tuple[int, Word, Word], dict[tuple[Word, Word], int]] = {}
-        # (level, d) -> the lead ((w, t'), c) of each independent column's image
-        self._leads: dict[tuple[int, int], tuple[tuple[tuple[Word, Word], int], ...]] = {}
         self._orders: dict[int, Callable] = {}  # level -> the sort key of basis order
 
     @classmethod
@@ -193,15 +194,15 @@ class GradedComplex:
         key = (level, d)
         out = self._bases.get(key)
         if out is None:
-            degree = self.alphabet.degree
             pairs = [
                 (m, t)
-                for t in self.chains.get(level, [])
-                if (dt := degree(t)) <= d
+                for dt, ts in self._chains_by_degree(level).items()
+                if dt <= d
+                for t in ts
                 for m in self._irreducible(d - dt)
             ]
             # every mt has degree d, so deglex order is tuple order on mt
-            pairs.sort(key=lambda mt: mt[0] + mt[1])
+            pairs.sort(key=self._basis_order(level))
             out = self._bases[key] = tuple(pairs)
         return out
 
@@ -212,23 +213,22 @@ class GradedComplex:
             self._counts = self.system.irreducible_counts_by_degree(max_degree)
             self._counts_bound = max_degree
 
-    def _chain_degree_counts(self, level: int) -> dict[int, int]:
-        """Chain degree -> the number of chains of that degree at the level,
-        counted once."""
-        by_degree = self._chain_degrees.get(level)
+    def _chains_by_degree(self, level: int) -> dict[int, list[Word]]:
+        """Chain degree -> the chains of that degree at the level, in chain
+        order; built once."""
+        by_degree = self._by_degree.get(level)
         if by_degree is None:
-            by_degree = self._chain_degrees[level] = {}
+            by_degree = self._by_degree[level] = {}
             for t in self.chains.get(level, []):
-                dt = self.alphabet.degree(t)
-                by_degree[dt] = by_degree.get(dt, 0) + 1
+                by_degree.setdefault(self.alphabet.degree(t), []).append(t)
         return by_degree
 
     def column_count(self, level: int, d: int) -> int:
         """len(basis(level, d)) without listing it: the sum over the chains
         t of the number of irreducible words of degree d - deg t."""
         self._count_irreducible(d)
-        counts, by_degree = self._counts, self._chain_degree_counts(level)
-        return sum(n * counts.get(d - dt, 0) for dt, n in by_degree.items() if dt <= d)
+        counts, by_degree = self._counts, self._chains_by_degree(level)
+        return sum(len(ts) * counts.get(d - dt, 0) for dt, ts in by_degree.items() if dt <= d)
 
     # ----- matrices ---------------------------------------------------
     def column_image(self, level: int, m: Word, t: Word) -> dict[tuple[Word, Word], int]:
@@ -287,21 +287,28 @@ class GradedComplex:
         return top, image[top]
 
     def independent_columns(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
-        """The basis elements m.t of degree d whose columns one greedy
-        elimination keeps as independent, in basis order; they span the
-        image of d_level in degree d, so their number is its rank.
-        Computed once per (level, d), for levels >= 0, with the lead of each
-        kept column's image (see `_image_lead`) in `_leads`.
+        """The basis elements m.t of degree d (level >= 0) whose columns one
+        greedy elimination keeps as independent, in basis order; they span
+        the image of d_level in degree d (see `_kept_records`)."""
+        return tuple((m, t) for m, t, *_ in self._kept_records(level, d))
+
+    def _kept_records(self, level: int, d: int) -> list[tuple]:
+        """The independent columns m.t of degree d as records (m, t, s, m1,
+        t1, c, s1), in basis order, computed once per (level, d): (m1.t1, c)
+        is the lead of the image (see `_image_lead`), and s and s1 are the
+        states of m and m1 in the system's prepend automaton.
 
         The candidates are the generators .t of degree d and the columns
         x m'.t for each m'.t kept in degree d - deg x with x m' irreducible.
-        Each carries the lead of its image.  A generator's is read off
-        d(.t).  For x m'.t, let (m1.t1, c) be the lead of m'.t: when x m1
-        is irreducible, the lead of x m'.t is ((x m1).t1, c) and no image is
-        built; otherwise the image is built and its maximum taken.  While
-        m1 = m' u, one trie walk from the front of x m1 decides both
-        questions, since any lhs in it is a prefix, ending within x m' or
-        past it.
+        Taken letter by letter in index order, each letter over the kept
+        columns in their basis order, the x m'.t come out in basis order
+        (x is the first letter of x m't); the few generators are inserted
+        by bisection.  Each carries the lead of its image.  A generator's is
+        read off d(.t).  For x m'.t with m'.t recorded as above, one step
+        of the automaton from s tells whether x m' is irreducible, and one
+        from s1 whether x m1 is: then the lead of x m'.t is ((x m1).t1, c)
+        and no image is built; otherwise the image is built, its maximum
+        taken, and the state of that lead word walked once.
 
         In basis order, a candidate whose lead no pivot has yet is kept at
         once, with its image left unbuilt as the pivot of that lead.  On a
@@ -316,54 +323,38 @@ class GradedComplex:
         d o d = 0, only a reduced complete system, as `column_image` does.
         """
         key = (level, d)
-        kept = self._kept.get(key)
+        kept = self._records.get(key)
         if kept is not None:
             return kept
-        degree, front_rule = self.alphabet.degree, self.system.front_rule
-        # (m, t, the lead of its image, or None where the image gives it)
-        candidates = [((), t, None) for t in self.chains.get(level, []) if degree(t) == d]
-        letters: dict[int, list[int]] = {}  # letter degree -> the letters
-        for x in range(len(self.alphabet)):
-            letters.setdefault(degree((x,)), []).append(x)
-        for dx, xs in letters.items():
+        step = self.system.prepend_automaton()
+        candidates = []
+        for x, dx in enumerate(g.degree for g in self.alphabet):
             if dx > d:
                 continue
-            # the kept columns m'.t one letter down, with their leads, grouped by m'
-            below: dict[Word, list] = {}
-            for (m, t), lead in zip(
-                self.independent_columns(level, d - dx), self._leads[(level, d - dx)]
-            ):
-                below.setdefault(m, []).append((t, lead))
-            for x in xs:
-                for m, column in below.items():
-                    xm, k = (x,) + m, len(m)
-                    for t, ((m1, t1), c) in column:
-                        xm1 = (x,) + m1
-                        if m1[:k] == m:
-                            front = front_rule(xm1)
-                            if front is not None and front[0] <= k + 1:
-                                break  # x m' is reducible
-                        elif front_rule(xm) is not None:
-                            break
-                        else:
-                            front = front_rule(xm1)
-                        candidates.append((xm, t, None if front else ((xm1, t1), c)))
-        candidates.sort(key=self._basis_order(level))
+            for m, t, s, m1, t1, c, s1 in self._kept_records(level, d - dx):
+                if (s := step[s][x]) is not None:  # x m' is irreducible
+                    # None where x m1 reduces: the lead does not carry
+                    xm1 = None if (s1 := step[s1][x]) is None else (x,) + m1
+                    candidates.append(((x,) + m, t, s, xm1, t1, c, s1))
+        order = self._basis_order(level)
+        for t in self._chains_by_degree(level).get(d, ()):
+            bisect.insort(candidates, ((), t, 0, None, None, None, None), key=order)
         echelon = _Echelon(self.field.p, self._basis_order(level - 1))
         pivots = echelon.pivots
-        kept, leads = [], []
-        for m, t, lead in candidates:
-            if lead is None:
-                lead = self._image_lead(level, m, t)
-            if lead is not None and lead[0] not in pivots:
-                pivots[lead[0]] = functools.partial(self.column_image, level, m, t)
-            elif lead is None or not echelon.insert(dict(self.column_image(level, m, t))):
+        kept = []
+        for record in candidates:
+            m, t, s, m1, t1, c, s1 = record
+            if m1 is None and (lead := self._image_lead(level, m, t)) is not None:
+                (m1, t1), c = lead
+                s1 = functools.reduce(lambda q, y: step[q][y], reversed(m1), 0)
+                record = (m, t, s, m1, t1, c, s1)
+            if m1 is not None and (m1, t1) not in pivots:
+                pivots[(m1, t1)] = functools.partial(self.column_image, level, m, t)
+            elif m1 is None or not echelon.insert(dict(self.column_image(level, m, t))):
                 del self._images[(level, m, t)]  # only kept columns are extended
                 continue
-            kept.append((m, t))
-            leads.append(lead)
-        self._leads[key] = tuple(leads)
-        kept = self._kept[key] = tuple(kept)
+            kept.append(record)
+        self._records[key] = kept
         return kept
 
     def _rank(self, level: int, d: int) -> int:
@@ -374,7 +365,7 @@ class GradedComplex:
             return 0
         if level == -1:
             return int(d == 0)
-        return len(self.independent_columns(level, d))
+        return len(self._kept_records(level, d))
 
     def exactness_defect(self, level: int, d: int) -> int:
         """dim ker(d_level in degree d) minus rank(d_{level+1} in degree d)."""
@@ -402,9 +393,9 @@ class GradedComplex:
 
     def betti_table(self, max_degree: int) -> dict[int, dict[int, int]]:
         """Homological level k counts the chains at chain level k-1 by degree."""
-        counts = self._chain_degree_counts
+        by_degree = self._chains_by_degree
         return {
-            hlevel: {d: n for d, n in counts(hlevel - 1).items() if d <= max_degree}
+            hlevel: {d: len(ts) for d, ts in by_degree(hlevel - 1).items() if d <= max_degree}
             for hlevel in range(self.top + 2)
         }
 

@@ -54,7 +54,11 @@ on first use): a word is irreducible exactly when reading it from the
 start state never reaches a state at which some left-hand side ends.  The
 number of irreducible words of each degree is the number of such paths
 (Ufnarovski, Combinatorial and asymptotic methods in algebra, 1995),
-counted per (degree, state) without listing a word.
+counted per (degree, state) without listing a word.  The same builder
+makes the prepend automaton of the reversed left-hand sides: the state of
+an irreducible word w, read from its end, is the longest prefix of w that
+is a suffix of an lhs, and one step on a letter x gives the state of x w
+or marks x w reducible (any lhs in it is a prefix).
 """
 
 from __future__ import annotations
@@ -140,6 +144,36 @@ def _drive(derivation, w: Word) -> None:
             stack.append(derivation(need))
 
 
+def _aho_corasick(words: Iterable[Word], n: int) -> list[list[Optional[int]]]:
+    """The Aho-Corasick automaton of words over n letters: step[s][x] is
+    the state after state s reads x, or None where some word is a suffix
+    of what is read.  The state after a string is its longest suffix that
+    is a prefix of a word, numbered breadth-first (0 = the empty string)."""
+    root: dict = {}
+    for w in words:
+        node = root
+        for x in w:
+            node = node.setdefault(x, {})
+        node[_END] = None
+    nodes, fail, ends = [root], [0], [_END in root]
+    goto: list[list[int]] = []
+    for s, node in enumerate(nodes):  # grows breadth-first while read
+        row = []
+        for x in range(n):
+            child = node.get(x)
+            # the failure state is shallower, so its row is complete
+            via_fail = goto[fail[s]][x] if s else 0
+            if child is None:
+                row.append(via_fail)
+                continue
+            row.append(len(nodes))
+            nodes.append(child)
+            fail.append(via_fail)
+            ends.append(_END in child or ends[via_fail])
+        goto.append(row)
+    return [[None if ends[t] else t for t in row] for row in goto]
+
+
 def make_rule(f: Polynomial) -> RewriteRule:
     """Orient a nonzero relation: lm(f) rewrites to the rest, made monic."""
     if f.is_zero():
@@ -190,8 +224,9 @@ class RewritingSystem:
         self._starts: dict[int, list[int]] = {}
         for rule in self.rules:
             self._insert_lhs(rule.lhs)
-        # the automaton of the lhs, built on first use
+        # the automata of the lhs and of the reversed lhs, built on first use
         self._moves: list[list[tuple[int, int, int]]] | None = None
+        self._prepend: list[list[Optional[int]]] | None = None
         # normal-form memo of {word: c} dicts; private, rebuilt per instance.
         # When a rule is added, the words memoized since the last one (the
         # memo's tail in insertion order) are bucketed by degree (see _add_rule).
@@ -237,7 +272,7 @@ class RewritingSystem:
             raise ValueError(f"the rule {rule} holds a reducible word")
         self._insert_lhs(lhs)
         self.rules += (rule,)
-        self._moves = None
+        self._moves = self._prepend = None
         memo, buckets, degree = self._nf, self._nf_by_degree, self.alphabet.degree
         # the tail, read from the end of the memo without walking its head
         for w in itertools.islice(reversed(memo), len(memo) - self._nf_bucketed):
@@ -655,34 +690,24 @@ class RewritingSystem:
     # ----- irreducible words -----------------------------------------
     def _lhs_automaton(self) -> list[list[tuple[int, int, int]]]:
         """The moves (letter, its degree, next state) of each state of the
-        Aho-Corasick automaton of the left-hand sides that reach no state
-        at which an lhs ends; the state after a word is the longest suffix of
-        it that is a trie node, numbered breadth-first (0 = the root)."""
+        automaton of the left-hand sides that reach no state at which an
+        lhs ends (see `_aho_corasick`)."""
         if self._moves is None:
-            n = len(self.alphabet)
-            nodes = [self._trie]
-            fail = [0]
-            ends = [_END in self._trie]  # some lhs is a suffix of the state
-            goto: list[list[int]] = []
-            for s, node in enumerate(nodes):  # grows breadth-first while read
-                row = []
-                for x in range(n):
-                    child = node.get(x)
-                    # the failure state is shallower, so its row is complete
-                    via_fail = goto[fail[s]][x] if s else 0
-                    if child is None:
-                        row.append(via_fail)
-                        continue
-                    row.append(len(nodes))
-                    nodes.append(child)
-                    fail.append(via_fail)
-                    ends.append(_END in child or ends[via_fail])
-                goto.append(row)
             self._moves = [
-                [(x, self._degrees[x], t) for x, t in enumerate(row) if not ends[t]]
-                for row in goto
+                [(x, self._degrees[x], t) for x, t in enumerate(row) if t is not None]
+                for row in _aho_corasick(self._lhs, len(self.alphabet))
             ]
         return self._moves
+
+    def prepend_automaton(self) -> list[list[Optional[int]]]:
+        """step[s][x]: the state of x w for w of state s, or None where some
+        lhs is a prefix of x w (for an irreducible w, exactly when x w
+        reduces).  The automaton of the reversed left-hand sides, reading w
+        from its end: the state of w is the longest prefix of w that is a
+        suffix of an lhs (0 = the empty word)."""
+        if self._prepend is None:
+            self._prepend = _aho_corasick([w[::-1] for w in self._lhs], len(self.alphabet))
+        return self._prepend
 
     def irreducible_words(
         self, max_degree: int | None = None, max_count: int = _WORD_CAP

@@ -810,8 +810,8 @@ def test_leads_carry_under_left_multiplication(gc):
 
     for level in range(gc.top + 1):
         for d in range(NONCYCLE_DEGREE + 1):
-            kept = gc.independent_columns(level, d)
-            for (m, t), ((m1, t1), c) in zip(kept, gc._leads[(level, d)], strict=True):
+            gc.independent_columns(level, d)
+            for m, t, _s, m1, t1, c, _s1 in gc._records[(level, d)]:
                 d_t = gc.diff[level][t]
                 assert lead(level, d, gc.prefix.act(m, d_t)) == ((m1, t1), c)
                 for x in range(len(gc.alphabet)):

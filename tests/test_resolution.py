@@ -96,7 +96,7 @@ def test_exactness_eliminates_each_degree_once(monkeypatch):
     assert builds == []
     # levels -1, 0, 1 each need their own rank and the one above, up to the top
     eliminations = {(level, d) for level in (0, 1, 2) for d in range(9)}
-    assert set(gc._kept) == eliminations
+    assert set(gc._records) == eliminations
     assert len(echelons) == len(eliminations)
 
 
@@ -256,6 +256,31 @@ def test_greedy_takes_both_slow_paths(monkeypatch):
             walked = _walk_the_basis(gc, level, d, kept)
             assert list(gc.independent_columns(level, d)) == walked, (level, d)
     assert uncarried and collisions
+
+
+def test_generators_merge_into_the_candidates_in_basis_order(monkeypatch):
+    # the candidates x m'.t come out in basis order, letter by letter, and
+    # each generator ((), t) of the degree is inserted by bisection; on
+    # small l=2 some generator sorts strictly between two candidates with
+    # the same first letter, and the kept columns still equal those of the
+    # greedy walk over the basis
+    gc = _small(2)
+    inside = []
+    insort = resolution.bisect.insort
+
+    def counted_insort(candidates, generator, key):
+        insort(candidates, generator, key=key)
+        i = next(i for i, c in enumerate(candidates) if c is generator)
+        if 0 < i < len(candidates) - 1 and candidates[i - 1][0][:1] == candidates[i + 1][0][:1] != ():
+            inside.append(generator[1])
+
+    monkeypatch.setattr(resolution.bisect, "insort", counted_insort)
+    kept = {}
+    for level in range(gc.top + 1):
+        for d in range(9):
+            walked = _walk_the_basis(gc, level, d, kept)
+            assert list(gc.independent_columns(level, d)) == walked, (level, d)
+    assert inside
 
 
 def test_sparse_ranks_equal_the_dense_oracle(built):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from anickres.fields import PrimeField
 from anickres.kostant import conjectural_system, small_system
@@ -6,6 +7,7 @@ from anickres.polynomials import Polynomial
 from anickres.rewriting import (
     _END,
     _PAST,
+    RewriteRule,
     RewritingSystem,
     UnorderableRelationError,
     WordCapError,
@@ -359,3 +361,49 @@ def test_irreducible_counts_without_a_degree_bound():
         infinite.irreducible_counts_by_degree()
     with pytest.raises(WordCapError, match="cap of 100 words up to degree 9"):
         infinite.irreducible_words(9, max_count=100)
+
+
+THREE = Alphabet.from_names([("a", 1), ("b", 1), ("c", 2)])
+
+
+@st.composite
+def lhs_sets(draw):
+    """Left-hand sides over the first 2 or 3 letters of `THREE`, with
+    factors of drawn ones among them: nested lhs, and duplicates where a
+    factor is the whole word."""
+    letters = st.integers(0, draw(st.sampled_from((1, 2))))
+    lhss = draw(st.lists(st.lists(letters, min_size=1, max_size=4).map(tuple), min_size=1, max_size=6))
+    for w in draw(st.lists(st.sampled_from(lhss), max_size=3)):
+        i = draw(st.integers(0, len(w) - 1))
+        lhss.append(w[i : draw(st.integers(i + 1, len(w)))])
+    return draw(st.permutations(lhss))
+
+
+@given(lhs_sets(), st.lists(st.lists(st.integers(0, 2), max_size=8), max_size=6))
+def test_prepend_automaton_steps_mark_exactly_the_reducible_fronts(lhss, probes):
+    # grow irreducible words w one letter at a time at the front: for every
+    # letter x the step from the state of w marks x w reducible exactly when
+    # some lhs is a prefix of x w; the state carried equals the state of w
+    # read from its end from scratch, and it determines, and is determined
+    # by, the longest prefix of w that is a suffix of an lhs
+    system = RewritingSystem(THREE, F2, [RewriteRule(w, Polynomial(F2, THREE)) for w in lhss])
+    step = system.prepend_automaton()
+    by_state, by_prefix = {}, {}
+    for probe in probes:
+        w, s = (), 0
+        for y in probe:
+            for x in range(len(THREE)):
+                assert (step[s][x] is None) == (system.front_rule((x,) + w) is not None)
+            if step[s][y] is None:
+                break
+            s, w = step[s][y], (y,) + w
+            scratch = 0
+            for x in reversed(w):
+                scratch = step[scratch][x]
+            assert scratch == s
+            longest = max(
+                (w[:k] for k in range(len(w) + 1) if any(u[len(u) - k :] == w[:k] for u in lhss)),
+                key=len,
+            )
+            assert by_state.setdefault(s, longest) == longest
+            assert by_prefix.setdefault(longest, s) == s
