@@ -2,9 +2,11 @@
 
 Subcommands: nf, check, anick, betti, verify, conjectures.  Exit codes:
 0 pass, 1 verification failure, 2 usage/parse error.  With --json the
-command prints a canonical machine-readable report.  anick interreduces
-the presentation unless it is reduced and exits 1 naming the first
-critical pair that does not resolve.  betti reads the complex of
+command prints a canonical machine-readable report.  A presentation is
+a --file document or a builtin with its parameter flags, never both; a
+flag the chosen builtin does not take exits 2.  anick interreduces the
+presentation (a reduced one is used as it is) and exits 1 naming the
+first critical pair that does not resolve.  betti reads the complex of
 `resolution.resolve(system, D)`: interreduced, completed up to D when a
 critical pair of tip degree <= D does not resolve (exit 2 if completion
 hits its cap), refused with exit 2 when not augmented or not homogeneous,
@@ -54,15 +56,25 @@ _FLAGS = {"exponent_bound": "expbound", "index_bound": "indexbound"}
 
 def _load(args) -> LoadedPresentation:
     """The presentation of --file, or the builtin document of the flags:
-    both are built and checked by `PresentationDocument.build`."""
+    both are built and checked by `PresentationDocument.build`.  A builtin
+    flag beside --file, or one the chosen builtin does not take, is refused."""
+    # each parameter flag -> the parameter it sets
+    keys = {_FLAGS.get(key, key): key for _, defaults in BUILTINS.values() for key in defaults}
     if args.file:
+        for flag in ("builtin", *keys):
+            if getattr(args, flag) is not None:
+                raise DocumentError(f"--{flag} cannot be given with --file")
         with open(args.file, encoding="utf-8") as fh:
             return PresentationDocument.from_json(fh.read()).build()
     builtin = args.builtin or "small"
+    defaults = BUILTINS[builtin][1]
+    for flag, key in keys.items():
+        if key not in defaults and getattr(args, flag) is not None:
+            raise DocumentError(f"--{flag} is not a parameter of builtin {builtin!r}")
     if builtin == "conjectural" and not args.variant:
         raise DocumentError("--builtin conjectural requires --variant")
     params = {}
-    for key, default in BUILTINS[builtin][1].items():
+    for key, default in defaults.items():
         value = getattr(args, _FLAGS.get(key, key))
         params[key] = default if value is None else value
     return PresentationDocument(builtin=builtin, params=params).build()
@@ -120,9 +132,7 @@ def cmd_check(args) -> int:
 
 def cmd_anick(args) -> int:
     loaded = _load(args)
-    system = loaded.system
-    if not system.is_reduced():
-        system = system.interreduce()
+    system = loaded.system.interreduce()
     complete, witnesses = system.is_complete()
     if not complete:
         tip = system.alphabet.format(witnesses[0][0].tip)

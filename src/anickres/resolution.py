@@ -51,9 +51,11 @@ complex.
 
 `resolve(system, D)` is the one route from a presentation to the complex
 read up to D: it interreduces, completes up to D (Bergman's diamond
-lemma) only if `is_complete(D)` fails, so a complete system keeps its
-warm memo, interreduces again, and refuses a presentation that is not
-augmented (the prefix) or not homogeneous.
+lemma) only if `is_complete(D)` fails, and interreduces the completion.
+Interreduction returns a reduced system itself and completion its working
+system, so the memo that the completeness check and completion warm stays
+with the system the chains are read from.  It refuses a presentation
+that is not augmented (the prefix) or not homogeneous.
 
 Homological indexing of the Betti table: level 0 is the free cover of the
 trivial module (one generator in degree 0, chain level -1), level 1 counts
@@ -403,12 +405,9 @@ class GradedComplex:
 def resolve(system: RewritingSystem, max_degree: int) -> GradedComplex:
     """The complex of `system`, interreduced and completed up to max_degree,
     on its chains of degree <= max_degree; see the module docstring."""
-    if not system.is_reduced():
-        system = system.interreduce()
+    system = system.interreduce()
     if not system.is_complete(max_degree)[0]:
-        system = system.complete(max_degree)
-        if not system.is_reduced():
-            system = system.interreduce()
+        system = system.complete(max_degree).interreduce()
     prefix = ResolutionPrefix(system, max_degree)
     degree = system.alphabet.degree
     for rule in system.rules:

@@ -8,10 +8,11 @@ words goes through the alphabet's deglex `sort_key`.
 Each system has one trie of the left-hand sides (a prefix tree as in Aho
 and Corasick, CACM 18, 1975), grown rule by rule by completion.  A node
 lists the rules whose lhs ends there and the rules passing it that are
-longer than its word, both in rule order.  Walked from each position of a
-word, it serves the single-step API (`first_step`, `apply_step`,
-`reduce_once`): the deglex-largest reducible word is rewritten at its
-leftmost reducible position, by the first matching rule in system order.
+longer than its word, both in rule order.  Walked by `_path` from each
+position of a word, it serves the single-step API (`first_step`,
+`apply_step`, `reduce_once`): the deglex-largest reducible word is
+rewritten at its leftmost reducible position, by the first matching rule
+in system order.
 
 Normal forms have one strategy and one memo, shared by `normal_form`,
 `normal_form_word`, completion, interreduction, `is_complete` and the
@@ -27,18 +28,19 @@ generators, not as nested calls, so long words do not reach Python's
 recursion limit.  Memo entries are canonical {word: c} dicts, shared with
 the callers of `normal_form_word`, who must not change them.
 
-Completion grows one private working system and carries the memo across
-each added rule, keeping every entry equal to what a new system with the
-same rules computes.  Take a new rule L -> R of degree d whose words are
-irreducible.  An entry of degree < d stays, since no word its derivation
-reaches contains L (letter degrees are >= 1 and reduction never raises
-the degree).  Each step of the derivation of a degree-d entry depends on
-whether a suffix of lower degree is reducible and on the lhs that are
-prefixes of a degree-d word, and L is a prefix of no degree-d word but
-itself.  So every step stays, L can only be a leaf, the words of R stay
-irreducible, and by linearity L is replaced by R.  Entries above degree d
-are dropped.  Memo words are bucketed by degree as rules are added, so an
-addition visits only the entries of degree >= d; a patched entry is a copy.
+Completion grows one working system, which it returns, and carries the
+memo across each added rule, keeping every entry equal to what a new
+system with the same rules computes.  Take a new rule L -> R of degree d
+whose words are irreducible.  An entry of degree < d stays, since no word
+its derivation reaches contains L (letter degrees are >= 1 and reduction
+never raises the degree).  Each step of the derivation of a degree-d entry
+depends on whether a suffix of lower degree is reducible and on the lhs
+that are prefixes of a degree-d word, and L is a prefix of no degree-d
+word but itself.  So every step stays, L can only be a leaf, the words of
+R stay irreducible, and by linearity L is replaced by R.  Entries above
+degree d are dropped.  Memo words are bucketed by degree as rules are
+added, so an addition visits only the entries of degree >= d; a patched
+entry is a copy.
 
 A rule's critical pairs take two lookups, the trie walked from each
 position of its lhs and the starts of its first letter among all lhs,
@@ -79,6 +81,7 @@ from .words import Alphabet, Word
 _END = -1  # the rules whose lhs ends at a node, in rule order
 _PAST = -3  # the rules passing a node and longer than its word, in rule order
 _WORD_CAP = 2_000_000  # irreducible words enumerated or counted without a degree bound
+_INTERREDUCE_PASSES = 1_000  # rule rewrites or drops before interreduction gives up
 
 
 class UnorderableRelationError(ValueError):
@@ -197,11 +200,11 @@ def make_rule(f: Polynomial) -> RewriteRule:
 class RewritingSystem:
     """An ordered collection of rewriting rules over one alphabet and field.
 
-    Instances are immutable; the completion and interreduction operations
-    return new systems (completion appends rules only to a private working
-    system that it never returns).  `complete_up_to` records the tip-degree
-    bound up to which all critical pairs are known to resolve (None = not
-    checked).
+    A system is never changed once returned: completion appends rules to a
+    working system of its own and returns it when done, and interreduction
+    returns the last system it built, or the system itself when no rule
+    changes.  `complete_up_to` records the tip-degree bound up to which all
+    critical pairs are known to resolve (None = not checked).
     """
 
     def __init__(
@@ -263,12 +266,13 @@ class RewritingSystem:
         """Append a rule whose words are irreducible here (as those of a
         normal form are), keeping the memo exact.
 
-        Only `complete` calls this, on its private working system.  See the
-        module docstring for why the memo stays equal to that of a new
-        system with the same rules.
+        Only `complete` calls this, on its working system before returning
+        it.  See the module docstring for why the memo stays equal to that
+        of a new system with the same rules.
         """
         lhs, rhs = rule.lhs, rule.rhs
-        if any(self.first_step(w) is not None for w in (lhs, *rhs.terms)):
+        # irreducible exactly when in its own normal form (here a memo hit)
+        if any(w not in self._word_nf(w) for w in (lhs, *rhs.terms)):
             raise ValueError(f"the rule {rule} holds a reducible word")
         self._insert_lhs(lhs)
         self.rules += (rule,)
@@ -306,6 +310,18 @@ class RewritingSystem:
     def lhs_words(self) -> list[Word]:
         return [r.lhs for r in self.rules]
 
+    def _path(self, w: Word, pos: int = 0) -> list[dict]:
+        """The trie nodes along w[pos:] up to the first letter the trie
+        lacks: the k-th is the node of w[pos:pos+k]."""
+        path = []
+        node = self._trie
+        for x in w[pos:]:
+            node = node.get(x)
+            if node is None:
+                break
+            path.append(node)
+        return path
+
     # ----- single-step reduction -------------------------------------
     def first_step(self, w: Word) -> Optional[tuple[int, int]]:
         """(position, rule index) of the leftmost-first reduction of w, or None.
@@ -315,14 +331,9 @@ class RewritingSystem:
         included): the trie walk from a position passes every lhs starting
         there, and the minimum rule index along the walk wins.
         """
-        root = self._trie
         for pos in range(len(w)):
-            node = root
             found = None
-            for x in w[pos:]:
-                node = node.get(x)
-                if node is None:
-                    break
+            for node in self._path(w, pos):
                 ends = node.get(_END)
                 if ends is not None and (found is None or ends[0] < found):
                     found = ends[0]
@@ -347,17 +358,12 @@ class RewritingSystem:
 
     def lhs_occurrences(self, w: Word) -> list[tuple[int, int]]:
         """Every (position, length) at which some rule lhs occurs in w."""
-        root = self._trie
-        out = []
-        for pos in range(len(w)):
-            node = root
-            for length, x in enumerate(w[pos:], 1):
-                node = node.get(x)
-                if node is None:
-                    break
-                if _END in node:
-                    out.append((pos, length))
-        return out
+        return [
+            (pos, length)
+            for pos in range(len(w))
+            for length, node in enumerate(self._path(w, pos), 1)
+            if _END in node
+        ]
 
     def lhs_overhangs(self, u: Word) -> list[Word]:
         """Every nonempty v such that u[i:] v is an lhs for some i < len(u),
@@ -366,14 +372,9 @@ class RewritingSystem:
         one trie walk over u[i:] reaches."""
         out = []
         for i in range(len(u)):
-            node = self._trie
-            for x in u[i:]:
-                node = node.get(x)
-                if node is None:
-                    break
-            else:
-                t = len(u) - i
-                out += dict.fromkeys(self._lhs[k][t:] for k in node.get(_PAST, ()))
+            path, t = self._path(u, i), len(u) - i
+            if len(path) == t:
+                out += dict.fromkeys(self._lhs[k][t:] for k in path[-1].get(_PAST, ()))
         return out
 
     def is_irreducible_word(self, w: Word) -> bool:
@@ -502,26 +503,22 @@ class RewritingSystem:
         inside: dict[int, list[CriticalPair]] = {}
         suffix = d2  # the degree of m2[pos:]
         for pos in range(len(m2)):
-            node = self._trie
-            for x in m2[pos:]:
-                node = node.get(x)
-                if node is None:
-                    break
+            path = self._path(m2, pos)
+            for length, node in enumerate(path, 1):
                 for i in node.get(_END, ()):
                     if i != j:
-                        v = m2[pos + len(self._lhs[i]) :]
+                        v = m2[pos + length :]
                         inside.setdefault(i, []).append(
                             CriticalPair(m2, i, j, "inclusion", m2[:pos], v)
                         )
-            else:
-                if pos:
-                    t = len(m2) - pos
-                    for i in node.get(_PAST, ()):
-                        if d2 + self._lhs_degree[i] - suffix <= bound:
-                            v = self._lhs[i][t:]
-                            overlaps.setdefault(i, []).append(
-                                CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
-                            )
+            t = len(m2) - pos
+            if pos and len(path) == t:
+                for i in path[-1].get(_PAST, ()):
+                    if d2 + self._lhs_degree[i] - suffix <= bound:
+                        v = self._lhs[i][t:]
+                        overlaps.setdefault(i, []).append(
+                            CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
+                        )
             suffix -= self._degrees[m2[pos]]
         pairs = []
         for i in sorted(overlaps.keys() | inside.keys()):
@@ -592,7 +589,9 @@ class RewritingSystem:
         Rules whose lhs exceeds the bound are kept; only pairs whose tip
         fits under the bound are resolved.  Each nonzero normal form becomes
         a rule of one working system, whose memo carries over (see the
-        module docstring); the systems returned or raised are new ones.
+        module docstring).  That system, built from this one's rules, is
+        returned with `complete_up_to` set, or carried by the
+        `CompletionCapError` raised when the cap is exceeded.
 
         One pass suffices.  Each pair of the final rules whose tip has
         degree <= degree_bound is pushed once, when the later of its two
@@ -615,31 +614,30 @@ class RewritingSystem:
 
         current = self.with_rules(self.rules)
         push_pairs(current.find_critical_pairs(degree_bound))
-        added = 0
         while heap:
             _, _, cp = heapq.heappop(heap)
             nf = current.normal_form(current.pair_obstruction(cp))
             if nf.is_zero():
                 continue
             current._add_rule(make_rule(nf))
-            rules = current.rules
-            added += 1
-            if added > max_new_rules:
+            if len(current.rules) - len(self.rules) > max_new_rules:
                 raise CompletionCapError(
-                    f"completion cap of {max_new_rules} new rules exceeded",
-                    self.with_rules(rules),
+                    f"completion cap of {max_new_rules} new rules exceeded", current
                 )
-            new = len(rules) - 1
+            new = len(current.rules) - 1
             push_pairs(current._pairs_as_second(new, degree_bound))
             # the self-overlaps (new, new) were pushed just above
             push_pairs(
                 cp for cp in current._pairs_as_first(new, degree_bound) if cp.rule2 != new
             )
-        return self.with_rules(current.rules, complete_up_to=degree_bound)
+        current.complete_up_to = degree_bound
+        return current
 
     # ----- interreduction --------------------------------------------
-    def interreduce(self, max_passes: int = 1_000) -> "RewritingSystem":
-        """Reduce each rule modulo the others until the system is reduced.
+    def interreduce(self) -> "RewritingSystem":
+        """Reduce each rule modulo the others until the system is reduced:
+        the last system built, with this one's `complete_up_to`, or this
+        system itself when no rule changes.
 
         While some lhs repeats or contains another, the first rule that is
         not reduced modulo the others (there always is one) is reduced or
@@ -653,14 +651,14 @@ class RewritingSystem:
         """
         rules = list(self.rules)
         current = self
-        for _ in range(max_passes):
+        for _ in range(_INTERREDUCE_PASSES):
             if current._lhs_irredundant():
                 for i, rule in enumerate(rules):
                     tail = current.normal_form(rule.rhs)
                     if tail != rule.rhs:
                         rules[i] = RewriteRule(rule.lhs, tail)
-                        current = self.with_rules(rules)
-                return self.with_rules(rules, complete_up_to=self.complete_up_to)
+                        current = self.with_rules(rules, complete_up_to=self.complete_up_to)
+                return current
             for i in range(len(rules)):
                 others = self.with_rules(rules[:i] + rules[i + 1 :])
                 nf = others.normal_form(rules[i].polynomial())
@@ -671,7 +669,7 @@ class RewritingSystem:
                 if new_rule != rules[i]:
                     rules[i] = new_rule
                     break
-            current = self.with_rules(rules)
+            current = self.with_rules(rules, complete_up_to=self.complete_up_to)
         raise RuntimeError("interreduction did not stabilize")
 
     def _lhs_irredundant(self) -> bool:

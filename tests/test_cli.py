@@ -260,6 +260,36 @@ def test_builtin_flags_and_their_document_print_the_same_report(
     assert json.loads(from_file[1])["command"] == command
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["check", "--n", "4", "--p", "3"], "--n is not a parameter of builtin 'small'"),
+        (["check", "--builtin", "big", "--l", "5"], "--l is not a parameter of builtin 'big'"),
+        (
+            ["anick", "--builtin", "small", "--variant", "odd_p_n3"],
+            "--variant is not a parameter of builtin 'small'",
+        ),
+        (
+            ["betti", "--builtin", "conjectural", "--variant", "odd_p_n3", "--expbound", "2"],
+            "--expbound is not a parameter of builtin 'conjectural'",
+        ),
+        (["betti", "FILE", "--builtin", "big", "--n", "4"], "--builtin cannot be given with --file"),
+        (["nf", "FILE", "--l", "2", "b0"], "--l cannot be given with --file"),
+        (["check", "FILE", "--p", "3"], "--p cannot be given with --file"),
+    ],
+)
+def test_a_presentation_flag_that_is_not_read_exits_2(tmp_path, capsys, argv, line):
+    # flags and --file take one route: a flag the chosen builtin does not
+    # take, or any builtin flag beside --file, is refused like an unknown
+    # parameter of a document
+    doc = write_doc(tmp_path, {"builtin": "small", "params": {"l": 1}})
+    argv = [a for arg in argv for a in (["--file", doc] if arg == "FILE" else [arg])]
+    code = main([*argv, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {line}\n"
+
+
 AB = [{"name": "a", "degree": 1, "rank": 0}, {"name": "b", "degree": 1, "rank": 1}]
 
 

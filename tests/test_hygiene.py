@@ -103,3 +103,29 @@ def test_every_private_definition_is_referenced():
         if is_private(name) and name not in referenced
     )
     assert not dead, f"private definitions nothing in the package references: {dead}"
+
+
+def trie_readers(tree: ast.Module) -> set[str]:
+    """The names of the functions that read `self._trie`; a read in a
+    nested function counts for the enclosing one too."""
+    readers = set()
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "_trie"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    readers.add(function.name)
+    return readers
+
+
+def test_the_lhs_trie_is_walked_in_one_place():
+    # the system builds and grows its trie, `_path` walks it for every
+    # reader, and `front_rule`, the normal-form engine's step that stops at
+    # the first lhs, keeps its own loop
+    tree = ast.parse((PACKAGE / "rewriting.py").read_text(encoding="utf-8"))
+    readers = trie_readers(tree)
+    assert readers <= {"__init__", "_insert_lhs", "_path", "front_rule"}, sorted(readers)

@@ -559,13 +559,25 @@ def dropped_memo_case():
     return RewritingSystem(alphabet, F2, rules), 6
 
 
-@given(presentations())
-@example(dropped_memo_case())
-def test_complete_matches_the_rebuild_per_rule_loop(case):
+@given(presentations(), st.lists(st.lists(st.integers(0, 2), max_size=6), max_size=8))
+@example(dropped_memo_case(), [[0, 0, 0, 1], [0, 0, 0], [1, 0, 0, 0], [0, 1, 1]])
+def test_complete_matches_the_rebuild_per_rule_loop(case, probes):
+    # completion returns its working system: read through the memo it
+    # carried, each probe's normal form equals that of a new system
     system, bound = case
-    assert outcome(lambda: system.complete(bound, max_new_rules=12)) == outcome(
-        lambda: rebuild_complete(system, bound, max_new_rules=12)
-    )
+    completed = []
+
+    def run():
+        completed.append(system.complete(bound, max_new_rules=12))
+        return completed[0]
+
+    assert outcome(run) == outcome(lambda: rebuild_complete(system, bound, max_new_rules=12))
+    n = len(system.alphabet)
+    for done in completed:
+        fresh = done.with_rules(done.rules)
+        for w in probes:
+            w = tuple(x % n for x in w)
+            assert done.normal_form_word(w) == fresh.normal_form_word(w)
 
 
 def odd_sign_case():

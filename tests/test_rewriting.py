@@ -209,6 +209,7 @@ def test_complete_is_identity_on_complete_systems():
     system = small_system(1)
     done = system.complete(8)
     assert done.rules == system.rules
+    assert done.complete_up_to == 8
 
 
 def test_interreduce_drops_redundant():
@@ -229,6 +230,7 @@ def test_interreduce_drops_redundant():
 def test_interreduce_identity_on_reduced():
     system = small_system(2)
     assert system.interreduce().rules == system.rules
+    assert system.interreduce() is system
 
 
 def test_interreduce_preserves_normal_forms(x1):
@@ -318,6 +320,21 @@ def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced):
     monkeypatch.setattr(RewritingSystem, "pair_obstruction", counted)
     conjectural_system("odd_p_n3", 3, 3, 2).complete(bound)
     assert len(calls) == reduced
+
+
+def test_added_rule_must_hold_only_irreducible_words():
+    # _add_rule takes the words of a normal form: a rule whose lhs or tail
+    # word reduces here is refused, and the system is left as it was
+    system = small_system(1)
+    lhs = system.rules[0].lhs
+    zero = Polynomial(system.field, system.alphabet)
+    free = max(system.irreducible_words(6), key=system.alphabet.sort_key)
+    tail = Polynomial.monomial(system.field, system.alphabet, lhs)
+    for rule in (RewriteRule((0,) + lhs, zero), RewriteRule(free, tail)):
+        assert system.alphabet.sort_key(rule.lhs) > system.alphabet.sort_key(lhs)
+        with pytest.raises(ValueError, match="holds a reducible word"):
+            system._add_rule(rule)
+        assert system.rules == small_system(1).rules
 
 
 def test_added_rule_keeps_the_memo_exact():
