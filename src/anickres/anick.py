@@ -4,12 +4,13 @@ attached to a reduced complete rewriting system (Anick, Trans. AMS 296,
 
 Chains: level -1 is {e}, level 0 the alphabet, level 1 the rule leading
 words L, each with its tail L[1:]; `extend_chains` builds each level above
-from the one below, up to level 2, by lhs-trie walks as on Ufnarovski's
-chain graph (Cojocaru, Podoplelov, Ufnarovski, 1999).  The free module at
-each level has basis m.t with m an irreducible word and t a chain; an
-element is a term dict {(m, t): c} with every coefficient a residue in
-1..p-1 (zeros dropped), and its level is the caller's to know.  One rule
-builds the differential at every level:
+from the one below, up to level 2, as on Ufnarovski's chain graph
+(Cojocaru, Podoplelov, Ufnarovski, 1999): the lhs trie lists the edges and
+the prepend automaton tests each.  The free module at each level has basis
+m.t with m an irreducible word and t a chain; an element is a term dict
+{(m, t): c} with every coefficient a residue in 1..p-1 (zeros dropped),
+and its level is the caller's to know.  One rule builds the differential
+at every level:
 
     d_{n+1}(.t) = delta(.t) - i_n(d_n(delta(.t)))
     i_n(f)      = j(lt(f)) + i_n(f - d_n(j(lt(f))))
@@ -77,15 +78,16 @@ def extend_chains(
     with tail u extends to t v, with tail v, when an lhs starting inside u
     runs v past its end and u v holds no other lhs occurrence (in a reduced
     system, Anick's condition that no proper prefix of u v longer than u
-    holds an lhs).  With max_degree, a t v of higher degree is dropped
-    before its occurrence test."""
+    holds an lhs).  Two occurrences ending at its last letter would make
+    one lhs a suffix of another, so the test is that u v[:-1] is
+    irreducible.  With max_degree, a t v of higher degree is dropped first."""
     degree = system.alphabet.degree
     bound = float("inf") if max_degree is None else max_degree
     out = []
     for t, u in level:
         room = bound - degree(t)
         for v in system.lhs_overhangs(u):
-            if degree(v) <= room and len(system.lhs_occurrences(u + v)) == 1:
+            if degree(v) <= room and system.is_irreducible_word(u + v[:-1]):
                 out.append((t + v, v))
     key = system.alphabet.sort_key
     out.sort(key=lambda tv: key(tv[0]))

@@ -50,17 +50,15 @@ rule pair lists its overlaps by ascending overlap length before its
 inclusions by ascending position; completion's heap breaks ties between
 equal tips by this order.
 
-Irreducible words are counted and enumerated on the Aho-Corasick automaton
-of the left-hand sides (the trie with failure links, built once per system
-on first use): a word is irreducible exactly when reading it from the
-start state never reaches a state at which some left-hand side ends.  The
-number of irreducible words of each degree is the number of such paths
-(Ufnarovski, Combinatorial and asymptotic methods in algebra, 1995),
-counted per (degree, state) without listing a word.  The same builder
-makes the prepend automaton of the reversed left-hand sides: the state of
-an irreducible word w, read from its end, is the longest prefix of w that
-is a suffix of an lhs, and one step on a letter x gives the state of x w
-or marks x w reducible (any lhs in it is a prefix).
+The trie finds where a word reduces; one automaton decides whether it
+does: the prepend automaton, the Aho-Corasick automaton of the reversed
+left-hand sides, built on first use.  It reads a word from its end.  The
+state of an irreducible w is the longest prefix of w that is a suffix of
+an lhs, and one step on a letter x gives the state of x w or marks x w
+reducible, so w is irreducible exactly when its reading meets no mark.
+Irreducible words are grown at the front along its moves, and counted as
+its paths (Ufnarovski, Combinatorial and asymptotic methods in algebra,
+1995), per (degree, state) without listing a word.
 """
 
 from __future__ import annotations
@@ -227,7 +225,7 @@ class RewritingSystem:
         self._starts: dict[int, list[int]] = {}
         for rule in self.rules:
             self._insert_lhs(rule.lhs)
-        # the automata of the lhs and of the reversed lhs, built on first use
+        # the automaton of the reversed lhs and its moves, built on first use
         self._moves: list[list[tuple[int, int, int]]] | None = None
         self._prepend: list[list[Optional[int]]] | None = None
         # normal-form memo of {word: c} dicts; private, rebuilt per instance.
@@ -356,15 +354,6 @@ class RewritingSystem:
                 return k, ends[0]
         return None
 
-    def lhs_occurrences(self, w: Word) -> list[tuple[int, int]]:
-        """Every (position, length) at which some rule lhs occurs in w."""
-        return [
-            (pos, length)
-            for pos in range(len(w))
-            for length, node in enumerate(self._path(w, pos), 1)
-            if _END in node
-        ]
-
     def lhs_overhangs(self, u: Word) -> list[Word]:
         """Every nonempty v such that u[i:] v is an lhs for some i < len(u),
         once per start i and lhs word: the letters by which an lhs starting
@@ -378,7 +367,14 @@ class RewritingSystem:
         return out
 
     def is_irreducible_word(self, w: Word) -> bool:
-        return self.first_step(w) is None
+        """No lhs occurs in w: its reading from the end on the prepend
+        automaton, which stops at the first mark, meets none."""
+        step, s = self.prepend_automaton(), 0
+        for x in reversed(w):
+            s = step[s][x]
+            if s is None:
+                return False
+        return True
 
     def apply_step(self, w: Word, pos: int, ridx: int) -> Polynomial:
         """u * rhs * v for the occurrence of rule `ridx` at `pos` in w."""
@@ -653,11 +649,13 @@ class RewritingSystem:
         current = self
         for _ in range(_INTERREDUCE_PASSES):
             if current._lhs_irredundant():
+                step = current._prepend  # built by the check; the pass keeps every lhs
                 for i, rule in enumerate(rules):
                     tail = current.normal_form(rule.rhs)
                     if tail != rule.rhs:
                         rules[i] = RewriteRule(rule.lhs, tail)
                         current = self.with_rules(rules, complete_up_to=self.complete_up_to)
+                current._prepend = step
                 return current
             for i in range(len(rules)):
                 others = self.with_rules(rules[:i] + rules[i + 1 :])
@@ -673,14 +671,16 @@ class RewritingSystem:
         raise RuntimeError("interreduction did not stabilize")
 
     def _lhs_irredundant(self) -> bool:
-        """No two rules share an lhs and no lhs contains another."""
+        """No two rules share an lhs and no lhs contains another: for each lhs
+        L, L[:-1] and L[1:] hold no lhs (any other occurrence lies in one)."""
         return len({rule.lhs for rule in self.rules}) == len(self.rules) and all(
-            self.lhs_occurrences(rule.lhs) == [(0, len(rule.lhs))] for rule in self.rules
+            self.is_irreducible_word(L[:-1]) and self.is_irreducible_word(L[1:])
+            for L in self._lhs
         )
 
     def is_reduced(self) -> bool:
         """No two rules share an lhs, no lhs contains another, and every
-        tail word is irreducible."""
+        tail word is irreducible: all read on the prepend automaton."""
         return self._lhs_irredundant() and all(
             self.is_irreducible_word(w) for rule in self.rules for w in rule.rhs.terms
         )
@@ -688,21 +688,19 @@ class RewritingSystem:
     # ----- irreducible words -----------------------------------------
     def _lhs_automaton(self) -> list[list[tuple[int, int, int]]]:
         """The moves (letter, its degree, next state) of each state of the
-        automaton of the left-hand sides that reach no state at which an
-        lhs ends (see `_aho_corasick`)."""
+        prepend automaton that mark no reducible word: from the state of an
+        irreducible w, each leads to the state of the irreducible x w."""
         if self._moves is None:
             self._moves = [
                 [(x, self._degrees[x], t) for x, t in enumerate(row) if t is not None]
-                for row in _aho_corasick(self._lhs, len(self.alphabet))
+                for row in self.prepend_automaton()
             ]
         return self._moves
 
     def prepend_automaton(self) -> list[list[Optional[int]]]:
         """step[s][x]: the state of x w for w of state s, or None where some
         lhs is a prefix of x w (for an irreducible w, exactly when x w
-        reduces).  The automaton of the reversed left-hand sides, reading w
-        from its end: the state of w is the longest prefix of w that is a
-        suffix of an lhs (0 = the empty word)."""
+        reduces); 0 is the state of the empty word (see the module docstring)."""
         if self._prepend is None:
             self._prepend = _aho_corasick([w[::-1] for w in self._lhs], len(self.alphabet))
         return self._prepend
@@ -721,7 +719,7 @@ class RewritingSystem:
             if len(out) > max_count:
                 raise WordCapError(max_count, max_degree)
             frontier = [
-                (w + (x,), d + dx, t)
+                ((x,) + w, d + dx, t)
                 for w, d, s in frontier
                 for x, dx, t in moves[s]
                 if max_degree is None or d + dx <= max_degree
@@ -733,7 +731,7 @@ class RewritingSystem:
         self, max_degree: int | None = None
     ) -> dict[int, int]:
         """The number of rule-free words of each degree <= max_degree (None =
-        all, if finite), counted as paths of the lhs automaton."""
+        all, if finite), counted as paths of the prepend automaton."""
         moves = self._lhs_automaton()
         # degree -> state -> number of irreducible words of that degree
         # ending in that state

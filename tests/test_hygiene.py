@@ -129,3 +129,19 @@ def test_the_lhs_trie_is_walked_in_one_place():
     tree = ast.parse((PACKAGE / "rewriting.py").read_text(encoding="utf-8"))
     readers = trie_readers(tree)
     assert readers <= {"__init__", "_insert_lhs", "_path", "front_rule"}, sorted(readers)
+
+
+def test_one_automaton_is_built():
+    # the prepend automaton is the only Aho-Corasick automaton a system
+    # builds: its counts, enumeration and irreducibility test all read it
+    tree = ast.parse((PACKAGE / "rewriting.py").read_text(encoding="utf-8"))
+    callers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "_aho_corasick"
+    ]
+    assert callers == ["prepend_automaton"], callers

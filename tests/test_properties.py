@@ -7,9 +7,9 @@ grown lhs index and the degree-bounded pair lists against naive scans,
 completion against a rebuild per added rule, interreduction and generic
 minimalization against their restart loops, and the normal-form engine
 against leftmost-first reduction: the normal forms it gives, on complete
-systems and after completion, and the completeness verdicts it gives on
-any system; and, end to end, the Betti table of `resolve` and
-`generic_minimalize` against the reduced bar construction."""
+systems, after completion and under any rule order, and the completeness
+verdicts it gives on any system; and, end to end, the Betti table of
+`resolve` and `generic_minimalize` against the reduced bar construction."""
 
 import functools
 import heapq
@@ -236,7 +236,7 @@ def test_indexed_first_step_matches_naive_scan(gens_lhss, data):
         system = monomial_system(order)
         for w in probes:
             assert system.first_step(w) == naive_first_step(system.rules, w)
-            assert system.lhs_occurrences(w) == naive_occurrences(system.rules, w)
+            assert system.is_irreducible_word(w) == (naive_occurrences(system.rules, w) == [])
 
 
 @given(lhs_lists())
@@ -869,22 +869,22 @@ def test_bounded_prefix_is_the_unbounded_one_up_to_its_bound(system, D):
 )
 def test_bounded_extension_tests_no_chain_above_its_bound(system, D):
     # at levels 2 and 3, extend_chains bounded at D lists the unbounded
-    # extensions of degree <= D, and runs the lhs occurrence test on u v for
-    # exactly the extensions t v of degree <= D
+    # extensions of degree <= D, and runs the irreducibility test on u v[:-1]
+    # for exactly the extensions t v of degree <= D
     degree, key = system.alphabet.degree, system.alphabet.sort_key
     level = sorted(((L, L[1:]) for L in system.lhs_words()), key=lambda tu: key(tu[0]))
-    occurrences = system.lhs_occurrences
+    irreducible = system.is_irreducible_word
     for _ in range(2):
         full = extend_chains(system, level)
         tested = Counter()
-        system.lhs_occurrences = lambda w: tested.update([w]) or occurrences(w)
+        system.is_irreducible_word = lambda w: tested.update([w]) or irreducible(w)
         try:
             bounded = extend_chains(system, level, D)
         finally:
-            del system.lhs_occurrences
+            del system.is_irreducible_word
         assert bounded == [tv for tv in full if degree(tv[0]) <= D]
         assert tested == Counter(
-            u + v for t, u in level for v in system.lhs_overhangs(u) if degree(t + v) <= D
+            u + v[:-1] for t, u in level for v in system.lhs_overhangs(u) if degree(t + v) <= D
         )
         level = full
 
@@ -998,3 +998,28 @@ def test_is_complete_verdict_matches_iterated_reduce_once(system, bound):
     except (CompletionCapError, UnorderableRelationError):
         return
     assert completed.is_complete(bound)[0] and reference_verdict(completed, bound)
+    # completion adds a rule exactly when some obstruction does not reduce
+    assert system.is_complete(bound)[0] == (completed.rules == system.rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(), st.data())
+def test_completed_normal_forms_do_not_depend_on_rule_order(case, data):
+    # Bergman's uniqueness up to the bound: once every critical pair with a
+    # tip of degree <= D resolves, each word of degree <= D has one normal
+    # form, whichever rule the reduction applies first.  The tips are where
+    # two reductions of one word part, so they are probed too.
+    system, bound = case
+    try:
+        done = system.complete(bound, max_new_rules=12)
+    except (CompletionCapError, UnorderableRelationError):
+        assume(False)
+    permuted = done.with_rules(data.draw(st.permutations(done.rules)))
+    probe = st.lists(st.sampled_from(range(len(done.alphabet))), max_size=6).map(tuple)
+    probe = probe.filter(lambda w: done.alphabet.degree(w) <= bound)
+    tips = [cp.tip for cp in done.find_critical_pairs(bound)]
+    for w in data.draw(st.lists(probe, max_size=6)) + tips:
+        nf = done.normal_form_word(w)
+        assert permuted.normal_form_word(w) == nf
+        g = Polynomial.monomial(done.field, done.alphabet, w)
+        assert reduce_fully(permuted, g).terms == nf

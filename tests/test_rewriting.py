@@ -322,6 +322,29 @@ def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced):
     assert len(calls) == reduced
 
 
+def test_completion_builds_no_automaton(monkeypatch):
+    # each added rule resets the automaton, so a completion step that asked
+    # it would rebuild it once per rule.  Interreduction's check builds it
+    # once; its pass keeps every lhs, so the system it returns takes that
+    # automaton over for its own irreducibility tests and counts.
+    from anickres import rewriting
+
+    calls = []
+    build = rewriting._aho_corasick
+
+    def counted(words, n):
+        calls.append(n)
+        return build(words, n)
+
+    monkeypatch.setattr(rewriting, "_aho_corasick", counted)
+    completed = conjectural_system("odd_p_n3", 3, 3, 2).complete(12)
+    assert calls == []
+    reduced = completed.interreduce()
+    assert reduced is not completed and reduced.is_reduced()
+    reduced.irreducible_counts_by_degree(12)
+    assert len(calls) == 1
+
+
 def test_added_rule_must_hold_only_irreducible_words():
     # _add_rule takes the words of a normal form: a rule whose lhs or tail
     # word reduces here is refused, and the system is left as it was
