@@ -28,19 +28,20 @@ generators, not as nested calls, so long words do not reach Python's
 recursion limit.  Memo entries are canonical {word: c} dicts, shared with
 the callers of `normal_form_word`, who must not change them.
 
-Completion grows one working system, which it returns, and carries the
-memo across each added rule, keeping every entry equal to what a new
-system with the same rules computes.  Take a new rule L -> R of degree d
-whose words are irreducible.  An entry of degree < d stays, since no word
-its derivation reaches contains L (letter degrees are >= 1 and reduction
-never raises the degree).  Each step of the derivation of a degree-d entry
-depends on whether a suffix of lower degree is reducible and on the lhs
-that are prefixes of a degree-d word, and L is a prefix of no degree-d
-word but itself.  So every step stays, L can only be a leaf, the words of
-R stay irreducible, and by linearity L is replaced by R.  Entries above
-degree d are dropped.  Memo words are bucketed by degree as rules are
-added, so an addition visits only the entries of degree >= d; a patched
-entry is a copy.
+Completion and interreduction each change one working system of their own
+in place and return it: interreduction sets tails (see `interreduce`), and
+completion appends rules and carries the memo across each, keeping every
+entry equal to what a new system with the same rules computes.  Take a new
+rule L -> R of degree d whose words are irreducible.  An entry of degree
+< d stays, since no word its derivation reaches contains L (letter degrees
+are >= 1 and reduction never raises the degree).  Each step of the
+derivation of a degree-d entry depends on whether a suffix of lower degree
+is reducible and on the lhs that are prefixes of a degree-d word, and L is
+a prefix of no degree-d word but itself.  So every step stays, L can only
+be a leaf, the words of R stay irreducible, and by linearity L is replaced
+by R.  Entries above degree d are dropped.  Memo words are bucketed by
+degree as rules are added, so an addition visits only the entries of
+degree >= d; a patched entry is a copy.
 
 A rule's critical pairs take two lookups, the trie walked from each
 position of its lhs and the starts of its first letter among all lhs,
@@ -79,7 +80,7 @@ from .words import Alphabet, Word
 _END = -1  # the rules whose lhs ends at a node, in rule order
 _PAST = -3  # the rules passing a node and longer than its word, in rule order
 _WORD_CAP = 2_000_000  # irreducible words enumerated or counted without a degree bound
-_INTERREDUCE_PASSES = 1_000  # rule rewrites or drops before interreduction gives up
+_INTERREDUCE_PASSES = 1_000  # lhs rewrites or drops (not tail edits) before giving up
 
 
 class UnorderableRelationError(ValueError):
@@ -199,10 +200,10 @@ class RewritingSystem:
     """An ordered collection of rewriting rules over one alphabet and field.
 
     A system is never changed once returned: completion appends rules to a
-    working system of its own and returns it when done, and interreduction
-    returns the last system it built, or the system itself when no rule
-    changes.  `complete_up_to` records the tip-degree bound up to which all
-    critical pairs are known to resolve (None = not checked).
+    working system of its own, interreduction sets tails on one, and each
+    returns it when done (interreduction returns the system itself when no
+    rule changes).  `complete_up_to` records the tip-degree bound up to
+    which all critical pairs are known to resolve (None = not checked).
     """
 
     def __init__(
@@ -223,8 +224,9 @@ class RewritingSystem:
         self._lhs: list[Word] = []
         self._lhs_degree: list[int] = []
         self._starts: dict[int, list[int]] = {}
+        self._repeated: set[Word] = set()  # each lhs that more than one rule has
         for rule in self.rules:
-            self._insert_lhs(rule.lhs)
+            self._insert_lhs(rule)
         # the automaton of the reversed lhs and its moves, built on first use
         self._moves: list[list[tuple[int, int, int]]] | None = None
         self._prepend: list[list[Optional[int]]] | None = None
@@ -235,13 +237,15 @@ class RewritingSystem:
         self._nf_by_degree: dict[int, list[Word]] = {}
         self._nf_bucketed = 0
 
-    def _insert_lhs(self, lhs: Word) -> None:
-        """Index the lhs of the next rule k: k joins _END at the node where
-        lhs ends and _PAST at each node on the way, and each letter's starts
-        get (k, its position, the degree of lhs before it).  Every system
-        builds these, so they are kept small: the starts as a flat list of
-        ints, not a tuple each, and an _END list at its exact size."""
-        n = len(self.alphabet)
+    def _insert_lhs(self, rule: RewriteRule) -> None:
+        """Index the nonempty lhs of the next rule k: k joins _END at the node
+        where lhs ends and _PAST at each node on the way, and each letter's
+        starts get (k, its position, the degree of lhs before it).  Every
+        system builds these, so they are kept small: the starts as a flat
+        list of ints, not a tuple each, and an _END list at its exact size."""
+        lhs, n = rule.lhs, len(self.alphabet)
+        if not lhs:
+            raise ValueError(f"the rule {rule} has the empty word as its lhs")
         for x in lhs:
             if not 0 <= x < n:
                 raise ValueError(
@@ -256,23 +260,21 @@ class RewritingSystem:
             self._starts.setdefault(x, []).extend((k, pos, before))
             before += self._degrees[x]
             node = node.setdefault(x, {})
+        if _END in node:
+            self._repeated.add(lhs)
         node[_END] = node.get(_END, []) + [k]
         self._lhs.append(lhs)
         self._lhs_degree.append(before)
 
     def _add_rule(self, rule: RewriteRule) -> None:
         """Append a rule whose words are irreducible here (as those of a
-        normal form are), keeping the memo exact.
-
-        Only `complete` calls this, on its working system before returning
-        it.  See the module docstring for why the memo stays equal to that
-        of a new system with the same rules.
-        """
+        normal form are), keeping the memo exact (see the module docstring).
+        Only `complete` calls this, on its working system."""
         lhs, rhs = rule.lhs, rule.rhs
         # irreducible exactly when in its own normal form (here a memo hit)
         if any(w not in self._word_nf(w) for w in (lhs, *rhs.terms)):
             raise ValueError(f"the rule {rule} holds a reducible word")
-        self._insert_lhs(lhs)
+        self._insert_lhs(rule)
         self.rules += (rule,)
         self._moves = self._prepend = None
         memo, buckets, degree = self._nf, self._nf_by_degree, self.alphabet.degree
@@ -529,8 +531,6 @@ class RewritingSystem:
         letter: lhs_j running out first is an overlap, lhs_i doing so is an
         inclusion."""
         m1, d1 = self._lhs[i], self._lhs_degree[i]
-        if not m1:
-            return []
         n1 = len(m1)
         found: dict[int, tuple[list, list]] = {}  # j -> overlaps by descending t, inclusions
         starts = iter(self._starts[m1[0]])  # flat (rule, position, degree before)
@@ -631,59 +631,56 @@ class RewritingSystem:
 
     # ----- interreduction --------------------------------------------
     def interreduce(self) -> "RewritingSystem":
-        """Reduce each rule modulo the others until the system is reduced:
-        the last system built, with this one's `complete_up_to`, or this
-        system itself when no rule changes.
-
-        While some lhs repeats or contains another, the first rule that is
-        not reduced modulo the others (there always is one) is reduced or
-        dropped, and the scan starts over.  Once no lhs repeats or contains
-        another, one pass finishes: every lhs is irreducible modulo the
-        other rules, and a rule is unchanged exactly when its tail is
-        irreducible, which depends only on the set of left-hand sides, so
-        no later change undoes an earlier one.  Each tail is reduced in
-        order by the current system, its own rule included: the words
-        reached from a tail lie deglex-below its lhs, so none contains it.
-        """
-        rules = list(self.rules)
+        """Reduce each rule modulo the others until the system is reduced, on
+        one working system with this one's `complete_up_to`, or return this
+        system when no rule changes.  When only the tail of the first rule
+        not reduced reduces, the tail is set to its normal form here, which
+        is the one modulo the others (the words reached lie deglex-below the
+        lhs), and the scan goes on; else the rule is reduced modulo a system
+        without it, dropped if that gives 0, and the scan restarts."""
         current = self
         for _ in range(_INTERREDUCE_PASSES):
-            if current._lhs_irredundant():
-                step = current._prepend  # built by the check; the pass keeps every lhs
-                for i, rule in enumerate(rules):
-                    tail = current.normal_form(rule.rhs)
-                    if tail != rule.rhs:
-                        rules[i] = RewriteRule(rule.lhs, tail)
-                        current = self.with_rules(rules, complete_up_to=self.complete_up_to)
-                current._prepend = step
+            found = current._unreduced_rule(0)
+            while found is not None and found[1]:
+                i = found[0]
+                tail = current.normal_form(current.rules[i].rhs)
+                if current is self:
+                    current = self.with_rules(self.rules, complete_up_to=self.complete_up_to)
+                    current._prepend = self._prepend  # built by the scan; no lhs changes
+                current._set_tail(i, tail)
+                found = current._unreduced_rule(i + 1)
+            if found is None:
                 return current
-            for i in range(len(rules)):
-                others = self.with_rules(rules[:i] + rules[i + 1 :])
-                nf = others.normal_form(rules[i].polynomial())
-                if nf.is_zero():
-                    del rules[i]
-                    break
-                new_rule = make_rule(nf)
-                if new_rule != rules[i]:
-                    rules[i] = new_rule
-                    break
+            rules = list(current.rules)
+            rule = rules.pop(found[0])
             current = self.with_rules(rules, complete_up_to=self.complete_up_to)
+            nf = current.normal_form(rule.polynomial())
+            if not nf.is_zero():
+                rules.insert(found[0], make_rule(nf))
+                current = self.with_rules(rules, complete_up_to=self.complete_up_to)
         raise RuntimeError("interreduction did not stabilize")
 
-    def _lhs_irredundant(self) -> bool:
-        """No two rules share an lhs and no lhs contains another: for each lhs
-        L, L[:-1] and L[1:] hold no lhs (any other occurrence lies in one)."""
-        return len({rule.lhs for rule in self.rules}) == len(self.rules) and all(
-            self.is_irreducible_word(L[:-1]) and self.is_irreducible_word(L[1:])
-            for L in self._lhs
-        )
+    def _unreduced_rule(self, start: int) -> Optional[tuple[int, bool]]:
+        """The first rule from `start` on that is not reduced modulo the
+        others, and whether its lhs L is, or None.  L is when no other rule
+        has it and the automaton finds L[:-1] and L[1:] irreducible (any
+        other lhs in L lies in one); then the rule is when its tail is too."""
+        irreducible = self.is_irreducible_word
+        for i, L in enumerate(self._lhs[start:], start):
+            if L in self._repeated or not (irreducible(L[:-1]) and irreducible(L[1:])):
+                return i, False
+            if not all(map(irreducible, self.rules[i].rhs.terms)):
+                return i, True
+        return None
+
+    def _set_tail(self, i: int, tail: Polynomial) -> None:
+        """Set rule i's tail and clear the memo; only `interreduce` calls this."""
+        self.rules = (*self.rules[:i], RewriteRule(self._lhs[i], tail), *self.rules[i + 1 :])
+        self._nf, self._nf_by_degree, self._nf_bucketed = {}, {}, 0
 
     def is_reduced(self) -> bool:
-        """No two rules share an lhs, no lhs contains another, and every
-        tail word is irreducible: all read on the prepend automaton."""
-        return self._lhs_irredundant() and all(
-            self.is_irreducible_word(w) for rule in self.rules for w in rule.rhs.terms
-        )
+        """Every rule is reduced modulo the others (see `_unreduced_rule`)."""
+        return self._unreduced_rule(0) is None
 
     # ----- irreducible words -----------------------------------------
     def _lhs_automaton(self) -> list[list[tuple[int, int, int]]]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from anickres.cli import main
-from anickres.rewriting import CompletionCapError, RewritingSystem
+from anickres.rewriting import CompletionCapError, RewriteRule, RewritingSystem
 
 
 def run(capsys, *argv):
@@ -657,3 +657,28 @@ def test_python_m_anickres_runs_the_cli():
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdicts"] == {"exact": True}
 
+
+
+def test_betti_interreduces_redundant_rules_of_a_document(tmp_path, capsys):
+    # small l=3 with x L -> x R added for its first 30 rules L -> R, as an
+    # explicit document: interreduction drops the 30 and the table is that
+    # of the builtin
+    from anickres.kostant import small_system
+
+    system = small_system(3)
+    names = [g.name for g in system.alphabet]
+    x = (0,)
+    extra = [RewriteRule(x + r.lhs, r.rhs.sandwich(x, ())) for r in system.rules[:30]]
+    doc = {
+        "p": system.field.p,
+        "alphabet": [{"name": g.name, "degree": g.degree, "rank": g.rank} for g in system.alphabet],
+        "relations": [
+            [[c, [names[i] for i in w]] for w, c in r.polynomial().terms.items()]
+            for r in (*system.rules, *extra)
+        ],
+    }
+    code, out = run(capsys, "betti", "--file", write_doc(tmp_path, doc), "--D", "8", "--json")
+    assert code == 0
+    code, builtin = run(capsys, "betti", "--builtin", "small", "--l", "3", "--D", "8", "--json")
+    assert code == 0
+    assert json.loads(out)["tables"] == json.loads(builtin)["tables"]

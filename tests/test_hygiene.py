@@ -145,3 +145,22 @@ def test_one_automaton_is_built():
         and node.func.id == "_aho_corasick"
     ]
     assert callers == ["prepend_automaton"], callers
+
+
+def test_systems_change_in_place_only_in_their_own_transform():
+    # a system is never changed once returned: rules are appended only by
+    # `complete`, and tails set only by `interreduce`, each on a working
+    # system of its own
+    callers = {"_add_rule": set(), "_set_tail": set()}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    if (
+                        isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in callers
+                    ):
+                        callers[node.func.attr].add(function.name)
+    assert callers == {"_add_rule": {"complete"}, "_set_tail": {"interreduce"}}, callers

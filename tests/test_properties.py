@@ -5,7 +5,8 @@ irreducible-word automaton, chain levels 2 and 3, the degree-bounded
 resolution prefix and chain extension against the unbounded ones, the
 grown lhs index and the degree-bounded pair lists against naive scans,
 completion against a rebuild per added rule, interreduction and generic
-minimalization against their restart loops, and the normal-form engine
+minimalization against their restart loops, the memo of an interreduced
+system against a new system's, and the normal-form engine
 against leftmost-first reduction: the normal forms it gives, on complete
 systems, after completion and under any rule order, and the completeness
 verdicts it gives on any system; and, end to end, the Betti table of
@@ -452,12 +453,47 @@ def relation_systems(draw):
     return RewritingSystem(alphabet, field, rules)
 
 
+def letter_system(p, n, rules):
+    """The system over F_p and n letters x0 < ... of degree 1 whose rules
+    are (lhs, [(c, tail word), ...]) as given, in order."""
+    field = PrimeField(p)
+    alphabet = Alphabet.from_names([(f"x{i}", 1) for i in range(n)])
+    return RewritingSystem(
+        alphabet,
+        field,
+        [RewriteRule(lhs, Polynomial.from_terms(field, alphabet, tail)) for lhs, tail in rules],
+    )
+
+
+# x1 x1 -> x1 x0 + x0 x1 has only its tail reduced, to 2 x0 x1, and the scan
+# goes on to x1 x0 x0, whose lhs holds x1 x0: it is dropped
+TAIL_THEN_DROP = letter_system(
+    3, 2, [((1, 1), [(1, (1, 0)), (1, (0, 1))]), ((1, 0), [(1, (0, 1))]),
+           ((1, 0, 0), [(1, (0, 0, 1))])],
+)
+# the repeated lhs x1 x1 -> x0 x1 becomes x0 x1 -> x0 x0, whose lhs lies in
+# the earlier x1 x0 x1: the scan must start over to reduce that rule
+REWRITE_INSIDE_AN_EARLIER_LHS = letter_system(
+    2, 2, [((1, 0, 1), []), ((1, 1), [(1, (0, 1))]), ((1, 1), [(1, (0, 0))])]
+)
+# three tail edits: the second reduces x3 x0 x3 through x3 x0 -> x1 x2, and
+# the third sets that rule's tail to x0; the system is not confluent
+# (x1 x2 x3 gives x0 x3 and x1 x0), so a memo entry kept from before the
+# third edit would give x3 x0 x3 the normal form x1 x0 instead of x0 x3
+STALE_AFTER_A_TAIL_EDIT = letter_system(
+    2, 4, [((3, 3, 2), [(1, (1, 2))]), ((3, 3, 3), [(1, (3, 0, 3))]), ((3, 0), [(1, (1, 2))]),
+           ((1, 2), [(1, (0,))]), ((2, 3), [(1, (0,))])],
+)
+
+
 def rule_terms(rules):
     """Rules with the order of their tail terms, which later reductions follow."""
     return [(r.lhs, list(r.rhs.terms.items())) for r in rules]
 
 
 @given(relation_systems())
+@example(TAIL_THEN_DROP)
+@example(REWRITE_INSIDE_AN_EARLIER_LHS)
 def test_interreduce_matches_the_restart_loop(system):
     try:
         expected = restart_interreduce(system)
@@ -468,6 +504,24 @@ def test_interreduce_matches_the_restart_loop(system):
     reduced = system.interreduce()
     assert rule_terms(reduced.rules) == rule_terms(expected)
     assert reduced.is_reduced()
+
+
+@given(relation_systems())
+@example(STALE_AFTER_A_TAIL_EDIT)
+def test_interreduced_memo_matches_a_new_system(system):
+    # tails are set in place on a working system whose memo served the
+    # tails before; on systems that are not confluent a stale entry would
+    # give another normal form than a new system with the same rules
+    try:
+        reduced = system.interreduce()
+    except ValueError:  # a relation reduced to a nonzero constant
+        return
+    fresh = reduced.with_rules(reduced.rules)
+    bound = max(map(system.alphabet.degree, system.lhs_words()), default=0)
+    for w in words_up_to_degree(system.alphabet, bound):
+        assert list(reduced.normal_form_word(w).items()) == list(
+            fresh.normal_form_word(w).items()
+        )
 
 
 def rebuild_complete(system, degree_bound, max_new_rules):

@@ -1,8 +1,12 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from anickres import rewriting
 from anickres.fields import PrimeField
-from anickres.kostant import conjectural_system, small_system
+from anickres.kostant import big_system, conjectural_system, small_system
 from anickres.polynomials import Polynomial
 from anickres.rewriting import (
     _END,
@@ -66,6 +70,15 @@ def test_system_rejects_a_letter_index_outside_its_alphabet(x1):
     smaller = Alphabet.from_names([("a0", 1), ("b0", 1), ("a1", 2)])
     with pytest.raises(ValueError, match="letter index 3 outside the alphabet of 3 letters"):
         RewritingSystem(smaller, F2, [rule])
+
+
+def test_system_rejects_an_empty_lhs():
+    # make_rule refuses to orient a relation onto the empty word; a rule
+    # built directly is refused too, before any answer can disagree
+    system = small_system(1)
+    zero = Polynomial(system.field, system.alphabet)
+    with pytest.raises(ValueError, match=r"^the rule 1 -> 0 has the empty word as its lhs$"):
+        system.with_rules([RewriteRule((), zero), *system.rules])
 
 
 def test_make_rule_rejects_zero_and_unit(x1):
@@ -324,11 +337,9 @@ def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced):
 
 def test_completion_builds_no_automaton(monkeypatch):
     # each added rule resets the automaton, so a completion step that asked
-    # it would rebuild it once per rule.  Interreduction's check builds it
-    # once; its pass keeps every lhs, so the system it returns takes that
-    # automaton over for its own irreducibility tests and counts.
-    from anickres import rewriting
-
+    # it would rebuild it once per rule.  Interreduction's scan builds it
+    # once; its tail edits keep every lhs, so the system it returns takes
+    # that automaton over for its own irreducibility tests and counts.
     calls = []
     build = rewriting._aho_corasick
 
@@ -343,6 +354,78 @@ def test_completion_builds_no_automaton(monkeypatch):
     assert reduced is not completed and reduced.is_reduced()
     reduced.irreducible_counts_by_degree(12)
     assert len(calls) == 1
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts of RewritingSystem constructions and automaton builds."""
+    counts = Counter()
+    init, build = RewritingSystem.__init__, rewriting._aho_corasick
+
+    def counted_init(self, *args, **kwargs):
+        counts["systems"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_build(words, n):
+        counts["automata"] += 1
+        return build(words, n)
+
+    monkeypatch.setattr(RewritingSystem, "__init__", counted_init)
+    monkeypatch.setattr(rewriting, "_aho_corasick", counted_build)
+    return counts
+
+
+def test_interreduction_sets_tails_on_one_working_system(builds):
+    # only tails of big(3,3,8) reduce: they are set on one working copy,
+    # which takes over the automaton its scan built
+    system = big_system(3, 3, 8)
+    builds.clear()
+    reduced = system.interreduce()
+    assert reduced is not system and reduced.is_reduced()
+    assert reduced.lhs_words() == system.lhs_words()
+    assert builds == {"systems": 1, "automata": 1}
+
+
+def test_interreduction_drops_a_redundant_rule_with_one_system(builds):
+    # x L -> x R for the first 30 rules L -> R of small l=3: each new lhs
+    # holds an old one and each new rule reduces to 0 modulo the others, so
+    # each drop costs the one system without it
+    system = small_system(3)
+    x = (0,)
+    extra = [RewriteRule(x + r.lhs, r.rhs.sandwich(x, ())) for r in system.rules[:30]]
+    padded = system.with_rules([*system.rules, *extra])
+    builds.clear()
+    assert padded.interreduce().rules == system.rules
+    assert builds["systems"] <= 30
+
+
+def test_tail_edits_keep_the_memo_exact(monkeypatch):
+    # the 8 tails of big(4,3,2) that reduce are set one by one on a working
+    # copy whose memo served the tails before: after each edit, and on the
+    # system returned, normal forms (term order included) match a new system
+    probes, edits = [], []
+    set_tail = RewritingSystem._set_tail
+
+    def checked(self, i, tail):
+        set_tail(self, i, tail)
+        fresh = self.with_rules(self.rules)
+        for w in probes:
+            assert list(self.normal_form_word(w).items()) == list(
+                fresh.normal_form_word(w).items()
+            )
+        edits.append(i)
+
+    monkeypatch.setattr(RewritingSystem, "_set_tail", checked)
+    system = big_system(4, 3, 2)
+    rng = random.Random(5)
+    probes += [w for r in system.rules for w in (r.lhs, *r.rhs.terms)]
+    probes += [tuple(rng.randrange(len(system.alphabet)) for _ in range(6)) for _ in range(100)]
+    reduced = system.interreduce()
+    assert len(edits) == 8
+    fresh = reduced.with_rules(reduced.rules)
+    for w in probes:
+        nf = reduced.normal_form_word(w)
+        assert list(nf.items()) == list(fresh.normal_form_word(w).items())
 
 
 def test_added_rule_must_hold_only_irreducible_words():
