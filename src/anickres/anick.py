@@ -114,7 +114,8 @@ class _OnDemand(dict):
 class ResolutionPrefix:
     """Chain sets at levels -1..2 of degree <= max_degree (None: all), each
     above level 1 by `extend_chains` from the one below, and the
-    differentials d_0, d_1, d_2, one on-demand table `diff[level]` each."""
+    differentials d_0, d_1, d_2, one on-demand table `diff[level]` each,
+    whose dicts are shared with every reader and never changed."""
 
     def __init__(self, system: RewritingSystem, max_degree: Optional[int] = None):
         if not system.is_reduced():
@@ -202,11 +203,6 @@ class ResolutionPrefix:
         for (m, t), c in terms.items():
             accumulate(acc, c, self.act(m, diff[t]), self.field.p)
         return acc
-
-    def d_generator(self, level: int, t: Word) -> dict[tuple[Word, Word], int]:
-        """d_level on the generator .t, read from `diff`; the dict is
-        shared, so callers must not change it."""
-        return self.diff[level][t]
 
     def _tabulate(self, level: int, t: Word) -> dict[tuple[Word, Word], int]:
         """d_level(.t) = delta(.t) - i(d(delta(.t))), on its first read."""

@@ -126,7 +126,7 @@ def criterion_5_golden_differentials() -> CriterionResult:
     mismatches = []
 
     def expect(level, t, expected):
-        got = prefix.d_generator(level, t)
+        got = prefix.diff[level][t]
         if got != expected:
             mismatches.append(
                 f"d_{level}(.{A.format(t)}) = {format_terms(A, got)}, "

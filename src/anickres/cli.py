@@ -68,15 +68,14 @@ def _load(args) -> LoadedPresentation:
             return PresentationDocument.from_json(fh.read()).build()
     builtin = args.builtin or "small"
     defaults = BUILTINS[builtin][1]
+    params = {}  # only the flags given: `build` fills in the defaults
     for flag, key in keys.items():
-        if key not in defaults and getattr(args, flag) is not None:
-            raise DocumentError(f"--{flag} is not a parameter of builtin {builtin!r}")
+        if (value := getattr(args, flag)) is not None:
+            if key not in defaults:
+                raise DocumentError(f"--{flag} is not a parameter of builtin {builtin!r}")
+            params[key] = value
     if builtin == "conjectural" and not args.variant:
         raise DocumentError("--builtin conjectural requires --variant")
-    params = {}
-    for key, default in defaults.items():
-        value = getattr(args, _FLAGS.get(key, key))
-        params[key] = default if value is None else value
     return PresentationDocument(builtin=builtin, params=params).build()
 
 
@@ -148,7 +147,7 @@ def cmd_anick(args) -> int:
             print(f"T_{level}: {len(ts)} chains")
         alphabet = prefix.alphabet
         for level, t in prefix.generators():
-            d_t = format_terms(alphabet, prefix.d_generator(level, t))
+            d_t = format_terms(alphabet, prefix.diff[level][t])
             print(f"d_{level}(.{alphabet.format(t)}) = {d_t}")
         print(f"complex identities hold: {ok}")
     report = Report(

@@ -3,15 +3,16 @@ parsing, and machine-readable reports.
 
 A presentation document either lists an explicit alphabet and relations or
 names a builtin family with its parameters, never both; the command line's
-builtin flags build the same document.  Reports serialize with sorted
-keys so identical inputs give byte-identical output (timing excluded).
+builtin flags build the same document, and building fills in its defaults.
+Reports serialize with sorted keys so identical inputs give byte-identical
+output (timing excluded).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field, fields
-from typing import Any, Optional
+from dataclasses import dataclass, field as dataclass_field, fields, replace
+from typing import Any, Callable, Optional
 
 from .fields import PrimeField
 from .kostant import big_system, conjectural_system, small_system
@@ -73,7 +74,9 @@ class PresentationDocument:
 
     def _build(self) -> "LoadedPresentation":
         if self.builtin:
-            return LoadedPresentation(system=self._builtin_system(), document=self)
+            builder, params = self._builtin_params()
+            document = self if params == self.params else replace(self, params=params)
+            return LoadedPresentation(system=builder(**params), document=document)
         if self.p is None or self.alphabet is None or self.relations is None:
             raise DocumentError("document needs either a builtin or p/alphabet/relations")
         field = PrimeField(_integer(self.p, "p"))
@@ -108,9 +111,9 @@ class PresentationDocument:
         )
         return LoadedPresentation(system=system, document=self)
 
-    def _builtin_system(self) -> RewritingSystem:
-        """The builtin's system, from its parameters over their defaults;
-        every parameter is checked as an explicit document's fields are."""
+    def _builtin_params(self) -> tuple[Callable[..., RewritingSystem], dict]:
+        """The builtin's builder and its parameters over their defaults, the
+        one place they are filled; each is checked as a document's field is."""
         if self.p is not None or self.alphabet is not None or self.relations is not None:
             raise DocumentError("a builtin document cannot also give p, alphabet or relations")
         if self.builtin not in BUILTINS:
@@ -127,7 +130,7 @@ class PresentationDocument:
                 kwargs[key] = self.params[key]
             else:
                 kwargs[key] = _integer(self.params.get(key, default), f"parameter {key!r}")
-        return builder(**kwargs)
+        return builder, kwargs
 
 
 # builtin -> (builder, {parameter: default}): the one table of builtins.  A

@@ -4,8 +4,8 @@ upper-triangular matrices over a prime field.
 Three flavors are constructed:
 
 * the big system over generators e_ij^(k) (all divided powers up to an
-  exponent bound), whose rules multiply equal positions, commute disjoint
-  ones, and straighten the two kinds of interacting position pairs;
+  exponent bound), whose rules multiply equal positions and straighten any
+  other two by one rule, whose s = 0 term is the swap;
 * the small p = 2, n = 3 system over a_k = e_12^(2^k), b_k = e_23^(2^k),
   a finite reduced Groebner basis per index bound;
 * two experimental conjectural systems (odd p at n = 3, and p = 2 at
@@ -81,6 +81,12 @@ def _big_alphabet(
 def big_system(n: int, p: int, exponent_bound: int) -> RewritingSystem:
     """All straightening rules on divided powers e_ij^(k), k <= exponent_bound.
 
+    Equal positions multiply, e^(k) e^(r) = C(k+r, k) e^(k+r).  For P after
+    Q in the order and M the position they span, e_P^(k) e_Q^(r) = sum over
+    s <= min(k, r) of sign^s e_Q^(r-s) e_M^(s) e_P^(k-s), sign +1 when Q
+    starts where P ends and -1 when Q ends where P starts; its s = 0 term
+    is the swap, all that positions that do not meet keep.
+
     With exponent_bound = p^l - 1 the equal-position products close up
     (binomials across a p-power boundary vanish); any other bound that
     produces an out-of-alphabet product with nonzero coefficient raises
@@ -91,9 +97,8 @@ def big_system(n: int, p: int, exponent_bound: int) -> RewritingSystem:
     field = PrimeField(p)
     order = default_position_order(n)
     alphabet, gen_of = _big_alphabet(order, exponent_bound)
-    rank_of_pos = {pos: idx for idx, pos in enumerate(order)}
 
-    def e(pos: Position, k: int) -> Word:
+    def e(pos: Position | None, k: int) -> Word:
         """The word e_pos^(k); exponent 0 is the empty word."""
         if k == 0:
             return alphabet.empty_word
@@ -123,43 +128,21 @@ def big_system(n: int, p: int, exponent_bound: int) -> RewritingSystem:
                         )
                     )
 
-    # mixed positions: lhs has the larger position first
-    for P in order:
-        for Q in order:
-            if rank_of_pos[Q] >= rank_of_pos[P]:
-                continue  # need Q strictly below P
+    # mixed positions: the straightening rule, P after Q in the order
+    for a, P in enumerate(order):
+        for Q in order[:a]:
+            if Q.i == P.j:
+                sign, M = 1, Position(P.i, Q.j)
+            elif Q.j == P.i:
+                sign, M = -1, Position(Q.i, P.j)
+            else:
+                sign, M = 1, None
             for k in exps:
                 for r in exps:
-                    lhs = e(P, k) + e(Q, r)
-                    if Q.i == P.j:
-                        # straightening: e_ij^(k) e_jt^(r) ->
-                        #   sum_s e_jt^(r-s) e_it^(s) e_ij^(k-s)
-                        t = Q.j
-                        mid = Position(P.i, t)
-                        terms = [(1, lhs)]
-                        for s in range(min(k, r) + 1):
-                            terms.append(
-                                (-1, e(Q, r - s) + e(mid, s) + e(P, k - s))
-                            )
-                        relations.append(Polynomial.from_terms(field, alphabet, terms))
-                    elif Q.j == P.i:
-                        # straightening: e_ij^(k) e_si^(r) ->
-                        #   sum_t (-1)^t e_si^(r-t) e_sj^(t) e_ij^(k-t)
-                        s0 = Q.i
-                        mid = Position(s0, P.j)
-                        terms = [(1, lhs)]
-                        for t in range(min(k, r) + 1):
-                            terms.append(
-                                ((-1) ** (t + 1), e(Q, r - t) + e(mid, t) + e(P, k - t))
-                            )
-                        relations.append(Polynomial.from_terms(field, alphabet, terms))
-                    else:
-                        # disjoint in the interacting sense: plain swap
-                        relations.append(
-                            Polynomial.from_terms(
-                                field, alphabet, [(1, lhs), (-1, e(Q, r) + e(P, k))]
-                            )
-                        )
+                    terms = [(1, e(P, k) + e(Q, r))]
+                    for s in range(min(k, r) + 1 if M else 1):
+                        terms.append((-(sign**s), e(Q, r - s) + e(M, s) + e(P, k - s)))
+                    relations.append(Polynomial.from_terms(field, alphabet, terms))
 
     rules = [make_rule(f) for f in relations if not f.is_zero()]
     return RewritingSystem(alphabet, field, rules)

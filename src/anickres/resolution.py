@@ -377,7 +377,11 @@ class GradedComplex:
         self._count_irreducible(max_degree)
         defects = {}
         for level in levels:
-            for d in range(max_degree + 1):
+            # a degree with no column m.t at the level has defect 0 there
+            by_degree = self._chains_by_degree(level)
+            for d in sorted({dt + e for dt in by_degree for e in self._counts}):
+                if d > max_degree:
+                    break
                 defect = self.exactness_defect(level, d)
                 if defect:
                     defects[(level, d)] = defect

@@ -57,9 +57,9 @@ left-hand sides, built on first use.  It reads a word from its end.  The
 state of an irreducible w is the longest prefix of w that is a suffix of
 an lhs, and one step on a letter x gives the state of x w or marks x w
 reducible, so w is irreducible exactly when its reading meets no mark.
-Irreducible words are grown at the front along its moves, and counted as
-its paths (Ufnarovski, Combinatorial and asymptotic methods in algebra,
-1995), per (degree, state) without listing a word.
+Irreducible words are grown at the front by reading the automaton's rows,
+and counted as its paths (Ufnarovski, Combinatorial and asymptotic methods
+in algebra, 1995), per (degree, state) without listing a word.
 """
 
 from __future__ import annotations
@@ -227,8 +227,7 @@ class RewritingSystem:
         self._repeated: set[Word] = set()  # each lhs that more than one rule has
         for rule in self.rules:
             self._insert_lhs(rule)
-        # the automaton of the reversed lhs and its moves, built on first use
-        self._moves: list[list[tuple[int, int, int]]] | None = None
+        # the automaton of the reversed lhs, built on first use
         self._prepend: list[list[Optional[int]]] | None = None
         # normal-form memo of {word: c} dicts; private, rebuilt per instance.
         # When a rule is added, the words memoized since the last one (the
@@ -276,7 +275,7 @@ class RewritingSystem:
             raise ValueError(f"the rule {rule} holds a reducible word")
         self._insert_lhs(rule)
         self.rules += (rule,)
-        self._moves = self._prepend = None
+        self._prepend = None
         memo, buckets, degree = self._nf, self._nf_by_degree, self.alphabet.degree
         # the tail, read from the end of the memo without walking its head
         for w in itertools.islice(reversed(memo), len(memo) - self._nf_bucketed):
@@ -683,17 +682,6 @@ class RewritingSystem:
         return self._unreduced_rule(0) is None
 
     # ----- irreducible words -----------------------------------------
-    def _lhs_automaton(self) -> list[list[tuple[int, int, int]]]:
-        """The moves (letter, its degree, next state) of each state of the
-        prepend automaton that mark no reducible word: from the state of an
-        irreducible w, each leads to the state of the irreducible x w."""
-        if self._moves is None:
-            self._moves = [
-                [(x, self._degrees[x], t) for x, t in enumerate(row) if t is not None]
-                for row in self.prepend_automaton()
-            ]
-        return self._moves
-
     def prepend_automaton(self) -> list[list[Optional[int]]]:
         """step[s][x]: the state of x w for w of state s, or None where some
         lhs is a prefix of x w (for an irreducible w, exactly when x w
@@ -707,7 +695,7 @@ class RewritingSystem:
     ) -> list[Word]:
         """All rule-free words of degree <= max_degree (None = all, if finite),
         in deglex order."""
-        moves = self._lhs_automaton()
+        step, degrees = self.prepend_automaton(), self._degrees
         out = []
         # frontier entries carry the degree and automaton state of their word
         frontier = [(self.alphabet.empty_word, 0, 0)]
@@ -716,10 +704,10 @@ class RewritingSystem:
             if len(out) > max_count:
                 raise WordCapError(max_count, max_degree)
             frontier = [
-                ((x,) + w, d + dx, t)
+                ((x,) + w, d + degrees[x], t)
                 for w, d, s in frontier
-                for x, dx, t in moves[s]
-                if max_degree is None or d + dx <= max_degree
+                for x, t in enumerate(step[s])
+                if t is not None and (max_degree is None or d + degrees[x] <= max_degree)
             ]
         out.sort(key=self.alphabet.sort_key)
         return out
@@ -729,7 +717,7 @@ class RewritingSystem:
     ) -> dict[int, int]:
         """The number of rule-free words of each degree <= max_degree (None =
         all, if finite), counted as paths of the prepend automaton."""
-        moves = self._lhs_automaton()
+        step, degrees = self.prepend_automaton(), self._degrees
         # degree -> state -> number of irreducible words of that degree
         # ending in that state
         pending: dict[int, dict[int, int]] = {0: {0: 1}}
@@ -743,9 +731,9 @@ class RewritingSystem:
             if total > _WORD_CAP:
                 raise WordCapError(_WORD_CAP, max_degree)
             for s, c in states.items():
-                for _x, dx, t in moves[s]:
-                    e = d + dx
-                    if max_degree is not None and e > max_degree:
+                for x, t in enumerate(step[s]):
+                    e = d + degrees[x]
+                    if t is None or max_degree is not None and e > max_degree:
                         continue
                     row = pending.setdefault(e, {})
                     row[t] = row.get(t, 0) + c

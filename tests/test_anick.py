@@ -118,7 +118,7 @@ def test_golden_d1(prefix3):
     w = A.word
 
     def d1(*names):
-        return format_terms(A, prefix3.d_generator(1, w(*names)))
+        return format_terms(A, prefix3.diff[1][w(*names)])
 
     assert d1("a1", "a0") == "a1 . a0 + a0 . a1"
     assert d1("a0", "a0") == "a0 . a0"
@@ -132,7 +132,7 @@ def test_golden_d2(prefix3):
     w = A.word
 
     def d2(*names):
-        return format_terms(A, prefix3.d_generator(2, w(*names)))
+        return format_terms(A, prefix3.diff[2][w(*names)])
 
     assert d2("a1", "a0", "a0") == "a1 . a0 a0 + a0 . a1 a0"
     assert d2("a1", "b0", "b0") == "a1 . b0 b0 + b0 . a1 b0 + . b0 a0 b0 a0"
@@ -153,14 +153,14 @@ def test_degree_preservation(prefix3):
     assert all(
         degree(m + t2) == degree(t)
         for level, t in prefix3.generators()
-        for m, t2 in prefix3.d_generator(level, t)
+        for m, t2 in prefix3.diff[level][t]
     )
 
 
 def test_lift_roundtrip(prefix3):
     # d(i(f)) = f for boundaries f = d(.t)
     for t in prefix3.chains[1][:10]:
-        f = prefix3.d_generator(1, t)
+        f = prefix3.diff[1][t]
         lifted = prefix3.lift_i(1, f)
         assert prefix3.boundary(1, lifted) == f
 
@@ -245,7 +245,7 @@ def test_single_letter_lhs_splits_at_k0():
     prefix = ResolutionPrefix(system)
     ok, problems = prefix.verify_complex()
     assert ok, problems
-    assert format_terms(alphabet, prefix.d_generator(1, w("y"))) == ". y + 2 . x"
+    assert format_terms(alphabet, prefix.diff[1][w("y")]) == ". y + 2 . x"
 
 
 STUCK = "; the system is not complete up to this degree, or this is a bug"
@@ -263,7 +263,7 @@ def test_incomplete_system_gets_the_lift_stuck():
     assert system.is_reduced() and not system.is_complete()[0]
     prefix = ResolutionPrefix(system)
     with pytest.raises(LiftError) as raised:
-        prefix.d_generator(2, w("y", "x", "y", "x", "y"))
+        prefix.diff[2][w("y", "x", "y", "x", "y")]
     assert str(raised.value) == (
         "lift input is not a cycle: boundary y x x y x . e + 2 x y x x y . e" + STUCK
     )

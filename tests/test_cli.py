@@ -20,12 +20,12 @@ def run(capsys, *argv):
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_python(*argv):
+def run_python(*argv, timeout=120):
     """A fresh interpreter on the checkout's own sources."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -244,6 +244,8 @@ BUILTIN_FLAGS_AND_DOCUMENTS = [
         },
         "a2_0 a1_0 a2_0 a1_0 a1_0",
     ),
+    # no flags and no params: both report the defaults
+    (["--builtin", "small"], {"builtin": "small"}, "b0 a0 b0 a1"),
 ]
 
 
@@ -383,6 +385,20 @@ def test_betti_minimal(capsys):
     assert "level 1  degree 1  count 2" in out
     assert "level 2  degree 3  count 4" in out
     assert "exactness defects: 0" in out
+
+
+def test_betti_of_a_finite_algebra_to_a_huge_degree_bound_finishes():
+    # exactness visits only the degrees that hold a column, so a bound far
+    # past the algebra's top degree prints the tables of a bound just past it
+    def tables(D):
+        argv = ["betti", "--builtin", "small", "--l", "0", "--D", D]
+        proc = run_python("-m", "anickres", *argv, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        head, *rows = proc.stdout.splitlines()
+        assert head == f"betti table (minimal=True, D={D}):"
+        return rows
+
+    assert tables("1000000000") == tables("100")
 
 
 def test_betti_no_minimal_superset(capsys):

@@ -105,8 +105,8 @@ def test_every_private_definition_is_referenced():
     assert not dead, f"private definitions nothing in the package references: {dead}"
 
 
-def trie_readers(tree: ast.Module) -> set[str]:
-    """The names of the functions that read `self._trie`; a read in a
+def self_attribute_readers(tree: ast.Module, attr: str) -> set[str]:
+    """The names of the functions that touch `self.<attr>`; a touch in a
     nested function counts for the enclosing one too."""
     readers = set()
     for function in ast.walk(tree):
@@ -114,7 +114,7 @@ def trie_readers(tree: ast.Module) -> set[str]:
             for node in ast.walk(function):
                 if (
                     isinstance(node, ast.Attribute)
-                    and node.attr == "_trie"
+                    and node.attr == attr
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "self"
                 ):
@@ -127,7 +127,7 @@ def test_the_lhs_trie_is_walked_in_one_place():
     # reader, and `front_rule`, the normal-form engine's step that stops at
     # the first lhs, keeps its own loop
     tree = ast.parse((PACKAGE / "rewriting.py").read_text(encoding="utf-8"))
-    readers = trie_readers(tree)
+    readers = self_attribute_readers(tree, "_trie")
     assert readers <= {"__init__", "_insert_lhs", "_path", "front_rule"}, sorted(readers)
 
 
@@ -145,6 +145,12 @@ def test_one_automaton_is_built():
         and node.func.id == "_aho_corasick"
     ]
     assert callers == ["prepend_automaton"], callers
+    # and one table of it: the system builds, resets and hands over
+    # `_prepend`, and every other reader goes through `prepend_automaton()`
+    touchers = self_attribute_readers(tree, "_prepend")
+    assert touchers <= {"__init__", "_add_rule", "prepend_automaton", "interreduce"}, sorted(
+        touchers
+    )
 
 
 def test_systems_change_in_place_only_in_their_own_transform():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from anickres.kostant import (
@@ -65,6 +67,26 @@ def test_big_system_complete_and_counts(n, p, l):
     system = big_system(n, p, p**l - 1)
     assert system.is_complete()[0]
     assert len(system.irreducible_words()) == pbw_dimension(n, p, l)
+
+
+# the rules of big_system over a grid of (n, p, exponent bound), lhs and
+# rhs terms in order, hashed; any change to a relation, its orientation,
+# the rule order or a rule's term order changes the digest
+BIG_GRID = [
+    (n, p, b)
+    for n in (2, 3, 4)
+    for p, bounds in ((2, (1, 3, 7)), (3, (2, 8)), (5, (4,)))
+    for b in bounds
+]
+BIG_RULES_DIGEST = "55cc66739fce1ca1c4b819439149736bf4a0f0ab774c21a94fed44af7e7db1e4"
+
+
+def test_big_system_rules_are_pinned():
+    h = hashlib.sha256()
+    for n, p, b in BIG_GRID:
+        rules = [(r.lhs, list(r.rhs.terms.items())) for r in big_system(n, p, b).rules]
+        h.update(repr(rules).encode())
+    assert h.hexdigest() == BIG_RULES_DIGEST
 
 
 def test_pbw_dimension():

@@ -741,7 +741,7 @@ def free_complexes(draw):
     field = PrimeField(p)
     prefix = ResolutionPrefix(RewritingSystem(TWO_LETTERS, field, []))
     chains = {-1: prefix.chains[-1], 0: prefix.chains[0]}
-    diff = {0: {t: prefix.d_generator(0, t) for t in chains[0]}}
+    diff = {0: {t: prefix.diff[0][t] for t in chains[0]}}
     letters = st.sampled_from((0, 1))
     coefficient_word = st.lists(letters, max_size=2).map(tuple)
     chain = st.lists(letters, min_size=1, max_size=4).map(tuple)
@@ -763,7 +763,7 @@ def carried_complex():
     e, x, y = (), (0,), (1,)
     chains = {-1: [e], 0: [x, y], 1: [x + x, x + y, y + y]}
     diff = {
-        0: {t: prefix.d_generator(0, t) for t in chains[0]},
+        0: {t: prefix.diff[0][t] for t in chains[0]},
         1: dict(zip(chains[1], [{(e, x): 1, (x, y): 1}, {(y, x): 1}, {(e, y): 1}])),
     }
     return GradedComplex(prefix, chains, diff)

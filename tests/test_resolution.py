@@ -124,6 +124,25 @@ def test_exactness_lists_no_basis(monkeypatch):
     assert images and all(gc.system.is_irreducible_word(m) for m in images)
 
 
+def test_exactness_visits_only_the_degrees_that_hold_a_column(monkeypatch):
+    # a degree with no column at a level has defect 0 there, so the check of
+    # a finite algebra to a huge bound visits only its few degrees with
+    # columns; each call past the cap fails at once instead of running on
+    gc = resolve(small_system(0), 10**9)
+    calls = []
+    defect = GradedComplex.exactness_defect
+
+    def capped(self, level, d):
+        calls.append((level, d))
+        assert len(calls) <= 100, "exactness visits degrees that hold no column"
+        return defect(self, level, d)
+
+    monkeypatch.setattr(GradedComplex, "exactness_defect", capped)
+    assert gc.verify_exactness([-1, 0, 1], 10**9) == {}
+    with_columns = [(lvl, d) for lvl in (-1, 0, 1) for d in range(101) if gc.column_count(lvl, d)]
+    assert calls == with_columns
+
+
 def _small(l):
     return GradedComplex.from_prefix(ResolutionPrefix(small_system(l)))
 
@@ -370,12 +389,12 @@ def test_shared_differentials_are_never_changed(build):
     system = prefix.system
 
     def snapshot():
-        return {key: list(prefix.d_generator(*key).items()) for key in prefix.generators()}
+        return {(lvl, t): list(prefix.diff[lvl][t].items()) for lvl, t in prefix.generators()}
 
     before = snapshot()
     read = {w: list(nf.items()) for w, nf in system._nf.items()}  # what tabulating read
     assert read
-    assert all(gc.diff[lvl][t] is prefix.d_generator(lvl, t) for lvl, t in prefix.generators())
+    assert all(gc.diff[lvl][t] is prefix.diff[lvl][t] for lvl, t in prefix.generators())
     assert prefix.verify_complex()[0]
     assert gc.verify_exactness([-1, 0, 1], 8) == {}
     minimal = [generic_minimalize(gc)]
@@ -407,7 +426,7 @@ def test_betti_small_reads_no_differential_above_D():
     # the same answers from a complex whose every differential was tabulated up front
     eager = ResolutionPrefix(small_system(4))
     diff = {
-        lvl: {t: eager.d_generator(lvl, t) for t in ts} for lvl, ts in eager.chains.items() if lvl >= 0
+        lvl: {t: eager.diff[lvl][t] for t in ts} for lvl, ts in eager.chains.items() if lvl >= 0
     }
     eager_mn = minimalize(GradedComplex(eager, eager.chains, diff))
     assert eager_mn.betti_table(18) == table
@@ -479,7 +498,7 @@ def test_generic_minimalize_rejects_a_non_scalar_pivot():
     t, s = alphabet.word("a", "a"), alphabet.word("a", "a", "a")
     chains = {-1: [e], 0: [a], 1: [t, s]}
     diff = {
-        0: {a: prefix.d_generator(0, a)},
+        0: {a: prefix.diff[0][a]},
         1: {
             t: {(e, a): 1, (a, a): 1},
             s: {(a, a): 1},
