@@ -49,7 +49,9 @@ instead of a scan of every lhs; neither builds a pair whose tip lies above
 the degree bound.  Pairs come by first rule, then by second rule, and each
 rule pair lists its overlaps by ascending overlap length before its
 inclusions by ascending position; completion's heap breaks ties between
-equal tips by this order.
+equal tips by this order.  Completion reduces each pair it pops, except an
+overlap whose tip holds another lhs strictly inside, which Buchberger's
+chain criterion discharges; `is_complete` reduces every pair.
 
 The trie finds where a word reduces; one automaton decides whether it
 does: the prepend automaton, the Aho-Corasick automaton of the reversed
@@ -591,13 +593,19 @@ class RewritingSystem:
         One pass suffices.  Each pair of the final rules whose tip has
         degree <= degree_bound is pushed once, when the later of its two
         rules is added (at the start, for two given rules), and is reduced
-        once popped.  A pair that reduced to 0, or became a rule, did so by steps
-        on words below its tip, and those steps stay valid while rules are
-        only appended: its obstruction stays resolvable relative to its tip.
-        So when the heap runs empty, Bergman's diamond lemma on the words of
-        degree <= degree_bound (closed under subwords and under deglex-
-        smaller words) makes every such obstruction reduce to 0 under any
-        strategy, and the result is complete up to the bound.
+        or discharged once popped.  A pair that reduced to 0, or became a
+        rule, did so by steps on words below its tip, and those steps stay
+        valid while rules are only appended: its obstruction stays
+        resolvable relative to its tip.  An overlap whose tip T = u lhs1
+        holds an lhs L strictly inside is discharged unreduced (Buchberger's
+        chain criterion): the pairs of L with lhs1 and lhs2 lie on proper
+        subwords of T, were popped before T, and together resolve T's
+        ambiguity, so it would reduce to 0.  L is sought at 1..|u|-1, where a
+        reduced system has it; a miss costs only a reduction.  So when the
+        heap runs empty, Bergman's diamond lemma on the words of degree <=
+        degree_bound (closed under subwords and under deglex-smaller words)
+        makes every such obstruction reduce to 0 under any strategy, and the
+        result is complete up to the bound.
         """
         counter = itertools.count()
         heap: list[tuple[tuple, int, CriticalPair]] = []
@@ -611,6 +619,11 @@ class RewritingSystem:
         push_pairs(current.find_critical_pairs(degree_bound))
         while heap:
             _, _, cp = heapq.heappop(heap)
+            # the chain criterion: an overlap whose tip holds an lhs strictly inside
+            if cp.kind == "overlap" and any(
+                current.front_rule(cp.tip[pos:-1]) for pos in range(1, len(cp.u))
+            ):
+                continue
             nf = current.normal_form(current.pair_obstruction(cp))
             if nf.is_zero():
                 continue

@@ -613,11 +613,57 @@ def dropped_memo_case():
     return RewritingSystem(alphabet, F2, rules), 6
 
 
+def chain_in_reduced_case():
+    """x0 x0 x1 -> 2 x0 x0 x0, x0 x1 x1 -> x0 x1 x0, x1 x1 x0 -> 2 x1 x0 x1
+    over F_3, completed to degree 5: the overlap tip x0 x0 x1 x1 x0 of the
+    first and third rules holds x0 x1 x1 at position 1, and the working
+    system is reduced when that pair is popped."""
+    alphabet = Alphabet.from_names([("x0", 1), ("x1", 1)])
+    relations = [
+        [(1, (0, 0, 1)), (1, (0, 0, 0))],
+        [(1, (0, 1, 1)), (2, (0, 1, 0))],
+        [(1, (1, 1, 0)), (1, (1, 0, 1))],
+    ]
+    rules = [make_rule(Polynomial.from_terms(F3, alphabet, terms)) for terms in relations]
+    return RewritingSystem(alphabet, F3, rules), 5
+
+
+def chain_in_an_lhs_case():
+    """x1 x1 x0 -> x0 x1 x1, x1 x0 -> 2 x0 x1, x0 x0 -> 0 over F_3, completed
+    to degree 4: the system is not reduced, and the overlap tip x1 x1 x0 x0
+    of the first and third rules holds the second lhs inside the first."""
+    alphabet = Alphabet.from_names([("x0", 1), ("x1", 1)])
+    relations = [[(1, (1, 1, 0)), (2, (0, 1, 1))], [(1, (1, 0)), (1, (0, 1))], [(1, (0, 0))]]
+    rules = [make_rule(Polynomial.from_terms(F3, alphabet, terms)) for terms in relations]
+    return RewritingSystem(alphabet, F3, rules), 4
+
+
+@pytest.mark.parametrize("case", [chain_in_reduced_case, chain_in_an_lhs_case])
+def test_the_chain_criterion_examples_discharge_a_pair(monkeypatch, case):
+    # the explicit examples below keep completion's chain criterion in the
+    # comparison with the reference, which reduces every pair
+    system, bound = case()
+    calls = []
+    obstruction = RewritingSystem.pair_obstruction
+
+    def counted(self, cp):
+        calls.append(cp)
+        return obstruction(self, cp)
+
+    monkeypatch.setattr(RewritingSystem, "pair_obstruction", counted)
+    completed = system.complete(bound)
+    assert len(calls) < len(completed.find_critical_pairs(bound))
+
+
 @given(presentations(), st.lists(st.lists(st.integers(0, 2), max_size=6), max_size=8))
 @example(dropped_memo_case(), [[0, 0, 0, 1], [0, 0, 0], [1, 0, 0, 0], [0, 1, 1]])
+@example(chain_in_reduced_case(), [[0, 0, 1, 1, 0], [0, 1, 1, 1], [1, 1, 0, 0]])
+@example(chain_in_an_lhs_case(), [[1, 1, 0, 0], [1, 1, 0], [0, 1, 1, 0]])
 def test_complete_matches_the_rebuild_per_rule_loop(case, probes):
     # completion returns its working system: read through the memo it
-    # carried, each probe's normal form equals that of a new system
+    # carried, each probe's normal form equals that of a new system.  The
+    # reference reduces every pair, so the pairs that completion discharges
+    # by the chain criterion must be ones that reduce to 0
     system, bound = case
     completed = []
 
@@ -1077,3 +1123,19 @@ def test_completed_normal_forms_do_not_depend_on_rule_order(case, data):
         assert permuted.normal_form_word(w) == nf
         g = Polynomial.monomial(done.field, done.alphabet, w)
         assert reduce_fully(permuted, g).terms == nf
+
+
+@given(presentations(homogeneous=True), st.data())
+@settings(deadline=None)
+def test_input_rule_order_does_not_change_the_completed_system(case, data):
+    # a homogeneous ideal has one reduced Groebner basis up to degree D:
+    # completing and interreducing its rules in any order gives the same
+    # rules of lhs degree <= D, and the same normal form of each word
+    system, bound = case
+    shuffled = system.with_rules(data.draw(st.permutations(system.rules)))
+    done = [s.complete(bound).interreduce() for s in (system, shuffled)]
+    degree = system.alphabet.degree
+    low = [{r.lhs: r.rhs.terms for r in s.rules if degree(r.lhs) <= bound} for s in done]
+    assert low[0] == low[1]
+    for w in words_up_to_degree(system.alphabet, bound):
+        assert done[0].normal_form_word(w) == done[1].normal_form_word(w)

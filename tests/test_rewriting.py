@@ -320,9 +320,14 @@ def test_higher_completions_of_odd_p_n3_are_pinned(bound, count, digest):
     assert completed.is_complete(bound) == (True, [])
 
 
-@pytest.mark.parametrize("bound, reduced", [(12, 73), (16, 278), (18, 473)])
-def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced):
-    # one pass over the heap: no closing check reduces the same pairs again
+@pytest.mark.parametrize(
+    "bound, reduced, pairs", [(12, 50, 73), (16, 176, 278), (18, 286, 473)]
+)
+def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced, pairs):
+    # one pass over the heap: no closing check reduces the same pairs again.
+    # Each pair of the final rules is pushed and popped once, and reduced
+    # unless the chain criterion discharges it.  The check of what
+    # completion returns applies no criterion: it reduces every pair once.
     calls = []
     obstruction = RewritingSystem.pair_obstruction
 
@@ -331,8 +336,12 @@ def test_completion_makes_one_pass_over_its_pairs(monkeypatch, bound, reduced):
         return obstruction(self, cp)
 
     monkeypatch.setattr(RewritingSystem, "pair_obstruction", counted)
-    conjectural_system("odd_p_n3", 3, 3, 2).complete(bound)
+    completed = conjectural_system("odd_p_n3", 3, 3, 2).complete(bound)
     assert len(calls) == reduced
+    calls.clear()
+    assert completed.is_complete(bound) == (True, [])
+    assert calls == completed.find_critical_pairs(bound)
+    assert len(calls) == pairs
 
 
 def test_completion_builds_no_automaton(monkeypatch):
