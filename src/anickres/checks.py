@@ -164,7 +164,7 @@ def criterion_6_exactness() -> CriterionResult:
     prefix = ResolutionPrefix(small_system(3))
     complex_ok, problems = prefix.verify_complex()
     gc = GradedComplex.from_prefix(prefix)
-    defects = gc.verify_exactness([-1, 0, 1], 16)
+    defects = gc.verify_exactness(range(-1, gc.top), 16)
     ok = complex_ok and not defects
     return CriterionResult(
         "criterion 6: complex identity and exactness",
@@ -200,8 +200,8 @@ def criterion_7_minimality() -> CriterionResult:
     prefix = ResolutionPrefix(small_system(3))
     gc = GradedComplex.from_prefix(prefix)
     mn = minimalize(gc)
-    radical = {lvl: mn.radical_image_check(lvl)[0] for lvl in (0, 1, 2)}
-    defects = mn.verify_exactness([-1, 0, 1], 16)
+    radical = {lvl: mn.radical_image_check(lvl)[0] for lvl in range(mn.top + 1)}
+    defects = mn.verify_exactness(range(-1, mn.top), 16)
     betti = {lvl: mn.betti_table(16)[lvl] for lvl in (0, 1, 2)}
     expected = expected_betti_table(16, 3)
     gm = generic_minimalize(gc)

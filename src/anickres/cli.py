@@ -169,15 +169,15 @@ def cmd_betti(args) -> int:
     if args.minimal:
         gc = generic_minimalize(gc)
     table = gc.betti_table(args.D)
-    # chains stop at level 2: the top row still counts the level-2 chains
-    # that a level-3 differential would cancel, so it is only an upper bound;
-    # unminimalized, every row above 0 counts raw chains, which only bound
-    # the Betti numbers
+    # the complex stops at its top chain level: the top row still counts
+    # the top-level chains that a differential from the level above would
+    # cancel, so it is only an upper bound; unminimalized, every row above 0
+    # counts raw chains, which only bound the Betti numbers
     if args.minimal:
         bounds = [max(table)]
     else:
         bounds = [level for level in sorted(table) if level >= 1]
-    defects = gc.verify_exactness([-1, 0, 1], args.D)
+    defects = gc.verify_exactness(range(-1, gc.top), args.D)
     if not args.json:
         print(f"betti table (minimal={args.minimal}, D={args.D}):")
         for level in sorted(table):

@@ -106,9 +106,7 @@ class PresentationDocument:
                         raise DocumentError(f"relation uses undeclared generator {n!r}")
                 terms.append((coeff, alphabet.word(*names)))
             relations.append(Polynomial.from_terms(field, alphabet, terms))
-        system = RewritingSystem.from_relations(
-            alphabet, field, [f for f in relations if not f.is_zero()]
-        )
+        system = RewritingSystem.from_relations(alphabet, field, relations)
         return LoadedPresentation(system=system, document=self)
 
     def _builtin_params(self) -> tuple[Callable[..., RewritingSystem], dict]:

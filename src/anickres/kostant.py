@@ -6,23 +6,23 @@ Three flavors are constructed:
 * the big system over generators e_ij^(k) (all divided powers up to an
   exponent bound), whose rules multiply equal positions and straighten any
   other two by one rule, whose s = 0 term is the swap;
-* the small p = 2, n = 3 system over a_k = e_12^(2^k), b_k = e_23^(2^k),
-  a finite reduced Groebner basis per index bound;
-* two experimental conjectural systems (odd p at n = 3, and p = 2 at
-  general n).
+* the n = 3 simple-root system over a_k = e_12^(p^k), b_k = e_23^(p^k),
+  written once: its p = 2 case with the equal-position commutators is the
+  small system, a finite reduced Groebner basis per index bound, and its
+  odd-p case without them is the experimental conjectural odd_p_n3;
+* the experimental conjectural system at p = 2 and general n.
 
 Each builder returns the rewriting system of its relations.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import PrimeField, binomial_mod_p
 from .polynomials import Polynomial
-from .rewriting import RewritingSystem, make_rule
+from .rewriting import RewritingSystem
 from .words import Alphabet, Generator, Word
 
 
@@ -144,8 +144,7 @@ def big_system(n: int, p: int, exponent_bound: int) -> RewritingSystem:
                         terms.append((-(sign**s), e(Q, r - s) + e(M, s) + e(P, k - s)))
                     relations.append(Polynomial.from_terms(field, alphabet, terms))
 
-    rules = [make_rule(f) for f in relations if not f.is_zero()]
-    return RewritingSystem(alphabet, field, rules)
+    return RewritingSystem.from_relations(alphabet, field, relations)
 
 
 # ---------------------------------------------------------------------
@@ -178,64 +177,62 @@ def graded_pbw_dimensions(n: int, p: int, l: int, max_degree: int) -> dict[int, 
 
 
 # ---------------------------------------------------------------------
-# small system (p = 2, n = 3)
+# the n = 3 simple-root presentation: small (p = 2) and odd_p_n3
 # ---------------------------------------------------------------------
 
-def small_alphabet(l: int) -> Alphabet:
-    """a_0 < b_0 < a_1 < b_1 < ... < a_l < b_l with deg a_k = deg b_k = 2^k."""
-    if l < 0:
-        raise ValueError("need l >= 0")
+def _simple_root_alphabet(prefixes: Sequence[str], p: int, index_bound: int) -> Alphabet:
+    """One letter prefix+k of degree p^k for each prefix and each index
+    k <= index_bound, ordered by index, then as the prefixes are."""
     return Alphabet.from_names(
-        [item for k in range(l + 1) for item in ((f"a{k}", 2**k), (f"b{k}", 2**k))]
+        [(f"{x}{k}", p**k) for k in range(index_bound + 1) for x in prefixes]
     )
 
 
-def small_relations(alphabet: Alphabet, l: int, field: PrimeField) -> list[Polynomial]:
-    a = [alphabet.word(f"a{k}") for k in range(l + 1)]
-    b = [alphabet.word(f"b{k}") for k in range(l + 1)]
-    F, A = field, alphabet
+def _simple_root_system(
+    prefixes: tuple[str, str], field: PrimeField, index_bound: int, commute: bool
+) -> RewritingSystem:
+    """The n = 3 relations over a_0 < b_0 < a_1 < ... < b_{index_bound}, the
+    letters named by the two prefixes, a_k and b_k standing for e_12^(p^k)
+    and e_23^(p^k).  Per index k: a_k^p, b_k^p, the two Serre relations
+    when p > 2 (at p = 2 their place is taken by the cross-index relations
+    with a_{k+1}) and (b_k a_k)^p - (a_k b_k)^p.  Then per l > k:
+    a_l a_k - a_k a_l and b_l b_k - b_k b_l when `commute` is set, and
+    a_l b_k - b_k a_l - a_k b_k a_k^(p-1) ... a_{l-1}^(p-1) with its mirror
+    b_l a_k - a_k b_l - b_k a_k b_k^(p-1) ... b_{l-1}^(p-1)."""
+    p = field.p
+    alphabet = _simple_root_alphabet(prefixes, p, index_bound)
+    a = [(x,) for x in range(0, len(alphabet), 2)]
+    b = [(x,) for x in range(1, len(alphabet), 2)]
+
+    def rel(*terms: tuple[int, Word]) -> Polynomial:
+        return Polynomial.from_terms(field, alphabet, terms)
+
     rels = []
-    for k in range(l + 1):
-        rels.append(Polynomial.monomial(F, A, a[k] + a[k]))
-        rels.append(Polynomial.monomial(F, A, b[k] + b[k]))
-        rels.append(
-            Polynomial.from_terms(
-                F,
-                A,
-                [
-                    (1, b[k] + a[k] + b[k] + a[k]),
-                    (1, a[k] + b[k] + a[k] + b[k]),
-                ],
-            )
-        )
-        for m in range(k + 1, l + 1):
-            tail_a = a[k] + b[k] + a[k] + sum(a[k + 1 : m], ())
-            tail_b = b[k] + a[k] + b[k] + sum(b[k + 1 : m], ())
-            rels.append(
-                Polynomial.from_terms(F, A, [(1, a[m] + a[k]), (1, a[k] + a[m])])
-            )
-            rels.append(
-                Polynomial.from_terms(F, A, [(1, b[m] + b[k]), (1, b[k] + b[m])])
-            )
-            rels.append(
-                Polynomial.from_terms(
-                    F, A, [(1, a[m] + b[k]), (1, b[k] + a[m]), (1, tail_a)]
-                )
-            )
-            rels.append(
-                Polynomial.from_terms(
-                    F, A, [(1, b[m] + a[k]), (1, a[k] + b[m]), (1, tail_b)]
-                )
-            )
-    return rels
+    for k in range(len(a)):
+        x, y = a[k], b[k]
+        rels += [rel((1, x * p)), rel((1, y * p))]
+        if p > 2:
+            rels.append(rel((1, y + y + x), (-2, y + x + y), (1, x + y + y)))
+            rels.append(rel((1, y + x + x), (-2, x + y + x), (1, x + x + y)))
+        rels.append(rel((1, (y + x) * p), (-1, (x + y) * p)))
+        for l in range(k + 1, len(a)):
+            if commute:
+                rels.append(rel((1, a[l] + x), (-1, x + a[l])))
+                rels.append(rel((1, b[l] + y), (-1, y + b[l])))
+            tail_a = x + y + sum((a[m] * (p - 1) for m in range(k, l)), ())
+            tail_b = y + x + sum((b[m] * (p - 1) for m in range(k, l)), ())
+            rels.append(rel((1, a[l] + y), (-1, y + a[l]), (-1, tail_a)))
+            rels.append(rel((1, b[l] + x), (-1, x + b[l]), (-1, tail_b)))
+    return RewritingSystem.from_relations(alphabet, field, rels)
 
 
 def small_system(l: int) -> RewritingSystem:
-    """The finite reduced Groebner basis S_l over indices 0..l (p=2, n=3)."""
-    field = PrimeField(2)
-    alphabet = small_alphabet(l)
-    rules = [make_rule(f) for f in small_relations(alphabet, l, field)]
-    return RewritingSystem(alphabet, field, rules)
+    """The finite reduced Groebner basis S_l over indices 0..l (p = 2,
+    n = 3): the simple-root relations with the equal-position commutators,
+    over a0 < b0 < a1 < b1 < ... < al < bl with deg ak = deg bk = 2^k."""
+    if l < 0:
+        raise ValueError("need l >= 0")
+    return _simple_root_system(("a", "b"), PrimeField(2), l, commute=True)
 
 
 def _image_check(
@@ -282,23 +279,18 @@ def frobenius_shift_check(l: int, j: int) -> tuple[bool, list[Polynomial]]:
 
 def descent_or_step_permutations(l: int) -> list[tuple[int, ...]]:
     """Permutations (i_1..i_l) of (1..l) where each successor either drops
-    or rises by exactly one."""
-    return [
-        perm
-        for perm in itertools.permutations(range(1, l + 1))
-        if all(perm[s + 1] < perm[s] or perm[s + 1] == perm[s] + 1 for s in range(l - 1))
-    ]
+    or rises by exactly one, sorted.  Each is a run of consecutive values
+    ascending to l, followed by such a permutation of the values below the
+    run: one per composition of l."""
 
+    def below(top: int):
+        if top == 0:
+            yield ()
+        for start in range(1, top + 1):
+            for rest in below(start - 1):
+                yield tuple(range(start, top + 1)) + rest
 
-def _conjectural_alphabet(n: int, p: int, index_bound: int) -> Alphabet:
-    """a_{1k} < a_{2k} < ... < a_{n-1,k} < a_{1,k+1} < ..., deg a_{ik} = p^k."""
-    return Alphabet.from_names(
-        [
-            (f"a{i}_{k}", p**k)
-            for k in range(index_bound + 1)
-            for i in range(1, n)
-        ]
-    )
+    return sorted(below(l))
 
 
 def conjectural_system(
@@ -312,103 +304,40 @@ def conjectural_system(
     if variant == "odd_p_n3":
         if p <= 2 or n != 3:
             raise ValueError("odd_p_n3 requires p > 2 and n = 3")
-        alphabet = _conjectural_alphabet(3, p, index_bound)
-        a = [alphabet.word(f"a1_{k}") for k in range(index_bound + 1)]
-        b = [alphabet.word(f"a2_{k}") for k in range(index_bound + 1)]
-        F, A = field, alphabet
-        rels = []
-        for k in range(index_bound + 1):
-            rels.append(Polynomial.monomial(F, A, a[k] * p))
-            rels.append(Polynomial.monomial(F, A, b[k] * p))
-            rels.append(
-                Polynomial.from_terms(
-                    F,
-                    A,
-                    [
-                        (1, b[k] + b[k] + a[k]),
-                        (-2, b[k] + a[k] + b[k]),
-                        (1, a[k] + b[k] + b[k]),
-                    ],
-                )
-            )
-            rels.append(
-                Polynomial.from_terms(
-                    F,
-                    A,
-                    [
-                        (1, b[k] + a[k] + a[k]),
-                        (-2, a[k] + b[k] + a[k]),
-                        (1, a[k] + a[k] + b[k]),
-                    ],
-                )
-            )
-            rels.append(
-                Polynomial.from_terms(
-                    F,
-                    A,
-                    [
-                        (1, (b[k] + a[k]) * p),
-                        (-1, (a[k] + b[k]) * p),
-                    ],
-                )
-            )
-            for l in range(k + 1, index_bound + 1):
-                tail_a = a[k] + b[k] + sum((a[m] * (p - 1) for m in range(k, l)), ())
-                tail_b = b[k] + a[k] + sum((b[m] * (p - 1) for m in range(k, l)), ())
-                rels.append(
-                    Polynomial.from_terms(
-                        F,
-                        A,
-                        [(1, a[l] + b[k]), (-1, b[k] + a[l]), (-1, tail_a)],
-                    )
-                )
-                rels.append(
-                    Polynomial.from_terms(
-                        F,
-                        A,
-                        [(1, b[l] + a[k]), (-1, a[k] + b[l]), (-1, tail_b)],
-                    )
-                )
-    elif variant == "p2_general_n":
-        if p != 2 or n < 4:
-            raise ValueError("p2_general_n requires p = 2 and n >= 4")
-        alphabet = _conjectural_alphabet(n, 2, index_bound)
-
-        def prod(seq, k):
-            return alphabet.word(*(f"a{i}_{k}" for i in seq))
-
-        rels = []
-        for k in range(index_bound + 1):
-            for i in range(1, n):
-                rels.append(Polynomial.monomial(field, alphabet, prod([i, i], k)))
-            # squared staircase products, summed over the admissible orderings
-            for l in range(2, n):
-                for m in range(0, n - l):
-                    terms = []
-                    for perm in descent_or_step_permutations(l):
-                        shifted = [idx + m for idx in perm]
-                        terms.append((1, prod(shifted + shifted, k)))
-                    rels.append(Polynomial.from_terms(field, alphabet, terms))
-            # commutator relations against the interval products
-            for m in range(1, n - 1):
-                for i in range(1, n - m):
-                    x = prod([i + m - 1], k)
-                    up = prod(range(i, i + m + 1), k)
-                    down = prod(range(i + m, i - 1, -1), k)
-                    rels.append(
-                        Polynomial.from_terms(
-                            field,
-                            alphabet,
-                            [
-                                (1, x + up),
-                                (1, up + x),
-                                (1, x + down),
-                                (1, down + x),
-                            ],
-                        )
-                    )
-    else:
+        return _simple_root_system(("a1_", "a2_"), field, index_bound, commute=False)
+    if variant != "p2_general_n":
         raise ValueError(f"unknown variant {variant!r}")
+    if p != 2 or n < 4:
+        raise ValueError("p2_general_n requires p = 2 and n >= 4")
+    alphabet = _simple_root_alphabet([f"a{i}_" for i in range(1, n)], 2, index_bound)
+    perms = {l: descent_or_step_permutations(l) for l in range(2, n)}
 
-    rules = [make_rule(f) for f in rels if not f.is_zero()]
-    return RewritingSystem(alphabet, field, rules)
+    def prod(seq, k):
+        return alphabet.word(*(f"a{i}_{k}" for i in seq))
+
+    rels = []
+    for k in range(index_bound + 1):
+        for i in range(1, n):
+            rels.append(Polynomial.monomial(field, alphabet, prod([i, i], k)))
+        # squared staircase products, summed over the admissible orderings
+        for l in range(2, n):
+            for m in range(0, n - l):
+                terms = []
+                for perm in perms[l]:
+                    shifted = [idx + m for idx in perm]
+                    terms.append((1, prod(shifted + shifted, k)))
+                rels.append(Polynomial.from_terms(field, alphabet, terms))
+        # commutator relations against the interval products
+        for m in range(1, n - 1):
+            for i in range(1, n - m):
+                x = prod([i + m - 1], k)
+                up = prod(range(i, i + m + 1), k)
+                down = prod(range(i + m, i - 1, -1), k)
+                rels.append(
+                    Polynomial.from_terms(
+                        field,
+                        alphabet,
+                        [(1, x + up), (1, up + x), (1, x + down), (1, down + x)],
+                    )
+                )
+    return RewritingSystem.from_relations(alphabet, field, rels)

@@ -303,7 +303,9 @@ class RewritingSystem:
         relations: Iterable[Polynomial],
         **kwargs,
     ) -> "RewritingSystem":
-        return cls(alphabet, field, [make_rule(f) for f in relations], **kwargs)
+        """The system of one rule per nonzero relation, in order."""
+        rules = [make_rule(f) for f in relations if not f.is_zero()]
+        return cls(alphabet, field, rules, **kwargs)
 
     def with_rules(self, rules: Sequence[RewriteRule], **kwargs) -> "RewritingSystem":
         return RewritingSystem(self.alphabet, self.field, rules, **kwargs)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -89,6 +90,57 @@ def test_big_system_rules_are_pinned():
     assert h.hexdigest() == BIG_RULES_DIGEST
 
 
+# the rules of the n = 3 simple-root presentations, pinned as big_system's
+# are: small_system(l) for l <= 5 and odd_p_n3 for p in {3, 5, 7} and
+# index <= 3, recorded before both were built by one builder
+SIMPLE_ROOT_RULES_DIGEST = "3e8eb80274e7c2e72ee3c8c80598fe9fdb47e09e2386ec6d8db98b7be4c65632"
+
+
+def test_simple_root_rules_are_pinned():
+    systems = [small_system(l) for l in range(6)] + [
+        conjectural_system("odd_p_n3", 3, p, index) for p in (3, 5, 7) for index in range(4)
+    ]
+    h = hashlib.sha256()
+    for system in systems:
+        rules = [(r.lhs, list(r.rhs.terms.items())) for r in system.rules]
+        h.update(repr(rules).encode())
+    assert h.hexdigest() == SIMPLE_ROOT_RULES_DIGEST
+
+
+def _odd_p_n3_images(p, index, signed):
+    """The nonzero normal forms in big(3, p, p^(index+1) - 1) of the
+    odd_p_n3 relations under a_{ik} -> s^k e_{i,i+1}^(p^k), s = -1 when
+    signed and 1 otherwise."""
+    system = conjectural_system("odd_p_n3", 3, p, index)
+    big = big_system(3, p, p ** (index + 1) - 1)
+    sign = -1 if signed else 1
+    letter, scale = [], []
+    for g in system.alphabet:
+        i, k = map(int, g.name[1:].split("_"))
+        letter.append(big.alphabet.index(f"e{i}{i + 1}_{p ** k}"))
+        scale.append(sign**k)
+    failures = []
+    for rule in system.rules:
+        terms = []
+        for w, c in rule.polynomial().terms.items():
+            for x in w:
+                c *= scale[x]
+            terms.append((c, tuple(letter[x] for x in w)))
+        nf = big.normal_form(Polynomial.from_terms(big.field, big.alphabet, terms))
+        if not nf.is_zero():
+            failures.append(nf)
+    return failures
+
+
+@pytest.mark.parametrize("p,index,unsigned_failures", [(3, 1, 2), (3, 2, 4), (5, 1, 2)])
+def test_odd_p_n3_relations_hold_in_big_under_the_signed_map(p, index, unsigned_failures):
+    # the signed map a_{ik} -> (-1)^k e_{i,i+1}^(p^k) kills every relation;
+    # the unsigned one leaves nonzero the mixed-index relations a_l b_k and
+    # b_l a_k with l - k odd, whose lhs and tail differ in sign by (-1)^(l-k)
+    assert _odd_p_n3_images(p, index, signed=True) == []
+    assert len(_odd_p_n3_images(p, index, signed=False)) == unsigned_failures
+
+
 def test_pbw_dimension():
     assert pbw_dimension(3, 2, 1) == 8
     assert pbw_dimension(3, 2, 2) == 64
@@ -132,6 +184,18 @@ def test_verify_small_against_big(l):
 def test_frobenius_shift(l, j):
     ok, failures = frobenius_shift_check(l, j)
     assert ok, failures
+
+
+@pytest.mark.parametrize("l", range(9))
+def test_descent_or_step_permutations_match_the_filter(l):
+    # the reference: filter all l! permutations, in itertools' (sorted) order
+    expected = [
+        perm
+        for perm in itertools.permutations(range(1, l + 1))
+        if all(perm[s + 1] < perm[s] or perm[s + 1] == perm[s] + 1 for s in range(l - 1))
+    ]
+    assert descent_or_step_permutations(l) == expected
+    assert len(expected) == 2 ** max(l - 1, 0)
 
 
 def test_descent_or_step_permutations():

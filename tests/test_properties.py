@@ -1139,3 +1139,46 @@ def test_input_rule_order_does_not_change_the_completed_system(case, data):
     assert low[0] == low[1]
     for w in words_up_to_degree(system.alphabet, bound):
         assert done[0].normal_form_word(w) == done[1].normal_form_word(w)
+
+
+def cube_case():
+    """x0 x0 x0 = 0 over F_2 with x0, x1 of degree 1.  Its level-2 chain
+    is x0^4; x0^5, the lhs overlapping itself in one letter, is no chain,
+    because its shorter prefix x0^4 past the level-1 chain holds an lhs."""
+    alphabet = Alphabet.from_names([("x0", 1), ("x1", 1)])
+    rule = make_rule(Polynomial.from_terms(F2, alphabet, [(1, (0, 0, 0))]))
+    return RewritingSystem(alphabet, F2, [rule]), 6
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(homogeneous=True), st.integers(1, 8))
+@example(cube_case(), 6)
+def test_chain_counts_times_the_hilbert_series_is_one(case, D):
+    # Anick's resolution is exact, so its chain counts C_n(t) and the
+    # Hilbert series H_A(t) of the algebra satisfy
+    # (sum over n >= -1 of (-1)^(n+1) C_n(t)) H_A(t) = 1 mod t^(D+1) when
+    # the chains are those of a reduced system complete up to D
+    system, _bound = case
+    try:
+        system = system.complete(D).interreduce()
+    except CompletionCapError:
+        assume(False)
+    degree = system.alphabet.degree
+    key = system.alphabet.sort_key
+    level = sorted(
+        ((L, L[1:]) for L in system.lhs_words() if degree(L) <= D), key=lambda tu: key(tu[0])
+    )
+    series = [0] * (D + 1)
+    series[0] = 1  # level -1: the empty chain
+    for x in range(len(system.alphabet)):
+        if degree((x,)) <= D:
+            series[degree((x,))] -= 1
+    sign = 1
+    while level:
+        for t, _u in level:
+            series[degree(t)] += sign
+        level = extend_chains(system, level, D)
+        sign = -sign
+    hilbert = system.irreducible_counts_by_degree(D)
+    product = [sum(series[k] * hilbert.get(d - k, 0) for k in range(d + 1)) for d in range(D + 1)]
+    assert product == [1] + [0] * D
