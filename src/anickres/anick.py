@@ -20,7 +20,13 @@ that is a chain one level down, and the splitting map j sends m.t to
 u.(v t) for the longest suffix v of m = u v that makes v t a chain one
 level up.  d_{-1} is the augmentation.  The lift terminates because the
 leading basis element strictly drops in the (artinian) order induced by
-m.t -> mt.
+m.t -> mt.  On a homogeneous system every term of a lift has one degree,
+where deglex is tuple order, so leads compare the words mt themselves.
+The input is tested for a cycle only when the lift gets stuck: on a
+complete system d o d = 0, so a non-cycle is no boundary, its lift always
+gets stuck, and the error names its boundary.  On an incomplete system a
+non-cycle may lift; neither CLI path resolves one (`anick` checks
+completeness, `betti` completes first).
 
 Every term m.t' of d(.t) has deg t' <= deg t (rewriting never raises the
 degree), so the chains of degree <= D span a subcomplex with the same
@@ -29,7 +35,8 @@ prefix lists only those chains, each level extending only the chains kept
 below it, and only up to D.  `diff[level]` tabulates d(.t) when t is first
 read, so a run builds no differential it does not read; its len, iteration
 and `in` see only the entries read so far, so readers go through the chain
-lists.
+lists.  Its dicts are shared, never changed: `act` by the empty word hands
+back the element it was given, as `normal_form_word` hands out its memo.
 """
 
 from __future__ import annotations
@@ -131,6 +138,11 @@ class ResolutionPrefix:
         self.field = system.field
         self.alphabet = alphabet
         key, degree = alphabet.sort_key, alphabet.degree
+        # the first rule whose tail leaves the degree of its lhs, or None
+        self.inhomogeneous_rule = next(
+            (r for r in system.rules if any(degree(w) != degree(r.lhs) for w in r.rhs.terms)),
+            None,
+        )
         bound = float("inf") if max_degree is None else max_degree
         self.chains: dict[int, list[Word]] = {
             -1: [e],
@@ -178,7 +190,11 @@ class ResolutionPrefix:
 
     # ----- module structure ------------------------------------------
     def act(self, m: Word, terms: dict) -> dict[tuple[Word, Word], int]:
-        """Left multiplication by m, re-expanded into the m'.t basis."""
+        """Left multiplication by m, re-expanded into the m'.t basis.  An
+        empty m returns `terms` itself, shared like a normal form: the
+        caller never changes it."""
+        if not m:
+            return terms
         acc: dict[tuple[Word, Word], int] = {}
         p = self.field.p
         for (m1, t), c in terms.items():
@@ -214,35 +230,39 @@ class ResolutionPrefix:
 
     def lift_i(self, level: int, f: dict) -> dict[tuple[Word, Word], int]:
         """The contracting lift i_level: a cycle f at level-1 goes to an
-        element one level up with d_level(i(f)) = f."""
-        below = self.boundary(level - 1, f)
-        if below:
-            raise LiftError(
-                f"lift input is not a cycle: boundary "
-                f"{format_terms(self.alphabet, below)}; {_STUCK}"
-            )
+        element one level up with d_level(i(f)) = f.  Leads compare the
+        words mt on a homogeneous system and their deglex keys otherwise; f
+        is tested for a cycle only once the lift gets stuck (see the module
+        docstring)."""
         p = self.field.p
         fmt, key = self.alphabet.format, self.alphabet.sort_key
+        if self.inhomogeneous_rule is None:
+            order = lambda mt: mt[0] + mt[1]
+        else:
+            order = lambda mt: key(mt[0] + mt[1])
         result: dict[tuple[Word, Word], int] = {}
         rest = dict(f)
         guard = None
         while rest:
-            m, t = max(rest, key=lambda mt: key(mt[0] + mt[1]))
-            lead = key(m + t)
+            m, t = max(rest, key=order)
+            lead = order((m, t))
             if guard is not None and lead >= guard:
-                raise LiftError(
-                    f"leading element failed to decrease at {fmt(m)}.{fmt(t)}; {_STUCK}"
-                )
+                stuck = f"leading element failed to decrease at {fmt(m)}.{fmt(t)}"
+                break
             guard = lead
             g = self.j_map(level, m, t)
             if g is None:
-                raise LiftError(
-                    f"leading element {fmt(m)}.{fmt(t)} of a cycle is not liftable; {_STUCK}"
-                )
+                stuck = f"leading element {fmt(m)}.{fmt(t)} of a cycle is not liftable"
+                break
             g_terms = {g: rest[(m, t)]}
             accumulate(result, 1, g_terms, p)
             accumulate(rest, -1, self.boundary(level, g_terms), p)
-        return result
+        else:
+            return result
+        below = self.boundary(level - 1, f)
+        if below:
+            stuck = f"lift input is not a cycle: boundary {format_terms(self.alphabet, below)}"
+        raise LiftError(f"{stuck}; {_STUCK}")
 
     # ----- verification ----------------------------------------------
     def generators(self) -> list[tuple[int, Word]]:
@@ -250,7 +270,12 @@ class ResolutionPrefix:
         return [(level, t) for level, ts in self.chains.items() if level >= 0 for t in ts]
 
     def verify_complex(self) -> tuple[bool, list[str]]:
-        """d_{n-1} d_n = 0 on every generator, epsilon d_0 = 0 included."""
+        """d_{n-1} d_n = 0 on every generator, epsilon d_0 = 0 included.
+
+        This holds by construction once each lift ends with nothing left,
+        d(i(f)) = f, so the check guards the integrity of the tables; an
+        incomplete system shows up earlier, as a lift input that is not a
+        cycle."""
         problems = []
         for level, t in self.generators():
             square = self.boundary(level - 1, self.diff[level][t])

@@ -55,7 +55,7 @@ lemma) only if `is_complete(D)` fails, and interreduces the completion.
 Interreduction returns a reduced system itself and completion its working
 system, so the memo that the completeness check and completion warm stays
 with the system the chains are read from.  It refuses a presentation
-that is not augmented (the prefix) or not homogeneous.
+that is not augmented or not homogeneous, as the prefix finds it.
 
 Homological indexing of the Betti table: level 0 is the free cover of the
 trivial module (one generator in degree 0, chain level -1), level 1 counts
@@ -413,14 +413,12 @@ def resolve(system: RewritingSystem, max_degree: int) -> GradedComplex:
     if not system.is_complete(max_degree)[0]:
         system = system.complete(max_degree).interreduce()
     prefix = ResolutionPrefix(system, max_degree)
-    degree = system.alphabet.degree
-    for rule in system.rules:
-        d = degree(rule.lhs)
-        if any(degree(w) != d for w in rule.rhs.terms):
-            raise ValueError(
-                f"graded Betti numbers need homogeneous relations: "
-                f"the tail of rule {rule} leaves degree {d}"
-            )
+    rule = prefix.inhomogeneous_rule
+    if rule is not None:
+        raise ValueError(
+            f"graded Betti numbers need homogeneous relations: "
+            f"the tail of rule {rule} leaves degree {system.alphabet.degree(rule.lhs)}"
+        )
     return GradedComplex.from_prefix(prefix)
 
 

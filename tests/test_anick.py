@@ -3,7 +3,7 @@ import pytest
 from anickres.anick import LiftError, ResolutionPrefix, extend_chains, format_terms
 from anickres.fields import PrimeField
 from anickres.kostant import big_system, small_system
-from anickres.polynomials import Polynomial
+from anickres.polynomials import Polynomial, accumulate
 from anickres.rewriting import RewritingSystem
 from anickres.words import Alphabet, contains
 
@@ -278,3 +278,44 @@ def test_lift_needing_a_chain_above_the_bound_is_not_liftable():
     with pytest.raises(LiftError) as raised:
         prefix.lift_i(2, {(a, a + a): 1})
     assert str(raised.value) == "leading element a.a a of a cycle is not liftable" + STUCK
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_lift_names_a_noncycle_at_every_level(prefix3, level):
+    # f = d(.t) + e.c lifts d(.t) and then gets stuck; only then is f tested
+    # for a cycle, and the error names its boundary d(e.c) = d(.c)
+    e = prefix3.alphabet.empty_word
+    t, c = prefix3.chains[level][-1], prefix3.chains[level - 1][0]
+    f = dict(prefix3.diff[level][t])
+    accumulate(f, 1, {(e, c): 1}, prefix3.field.p)
+    below = prefix3.boundary(level - 1, {(e, c): 1})
+    with pytest.raises(LiftError, match="not a cycle") as raised:
+        prefix3.lift_i(level, f)
+    assert str(raised.value) == (
+        f"lift input is not a cycle: boundary {format_terms(prefix3.alphabet, below)}" + STUCK
+    )
+
+
+def test_inhomogeneous_lift_leads_by_degree():
+    # y x y -> 2 y y over F_3 is complete, and its tail leaves the degree of
+    # its lhs: tuple order on the word mt would put y . y above y x . y and
+    # get the lift stuck, so leads are taken in deglex order
+    F3 = PrimeField(3)
+    alphabet = Alphabet.from_names([("x", 1), ("y", 1)])
+    w = alphabet.word
+    rel = Polynomial.from_terms(F3, alphabet, [(1, w("y", "x", "y")), (1, w("y", "y"))])
+    system = RewritingSystem.from_relations(alphabet, F3, [rel])
+    assert system.is_complete()[0]
+    prefix = ResolutionPrefix(system, 8)
+    assert prefix.inhomogeneous_rule is system.rules[0]
+    tables = {
+        (level, alphabet.format(t)): format_terms(alphabet, prefix.diff[level][t])
+        for level, t in prefix.generators()
+    }
+    assert tables == {
+        (0, "x"): "x . e",
+        (0, "y"): "y . e",
+        (1, "y x y"): "y x . y + y . y",
+        (2, "y x y x y"): "y x . y x y + y . y x y",
+    }
+    assert prefix.verify_complex()[0]

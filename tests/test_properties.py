@@ -698,6 +698,35 @@ def incomplete_case():
     return RewritingSystem(alphabet, F3, [make_rule(relation)]), 4
 
 
+def inhomogeneous_case():
+    """y x y -> 2 y y over F_3 (x, y of degree 1), bound 8: complete, with a
+    tail that leaves the degree of its lhs, and chains up to y x y x y at
+    level 2."""
+    alphabet = Alphabet.from_names([("x", 1), ("y", 1)])
+    relation = Polynomial.from_terms(F3, alphabet, [(1, (1, 0, 1)), (1, (1, 1))])
+    return RewritingSystem(alphabet, F3, [make_rule(relation)]), 8
+
+
+@settings(max_examples=50, deadline=None)
+@given(presentations(homogeneous=False))
+@example(inhomogeneous_case())
+def test_lift_inverts_the_boundary_on_inhomogeneous_systems(case):
+    # off one degree, deglex is not tuple order on the word mt: the lift,
+    # led by deglex, lifts every boundary d(.t) of an augmented system
+    # completed up to the bound (draws that complete to a homogeneous
+    # system stay in: there the lift leads by tuple order)
+    system, bound = case
+    try:
+        system = system.complete(bound, max_new_rules=12).interreduce()
+    except (CompletionCapError, UnorderableRelationError):
+        assume(False)
+    assume(all(system.alphabet.empty_word not in r.rhs.terms for r in system.rules))
+    prefix = ResolutionPrefix(system, bound)
+    for level, t in prefix.generators():
+        f = prefix.diff[level][t]
+        assert prefix.boundary(level, prefix.lift_i(level, f)) == f
+
+
 @settings(max_examples=60, deadline=None)
 @given(presentations(homogeneous=True), st.integers(0, 2))
 @example(odd_sign_case(), 2)

@@ -382,8 +382,10 @@ def test_betti_truncation_stability():
 @pytest.mark.parametrize("build", [lambda: _small(2), _big], ids=["small l=2", "big(3,3,2)"])
 def test_shared_differentials_are_never_changed(build):
     # the prefix's tabulated d(.t) and the complexes' diff entries are the
-    # same dicts, and normal_form_word hands out the memo's own dicts; no
-    # step of the pipeline may change one in place
+    # same dicts, and normal_form_word and act by an empty word hand out
+    # the dicts they read; no step of the pipeline may change one in place,
+    # so every table still equals that of a fresh prefix tabulated in the
+    # opposite order
     gc = build()
     prefix = gc.prefix
     system = prefix.system
@@ -406,6 +408,9 @@ def test_shared_differentials_are_never_changed(build):
     assert {w: list(system._nf[w].items()) for w in read} == read
     fresh = system.with_rules(system.rules)
     assert all(nf == fresh.normal_form_word(w) for w, nf in system._nf.items())
+    again = ResolutionPrefix(fresh)
+    for lvl, t in reversed(prefix.generators()):
+        assert prefix.diff[lvl][t] == again.diff[lvl][t]
 
 
 def test_betti_small_reads_no_differential_above_D():
