@@ -2,10 +2,10 @@
 ranks of the differentials over F_p, exactness defects, the radical
 (minimality) criterion, minimalization, and graded Betti tables.
 
-The column of the basis element m.t is its image under d, m * d(.t).
-Columns are built by left multiplication from the column of m'.t for
-m = x m' (Anick's module structure), so each one reduces only words x w
-with w already irreducible.
+The column of the basis element m.t is its image under d, m * d(.t)
+(Anick's module structure), built by `prefix.act` and never cached: the
+normal-form memo holds nf(m' w) for m = x m', so reducing x m' w is one
+engine step from it.
 
 The rank of d_level in degree d (level >= 0) is taken by one greedy
 elimination, `independent_columns`, that never builds the matrix, never
@@ -27,8 +27,9 @@ reduced complete system that the column images already assume.  Most
 columns of a large degree are never built: in degree 12 of the
 minimalized big(4,3,2) complex, 538 of 11,684 level-2 columns are
 independent, and in the minimalized small l=4 complex to degree 18,
-1,904 of the 8,303 candidates have their image built.  Only the images
-of kept columns stay cached, since only they are extended.  The
+1,441 of the 8,303 candidates have their image built, each once: a pivot
+not yet built is its candidate's record, turned into the image on the
+first reduction that reaches it.  The
 exactness defect needs the number of columns too, and counts them on the
 automaton of the left-hand sides: the sum over the chains t of the
 irreducible words of degree d - deg t.
@@ -66,7 +67,6 @@ minimalization.
 from __future__ import annotations
 
 import bisect
-import functools
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .anick import ResolutionPrefix, _OnDemand
@@ -103,14 +103,18 @@ class _Echelon:
     themselves by default), and the pivot rows found so far are kept in
     `pivots`, one per lead.  A row is reduced against the pivot of its lead
     until it vanishes or leads with a key no pivot has.  A caller that knows
-    a row's lead may store a function that builds the row under that lead
-    instead of the row; it is called once, when a reduction first needs it.
+    a row's lead may store under that lead, instead of the row, any
+    placeholder that is not a dict; `build(placeholder)` turns it into its
+    row once, on the first reduction that reaches it.
     """
 
-    def __init__(self, p: int, order: Optional[Callable] = None):
+    def __init__(
+        self, p: int, order: Optional[Callable] = None, build: Optional[Callable] = None
+    ):
         self.p = p
         self.order = order
-        self.pivots: dict = {}  # lead -> its row, or a function that builds it
+        self.build = build
+        self.pivots: dict = {}  # lead -> its row, or a placeholder that `build` turns into it
 
     def insert(self, row: dict) -> bool:
         """Reduce the {key: nonzero residue} row in place; keep it as a new
@@ -122,8 +126,8 @@ class _Echelon:
             if pivot is None:
                 pivots[lead] = row
                 return True
-            if callable(pivot):
-                pivot = pivots[lead] = pivot()
+            if not isinstance(pivot, dict):
+                pivot = pivots[lead] = self.build(pivot)
             accumulate(row, -row[lead] * pow(pivot[lead], p - 2, p), pivot, p)
         return False
 
@@ -168,8 +172,6 @@ class GradedComplex:
         self._by_degree: dict[int, dict[int, list[Word]]] = {}  # level -> degree -> chains
         # (level, d) -> the records of the independent columns, levels >= 0 (see _kept_records)
         self._records: dict[tuple[int, int], list[tuple]] = {}
-        # (level, m, t) -> {(w, t'): c}, the image m * d_level(.t), where built
-        self._images: dict[tuple[int, Word, Word], dict[tuple[Word, Word], int]] = {}
         self._orders: dict[int, Callable] = {}  # level -> the sort key of basis order
 
     @classmethod
@@ -234,25 +236,13 @@ class GradedComplex:
 
     # ----- matrices ---------------------------------------------------
     def column_image(self, level: int, m: Word, t: Word) -> dict[tuple[Word, Word], int]:
-        """The image m * d_level(.t) of the basis element m.t, as {(w, t'): c}.
-
-        The empty m gives d_level(.t) itself.  For m = x m' with x the
-        first letter, the image is `prefix.act(x, ...)` of the cached image
-        of m'.t (m' is irreducible, a suffix of m), which reduces only
-        words x w with w irreducible.  This equals `prefix.act(m,
-        diff[level][t])` since nf(x nf(u)) = nf(x u) on any system: it is
-        the step by which the rewriting engine reduces x u.
+        """The image m * d_level(.t) of the basis element m.t, as {(w, t'): c},
+        built by `prefix.act` on each call (the empty m gives d_level(.t)
+        itself, shared and never changed).  Nothing is cached here: the
+        normal-form memo already holds nf(m' w) for the suffix m' of m = x m',
+        so nf(x m' w) costs one rewriting step from it.
         """
-        key = (level, m, t)
-        image = self._images.get(key)
-        if image is not None:
-            return image
-        if not m:
-            image = self.diff[level][t]
-        else:
-            image = self.prefix.act(m[:1], self.column_image(level, m[1:], t))
-        self._images[key] = image
-        return image
+        return self.prefix.act(m, self.diff[level][t])
 
     def differential_matrix(self, level: int, d: int) -> list[dict[int, int]]:
         """d_level in degree d as sparse rows (rows: level-1, cols: level).
@@ -278,15 +268,17 @@ class GradedComplex:
             order = self._orders[level] = lambda mt: (mt[0] + mt[1], position[mt[1]])
         return order
 
-    def _image_lead(self, level: int, m: Word, t: Word) -> Optional[tuple[tuple[Word, Word], int]]:
-        """The lead ((w, t'), c) of the image of m.t, its largest basis
-        element in basis order with its coefficient, or None for a zero
-        image; the image is built."""
+    def _image_lead(
+        self, level: int, m: Word, t: Word
+    ) -> tuple[dict, Optional[tuple[tuple[Word, Word], int]]]:
+        """The image of m.t, built, and its lead ((w, t'), c), its largest
+        basis element in basis order with its coefficient, or None for a
+        zero image."""
         image = self.column_image(level, m, t)
         if not image:
-            return None
+            return image, None
         top = max(image, key=self._basis_order(level - 1))
-        return top, image[top]
+        return image, (top, image[top])
 
     def independent_columns(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
         """The basis elements m.t of degree d (level >= 0) whose columns one
@@ -310,13 +302,16 @@ class GradedComplex:
         of the automaton from s tells whether x m' is irreducible, and one
         from s1 whether x m1 is: then the lead of x m'.t is ((x m1).t1, c)
         and no image is built; otherwise the image is built, its maximum
-        taken, and the state of that lead word walked once.
+        taken, and the state of that lead word read off the automaton.
 
         In basis order, a candidate whose lead no pivot has yet is kept at
-        once, with its image left unbuilt as the pivot of that lead.  On a
+        once: a carried lead with its own record as the pivot's placeholder,
+        an uncarried one with the image just built as the pivot row.  On a
         collision its image is built and reduced against the pivots, each
-        pivot's row built on its first use, until it leads with a new key
-        (kept, the reduced row its pivot) or vanishes (dropped).  Any
+        placeholder's image built on its first use, until it leads with a
+        new key (kept, the reduced row its pivot) or vanishes (dropped).  No
+        image is cached, and none is built twice: a candidate's image is
+        built at most once, here or as its placeholder's row.  Any
         combination of rows with distinct leads leads with one of their
         leads, so a candidate is kept exactly when it is independent of the
         columns kept before it: the kept columns are those of an
@@ -341,21 +336,32 @@ class GradedComplex:
         order = self._basis_order(level)
         for t in self._chains_by_degree(level).get(d, ()):
             bisect.insort(candidates, ((), t, 0, None, None, None, None), key=order)
-        echelon = _Echelon(self.field.p, self._basis_order(level - 1))
+
+        def build(record):  # a pivot not yet built is its candidate's record
+            return self.column_image(level, record[0], record[1])
+
+        echelon = _Echelon(self.field.p, self._basis_order(level - 1), build)
         pivots = echelon.pivots
         kept = []
         for record in candidates:
             m, t, s, m1, t1, c, s1 = record
-            if m1 is None and (lead := self._image_lead(level, m, t)) is not None:
+            if m1 is not None:  # the lead carried: the record stands for the image
+                if pivots.setdefault((m1, t1), record) is record:
+                    kept.append(record)
+                    continue
+                image = self.column_image(level, m, t)
+            else:
+                image, lead = self._image_lead(level, m, t)
+                if lead is None:
+                    continue
                 (m1, t1), c = lead
-                s1 = functools.reduce(lambda q, y: step[q][y], reversed(m1), 0)
-                record = (m, t, s, m1, t1, c, s1)
-            if m1 is not None and (m1, t1) not in pivots:
-                pivots[(m1, t1)] = functools.partial(self.column_image, level, m, t)
-            elif m1 is None or not echelon.insert(dict(self.column_image(level, m, t))):
-                del self._images[(level, m, t)]  # only kept columns are extended
-                continue
-            kept.append(record)
+                record = (m, t, s, m1, t1, c, self.system.prepend_state(m1))
+                if (m1, t1) not in pivots:
+                    pivots[(m1, t1)] = image
+                    kept.append(record)
+                    continue
+            if echelon.insert(dict(image)):
+                kept.append(record)
         self._records[key] = kept
         return kept
 

@@ -58,7 +58,8 @@ does: the prepend automaton, the Aho-Corasick automaton of the reversed
 left-hand sides, built on first use.  It reads a word from its end.  The
 state of an irreducible w is the longest prefix of w that is a suffix of
 an lhs, and one step on a letter x gives the state of x w or marks x w
-reducible, so w is irreducible exactly when its reading meets no mark.
+reducible, so w is irreducible exactly when its reading, `prepend_state`,
+meets no mark.
 Irreducible words are grown at the front by reading the automaton's rows,
 and counted as its paths (Ufnarovski, Combinatorial and asymptotic methods
 in algebra, 1995), per (degree, state) without listing a word.
@@ -371,15 +372,19 @@ class RewritingSystem:
                 out += dict.fromkeys(self._lhs[k][t:] for k in path[-1].get(_PAST, ()))
         return out
 
-    def is_irreducible_word(self, w: Word) -> bool:
-        """No lhs occurs in w: its reading from the end on the prepend
-        automaton, which stops at the first mark, meets none."""
+    def prepend_state(self, w: Word) -> Optional[int]:
+        """The state of w in the prepend automaton, read from its end, or
+        None when an lhs occurs in w (the reading stops at the first mark)."""
         step, s = self.prepend_automaton(), 0
         for x in reversed(w):
             s = step[s][x]
             if s is None:
-                return False
-        return True
+                return None
+        return s
+
+    def is_irreducible_word(self, w: Word) -> bool:
+        """No lhs occurs in w: it has a state in the prepend automaton."""
+        return self.prepend_state(w) is not None
 
     def apply_step(self, w: Word, pos: int, ridx: int) -> Polynomial:
         """u * rhs * v for the occurrence of rule `ridx` at `pos` in w."""
@@ -651,15 +656,18 @@ class RewritingSystem:
         not reduced reduces, the tail is set to its normal form here, which
         is the one modulo the others (the words reached lie deglex-below the
         lhs), and the scan goes on; else the rule is reduced modulo a system
-        without it, dropped if that gives 0, and the scan restarts."""
-        current = self
+        without it, dropped if that gives 0, and the scan restarts.  On an
+        inhomogeneous system a rule may come back with an lhs at or below
+        the `complete_up_to` bound, whose pairs no completion resolved: the
+        claim is then dropped (None)."""
+        current, claim = self, self.complete_up_to
         for _ in range(_INTERREDUCE_PASSES):
             found = current._unreduced_rule(0)
             while found is not None and found[1]:
                 i = found[0]
                 tail = current.normal_form(current.rules[i].rhs)
                 if current is self:
-                    current = self.with_rules(self.rules, complete_up_to=self.complete_up_to)
+                    current = self.with_rules(self.rules, complete_up_to=claim)
                     current._prepend = self._prepend  # built by the scan; no lhs changes
                 current._set_tail(i, tail)
                 found = current._unreduced_rule(i + 1)
@@ -667,11 +675,14 @@ class RewritingSystem:
                 return current
             rules = list(current.rules)
             rule = rules.pop(found[0])
-            current = self.with_rules(rules, complete_up_to=self.complete_up_to)
+            current = self.with_rules(rules, complete_up_to=claim)
             nf = current.normal_form(rule.polynomial())
             if not nf.is_zero():
-                rules.insert(found[0], make_rule(nf))
-                current = self.with_rules(rules, complete_up_to=self.complete_up_to)
+                rule = make_rule(nf)
+                if claim is not None and self.alphabet.degree(rule.lhs) <= claim:
+                    claim = None  # no pair of the new lhs was resolved
+                rules.insert(found[0], rule)
+                current = self.with_rules(rules, complete_up_to=claim)
         raise RuntimeError("interreduction did not stabilize")
 
     def _unreduced_rule(self, start: int) -> Optional[tuple[int, bool]]:

@@ -2,7 +2,7 @@ import pytest
 
 from anickres.anick import LiftError, ResolutionPrefix, extend_chains, format_terms
 from anickres.fields import PrimeField
-from anickres.kostant import big_system, small_system
+from anickres.kostant import big_system, conjectural_system, small_system
 from anickres.polynomials import Polynomial, accumulate
 from anickres.rewriting import RewritingSystem
 from anickres.words import Alphabet, contains
@@ -79,6 +79,23 @@ def test_T2_families(prefix3):
     assert "a1 b0 a0 b0 a0" in tips  # skew against the braid word
     assert "b1 a1 b1 a1 a0" in tips  # braid against the skew word
     assert len(prefix3.chains[2]) == 124
+
+
+def test_chain_extension_drops_overhangs_that_meet_another_lhs():
+    # odd_p_n3 (p=3, index 1) completed to degree 12: of its 69 level-1
+    # overhangs within the bound, 23 meet a second lhs before their last
+    # letter and are no chains; no small or big builtin has such an
+    # overhang, so this pins extend_chains' irreducibility test
+    system = conjectural_system("odd_p_n3", 3, 3, 1).complete(12).interreduce()
+    degree = system.alphabet.degree
+    overhangs = [
+        L + v
+        for L in system.lhs_words()
+        for v in system.lhs_overhangs(L[1:])
+        if degree(L + v) <= 12
+    ]
+    assert len(overhangs) == 69
+    assert len(ResolutionPrefix(system, 12).chains[2]) == 46
 
 
 def test_T2_minimality(prefix3):

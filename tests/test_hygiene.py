@@ -153,6 +153,25 @@ def test_one_automaton_is_built():
     )
 
 
+def test_the_prepend_automaton_reads_whole_words_in_one_place():
+    # `prepend_state` reads a word on the prepend automaton from its end;
+    # the irreducibility test and the greedy ranks' uncarried leads call it,
+    # and every other reader steps the table one letter at a time
+    walkers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls = {
+                    getattr(node.func, "attr", getattr(node.func, "id", None))
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Call)
+                }
+                if "prepend_automaton" in calls and calls & {"reversed", "reduce"}:
+                    walkers.add(function.name)
+    assert walkers == {"prepend_state"}, sorted(walkers)
+
+
 def test_systems_change_in_place_only_in_their_own_transform():
     # a system is never changed once returned: rules are appended only by
     # `complete`, and tails set only by `interreduce`, each on a working

@@ -1,4 +1,5 @@
 import functools
+from collections import Counter
 
 import pytest
 
@@ -100,6 +101,30 @@ def test_exactness_eliminates_each_degree_once(monkeypatch):
     assert len(echelons) == len(eliminations)
 
 
+def test_echelon_builds_each_reached_placeholder_once():
+    # a pivot may be a placeholder under its known lead: `build` turns it
+    # into its row on the first reduction that reaches it, once, and never
+    # for one that no reduction reaches; the rank is rank_fp's, and the
+    # built rows are read, never changed
+    rows = {"a": {2: 1, 0: 1}, "b": {1: 1}, "c": {3: 1}}
+    inserted = [{2: 1, 1: 1}, {2: 2, 0: 2}, {1: 1, 0: 1}]
+    built = []
+
+    def build(name):
+        built.append(name)
+        return rows[name]
+
+    echelon = resolution._Echelon(3, None, build)
+    for name, row in rows.items():
+        echelon.pivots[max(row)] = name
+    kept = [echelon.insert(dict(row)) for row in inserted]
+    assert kept == [True, False, False]
+    assert built == ["a", "b"]
+    assert echelon.pivots[3] == "c"
+    assert rows == {"a": {2: 1, 0: 1}, "b": {1: 1}, "c": {3: 1}}
+    assert len(echelon.pivots) == rank_fp([*rows.values(), *inserted], 3) == 4
+
+
 def test_exactness_lists_no_basis(monkeypatch):
     # the greedy ranks build their candidate columns from the kept columns
     # one letter down, and count columns on the lhs automaton; no basis is
@@ -151,6 +176,31 @@ def _big():
     return GradedComplex.from_prefix(ResolutionPrefix(big_system(3, 3, 2).interreduce()))
 
 
+@pytest.mark.parametrize(
+    "build, D",
+    [
+        (lambda: minimalize(_small(4)), 18),
+        (lambda: generic_minimalize(resolve(big_system(4, 3, 2), 12)), 12),
+    ],
+    ids=["small l=4 minimal", "big(4,3,2) minimal"],
+)
+def test_exactness_builds_each_column_image_at_most_once(monkeypatch, build, D):
+    # the greedy ranks cache no image: a dropped column is never extended,
+    # and a kept one's image is built at most once, when its lead does not
+    # carry, on a collision, or when a reduction first reaches its pivot
+    gc = build()
+    images = Counter()
+    column_image = GradedComplex.column_image
+
+    def counted_image(self, level, m, t):
+        images[(level, m, t)] += 1
+        return column_image(self, level, m, t)
+
+    monkeypatch.setattr(GradedComplex, "column_image", counted_image)
+    assert gc.verify_exactness([-1, 0, 1], D) == {}
+    assert images and max(images.values()) == 1
+
+
 def _dense_by_act(gc, level, d):
     """d_level in degree d as a dense matrix whose column m.t is
     m * d_level(.t), reduced from scratch by act."""
@@ -179,8 +229,9 @@ def built(request):
     return request.param()
 
 
-def test_cached_columns_equal_the_direct_image(built):
-    # column m.t of d_level is m * d_level(.t), reduced from scratch by act
+def test_matrix_columns_equal_the_direct_image(built):
+    # column m.t of the sparse matrix of d_level is m * d_level(.t), reduced
+    # from scratch by act
     gc = built
     p = gc.field.p
     fmt = gc.alphabet.format
