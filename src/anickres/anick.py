@@ -15,10 +15,10 @@ at every level:
     d_{n+1}(.t) = delta(.t) - i_n(d_n(delta(.t)))
     i_n(f)      = j(lt(f)) + i_n(f - d_n(j(lt(f))))
 
-where delta(m.t) = nf(m u).s for t = u s with s the longest suffix of t
-that is a chain one level down, and the splitting map j sends m.t to
-u.(v t) for the longest suffix v of m = u v that makes v t a chain one
-level up.  d_{-1} is the augmentation.  The lift terminates because the
+where the splitting map j sends m.t to u.(v t) for the longest suffix v
+of m = u v that makes v t a chain one level up, and delta(m.t) = nf(m u).s
+for u.s = j(t.e) one level down: s is the longest suffix of t that is a
+chain there.  d_{-1} is the augmentation.  The lift terminates because the
 leading basis element strictly drops in the (artinian) order induced by
 m.t -> mt.  On a homogeneous system every term of a lift has one degree,
 where deglex is tuple order, so leads compare the words mt themselves.
@@ -165,17 +165,16 @@ class ResolutionPrefix:
 
     # ----- delta and j -----------------------------------------------
     def delta(self, level: int, t: Word) -> dict[tuple[Word, Word], int]:
-        """The uncorrected differential on a generator .t: with t = u s and
-        s the longest suffix of t that is a chain one level down,
-        .t -> nf(u).s."""
-        below = self._chain_sets.get(level - 1, ())
-        k = next((k for k in range(len(t) + 1) if t[k:] in below), None)
-        if k is None:
+        """The uncorrected differential on a generator .t: with u.s the
+        splitting j(t.e) one level down, s the longest suffix of t that is a
+        chain there, .t -> nf(u).s."""
+        split = self.j_map(level - 1, t, ())
+        if split is None:
             raise ValueError(
                 f"{self.alphabet.format(t)} has no suffix chain at level {level - 1}"
             )
-        s = t[k:]
-        return {(w, s): c for w, c in self.system.normal_form_word(t[:k]).items()}
+        u, s = split
+        return {(w, s): c for w, c in self.system.normal_form_word(u).items()}
 
     def j_map(self, level: int, m: Word, t: Word) -> Optional[tuple[Word, Word]]:
         """The splitting candidate m.t -> u.vt, as (u, vt), for the longest

@@ -82,8 +82,8 @@ from .words import Alphabet, Word
 # alike, so that a lookup in a node holding both keys probes once
 _END = -1  # the rules whose lhs ends at a node, in rule order
 _PAST = -3  # the rules passing a node and longer than its word, in rule order
-_WORD_CAP = 2_000_000  # irreducible words enumerated or counted without a degree bound
-_INTERREDUCE_PASSES = 1_000  # lhs rewrites or drops (not tail edits) before giving up
+_WORD_CAP = 2_000_000  # irreducible words enumerated or counted, read at call time
+_NEW_RULE_CAP = 10_000  # rules one completion may add, read at call time
 
 
 class UnorderableRelationError(ValueError):
@@ -302,11 +302,10 @@ class RewritingSystem:
         alphabet: Alphabet,
         field: PrimeField,
         relations: Iterable[Polynomial],
-        **kwargs,
     ) -> "RewritingSystem":
         """The system of one rule per nonzero relation, in order."""
         rules = [make_rule(f) for f in relations if not f.is_zero()]
-        return cls(alphabet, field, rules, **kwargs)
+        return cls(alphabet, field, rules)
 
     def with_rules(self, rules: Sequence[RewriteRule], **kwargs) -> "RewritingSystem":
         return RewritingSystem(self.alphabet, self.field, rules, **kwargs)
@@ -587,7 +586,7 @@ class RewritingSystem:
         return (not witnesses, witnesses)
 
     # ----- completion ------------------------------------------------
-    def complete(self, degree_bound: int, max_new_rules: int = 10_000) -> "RewritingSystem":
+    def complete(self, degree_bound: int) -> "RewritingSystem":
         """Critical-pair completion, smallest tip first, up to tip degree.
 
         Rules whose lhs exceeds the bound are kept; only pairs whose tip
@@ -595,7 +594,8 @@ class RewritingSystem:
         a rule of one working system, whose memo carries over (see the
         module docstring).  That system, built from this one's rules, is
         returned with `complete_up_to` set, or carried by the
-        `CompletionCapError` raised when the cap is exceeded.
+        `CompletionCapError` raised once it holds more than `_NEW_RULE_CAP`
+        rules beyond this one's.
 
         One pass suffices.  Each pair of the final rules whose tip has
         degree <= degree_bound is pushed once, when the later of its two
@@ -635,9 +635,9 @@ class RewritingSystem:
             if nf.is_zero():
                 continue
             current._add_rule(make_rule(nf))
-            if len(current.rules) - len(self.rules) > max_new_rules:
+            if len(current.rules) - len(self.rules) > _NEW_RULE_CAP:
                 raise CompletionCapError(
-                    f"completion cap of {max_new_rules} new rules exceeded", current
+                    f"completion cap of {_NEW_RULE_CAP} new rules exceeded", current
                 )
             new = len(current.rules) - 1
             push_pairs(current._pairs_as_second(new, degree_bound))
@@ -659,9 +659,17 @@ class RewritingSystem:
         without it, dropped if that gives 0, and the scan restarts.  On an
         inhomogeneous system a rule may come back with an lhs at or below
         the `complete_up_to` bound, whose pairs no completion resolved: the
-        claim is then dropped (None)."""
+        claim is then dropped (None).
+
+        The loop always ends.  A tail edit changes no lhs, and each scan
+        moves forward.  Every other step drops a rule, or replaces its lhs L
+        by the leading word of nf(L - R) modulo the other rules; L reduces
+        modulo them, so every word of that normal form lies deglex-below L.
+        So the multiset of left-hand sides strictly decreases in the
+        multiset order of deglex, which is well-founded because every letter
+        has degree >= 1 (finitely many words lie below any word)."""
         current, claim = self, self.complete_up_to
-        for _ in range(_INTERREDUCE_PASSES):
+        while True:
             found = current._unreduced_rule(0)
             while found is not None and found[1]:
                 i = found[0]
@@ -683,7 +691,6 @@ class RewritingSystem:
                     claim = None  # no pair of the new lhs was resolved
                 rules.insert(found[0], rule)
                 current = self.with_rules(rules, complete_up_to=claim)
-        raise RuntimeError("interreduction did not stabilize")
 
     def _unreduced_rule(self, start: int) -> Optional[tuple[int, bool]]:
         """The first rule from `start` on that is not reduced modulo the
@@ -716,19 +723,17 @@ class RewritingSystem:
             self._prepend = _aho_corasick([w[::-1] for w in self._lhs], len(self.alphabet))
         return self._prepend
 
-    def irreducible_words(
-        self, max_degree: int | None = None, max_count: int = _WORD_CAP
-    ) -> list[Word]:
+    def irreducible_words(self, max_degree: int | None = None) -> list[Word]:
         """All rule-free words of degree <= max_degree (None = all, if finite),
-        in deglex order."""
+        in deglex order; `WordCapError` once there are more than `_WORD_CAP`."""
         step, degrees = self.prepend_automaton(), self._degrees
         out = []
         # frontier entries carry the degree and automaton state of their word
         frontier = [(self.alphabet.empty_word, 0, 0)]
         while frontier:
             out.extend(w for w, _, _ in frontier)
-            if len(out) > max_count:
-                raise WordCapError(max_count, max_degree)
+            if len(out) > _WORD_CAP:
+                raise WordCapError(_WORD_CAP, max_degree)
             frontier = [
                 ((x,) + w, d + degrees[x], t)
                 for w, d, s in frontier
@@ -742,7 +747,8 @@ class RewritingSystem:
         self, max_degree: int | None = None
     ) -> dict[int, int]:
         """The number of rule-free words of each degree <= max_degree (None =
-        all, if finite), counted as paths of the prepend automaton."""
+        all, if finite), counted as paths of the prepend automaton;
+        `WordCapError` once the total passes `_WORD_CAP`."""
         step, degrees = self.prepend_automaton(), self._degrees
         # degree -> state -> number of irreducible words of that degree
         # ending in that state

@@ -563,8 +563,8 @@ def test_betti_completes_the_conjectural_presentations(capsys, argv, row1, row2)
 
 
 def test_betti_completion_cap_exits_2(monkeypatch, capsys):
-    def capped(self, degree_bound, max_new_rules=10_000):
-        raise CompletionCapError(f"completion cap of {max_new_rules} new rules exceeded", self)
+    def capped(self, degree_bound):
+        raise CompletionCapError("completion cap of 10000 new rules exceeded", self)
 
     monkeypatch.setattr(RewritingSystem, "complete", capped)
     code = main(["betti", *ODD_P_N3, "--D", "12"])
@@ -698,3 +698,39 @@ def test_betti_interreduces_redundant_rules_of_a_document(tmp_path, capsys):
     code, builtin = run(capsys, "betti", "--builtin", "small", "--l", "3", "--D", "8", "--json")
     assert code == 0
     assert json.loads(out)["tables"] == json.loads(builtin)["tables"]
+
+
+def test_betti_interreduces_a_thousand_copies_of_one_relation(tmp_path, capsys):
+    # interreduction always ends: each copy of y x + x y but the last
+    # reduces to 0 modulo the others and is dropped, one at a time
+    alphabet = [{"name": "x", "degree": 1, "rank": 0}, {"name": "y", "degree": 1, "rank": 1}]
+    relation = [[1, ["y", "x"]], [1, ["x", "y"]]]
+    doc = {"p": 2, "alphabet": alphabet, "relations": [relation] * 1001}
+    code, out = run(capsys, "betti", "--file", write_doc(tmp_path, doc), "--D", "4")
+    assert code == 0
+    rows, _, last = betti_rows(out)
+    assert (rows[0], rows[1], rows[2]) == ({0: 1}, {1: 2}, {2: 1})
+    assert last == "exactness defects: 0"
+
+
+@pytest.mark.parametrize(
+    "results, lines, code",
+    [
+        ([("one", True, True), ("two", False, False)], ["PASS one", "INFO two", "overall: PASS"], 0),
+        ([("one", True, True), ("three", False, True)], ["PASS one", "FAIL three", "overall: FAIL"], 1),
+    ],
+    ids=["informational failure", "gating failure"],
+)
+def test_verify_fails_only_on_a_gating_criterion(monkeypatch, capsys, results, lines, code):
+    # fake results stand in for the criteria, so that none runs
+    from anickres import checks
+    from anickres.checks import CriterionResult
+
+    criteria = [CriterionResult(name, ok, gating, {"n": {1: ok}}) for name, ok, gating in results]
+    monkeypatch.setattr(checks, "run_all", lambda: criteria)
+    assert run(capsys, "verify") == (code, "".join(f"{line}\n" for line in lines))
+    got, out = run(capsys, "verify", "--json")
+    report = json.loads(out)
+    assert got == code and report["command"] == "verify"
+    assert report["verdicts"] == {name: ok for name, ok, _ in results}
+    assert report["tables"] == {"details": {name: {"n": {"1": ok}} for name, ok, _ in results}}

@@ -189,3 +189,17 @@ def test_systems_change_in_place_only_in_their_own_transform():
                     ):
                         callers[node.func.attr].add(function.name)
     assert callers == {"_add_rule": {"complete"}, "_set_tail": {"interreduce"}}, callers
+
+
+def test_no_default_argument_reads_a_name():
+    # a default is evaluated once, at import, so one copied from a module
+    # constant would keep the old value when that constant is patched
+    readers = sorted(
+        f"{path.name}:{function.lineno} {function.name}"
+        for path in MODULES
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for default in (*function.args.defaults, *filter(None, function.args.kw_defaults))
+        if any(isinstance(node, ast.Name) for node in ast.walk(default))
+    )
+    assert not readers, f"defaults that read a name: {readers}"

@@ -19,10 +19,12 @@ import itertools
 import random
 import re
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from anickres import rewriting
 from anickres.anick import ResolutionPrefix, extend_chains
 from anickres.checks import bar_betti_table
 from anickres.fields import PrimeField
@@ -525,6 +527,13 @@ def test_interreduced_memo_matches_a_new_system(system):
         )
 
 
+def complete_capped(system, degree_bound):
+    """`system.complete(degree_bound)` with its cap lowered to 12 new rules,
+    so that a draw whose completion grows fast ends quickly."""
+    with patch.object(rewriting, "_NEW_RULE_CAP", 12):
+        return system.complete(degree_bound)
+
+
 def rebuild_complete(system, degree_bound, max_new_rules):
     """Reference: completion building a new system, with an empty memo, for
     every added rule, and repeating until a full `is_complete` finds no
@@ -669,7 +678,7 @@ def test_complete_matches_the_rebuild_per_rule_loop(case, probes):
     completed = []
 
     def run():
-        completed.append(system.complete(bound, max_new_rules=12))
+        completed.append(complete_capped(system, bound))
         return completed[0]
 
     assert outcome(run) == outcome(lambda: rebuild_complete(system, bound, max_new_rules=12))
@@ -734,7 +743,7 @@ def completed_up_to(system, bound, rounds=3):
     fails."""
     try:
         for _ in range(rounds):
-            system = system.complete(bound, max_new_rules=12).interreduce()
+            system = complete_capped(system, bound).interreduce()
             if system.is_complete(bound)[0]:
                 return system
     except (CompletionCapError, UnorderableRelationError):
@@ -750,7 +759,7 @@ def test_an_interreduced_completion_claims_only_what_holds(case):
     # complete up to that bound
     system, bound = case
     try:
-        system = system.complete(bound, max_new_rules=12).interreduce()
+        system = complete_capped(system, bound).interreduce()
     except (CompletionCapError, UnorderableRelationError):
         assume(False)
     if system.complete_up_to == bound:
@@ -1172,7 +1181,7 @@ def test_is_complete_verdict_matches_iterated_reduce_once(system, bound):
     ]
     assert system.is_complete(bound) == (not witnesses, witnesses)
     try:
-        completed = system.complete(bound, max_new_rules=12)
+        completed = complete_capped(system, bound)
     except (CompletionCapError, UnorderableRelationError):
         return
     assert completed.is_complete(bound)[0] and reference_verdict(completed, bound)
@@ -1189,7 +1198,7 @@ def test_completed_normal_forms_do_not_depend_on_rule_order(case, data):
     # two reductions of one word part, so they are probed too.
     system, bound = case
     try:
-        done = system.complete(bound, max_new_rules=12)
+        done = complete_capped(system, bound)
     except (CompletionCapError, UnorderableRelationError):
         assume(False)
     permuted = done.with_rules(data.draw(st.permutations(done.rules)))

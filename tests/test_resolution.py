@@ -1,9 +1,10 @@
 import functools
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 
-from anickres import resolution
+from anickres import checks, resolution
 from anickres.anick import ResolutionPrefix, format_terms
 from anickres.checks import bar_betti_table, expected_betti_table
 from anickres.fields import PrimeField
@@ -71,6 +72,21 @@ def test_differential_matrix_level0_degree1(gc2):
 
 def test_exactness_unmodified(gc2):
     assert gc2.verify_exactness([-1, 0, 1], 10) == {}
+
+
+def test_exactness_records_the_defects_of_a_missing_chain():
+    # dropping the level-2 chain a0 a0 a0 (degree 3) from the chain list
+    # only, its differential table shared, leaves the boundaries it
+    # generated at level 1 unhit: one defect in each degree 3, 4 and 5
+    prefix = ResolutionPrefix(small_system(2))
+    intact = GradedComplex.from_prefix(prefix)
+    a0 = prefix.alphabet.word("a0")
+    chains = dict(prefix.chains)
+    chains[2] = [t for t in chains[2] if t != a0 * 3]
+    assert len(chains[2]) == len(prefix.chains[2]) - 1
+    cut = GradedComplex(prefix, chains, prefix.diff)
+    assert cut.verify_exactness([-1, 0, 1], 8) == {(1, 3): 1, (1, 4): 1, (1, 5): 1}
+    assert intact.verify_exactness([-1, 0, 1], 8) == {}
 
 
 def test_exactness_eliminates_each_degree_once(monkeypatch):
@@ -603,5 +619,6 @@ def test_bar_construction_gives_the_betti_rows(build, D):
 
 
 def test_bar_construction_caps_its_cells():
-    with pytest.raises(ValueError, match="^bar construction exceeded its cap of 100 cells up to degree 8$"):
-        bar_betti_table(small_system(2), 8, 3, max_cells=100)
+    with patch.object(checks, "_BAR_CELL_CAP", 100):
+        with pytest.raises(ValueError, match="^bar construction exceeded its cap of 100 cells up to degree 8$"):
+            bar_betti_table(small_system(2), 8, 3)

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -491,8 +492,9 @@ def test_irreducible_counts_without_a_degree_bound():
     }
     with pytest.raises(WordCapError, match="exceeded its cap of 2000000 words with no degree bound"):
         infinite.irreducible_counts_by_degree()
-    with pytest.raises(WordCapError, match="cap of 100 words up to degree 9"):
-        infinite.irreducible_words(9, max_count=100)
+    with patch.object(rewriting, "_WORD_CAP", 100):
+        with pytest.raises(WordCapError, match="cap of 100 words up to degree 9"):
+            infinite.irreducible_words(9)
 
 
 THREE = Alphabet.from_names([("a", 1), ("b", 1), ("c", 2)])
