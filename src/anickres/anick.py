@@ -21,7 +21,7 @@ for u.s = j(t.e) one level down: s is the longest suffix of t that is a
 chain there.  d_{-1} is the augmentation.  The lift terminates because the
 leading basis element strictly drops in the (artinian) order induced by
 m.t -> mt.  On a homogeneous system every term of a lift has one degree,
-where deglex is tuple order, so leads compare the words mt themselves.
+where deglex is tuple order, so leads compare the words mt (`_word`).
 The input is tested for a cycle only when the lift gets stuck: on a
 complete system d o d = 0, so a non-cycle is no boundary, its lift always
 gets stuck, and the error names its boundary.  On an incomplete system a
@@ -51,6 +51,11 @@ from .words import Alphabet, Word
 _TOP = 2  # the highest chain level built
 
 
+def _word(mt: tuple[Word, Word]) -> Word:
+    """The word m t of m.t, the one basis order (see `resolution.GradedComplex`)."""
+    return mt[0] + mt[1]
+
+
 class LiftError(RuntimeError):
     """The contracting lift got stuck.  It cannot on a reduced system that
     is complete up to the chain's degree, so the system is not, or this is
@@ -68,7 +73,7 @@ def format_terms(alphabet: Alphabet, terms: dict[tuple[Word, Word], int]) -> str
         return "0"
     fmt, key = alphabet.format, alphabet.sort_key
     parts = []
-    for m, t in sorted(terms, key=lambda mt: key(mt[0] + mt[1]), reverse=True):
+    for m, t in sorted(terms, key=lambda mt: key(_word(mt)), reverse=True):
         c = terms[(m, t)]
         head = "" if c == 1 else f"{c} "
         mm = f"{fmt(m)} " if m else ""
@@ -230,15 +235,12 @@ class ResolutionPrefix:
     def lift_i(self, level: int, f: dict) -> dict[tuple[Word, Word], int]:
         """The contracting lift i_level: a cycle f at level-1 goes to an
         element one level up with d_level(i(f)) = f.  Leads compare the
-        words mt on a homogeneous system and their deglex keys otherwise; f
-        is tested for a cycle only once the lift gets stuck (see the module
-        docstring)."""
+        words mt (`_word`, as the greedy ranks do) on a homogeneous system
+        and their deglex keys otherwise; f is tested for a cycle only once
+        the lift gets stuck (see the module docstring)."""
         p = self.field.p
         fmt, key = self.alphabet.format, self.alphabet.sort_key
-        if self.inhomogeneous_rule is None:
-            order = lambda mt: mt[0] + mt[1]
-        else:
-            order = lambda mt: key(mt[0] + mt[1])
+        order = _word if self.inhomogeneous_rule is None else lambda mt: key(_word(mt))
         result: dict[tuple[Word, Word], int] = {}
         rest = dict(f)
         guard = None

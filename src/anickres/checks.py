@@ -180,7 +180,7 @@ def criterion_6_exactness() -> CriterionResult:
     )
 
 
-def expected_betti_table(max_degree: int = 16, K: int = 3) -> dict[int, dict[int, int]]:
+def expected_betti_table(max_degree: int, K: int) -> dict[int, dict[int, int]]:
     """Level 0: the trivial cover; level 1: two generators in each degree
     2^k; level 2: two in each degree 2^(k+1) and four in each 2^l + 2^k."""
     level1 = {2**k: 2 for k in range(K + 1) if 2**k <= max_degree}

@@ -297,7 +297,11 @@ def conjectural_system(
     variant: str, n: int, p: int, index_bound: int
 ) -> RewritingSystem:
     """Experimental relation sets over the simple-root divided powers
-    a_{ik} = e_{i,i+1}^(p^k), for indices k <= index_bound."""
+    a_{ik} = e_{i,i+1}^(p^k), for indices k <= index_bound.
+
+    In p2_general_n the two middle words of an m = 1 commutator are equal
+    and cancel mod 2, so its n - 2 rules per index, a_{i+1,k} a_{ik} a_{ik}
+    -> a_{ik} a_{ik} a_{i+1,k}, reduce to 0 modulo the square rules alone."""
     if index_bound < 0:
         raise ValueError("need index_bound >= 0")
     field = PrimeField(p)

@@ -7,16 +7,16 @@ The column of the basis element m.t is its image under d, m * d(.t)
 normal-form memo holds nf(m' w) for m = x m', so reducing x m' w is one
 engine step from it.
 
-The rank of d_level in degree d (level >= 0) is taken by one greedy
+Basis order is the word mt of m.t, as in the lift (`anick._word`): no
+two basis elements at one level share it (see `GradedComplex`).  The
+rank of d_level in degree d (level >= 0) is taken by one greedy
 elimination, `independent_columns`, that never builds the matrix, never
 lists the basis, and builds few column images: each candidate carries
 the lead of its image from the column one letter down (left
 multiplication keeps basis order and reduction only lowers a word), and
 an image is built only where the lead does not carry or collides with a
-pivot.  Each kept column carries the prepend automaton's states of its
-coefficient word and its lead's, so whether x m' and x m1 reduce is one
-table step each; the candidates come out in basis order with no sort.
-It keeps the columns of an elimination that builds every image.
+pivot (see `_kept_records`).  It keeps the columns of an elimination
+that builds every image.
 This is exact because the image of d is a left submodule of the free
 module: by induction on the degree and then along the basis order, a
 dependent m'.t is a combination of kept columns m_i.t_i before it, and x
@@ -27,9 +27,7 @@ reduced complete system that the column images already assume.  Most
 columns of a large degree are never built: in degree 12 of the
 minimalized big(4,3,2) complex, 538 of 11,684 level-2 columns are
 independent, and in the minimalized small l=4 complex to degree 18,
-1,441 of the 8,303 candidates have their image built, each once: a pivot
-not yet built is its candidate's record, turned into the image on the
-first reduction that reaches it.  The
+1,441 of the 8,303 candidates have their image built, each once.  The
 exactness defect needs the number of columns too, and counts them on the
 automaton of the left-hand sides: the sum over the chains t of the
 irreducible words of degree d - deg t.
@@ -69,7 +67,7 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .anick import ResolutionPrefix, _OnDemand
+from .anick import ResolutionPrefix, _OnDemand, _word
 from .polynomials import accumulate
 from .rewriting import RewritingSystem
 from .words import Alphabet, Word
@@ -150,6 +148,18 @@ class GradedComplex:
     they are read only through the chain lists: `diff[level][t]` for t in
     `chains[level]`.  Tables and their dicts may be shared with the prefix
     or with another complex, and are never changed.
+
+    Bases, ranks and defects need the chains of a `ResolutionPrefix` on a
+    reduced system, or a subset (a bound and minimalization only drop
+    chains).  Then no two basis elements at one level share their word mt,
+    which alone is the basis order (`anick._word`).  Say m t = m' t' with
+    t' a proper suffix of t: m' = m t[:q], q >= 1, is irreducible.  Levels
+    -1 and 0 hold chains of one length, and level 1 left-hand sides, none
+    inside another.  At level 2, t = L v with L a left-hand side; m' would
+    contain L if q >= |L|, so t' starts with a left-hand side L' at q in
+    1..|L|-1.  L' is not inside L, and the chain condition makes t[1:-1]
+    irreducible, so L' ends with t: t' = L' has an empty overhang, which
+    no level-2 chain has.
     """
 
     def __init__(
@@ -172,7 +182,6 @@ class GradedComplex:
         self._by_degree: dict[int, dict[int, list[Word]]] = {}  # level -> degree -> chains
         # (level, d) -> the records of the independent columns, levels >= 0 (see _kept_records)
         self._records: dict[tuple[int, int], list[tuple]] = {}
-        self._orders: dict[int, Callable] = {}  # level -> the sort key of basis order
 
     @classmethod
     def from_prefix(cls, prefix: ResolutionPrefix) -> "GradedComplex":
@@ -190,11 +199,9 @@ class GradedComplex:
 
     def basis(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
         """Degree-d basis elements m.t at the level, in deglex order of the
-        word mt, the order `format_terms` prints in; computed once.
-
-        Elements with equal words mt (no builtin system has any) keep the
-        order of their chains t, the same in every degree; the greedy rank
-        of `independent_columns` follows the same order."""
+        word mt, which no two share (see the class docstring): the order
+        `format_terms` prints in, and the lift's and the greedy rank's;
+        computed once."""
         key = (level, d)
         out = self._bases.get(key)
         if out is None:
@@ -206,7 +213,7 @@ class GradedComplex:
                 for m in self._irreducible(d - dt)
             ]
             # every mt has degree d, so deglex order is tuple order on mt
-            pairs.sort(key=self._basis_order(level))
+            pairs.sort(key=_word)
             out = self._bases[key] = tuple(pairs)
         return out
 
@@ -259,26 +266,11 @@ class GradedComplex:
                 mat[row_index[key]][jcol] = c
         return mat
 
-    def _basis_order(self, level: int) -> Callable:
-        """The sort key of basis order on the elements m.t at the level: the
-        word mt, then the position of t among the chains."""
-        order = self._orders.get(level)
-        if order is None:
-            position = {t: i for i, t in enumerate(self.chains.get(level, []))}
-            order = self._orders[level] = lambda mt: (mt[0] + mt[1], position[mt[1]])
-        return order
-
-    def _image_lead(
-        self, level: int, m: Word, t: Word
-    ) -> tuple[dict, Optional[tuple[tuple[Word, Word], int]]]:
-        """The image of m.t, built, and its lead ((w, t'), c), its largest
-        basis element in basis order with its coefficient, or None for a
-        zero image."""
+    def _image_lead(self, level: int, m: Word, t: Word) -> tuple[dict, Optional[tuple]]:
+        """The image of m.t, built, and its lead (w, t'), its largest basis
+        element in basis order, or None for a zero image."""
         image = self.column_image(level, m, t)
-        if not image:
-            return image, None
-        top = max(image, key=self._basis_order(level - 1))
-        return image, (top, image[top])
+        return image, (max(image, key=_word) if image else None)
 
     def independent_columns(self, level: int, d: int) -> tuple[tuple[Word, Word], ...]:
         """The basis elements m.t of degree d (level >= 0) whose columns one
@@ -288,9 +280,9 @@ class GradedComplex:
 
     def _kept_records(self, level: int, d: int) -> list[tuple]:
         """The independent columns m.t of degree d as records (m, t, s, m1,
-        t1, c, s1), in basis order, computed once per (level, d): (m1.t1, c)
-        is the lead of the image (see `_image_lead`), and s and s1 are the
-        states of m and m1 in the system's prepend automaton.
+        t1, s1), in basis order, computed once per (level, d): m1.t1 is the
+        lead of the image (see `_image_lead`), and s and s1 are the states
+        of m and m1 in the system's prepend automaton.
 
         The candidates are the generators .t of degree d and the columns
         x m'.t for each m'.t kept in degree d - deg x with x m' irreducible.
@@ -300,8 +292,8 @@ class GradedComplex:
         by bisection.  Each carries the lead of its image.  A generator's is
         read off d(.t).  For x m'.t with m'.t recorded as above, one step
         of the automaton from s tells whether x m' is irreducible, and one
-        from s1 whether x m1 is: then the lead of x m'.t is ((x m1).t1, c)
-        and no image is built; otherwise the image is built, its maximum
+        from s1 whether x m1 is: then the lead of x m'.t is (x m1).t1 and
+        no image is built; otherwise the image is built, its maximum
         taken, and the state of that lead word read off the automaton.
 
         In basis order, a candidate whose lead no pivot has yet is kept at
@@ -316,8 +308,7 @@ class GradedComplex:
         leads, so a candidate is kept exactly when it is independent of the
         columns kept before it: the kept columns are those of an
         elimination that builds every image.  The module docstring shows
-        why they span the image; the argument needs neither exactness nor
-        d o d = 0, only a reduced complete system, as `column_image` does.
+        why they span the image.
         """
         key = (level, d)
         kept = self._records.get(key)
@@ -328,23 +319,22 @@ class GradedComplex:
         for x, dx in enumerate(g.degree for g in self.alphabet):
             if dx > d:
                 continue
-            for m, t, s, m1, t1, c, s1 in self._kept_records(level, d - dx):
+            for m, t, s, m1, t1, s1 in self._kept_records(level, d - dx):
                 if (s := step[s][x]) is not None:  # x m' is irreducible
                     # None where x m1 reduces: the lead does not carry
                     xm1 = None if (s1 := step[s1][x]) is None else (x,) + m1
-                    candidates.append(((x,) + m, t, s, xm1, t1, c, s1))
-        order = self._basis_order(level)
+                    candidates.append(((x,) + m, t, s, xm1, t1, s1))
         for t in self._chains_by_degree(level).get(d, ()):
-            bisect.insort(candidates, ((), t, 0, None, None, None, None), key=order)
+            bisect.insort(candidates, ((), t, 0, None, None, None), key=_word)
 
         def build(record):  # a pivot not yet built is its candidate's record
             return self.column_image(level, record[0], record[1])
 
-        echelon = _Echelon(self.field.p, self._basis_order(level - 1), build)
+        echelon = _Echelon(self.field.p, _word, build)
         pivots = echelon.pivots
         kept = []
         for record in candidates:
-            m, t, s, m1, t1, c, s1 = record
+            m, t, s, m1, t1, s1 = record
             if m1 is not None:  # the lead carried: the record stands for the image
                 if pivots.setdefault((m1, t1), record) is record:
                     kept.append(record)
@@ -354,8 +344,8 @@ class GradedComplex:
                 image, lead = self._image_lead(level, m, t)
                 if lead is None:
                     continue
-                (m1, t1), c = lead
-                record = (m, t, s, m1, t1, c, self.system.prepend_state(m1))
+                m1, t1 = lead
+                record = (m, t, s, m1, t1, self.system.prepend_state(m1))
                 if (m1, t1) not in pivots:
                     pivots[(m1, t1)] = image
                     kept.append(record)

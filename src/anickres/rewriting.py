@@ -313,7 +313,7 @@ class RewritingSystem:
     def lhs_words(self) -> list[Word]:
         return [r.lhs for r in self.rules]
 
-    def _path(self, w: Word, pos: int = 0) -> list[dict]:
+    def _path(self, w: Word, pos: int) -> list[dict]:
         """The trie nodes along w[pos:] up to the first letter the trie
         lacks: the k-th is the node of w[pos:pos+k]."""
         path = []

@@ -203,3 +203,55 @@ def test_no_default_argument_reads_a_name():
         if any(isinstance(node, ast.Name) for node in ast.walk(default))
     )
     assert not readers, f"defaults that read a name: {readers}"
+
+
+def optional_parameters(tree: ast.AST, prefix: str = ""):
+    """`Qualified.name(parameter)` for each parameter with a default, and
+    `name(**kwargs)` for each keyword catch-all, of every function in the
+    tree, nested ones and methods included."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from optional_parameters(node, prefix)
+            continue
+        name = prefix + node.name
+        if not isinstance(node, ast.ClassDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults) :]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            yield from (f"{name}({a.arg})" for a in defaulted)
+            if args.kwarg:
+                yield f"{name}(**{args.kwarg.arg})"
+        yield from optional_parameters(node, name + ".")
+
+
+OPTIONAL_PARAMETERS = {
+    "anick.py: extend_chains(max_degree)",
+    "anick.py: ResolutionPrefix.__init__(max_degree)",
+    "cli.py: main(argv)",
+    "polynomials.py: Polynomial.__init__(terms)",
+    "polynomials.py: Polynomial.monomial(coeff)",
+    "resolution.py: _Echelon.__init__(order)",
+    "resolution.py: _Echelon.__init__(build)",
+    "rewriting.py: RewritingSystem.__init__(complete_up_to)",
+    "rewriting.py: RewritingSystem.with_rules(**kwargs)",
+    "rewriting.py: RewritingSystem.find_critical_pairs(degree_bound)",
+    "rewriting.py: RewritingSystem.is_complete(degree_bound)",
+    "rewriting.py: RewritingSystem.irreducible_words(max_degree)",
+    "rewriting.py: RewritingSystem.irreducible_counts_by_degree(max_degree)",
+    "words.py: find(start)",
+}
+
+
+def test_the_optional_parameters_are_listed():
+    # every parameter with a default, and every **kwargs, in the package's
+    # signatures is one of the listed ones: a new option is an edit here
+    found = {
+        f"{path.name}: {parameter}"
+        for path in MODULES
+        for parameter in optional_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == OPTIONAL_PARAMETERS, (
+        f"not listed: {sorted(found - OPTIONAL_PARAMETERS)}; "
+        f"listed but gone: {sorted(OPTIONAL_PARAMETERS - found)}"
+    )

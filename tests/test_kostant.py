@@ -224,6 +224,27 @@ def test_conjectural_systems_build_and_are_experimental():
     assert any(gen.alphabet.format(r.lhs) == "a1_0 a1_0" for r in gen.rules)
 
 
+@pytest.mark.parametrize("n, index", [(4, 0), (4, 1), (5, 0), (5, 1)])
+def test_p2_general_n_commutators_of_one_letter_are_degenerate(n, index):
+    # for m = 1 the two middle words of a commutator are equal and cancel
+    # mod 2, so its rule a_{i+1} a_i a_i -> a_i a_i a_{i+1} reduces to 0
+    # modulo the square rules alone: n - 2 such rules per index
+    system = conjectural_system("p2_general_n", n, 2, index)
+    squares = [r for r in system.rules if len(r.lhs) == 2 and r.lhs[0] == r.lhs[1]]
+    assert all(r.rhs.is_zero() for r in squares)
+    by_squares = system.with_rules(squares)
+    degenerate = [
+        str(r)
+        for r in system.rules
+        if r not in squares and by_squares.normal_form(r.polynomial()).is_zero()
+    ]
+    assert degenerate == [
+        f"a{i + 1}_{k} a{i}_{k} a{i}_{k} -> a{i}_{k} a{i}_{k} a{i + 1}_{k}"
+        for k in range(index + 1)
+        for i in range(1, n - 1)
+    ]
+
+
 def test_conjectural_relations_hold_in_big_algebra():
     # every input relation of the p=2, n=4 conjecture maps to zero under
     # a_{ik} -> e_{i,i+1}^(2^k)

@@ -28,7 +28,7 @@ from anickres import rewriting
 from anickres.anick import ResolutionPrefix, extend_chains
 from anickres.checks import bar_betti_table
 from anickres.fields import PrimeField
-from anickres.kostant import big_system, small_system
+from anickres.kostant import big_system, conjectural_system, small_system
 from anickres.polynomials import Polynomial, accumulate
 from anickres.resolution import (
     GradedComplex,
@@ -766,15 +766,35 @@ def test_an_interreduced_completion_claims_only_what_holds(case):
         assert system.is_complete(bound)[0]
 
 
-@settings(max_examples=50, deadline=None)
-@given(presentations(homogeneous=False))
+@st.composite
+def inhomogeneous_antichain_systems(draw):
+    """Left-hand sides from `overlapping_antichains` over three letters of
+    degree 1, each rule given up to 2 nonempty tail words of lower degree
+    with nonzero coefficients, p in {2, 3, 5}, and a completion bound in
+    4..7.  Unlike `presentations(homogeneous=False)`, about a third of the
+    draws that complete keep an inhomogeneous rule and a level-2 chain."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    field = PrimeField(p)
+    alphabet = Alphabet.from_names([(f"x{i}", 1) for i in range(3)])
+    rules = []
+    for lhs in draw(overlapping_antichains()):
+        tail_word = st.lists(st.sampled_from(range(3)), min_size=1, max_size=len(lhs) - 1)
+        tail = draw(st.dictionaries(tail_word.map(tuple), st.integers(1, p - 1), max_size=2))
+        terms = [(1, lhs)] + [(-c, w) for w, c in tail.items()]
+        rules.append(make_rule(Polynomial.from_terms(field, alphabet, terms)))
+    return RewritingSystem(alphabet, field, rules), draw(st.integers(4, 7))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(presentations(homogeneous=False), inhomogeneous_antichain_systems()))
 @example(inhomogeneous_case())
 @example(lowered_lhs_case())
 def test_lift_inverts_the_boundary_on_inhomogeneous_systems(case):
     # off one degree, deglex is not tuple order on the word mt: the lift,
     # led by deglex, lifts every boundary d(.t) of an augmented system
     # complete up to the bound (draws that complete to a homogeneous
-    # system stay in: there the lift leads by tuple order)
+    # system stay in: there the lift leads by tuple order); the antichain
+    # systems reach level 2 with an inhomogeneous rule
     system, bound = case
     system = completed_up_to(system, bound)
     assume(system is not None)
@@ -810,6 +830,58 @@ def test_resolve_then_minimalize_agrees_with_the_bar_construction(case, raise_D)
             raise
         assume(False)
     assert {n: table[n] for n in (0, 1, 2)} == bar
+
+
+def shared_words(gc, max_degree):
+    """(level, d, w) for each word w = mt that two basis elements m.t of
+    degree d <= max_degree share at one level, levels -1..top."""
+    return [
+        (level, d, w)
+        for level in range(-1, gc.top + 1)
+        for d in range(max_degree + 1)
+        for w, count in Counter(m + t for m, t in gc.basis(level, d)).items()
+        if count > 1
+    ]
+
+
+SHARED_WORD_BUILTINS = {
+    "small l=3": (lambda: small_system(3), 14),
+    "big(3,3,2)": (lambda: big_system(3, 3, 2), 9),
+    "big(4,3,2)": (lambda: big_system(4, 3, 2), 8),
+    "big(4,2,3)": (lambda: big_system(4, 2, 3), 8),
+    "odd_p_n3 index 1": (lambda: conjectural_system("odd_p_n3", 3, 3, 1), 9),
+    "p2_general_n n=4 index 1": (lambda: conjectural_system("p2_general_n", 4, 2, 1), 8),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_WORD_BUILTINS)
+def test_no_two_basis_elements_share_a_word_on_the_builtins(name):
+    # the basis order is the word mt alone (see GradedComplex): resolved up
+    # to D, completed where needed, no two basis elements at a level share it
+    build, D = SHARED_WORD_BUILTINS[name]
+    assert shared_words(resolve(build(), D), D) == []
+
+
+def test_chains_outside_a_reduced_system_can_share_a_word():
+    # the check sees a shared word where one can occur: over the free
+    # algebra, chains y and x y at one level give x.y and e.xy
+    prefix = ResolutionPrefix(RewritingSystem(TWO_LETTERS, F2, []))
+    x, y = (0,), (1,)
+    gc = GradedComplex(prefix, {-1: [()], 0: [x, y], 1: [y, x + y]}, {})
+    assert shared_words(gc, 2) == [(1, 2, x + y)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations(homogeneous=True))
+@example(odd_sign_case())
+@example(incomplete_case())
+def test_no_two_basis_elements_share_a_word_after_resolve(case):
+    system, bound = case
+    try:
+        gc = resolve(system, bound)
+    except CompletionCapError:
+        assume(False)
+    assert shared_words(gc, bound) == []
 
 
 def restart_minimalize(complex_):
@@ -869,7 +941,9 @@ def free_complexes(draw):
     free algebra on two letters (no rules, so the algebra is augmented),
     p in {2, 3, 5}.  Each d(.t) holds up to 4 terms m.t' with t' a chain
     one level down and m a word of length <= 2.  d o d need not vanish:
-    minimalization reads only the terms."""
+    minimalization reads only the terms.  Two basis elements m.t and m'.t'
+    at one level may share the word mt here, which no reduced system's
+    chains allow, so no basis or rank is read off these complexes."""
     p = draw(st.sampled_from((2, 3, 5)))
     field = PrimeField(p)
     prefix = ResolutionPrefix(RewritingSystem(TWO_LETTERS, field, []))
@@ -993,30 +1067,29 @@ def real_complexes():
 @settings(max_examples=12, deadline=None)
 @given(st.one_of(noncycle_complexes(), real_complexes()))
 def test_leads_carry_under_left_multiplication(gc):
-    # the lead the greedy rank stores for each kept column m.t is the largest
-    # basis element of m * d(.t) reduced from scratch by act, with its
-    # coefficient c; and for every letter x with x m1 irreducible,
-    # x m * d(.t) leads with ((x m1).t1, c), the lead carried without an image
+    # the lead m1.t1 the greedy rank stores for each kept column m.t is the
+    # largest basis element of m * d(.t) reduced from scratch by act; and
+    # for every letter x with x m1 irreducible, x m * d(.t) leads with
+    # (x m1).t1, with the same coefficient: the lead carried without an image
     degree = gc.alphabet.degree
 
     @functools.cache
     def position(level, d):
         return {key: i for i, key in enumerate(gc.basis(level - 1, d))}.__getitem__
 
-    def lead(level, d, terms):
-        top = max(terms, key=position(level, d))
-        return top, terms[top]
-
     for level in range(gc.top + 1):
         for d in range(NONCYCLE_DEGREE + 1):
             gc.independent_columns(level, d)
-            for m, t, _s, m1, t1, c, _s1 in gc._records[(level, d)]:
+            for m, t, _s, m1, t1, _s1 in gc._records[(level, d)]:
                 d_t = gc.diff[level][t]
-                assert lead(level, d, gc.prefix.act(m, d_t)) == ((m1, t1), c)
+                image = gc.prefix.act(m, d_t)
+                assert max(image, key=position(level, d)) == (m1, t1)
                 for x in range(len(gc.alphabet)):
                     if gc.system.is_irreducible_word((x,) + m1):
-                        image = gc.prefix.act((x,) + m, d_t)
-                        assert lead(level, d + degree((x,)), image) == (((x,) + m1, t1), c)
+                        carried = gc.prefix.act((x,) + m, d_t)
+                        lead = max(carried, key=position(level, d + degree((x,))))
+                        assert lead == ((x,) + m1, t1)
+                        assert carried[lead] == image[(m1, t1)]
 
 
 @settings(max_examples=40, deadline=None)
