@@ -167,16 +167,15 @@ def parse_expression(system: RewritingSystem, text: str) -> Polynomial:
             tokens = tokens[1:]
         if tokens == ["1"] or tokens == ["e"]:
             tokens = []
-        names = []
+        word = []
         for tok in tokens:
             try:
-                alphabet.generator(tok)
+                word.append(alphabet.index(tok))
             except KeyError:
                 raise DocumentError(
                     f"unknown generator {tok!r} in term {pos} of {text!r}"
                 ) from None
-            names.append(tok)
-        terms.append((coeff, alphabet.word(*names)))
+        terms.append((coeff, tuple(word)))
     return Polynomial.from_terms(field, alphabet, terms)
 
 

@@ -64,20 +64,6 @@ def default_position_order(n: int) -> list[Position]:
 # big system
 # ---------------------------------------------------------------------
 
-def _big_alphabet(
-    order: Sequence[Position], exponent_bound: int
-) -> tuple[Alphabet, dict[tuple[Position, int], Generator]]:
-    gens = {}
-    for pidx, pos in enumerate(order):
-        for k in range(1, exponent_bound + 1):
-            # descending exponent within a position: larger k, smaller rank
-            rank = pidx * exponent_bound + (exponent_bound - k)
-            gens[(pos, k)] = Generator(
-                f"e{pos.i}{pos.j}_{k}", k * pos.span, rank
-            )
-    return Alphabet(gens.values()), gens
-
-
 def big_system(n: int, p: int, exponent_bound: int) -> RewritingSystem:
     """All straightening rules on divided powers e_ij^(k), k <= exponent_bound.
 
@@ -96,13 +82,21 @@ def big_system(n: int, p: int, exponent_bound: int) -> RewritingSystem:
         raise ValueError("need n >= 2 and exponent_bound >= 1")
     field = PrimeField(p)
     order = default_position_order(n)
-    alphabet, gen_of = _big_alphabet(order, exponent_bound)
+    # descending exponent within a position: larger k, smaller rank, and
+    # the ranks run 0..N-1, so a letter's rank is its index
+    letter = {
+        (pos, k): pidx * exponent_bound + exponent_bound - k
+        for pidx, pos in enumerate(order)
+        for k in range(1, exponent_bound + 1)
+    }
+    alphabet = Alphabet(
+        Generator(f"e{pos.i}{pos.j}_{k}", k * pos.span, rank)
+        for (pos, k), rank in letter.items()
+    )
 
     def e(pos: Position | None, k: int) -> Word:
         """The word e_pos^(k); exponent 0 is the empty word."""
-        if k == 0:
-            return alphabet.empty_word
-        return alphabet.word(gen_of[(pos, k)].name)
+        return (letter[(pos, k)],) if k else ()
 
     relations: list[Polynomial] = []
     exps = range(1, exponent_bound + 1)

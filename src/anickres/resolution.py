@@ -152,14 +152,20 @@ class GradedComplex:
     Bases, ranks and defects need the chains of a `ResolutionPrefix` on a
     reduced system, or a subset (a bound and minimalization only drop
     chains).  Then no two basis elements at one level share their word mt,
-    which alone is the basis order (`anick._word`).  Say m t = m' t' with
-    t' a proper suffix of t: m' = m t[:q], q >= 1, is irreducible.  Levels
-    -1 and 0 hold chains of one length, and level 1 left-hand sides, none
-    inside another.  At level 2, t = L v with L a left-hand side; m' would
-    contain L if q >= |L|, so t' starts with a left-hand side L' at q in
-    1..|L|-1.  L' is not inside L, and the chain condition makes t[1:-1]
-    irreducible, so L' ends with t: t' = L' has an empty overhang, which
-    no level-2 chain has.
+    which alone is the basis order (`anick._word`): m t = m' t' with
+    |t'| < |t| makes t' a proper suffix of t, and in a reduced system no
+    level-n chain is a proper suffix of another.  Levels -1 and 0 hold
+    chains of one length.  Above, a level-n chain t has n lhs pieces, the
+    i-th ending at e_i and starting in [e_(i-2), e_(i-1)), from e_(-1) = 0
+    and e_0 = 1, with t[e_(i-2):e_i - 1] irreducible (level 1: no lhs lies
+    inside another; above: `extend_chains`).  So e_i = f(e_(i-2)), where
+    f(a), the least end of an lhs occurrence in t starting at or after a,
+    is monotone in a.  A level-n chain t' = t[q:], q >= 1, has its ends
+    e'_i = f(e'_(i-2)) in t from e'_(-1) = q >= e_0, so by induction
+    e'_(2j+1) >= e_(2j+2).  For n even, e'_(n-1) >= e_n = e'_n, yet ends
+    strictly increase.  For n odd, t' has its last piece start at or after
+    e'_(n-2) >= e_(n-1), past the start of t's, and both end at |t|: one
+    lhs would be a proper suffix of another (at n = 1, t' itself).
     """
 
     def __init__(

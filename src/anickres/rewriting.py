@@ -87,7 +87,8 @@ _NEW_RULE_CAP = 10_000  # rules one completion may add, read at call time
 
 
 class UnorderableRelationError(ValueError):
-    """A relation whose leading word does not dominate its tail."""
+    """A relation whose leading word is the empty word.  Every other word
+    sorts above it, so the relation is a nonzero scalar: no rule orients it."""
 
 
 class WordCapError(ValueError):
@@ -180,7 +181,12 @@ def _aho_corasick(words: Iterable[Word], n: int) -> list[list[Optional[int]]]:
 
 
 def make_rule(f: Polynomial) -> RewriteRule:
-    """Orient a nonzero relation: lm(f) rewrites to the rest, made monic."""
+    """Orient a nonzero relation: lm(f) rewrites to the rest, made monic.
+
+    The tail lies below the lead with no check: lm(f) is the word of f with
+    the largest `sort_key`, which holds the word itself, so no other word of
+    f ties with it; and the tail is f without its lead term, scaled, so each
+    of its words is another word of f."""
     if f.is_zero():
         raise ValueError("cannot orient the zero relation")
     lm, lc = f.leading_term()
@@ -188,14 +194,6 @@ def make_rule(f: Polynomial) -> RewriteRule:
         raise UnorderableRelationError("leading word is the empty word")
     inv = f.field.inv(lc)
     rhs = f.combine(-1, Polynomial.monomial(f.field, f.alphabet, lm, lc)).scale(-inv)
-    key = f.alphabet.sort_key
-    top = key(lm)
-    for w in rhs.terms:
-        if not key(w) < top:
-            fmt = f.alphabet.format
-            raise UnorderableRelationError(
-                f"word {fmt(w)} is not below the leading word {fmt(lm)}"
-            )
     return RewriteRule(lm, rhs)
 
 
@@ -205,21 +203,18 @@ class RewritingSystem:
     A system is never changed once returned: completion appends rules to a
     working system of its own, interreduction sets tails on one, and each
     returns it when done (interreduction returns the system itself when no
-    rule changes).  `complete_up_to` records the tip-degree bound up to
-    which all critical pairs are known to resolve (None = not checked).
+    rule changes).  `complete_up_to` is the tip-degree bound up to which all
+    critical pairs are known to resolve, or None (not checked), as on every
+    system built from rules.  Only those two transforms set it: completion
+    to its bound, and interreduction to the claim of the system it reduces,
+    dropped when a rule comes back below that bound.
     """
 
-    def __init__(
-        self,
-        alphabet: Alphabet,
-        field: PrimeField,
-        rules: Sequence[RewriteRule],
-        complete_up_to: int | float | None = None,
-    ):
+    def __init__(self, alphabet: Alphabet, field: PrimeField, rules: Sequence[RewriteRule]):
         self.alphabet = alphabet
         self.field = field
         self.rules = tuple(rules)
-        self.complete_up_to = complete_up_to
+        self.complete_up_to: int | None = None
         # the one trie of the lhs (nested dicts keyed by letter, _END and
         # _PAST) and beside it each lhs, its degree and each letter's starts
         self._degrees = [g.degree for g in alphabet]
@@ -307,8 +302,8 @@ class RewritingSystem:
         rules = [make_rule(f) for f in relations if not f.is_zero()]
         return cls(alphabet, field, rules)
 
-    def with_rules(self, rules: Sequence[RewriteRule], **kwargs) -> "RewritingSystem":
-        return RewritingSystem(self.alphabet, self.field, rules, **kwargs)
+    def with_rules(self, rules: Sequence[RewriteRule]) -> "RewritingSystem":
+        return RewritingSystem(self.alphabet, self.field, rules)
 
     def lhs_words(self) -> list[Word]:
         return [r.lhs for r in self.rules]
@@ -593,7 +588,7 @@ class RewritingSystem:
         fits under the bound are resolved.  Each nonzero normal form becomes
         a rule of one working system, whose memo carries over (see the
         module docstring).  That system, built from this one's rules, is
-        returned with `complete_up_to` set, or carried by the
+        returned with `complete_up_to` set to the bound, or carried by the
         `CompletionCapError` raised once it holds more than `_NEW_RULE_CAP`
         rules beyond this one's.
 
@@ -651,15 +646,16 @@ class RewritingSystem:
     # ----- interreduction --------------------------------------------
     def interreduce(self) -> "RewritingSystem":
         """Reduce each rule modulo the others until the system is reduced, on
-        one working system with this one's `complete_up_to`, or return this
-        system when no rule changes.  When only the tail of the first rule
-        not reduced reduces, the tail is set to its normal form here, which
-        is the one modulo the others (the words reached lie deglex-below the
-        lhs), and the scan goes on; else the rule is reduced modulo a system
-        without it, dropped if that gives 0, and the scan restarts.  On an
+        working systems with no claim, or return this system when no rule
+        changes.  When only the tail of the first rule not reduced reduces,
+        the tail is set to its normal form here, which is the one modulo the
+        others (the words reached lie deglex-below the lhs), and the scan
+        goes on; else the rule is reduced modulo a system without it,
+        dropped if that gives 0, and the scan restarts.  On an
         inhomogeneous system a rule may come back with an lhs at or below
-        the `complete_up_to` bound, whose pairs no completion resolved: the
-        claim is then dropped (None).
+        this system's `complete_up_to` bound, whose pairs no completion
+        resolved.  The system returned gets that claim, or None once such
+        a rule came back.
 
         The loop always ends.  A tail edit changes no lhs, and each scan
         moves forward.  Every other step drops a rule, or replaces its lhs L
@@ -675,22 +671,24 @@ class RewritingSystem:
                 i = found[0]
                 tail = current.normal_form(current.rules[i].rhs)
                 if current is self:
-                    current = self.with_rules(self.rules, complete_up_to=claim)
+                    current = self.with_rules(self.rules)
                     current._prepend = self._prepend  # built by the scan; no lhs changes
                 current._set_tail(i, tail)
                 found = current._unreduced_rule(i + 1)
             if found is None:
+                if current is not self:
+                    current.complete_up_to = claim
                 return current
             rules = list(current.rules)
             rule = rules.pop(found[0])
-            current = self.with_rules(rules, complete_up_to=claim)
+            current = self.with_rules(rules)
             nf = current.normal_form(rule.polynomial())
             if not nf.is_zero():
                 rule = make_rule(nf)
                 if claim is not None and self.alphabet.degree(rule.lhs) <= claim:
                     claim = None  # no pair of the new lhs was resolved
                 rules.insert(found[0], rule)
-                current = self.with_rules(rules, complete_up_to=claim)
+                current = self.with_rules(rules)
 
     def _unreduced_rule(self, start: int) -> Optional[tuple[int, bool]]:
         """The first rule from `start` on that is not reduced modulo the

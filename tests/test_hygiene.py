@@ -233,8 +233,6 @@ OPTIONAL_PARAMETERS = {
     "polynomials.py: Polynomial.monomial(coeff)",
     "resolution.py: _Echelon.__init__(order)",
     "resolution.py: _Echelon.__init__(build)",
-    "rewriting.py: RewritingSystem.__init__(complete_up_to)",
-    "rewriting.py: RewritingSystem.with_rules(**kwargs)",
     "rewriting.py: RewritingSystem.find_critical_pairs(degree_bound)",
     "rewriting.py: RewritingSystem.is_complete(degree_bound)",
     "rewriting.py: RewritingSystem.irreducible_words(max_degree)",

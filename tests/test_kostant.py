@@ -90,6 +90,24 @@ def test_big_system_rules_are_pinned():
     assert h.hexdigest() == BIG_RULES_DIGEST
 
 
+# the alphabets (name, degree, rank per letter) and rules of big_system over
+# seven (n, p, exponent bound), hashed as above; recorded before the builder
+# indexed its letters by rank instead of looking them up by name
+BIG_SAMPLE = [(3, 2, 1), (3, 3, 2), (4, 3, 2), (3, 3, 8), (4, 2, 3), (5, 2, 1), (3, 5, 4)]
+BIG_ALPHABETS_AND_RULES_DIGEST = (
+    "1c9b715195d298a2dfc9c01c51212e3d47b74e1cdf251407e4162d2763beaab3"
+)
+
+
+def test_big_system_alphabets_and_rules_are_pinned():
+    h = hashlib.sha256()
+    for n, p, b in BIG_SAMPLE:
+        system = big_system(n, p, b)
+        h.update(repr([(g.name, g.degree, g.rank) for g in system.alphabet]).encode())
+        h.update(repr([(r.lhs, list(r.rhs.terms.items())) for r in system.rules]).encode())
+    assert h.hexdigest() == BIG_ALPHABETS_AND_RULES_DIGEST
+
+
 # the rules of the n = 3 simple-root presentations, pinned as big_system's
 # are: small_system(l) for l <= 5 and odd_p_n3 for p in {3, 5, 7} and
 # index <= 3, recorded before both were built by one builder

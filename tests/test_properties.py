@@ -1,7 +1,8 @@
 """Randomized property tests: order laws on words, the deglex order against
 an independent reference, normal-form uniqueness for complete systems,
-reduction soundness, rank-oracle agreement, the trie lhs matcher, the
-irreducible-word automaton, chain levels 2 and 3, the degree-bounded
+reduction soundness, `make_rule`'s orientation, rank-oracle agreement,
+the trie lhs matcher, the irreducible-word automaton, chain levels 2 and
+3, no chain a proper suffix of another at its level, the degree-bounded
 resolution prefix and chain extension against the unbounded ones, the
 grown lhs index and the degree-bounded pair lists against naive scans,
 completion against a rebuild per added rule, interreduction and generic
@@ -116,6 +117,35 @@ def test_sort_key_is_deglex(alphabet, data):
     assert f.leading_monomial() == top
     if top:
         assert make_rule(f).lhs == top
+
+
+@st.composite
+def orientable_relations(draw):
+    """A nonzero relation of up to 4 terms, words of length <= 3 over 2-3
+    letters of degree 1-2, p in {2, 3, 5}, homogeneous or not, whose
+    leading word is not empty."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    degrees = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    alphabet = Alphabet.from_names([(f"x{i}", d) for i, d in enumerate(degrees)])
+    word = st.lists(st.sampled_from(range(len(degrees))), max_size=3).map(tuple)
+    terms = draw(st.lists(st.tuples(st.integers(1, p - 1), word), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        top = alphabet.degree(terms[0][1])
+        terms = [(c, w) for c, w in terms if alphabet.degree(w) == top]
+    f = Polynomial.from_terms(PrimeField(p), alphabet, terms)
+    assume(not f.is_zero() and f.leading_monomial())
+    return f
+
+
+@given(orientable_relations())
+def test_make_rule_orients_onto_the_largest_word(f):
+    # make_rule checks no order at run time (its docstring says why the
+    # tail lies below the lead); the reference order checks it here
+    rule, alphabet = make_rule(f), f.alphabet
+    assert rule.lhs in f.terms
+    assert all(reference_compare(alphabet, w, rule.lhs) < 0 for w in f.terms if w != rule.lhs)
+    assert all(reference_compare(alphabet, w, rule.lhs) < 0 for w in rule.rhs.terms)
+    assert rule.polynomial() == f.scale(f.field.inv(f.terms[rule.lhs]))
 
 
 @given(polys, st.randoms(use_true_random=False))
@@ -328,13 +358,14 @@ def test_lhs_overhangs_match_a_scan_of_the_rules(gens_lhss, data):
 
 
 @st.composite
-def overlapping_antichains(draw):
-    """Antichains of left-hand sides of 2-5 letters over 2-3 letters: the
-    containment-minimal words of up to 6 drawn ones, so that the monomial
-    system is reduced.  With no single-letter lhs to absorb the longer ones,
-    about four examples in five have chains at levels 2 and 3."""
+def overlapping_antichains(draw, max_length=5):
+    """Antichains of left-hand sides of 2-max_length letters over 2-3
+    letters: the containment-minimal words of up to 6 drawn ones, so that
+    the monomial system is reduced.  With no single-letter lhs to absorb
+    the longer ones, about four examples in five have chains at levels 2
+    and 3."""
     gens = list(range(draw(st.sampled_from((2, 3)))))
-    word = st.lists(st.sampled_from(gens), min_size=2, max_size=5).map(tuple)
+    word = st.lists(st.sampled_from(gens), min_size=2, max_size=max_length).map(tuple)
     antichain = []
     for w in sorted(set(draw(st.lists(word, min_size=1, max_size=6))), key=len):
         if not any(contains(w, u) for u in antichain):
@@ -363,6 +394,51 @@ def test_chains_T2_are_the_minimal_tips(antichain):
     assert ResolutionPrefix(system).chains[2] == minimal
     assert level2 == naive_next_level(antichain, level1)
     assert extend_chains(system, level2) == naive_next_level(antichain, level2)
+
+
+def chain_levels(system, max_degree):
+    """The chains of degree <= max_degree at levels 1, 2, ..., level 1 the
+    left-hand sides and each above by `extend_chains` from the one below,
+    up to the first empty level."""
+    degree = system.alphabet.degree
+    pairs = [(L, L[1:]) for L in system.lhs_words() if degree(L) <= max_degree]
+    levels = []
+    while pairs:
+        levels.append([t for t, _u in pairs])
+        pairs = extend_chains(system, pairs, max_degree)
+    return levels
+
+
+def proper_suffix_pairs(levels):
+    """(t, t') for each chain t' that is a proper suffix of a chain t at
+    the same level."""
+    pairs = []
+    for chains in levels:
+        present = set(chains)
+        pairs += [(t, t[q:]) for t in chains for q in range(1, len(t)) if t[q:] in present]
+    return pairs
+
+
+UNIT_LETTERS = Alphabet.from_names([("x", 1), ("y", 1), ("z", 1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(overlapping_antichains(max_length=6))
+def test_no_chain_is_a_proper_suffix_of_another_on_antichains(antichain):
+    # the lemma behind the basis order at every level (see GradedComplex)
+    zero = Polynomial(F2, UNIT_LETTERS)
+    system = RewritingSystem(UNIT_LETTERS, F2, [RewriteRule(w, zero) for w in antichain])
+    assert proper_suffix_pairs(chain_levels(system, 12)) == []
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: small_system(2), lambda: big_system(3, 3, 2).interreduce()],
+    ids=["small l=2", "big(3,3,2)"],
+)
+def test_no_chain_is_a_proper_suffix_of_another_on_the_builtins(build):
+    levels = chain_levels(build(), 12)
+    assert len(levels) > 2  # chains above level 2, which resolve does not build
+    assert proper_suffix_pairs(levels) == []
 
 
 def naive_next_level(antichain, level):
@@ -570,7 +646,9 @@ def rebuild_complete(system, degree_bound, max_new_rules):
             )
         ok, witnesses = current.is_complete(degree_bound)
         if ok:
-            return system.with_rules(rules, complete_up_to=degree_bound)
+            done = system.with_rules(rules)
+            done.complete_up_to = degree_bound
+            return done
         for cp, _ in witnesses:
             heapq.heappush(heap, (key(cp.tip), next(counter), cp))
 
