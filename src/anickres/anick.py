@@ -37,6 +37,10 @@ read, so a run builds no differential it does not read; its len, iteration
 and `in` see only the entries read so far, so readers go through the chain
 lists.  Its dicts are shared, never changed: `act` by the empty word hands
 back the element it was given, as `normal_form_word` hands out its memo.
+A product m * d(.t) that is summed (a boundary's terms, a lift step, a
+cancellation in minimalization) is added into its sum in place by
+`act_into`, with no dict built for it; `act` builds a fresh one only for
+the column images, the products that are kept.
 """
 
 from __future__ import annotations
@@ -193,20 +197,34 @@ class ResolutionPrefix:
         return None
 
     # ----- module structure ------------------------------------------
+    def act_into(self, acc: dict, c: int, m: Word, terms: dict) -> None:
+        """acc += c (m * terms) in place over F_p: left multiplication by m,
+        re-expanded into the m'.t basis, each product added straight into
+        acc, and a key that reaches zero removed at once.  acc must not be
+        `terms`.  An empty m adds c terms as they stand: their words m1 are
+        irreducible, nf(m1) = m1."""
+        p, nf = self.field.p, self.system.normal_form_word
+        if not m:
+            accumulate(acc, c, terms, p)
+            return
+        for (m1, t), c1 in terms.items():
+            c1 *= c
+            for w, c2 in nf(m + m1).items():
+                key = (w, t)
+                x = (acc.get(key, 0) + c1 * c2) % p
+                if x:
+                    acc[key] = x
+                else:
+                    acc.pop(key, None)
+
     def act(self, m: Word, terms: dict) -> dict[tuple[Word, Word], int]:
-        """Left multiplication by m, re-expanded into the m'.t basis.  An
-        empty m returns `terms` itself, shared like a normal form: the
-        caller never changes it."""
+        """m * terms as a new dict, for the column images, the one product
+        that is kept rather than summed.  An empty m returns `terms` itself,
+        shared like a normal form: the caller never changes it."""
         if not m:
             return terms
         acc: dict[tuple[Word, Word], int] = {}
-        p = self.field.p
-        for (m1, t), c in terms.items():
-            for w, c2 in self.system.normal_form_word(m + m1).items():
-                key = (w, t)
-                acc[key] = (acc.get(key, 0) + c * c2) % p
-        if 0 in acc.values():
-            acc = {key: c for key, c in acc.items() if c}
+        self.act_into(acc, 1, m, terms)
         return acc
 
     # ----- differentials ---------------------------------------------
@@ -221,7 +239,7 @@ class ResolutionPrefix:
         acc: dict[tuple[Word, Word], int] = {}
         diff = self.diff[level]
         for (m, t), c in terms.items():
-            accumulate(acc, c, self.act(m, diff[t]), self.field.p)
+            self.act_into(acc, c, m, diff[t])
         return acc
 
     def _tabulate(self, level: int, t: Word) -> dict[tuple[Word, Word], int]:
@@ -255,9 +273,11 @@ class ResolutionPrefix:
             if g is None:
                 stuck = f"leading element {fmt(m)}.{fmt(t)} of a cycle is not liftable"
                 break
-            g_terms = {g: rest[(m, t)]}
-            accumulate(result, 1, g_terms, p)
-            accumulate(rest, -1, self.boundary(level, g_terms), p)
+            c = result[g] = rest[(m, t)]  # g has the lead's word, and leads only drop
+            if level == -1:  # d is the augmentation
+                accumulate(rest, -1, self.boundary(level, {g: c}), p)
+            else:
+                self.act_into(rest, -c, g[0], self.diff[level][g[1]])
         else:
             return result
         below = self.boundary(level - 1, f)

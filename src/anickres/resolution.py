@@ -3,9 +3,11 @@ ranks of the differentials over F_p, exactness defects, the radical
 (minimality) criterion, minimalization, and graded Betti tables.
 
 The column of the basis element m.t is its image under d, m * d(.t)
-(Anick's module structure), built by `prefix.act` and never cached: the
-normal-form memo holds nf(m' w) for m = x m', so reducing x m' w is one
-engine step from it.
+(Anick's module structure), built as a fresh dict by `prefix.act` and
+never cached: the normal-form memo holds nf(m' w) for m = x m', so
+reducing x m' w is one engine step from it.  The column images are the
+only products kept; every product that is summed, as the minimalizations'
+cancellations are, goes into its sum in place through `prefix.act_into`.
 
 Basis order is the word mt of m.t, as in the lift (`anick._word`): no
 two basis elements at one level share it (see `GradedComplex`).  The
@@ -250,7 +252,8 @@ class GradedComplex:
     # ----- matrices ---------------------------------------------------
     def column_image(self, level: int, m: Word, t: Word) -> dict[tuple[Word, Word], int]:
         """The image m * d_level(.t) of the basis element m.t, as {(w, t'): c},
-        built by `prefix.act` on each call (the empty m gives d_level(.t)
+        built as a fresh dict by `prefix.act` on each call, the one product
+        that is kept rather than summed (the empty m gives d_level(.t)
         itself, shared and never changed).  Nothing is cached here: the
         normal-form memo already holds nf(m' w) for the suffix m' of m = x m',
         so nf(x m' w) costs one rewriting step from it.
@@ -491,8 +494,10 @@ def minimalize(complex_: GradedComplex) -> GradedComplex:
     def substitute(terms: dict) -> dict:
         acc: dict[tuple[Word, Word], int] = {}
         for (m, t), c in terms.items():
-            image = prefix.act(m, replacement[t]) if t in removed_t1 else {(m, t): 1}
-            accumulate(acc, c, image, complex_.field.p)
+            if t in removed_t1:
+                prefix.act_into(acc, c, m, replacement[t])
+            else:
+                accumulate(acc, c, {(m, t): 1}, complex_.field.p)
         return acc
 
     new_diff = {
@@ -540,7 +545,7 @@ def generic_minimalize(complex_: GradedComplex) -> GradedComplex:
             for s in filter(table.__contains__, carriers.pop(t2)):
                 d_s = table[s]
                 for m, cc in [(m, cc) for (m, tt), cc in d_s.items() if tt == t2]:
-                    accumulate(d_s, -cc * inv, prefix.act(m, d_t), field.p)
+                    prefix.act_into(d_s, -cc * inv, m, d_t)
                 if any(tt == t2 for (_m, tt) in d_s):
                     ft, ft2, fs = alphabet.format(t), alphabet.format(t2), alphabet.format(s)
                     raise ValueError(

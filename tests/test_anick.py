@@ -213,6 +213,60 @@ def test_act_drops_terms_that_cancel():
     assert prefix.act(b, f) == {(a + b + b, b): 1, (a + a + a, b): 1}
 
 
+def test_act_into_removes_a_sum_that_cancels():
+    # over F_3 with b a -> a b + a a: b * (a b . b) = a b b + a a b, so
+    # adding 2 b * (a b . b) to a b b + a a b leaves nothing, and
+    # subtracting it from a b b + 2 a a b leaves a a b alone
+    F3 = PrimeField(3)
+    A = Alphabet.from_names([("a", 1), ("b", 1)])
+    a, b = A.word("a"), A.word("b")
+    rel = Polynomial(F3, A, {b + a: 1, a + b: -1, a + a: -1})
+    prefix = ResolutionPrefix(RewritingSystem.from_relations(A, F3, [rel]))
+    f = {(a + b, b): 1}
+    acc = {(a + b + b, b): 1, (a + a + b, b): 1}
+    prefix.act_into(acc, 2, b, f)
+    assert acc == {}
+    acc = {(a + b + b, b): 1, (a + a + b, b): 2}
+    prefix.act_into(acc, -1, b, f)
+    assert list(acc.items()) == [((a + a + b, b), 1)]
+
+
+def test_act_into_over_f2_cancels_a_product_into_an_element():
+    # a0 * (a0 . a0) = 0 in small(0) (the test_act_reexpands case), so
+    # adding it leaves a non-empty acc as it was; adding a product that
+    # does not vanish into an element holding it cancels it over F_2
+    system = small_system(0)
+    prefix = ResolutionPrefix(system)
+    A = system.alphabet
+    a0, e = A.word("a0"), A.empty_word
+    acc = {(a0, a0): 1}
+    prefix.act_into(acc, 1, a0, {(a0, a0): 1})
+    assert acc == {(a0, a0): 1}
+    image = prefix.act(a0, {(e, a0): 1})
+    assert image
+    acc = dict(image)
+    prefix.act_into(acc, 1, a0, {(e, a0): 1})
+    assert acc == {}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_act_into_by_the_empty_word_adds_the_element(p):
+    # m = e: acc += c terms, as `accumulate` would, and terms is not changed
+    field = PrimeField(p)
+    A = Alphabet.from_names([("a", 1), ("b", 1)])
+    a, b = A.word("a"), A.word("b")
+    rel = Polynomial(field, A, {b + a: 1, a + b: -1})
+    prefix = ResolutionPrefix(RewritingSystem.from_relations(A, field, [rel]))
+    terms = {(a, b): 1, (a + a, a): p - 1}
+    acc = {(a, b): 1, (b, b): 1}
+    expected = dict(acc)
+    accumulate(expected, p - 1, terms, p)
+    prefix.act_into(acc, p - 1, A.empty_word, terms)
+    assert acc == expected
+    assert terms == {(a, b): 1, (a + a, a): p - 1}
+    assert prefix.act(A.empty_word, terms) is terms
+
+
 def test_prefix_refuses_a_constant_tail():
     alphabet = Alphabet.from_names([("x", 1)])
     F3 = PrimeField(3)

@@ -3,6 +3,7 @@ of the package, and its workloads run the pipelines through the public
 API.  A rename of a traced or used name fails here, in the tier-1 suite,
 and not only in the benchmark's own tests."""
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -56,14 +57,25 @@ def test_traced_smoke_pipeline_passes_its_oracle(name):
     assert layers["kostant.rules_in"] == len(loaded.system.rules)
 
 
+# sha256 of each full-size pipeline's canonical report, `Report.to_json()`:
+# the benchmark compares these bytes only across its own samples, so a
+# change to any table, verdict or listed problem fails here
+REPORT_SHA256 = {
+    "betti-small": "09e4425ee6c42e41d8d0bdf0b8d0e2e1e43da0bd7ad857acc1bca5a6e53da377",
+    "complete-oddp": "87b31c70d774135dee73c9741fe64fa93a13bd391380c040c02b92c4deac9413",
+    "resolve-big-p3": "21fa0f2cb7fa1813bc87520513ee364058f812e6e957180857a13ec29ceaac87",
+}
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_full_size_pipeline_passes_its_oracle(name):
     # the only tier-1 run of each pipeline at the benchmark's own size
     workload = workloads.WORKLOADS[name]
     size = workload.size(smoke=False)
     loaded = PresentationDocument.from_json(workload.document_json(smoke=False)).build()
-    _report, facts = workload.pipeline(loaded.system, size.params)
+    report, facts = workload.pipeline(loaded.system, size.params)
     assert size.oracle(facts) == []
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

@@ -191,6 +191,45 @@ def test_systems_change_in_place_only_in_their_own_transform():
     assert callers == {"_add_rule": {"complete"}, "_set_tail": {"interreduce"}}, callers
 
 
+def is_act_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "act"
+    )
+
+
+def test_no_product_is_built_only_to_be_summed():
+    # a module product that is summed goes through `act_into`, which adds
+    # it in place: no `accumulate` call takes an `.act(...)` result, read
+    # directly or through a name the same function bound to one
+    offenders = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {
+                target.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and any(map(is_act_call, ast.walk(node.value)))
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) == "accumulate"
+                    and any(
+                        is_act_call(arg) or (isinstance(arg, ast.Name) and arg.id in bound)
+                        for a in node.args
+                        for arg in ast.walk(a)
+                    )
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} {function.name}")
+    assert not offenders, f"act results summed by accumulate: {sorted(set(offenders))}"
+
+
 def test_no_default_argument_reads_a_name():
     # a default is evaluated once, at import, so one copied from a module
     # constant would keep the old value when that constant is patched

@@ -1170,6 +1170,53 @@ def test_leads_carry_under_left_multiplication(gc):
                         assert carried[lead] == image[(m1, t1)]
 
 
+def resolved_complexes():
+    """The complex `resolve` builds from a drawn homogeneous presentation
+    up to its bound (p in {2, 3, 5}); draws whose completion caps are
+    rejected."""
+
+    def build(case):
+        system, bound = case
+        try:
+            return resolve(system, bound)
+        except CompletionCapError:
+            return None
+
+    return presentations(homogeneous=True).map(build).filter(lambda gc: gc is not None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(resolved_complexes(), real_complexes()), st.randoms(use_true_random=False))
+@example(GradedComplex.from_prefix(real_chains("big(3,3,2)").prefix), random.Random(0))
+def test_products_summed_in_place_equal_act_then_accumulate(gc, rng):
+    # act_into(acc, c, m, d(.t)) is accumulate(acc, c, act(m, d(.t)), p),
+    # d(.t) left as it was, and the boundary of an element is the sum of
+    # act(m, d(.t)) over its terms, on random basis elements and elements
+    # of each degree up to the chains' largest
+    prefix, p = gc.prefix, gc.field.p
+    bound = max(gc.alphabet.degree(t) for ts in gc.chains.values() for t in ts)
+    for level in range(gc.top + 1):
+        for d in range(bound + 1):
+            columns, rows = gc.basis(level, d), gc.basis(level - 1, d)
+            element = {
+                key: rng.randrange(1, p) for key in rng.sample(columns, min(len(columns), 4))
+            }
+            for m, t in element:
+                terms = prefix.diff[level][t]
+                unchanged = dict(terms)
+                acc = {key: rng.randrange(1, p) for key in rng.sample(rows, min(len(rows), 3))}
+                c = rng.randrange(-p, p)
+                expected = dict(acc)
+                accumulate(expected, c, prefix.act(m, terms), p)
+                prefix.act_into(acc, c, m, terms)
+                assert acc == expected
+                assert terms == unchanged
+            summed = {}
+            for (m, t), c in element.items():
+                accumulate(summed, c, prefix.act(m, prefix.diff[level][t]), p)
+            assert prefix.boundary(level, element) == summed
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.one_of(
