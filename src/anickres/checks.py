@@ -198,8 +198,9 @@ def expected_betti_table(max_degree: int, K: int) -> dict[int, dict[int, int]]:
 
 
 def criterion_7_minimality() -> CriterionResult:
-    """After minimalization: radical criterion at levels 0-2, zero defects,
-    and the expected Betti table; the generic cancellation path agrees."""
+    """After minimalization: radical criterion at every level, zero defects
+    to degree 16 and the expected Betti table, both for `minimalize` and
+    for `generic_minimalize`, the path the CLI prints, which must agree."""
     prefix = ResolutionPrefix(small_system(3))
     gc = GradedComplex.from_prefix(prefix)
     mn = minimalize(gc)
@@ -208,11 +209,15 @@ def criterion_7_minimality() -> CriterionResult:
     betti = {lvl: mn.betti_table(16)[lvl] for lvl in (0, 1, 2)}
     expected = expected_betti_table(16, 3)
     gm = generic_minimalize(gc)
+    generic_radical = {lvl: gm.radical_image_check(lvl)[0] for lvl in range(gm.top + 1)}
+    generic_defects = gm.verify_exactness(range(-1, gm.top), 16)
     generic_betti = {lvl: gm.betti_table(16)[lvl] for lvl in (0, 1, 2)}
     ok = (
         all(radical.values())
         and not defects
         and betti == expected
+        and all(generic_radical.values())
+        and not generic_defects
         and generic_betti == betti
     )
     return CriterionResult(
@@ -223,6 +228,8 @@ def criterion_7_minimality() -> CriterionResult:
             "defects": {f"{k}": v for k, v in defects.items()},
             "betti": betti,
             "expected": expected,
+            "generic_radical": generic_radical,
+            "generic_defects": {f"{k}": v for k, v in generic_defects.items()},
             "generic_agrees": generic_betti == betti,
         },
     )

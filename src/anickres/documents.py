@@ -79,6 +79,8 @@ class PresentationDocument:
             return LoadedPresentation(system=builder(**params), document=document)
         if self.p is None or self.alphabet is None or self.relations is None:
             raise DocumentError("document needs either a builtin or p/alphabet/relations")
+        if self.params != {}:
+            raise DocumentError(f"params belong to a builtin document, not {self.params!r}")
         field = PrimeField(_integer(self.p, "p"))
         seen = set()
         gens = []

@@ -37,21 +37,20 @@ rule L -> R of degree d whose words are irreducible.  An entry of degree
 are >= 1 and reduction never raises the degree).  Each step of the
 derivation of a degree-d entry depends on whether a suffix of lower degree
 is reducible and on the lhs that are prefixes of a degree-d word, and L is
-a prefix of no degree-d word but itself.  So every step stays, L can only
-be a leaf, the words of R stay irreducible, and by linearity L is replaced
-by R.  Entries above degree d are dropped.  Memo words are bucketed by
+a prefix of no degree-d word but itself.  So every step stays and L can
+only be a leaf: by linearity a degree-d entry without L is what the new
+system computes, and one with L is dropped, to be derived again when next
+needed.  Entries above degree d are dropped.  Memo words are bucketed by
 degree as rules are added, so an addition visits only the entries of
-degree >= d; a patched entry is a copy.
+degree >= d; no entry is changed once stored.
 
 A rule's critical pairs take two lookups, the trie walked from each
 position of its lhs and the starts of its first letter among all lhs,
 instead of a scan of every lhs; neither builds a pair whose tip lies above
-the degree bound.  Pairs come by first rule, then by second rule, and each
-rule pair lists its overlaps by ascending overlap length before its
-inclusions by ascending position; completion's heap breaks ties between
-equal tips by this order.  Completion reduces each pair it pops, except an
-overlap whose tip holds another lhs strictly inside, which Buchberger's
-chain criterion discharges; `is_complete` reduces every pair.
+the degree bound.  Every list of pairs is sorted by one key, `_pair_order`.
+Completion reduces each pair it pops, except an overlap whose tip holds
+another lhs strictly inside, which Buchberger's chain criterion
+discharges; `is_complete` reduces every pair.
 
 The trie finds where a word reduces; one automaton decides whether it
 does: the prepend automaton, the Aho-Corasick automaton of the reversed
@@ -148,6 +147,14 @@ def _drive(derivation, w: Word) -> None:
             stack.pop()
         else:
             stack.append(derivation(need))
+
+
+def _pair_order(cp: CriticalPair) -> tuple:
+    """The one order of critical pairs: by first rule, then by second rule,
+    and each rule pair's overlaps by ascending overlap length (descending
+    |u|) before its inclusions by ascending position |u|."""
+    inclusion = cp.kind == "inclusion"
+    return cp.rule1, cp.rule2, inclusion, len(cp.u) if inclusion else -len(cp.u)
 
 
 def _aho_corasick(words: Iterable[Word], n: int) -> list[list[Optional[int]]]:
@@ -282,14 +289,14 @@ class RewritingSystem:
         for e in [e for e in buckets if e > d]:
             for w in buckets.pop(e):
                 del memo[w]
-        self._nf_bucketed = len(memo)
-        relation = rule.polynomial().terms  # lhs first: it drops out, the rhs words follow
-        p = self.field.p
+        kept = []
         for w in buckets.get(d, ()):
-            c = memo[w].get(lhs)
-            if c is not None:
-                nf = memo[w] = dict(memo[w])
-                accumulate(nf, -c, relation, p)
+            if lhs in memo[w]:
+                del memo[w]
+            else:
+                kept.append(w)
+        buckets[d] = kept
+        self._nf_bucketed = len(memo)
 
     @classmethod
     def from_relations(
@@ -483,24 +490,21 @@ class RewritingSystem:
     # ----- critical pairs --------------------------------------------
     def find_critical_pairs(self, degree_bound: int | None = None) -> list[CriticalPair]:
         """Every critical pair whose tip has degree <= degree_bound (None =
-        all), by first rule, then by second rule, with overlaps by ascending
-        overlap length before inclusions by ascending position."""
+        all), in `_pair_order`."""
         bound = math.inf if degree_bound is None else degree_bound
         return [cp for i in range(len(self.rules)) for cp in self._pairs_as_first(i, bound)]
 
     def _pairs_as_second(self, j: int, bound: float) -> list[CriticalPair]:
-        """The pairs (i, j) over all rules i, by ascending i; each (i, j)
-        lists its overlaps by ascending t before its inclusions by ascending
-        position.  Walks of the trie from each position of lhs_j: an lhs_i
-        ending on a walk occurs inside lhs_j, an inclusion unless i = j.  A
-        walk from pos > 0 that uses up lhs_j ends at the node of its suffix
-        of length t = len(lhs_j) - pos, and each lhs_i passing that node
-        begins with that suffix: an overlap."""
+        """The pairs (i, j) over all rules i, in `_pair_order`.  Walks of the
+        trie from each position of lhs_j: an lhs_i ending on a walk occurs
+        inside lhs_j, an inclusion unless i = j.  A walk from pos > 0 that
+        uses up lhs_j ends at the node of its suffix of length t = len(lhs_j)
+        - pos, and each lhs_i passing that node begins with that suffix: an
+        overlap."""
         m2, d2 = self._lhs[j], self._lhs_degree[j]
         if d2 > bound:
             return []
-        overlaps: dict[int, list[CriticalPair]] = {}  # by descending t
-        inside: dict[int, list[CriticalPair]] = {}
+        pairs = []
         suffix = d2  # the degree of m2[pos:]
         for pos in range(len(m2)):
             path = self._path(m2, pos)
@@ -508,33 +512,25 @@ class RewritingSystem:
                 for i in node.get(_END, ()):
                     if i != j:
                         v = m2[pos + length :]
-                        inside.setdefault(i, []).append(
-                            CriticalPair(m2, i, j, "inclusion", m2[:pos], v)
-                        )
+                        pairs.append(CriticalPair(m2, i, j, "inclusion", m2[:pos], v))
             t = len(m2) - pos
             if pos and len(path) == t:
                 for i in path[-1].get(_PAST, ()):
                     if d2 + self._lhs_degree[i] - suffix <= bound:
                         v = self._lhs[i][t:]
-                        overlaps.setdefault(i, []).append(
-                            CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
-                        )
+                        pairs.append(CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v))
             suffix -= self._degrees[m2[pos]]
-        pairs = []
-        for i in sorted(overlaps.keys() | inside.keys()):
-            pairs += reversed(overlaps.get(i, ()))
-            pairs += inside.get(i, ())
+        pairs.sort(key=_pair_order)
         return pairs
 
     def _pairs_as_first(self, i: int, bound: float) -> list[CriticalPair]:
-        """The pairs (i, j) over all rules j, by ascending j, each (i, j) in
-        the order of `_pairs_as_second`.  Both kinds begin lhs_i at a
-        position of lhs_j, so they are read off the starts of its first
-        letter: lhs_j running out first is an overlap, lhs_i doing so is an
-        inclusion."""
+        """The pairs (i, j) over all rules j, in `_pair_order`.  Both kinds
+        begin lhs_i at a position of lhs_j, so they are read off the starts
+        of its first letter: lhs_j running out first is an overlap, lhs_i
+        doing so is an inclusion."""
         m1, d1 = self._lhs[i], self._lhs_degree[i]
         n1 = len(m1)
-        found: dict[int, tuple[list, list]] = {}  # j -> overlaps by descending t, inclusions
+        pairs = []
         starts = iter(self._starts[m1[0]])  # flat (rule, position, degree before)
         for j, pos, before in zip(starts, starts, starts):
             if before + d1 > bound:
@@ -545,17 +541,10 @@ class RewritingSystem:
             if t < n1:
                 if pos and m1[:t] == rest:
                     v = m1[t:]
-                    found.setdefault(j, ([], []))[0].append(
-                        CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v)
-                    )
+                    pairs.append(CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v))
             elif j != i and rest[:n1] == m1 and self._lhs_degree[j] <= bound:
-                found.setdefault(j, ([], []))[1].append(
-                    CriticalPair(m2, i, j, "inclusion", m2[:pos], rest[n1:])
-                )
-        pairs = []
-        for overlaps, inside in found.values():
-            pairs += reversed(overlaps)
-            pairs += inside
+                pairs.append(CriticalPair(m2, i, j, "inclusion", m2[:pos], rest[n1:]))
+        pairs.sort(key=_pair_order)
         return pairs
 
     def pair_obstruction(self, cp: CriticalPair) -> Polynomial:

@@ -354,6 +354,19 @@ def test_malformed_document_exits_2(tmp_path, capsys, doc, reason):
     assert err.count("\n") == 1 and reason in err
 
 
+@pytest.mark.parametrize("params", [3, [], {"D": 99}, {"l": 1}])
+@pytest.mark.parametrize("argv", [["nf", "a"], ["check"], ["betti", "--D", "4", "--json"]])
+def test_explicit_document_with_params_exits_2(tmp_path, capsys, argv, params):
+    # params select a builtin's parameters: an explicit document has none,
+    # whatever their shape, and none reaches a report's own keys
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"p": 2, "alphabet": AB, "relations": [], "params": params}))
+    code = main([*argv, "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: params belong to a builtin document, not {params!r}\n"
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [(["betti", "--D", "-1"], "--D"), (["check", "--degree-bound", "-3"], "--degree-bound")],

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from anickres.documents import (
@@ -71,6 +73,16 @@ def test_document_rejects_names_an_expression_cannot_spell(name):
     )
     with pytest.raises(DocumentError, match="generator name"):
         doc.build()
+
+
+def test_explicit_document_takes_no_params():
+    # an explicit document gives p, alphabet and relations; params belong to
+    # a builtin, and an empty object, the default, is the only one allowed
+    data = json.loads(EXPLICIT)
+    assert PresentationDocument(**data, params={}).build().system.rules
+    for params in (3, [], {"l": 1}):
+        with pytest.raises(DocumentError, match="params belong to a builtin document"):
+            PresentationDocument(**data, params=params).build()
 
 
 def test_document_needs_content():

@@ -230,6 +230,71 @@ def test_no_product_is_built_only_to_be_summed():
     assert not offenders, f"act results summed by accumulate: {sorted(set(offenders))}"
 
 
+def is_memo(node: ast.AST, aliases: set[str]) -> bool:
+    """node is a normal-form memo (an `._nf`, or a name bound to one) or an
+    entry of one, read by subscript or `.get`, at any depth."""
+    while True:
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            node = node.func.value
+        else:
+            break
+    return (isinstance(node, ast.Attribute) and node.attr == "_nf") or (
+        isinstance(node, ast.Name) and node.id in aliases
+    )
+
+
+def memo_aliases(function: ast.AST) -> set[str]:
+    """The names the function binds to a memo or to an entry of one, alone
+    or in a tuple assignment, through other such names too."""
+    aliases: set[str] = set()
+    while True:
+        found = set(aliases)
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    else:
+                        pairs = [(target, node.value)]
+                    found.update(
+                        t.id for t, v in pairs if isinstance(t, ast.Name) and is_memo(v, aliases)
+                    )
+        if found == aliases:
+            return aliases
+        aliases = found
+
+
+def stores_into_memo(node: ast.AST, aliases: set[str]) -> bool:
+    """An item assignment into a memo or one of its entries, or a call that
+    writes into one: `update`, `setdefault`, or `accumulate` summing into it."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+        return is_memo(node.value, aliases)
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in ("update", "setdefault", "__setitem__"):
+        return is_memo(func.value, aliases)
+    name = getattr(func, "id", getattr(func, "attr", None))
+    return name == "accumulate" and bool(node.args) and is_memo(node.args[0], aliases)
+
+
+def test_only_the_derivation_stores_into_the_memo():
+    # a normal form is stored once, by the derivation that computes it, and
+    # never patched in place: a new rule drops the entries it reaches, so a
+    # memo dict handed out stays as it was (deleting an entry is no store)
+    writers = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                aliases = memo_aliases(function)
+                if any(stores_into_memo(node, aliases) for node in ast.walk(function)):
+                    writers.add(f"{path.name}: {function.name}")
+    assert writers == {"rewriting.py: _derivation"}, sorted(writers)
+
+
 def test_no_default_argument_reads_a_name():
     # a default is evaluated once, at import, so one copied from a module
     # constant would keep the old value when that constant is patched

@@ -454,9 +454,11 @@ def test_added_rule_must_hold_only_irreducible_words():
 
 
 def test_added_rule_keeps_the_memo_exact():
-    # _add_rule patches the warm memo in place of recomputing it: every
-    # entry must equal a fresh system's normal form under the new rules,
-    # and a memo dict handed out before the addition must not change
+    # _add_rule keeps the warm memo in place of recomputing it and drops
+    # the entries whose normal form holds the new lhs: each entry that held
+    # it is gone or free of it, every entry left equals a fresh system's
+    # normal form under the new rules, and no memo dict handed out before
+    # the addition changes (an entry kept is the dict handed out)
     system = conjectural_system("odd_p_n3", 3, 3, 1)
     ok, witnesses = system.is_complete()
     assert not ok
@@ -466,12 +468,14 @@ def test_added_rule_keeps_the_memo_exact():
         system.normal_form_word(w)
     held = {w: nf for w, nf in system._nf.items() if rule.lhs in nf}
     assert held
-    copies = {w: dict(nf) for w, nf in held.items()}
+    handed = dict(system._nf)
+    copies = {w: dict(nf) for w, nf in handed.items()}
     system._add_rule(rule)
     fresh = system.with_rules(system.rules)
     assert all(nf == fresh.normal_form_word(w) for w, nf in system._nf.items())
-    assert all(rule.lhs not in system._nf[w] for w in held)
-    assert held == copies
+    assert all(rule.lhs not in system._nf.get(w, ()) for w in held)
+    assert handed == copies
+    assert all(handed[w] is nf for w, nf in system._nf.items() if w in handed)
 
 
 def test_irreducible_counts_without_a_degree_bound():
