@@ -18,14 +18,16 @@ at every level:
 where the splitting map j sends m.t to u.(v t) for the longest suffix v
 of m = u v that makes v t a chain one level up, and delta(m.t) = nf(m u).s
 for u.s = j(t.e) one level down: s is the longest suffix of t that is a
-chain there.  d_{-1} is the augmentation.  The lift terminates because the
-leading basis element strictly drops in the (artinian) order induced by
-m.t -> mt.  On a homogeneous system every term of a lift has one degree,
-where deglex is tuple order, so leads compare the words mt (`_word`).
-The input is tested for a cycle only when the lift gets stuck: on a
-complete system d o d = 0, so a non-cycle is no boundary, its lift always
-gets stuck, and the error names its boundary.  On an incomplete system a
-non-cycle may lift; neither CLI path resolves one (`anick` checks
+chain there.  d_{-1} is the augmentation.  The lift runs at levels >= 0
+only: on an augmented system delta(.x) = nf(x).e has no e.e term, so
+d_{-1}(delta(.x)) = 0 and d_0 = delta needs no lift.  It terminates
+because the leading basis element strictly drops in the (artinian) order
+induced by m.t -> mt.  On a homogeneous system every term of a lift has
+one degree, where deglex is tuple order, so leads compare the words mt
+(`_word`).  The input is tested for a cycle only when the lift gets stuck:
+on a complete system d o d = 0, so a non-cycle is no boundary, its lift
+always gets stuck, and the error names its boundary.  On an incomplete
+system a non-cycle may lift; neither CLI path resolves one (`anick` checks
 completeness, `betti` completes first).
 
 Every term m.t' of d(.t) has deg t' <= deg t (rewriting never raises the
@@ -251,12 +253,11 @@ class ResolutionPrefix:
         return val
 
     def lift_i(self, level: int, f: dict) -> dict[tuple[Word, Word], int]:
-        """The contracting lift i_level: a cycle f at level-1 goes to an
-        element one level up with d_level(i(f)) = f.  Leads compare the
-        words mt (`_word`, as the greedy ranks do) on a homogeneous system
-        and their deglex keys otherwise; f is tested for a cycle only once
-        the lift gets stuck (see the module docstring)."""
-        p = self.field.p
+        """The contracting lift i_level, level >= 0: a cycle f at level-1
+        goes to an element one level up with d_level(i(f)) = f.  Leads
+        compare the words mt (`_word`, as the greedy ranks do) on a
+        homogeneous system and their deglex keys otherwise; f is tested for
+        a cycle only once the lift gets stuck (see the module docstring)."""
         fmt, key = self.alphabet.format, self.alphabet.sort_key
         order = _word if self.inhomogeneous_rule is None else lambda mt: key(_word(mt))
         result: dict[tuple[Word, Word], int] = {}
@@ -274,10 +275,7 @@ class ResolutionPrefix:
                 stuck = f"leading element {fmt(m)}.{fmt(t)} of a cycle is not liftable"
                 break
             c = result[g] = rest[(m, t)]  # g has the lead's word, and leads only drop
-            if level == -1:  # d is the augmentation
-                accumulate(rest, -1, self.boundary(level, {g: c}), p)
-            else:
-                self.act_into(rest, -c, g[0], self.diff[level][g[1]])
+            self.act_into(rest, -c, g[0], self.diff[level][g[1]])
         else:
             return result
         below = self.boundary(level - 1, f)

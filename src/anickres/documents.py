@@ -85,6 +85,11 @@ class PresentationDocument:
         seen = set()
         gens = []
         for entry in self.alphabet:
+            if not isinstance(entry, dict):
+                raise DocumentError(f"alphabet entry {entry!r} is not an object")
+            for key in entry:
+                if key not in ("name", "degree", "rank"):
+                    raise DocumentError(f"unknown key {key!r} in alphabet entry {entry!r}")
             name = entry["name"]
             _check_generator_name(name)
             if name in seen:

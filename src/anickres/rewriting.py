@@ -31,7 +31,8 @@ the callers of `normal_form_word`, who must not change them.
 Completion and interreduction each change one working system of their own
 in place and return it: interreduction sets tails (see `interreduce`), and
 completion appends rules and carries the memo across each, keeping every
-entry equal to what a new system with the same rules computes.  Take a new
+entry equal to what a new system with the same rules computes.  Only
+completion sets a claim, `complete_up_to`, on what it returns.  Take a new
 rule L -> R of degree d whose words are irreducible.  An entry of degree
 < d stays, since no word its derivation reaches contains L (letter degrees
 are >= 1 and reduction never raises the degree).  Each step of the
@@ -212,9 +213,7 @@ class RewritingSystem:
     returns it when done (interreduction returns the system itself when no
     rule changes).  `complete_up_to` is the tip-degree bound up to which all
     critical pairs are known to resolve, or None (not checked), as on every
-    system built from rules.  Only those two transforms set it: completion
-    to its bound, and interreduction to the claim of the system it reduces,
-    dropped when a rule comes back below that bound.
+    system built from rules.  Only completion sets it, to its bound.
     """
 
     def __init__(self, alphabet: Alphabet, field: PrimeField, rules: Sequence[RewriteRule]):
@@ -548,15 +547,14 @@ class RewritingSystem:
         return pairs
 
     def pair_obstruction(self, cp: CriticalPair) -> Polynomial:
-        f1 = self.rules[cp.rule1].rhs
-        f2 = self.rules[cp.rule2].rhs
-        if cp.kind == "overlap":
-            # tip = u lhs1 = lhs2 v
-            return f1.sandwich(cp.u, self.alphabet.empty_word).combine(
-                -1, f2.sandwich(self.alphabet.empty_word, cp.v)
-            )
-        # tip = u lhs1 v = lhs2
-        return f1.sandwich(cp.u, cp.v).combine(-1, f2)
+        """u rhs1 v1 - rhs2 v2, read off tip = u lhs1 v1 = lhs2 v2 (v1 is
+        empty for an overlap, v2 for an inclusion)."""
+        rule1, rule2 = self.rules[cp.rule1], self.rules[cp.rule2]
+        v1 = cp.tip[len(cp.u) + len(rule1.lhs) :]
+        v2 = cp.tip[len(rule2.lhs) :]
+        return rule1.rhs.sandwich(cp.u, v1).combine(
+            -1, rule2.rhs.sandwich(self.alphabet.empty_word, v2)
+        )
 
     def is_complete(
         self, degree_bound: int | None = None
@@ -635,16 +633,12 @@ class RewritingSystem:
     # ----- interreduction --------------------------------------------
     def interreduce(self) -> "RewritingSystem":
         """Reduce each rule modulo the others until the system is reduced, on
-        working systems with no claim, or return this system when no rule
-        changes.  When only the tail of the first rule not reduced reduces,
-        the tail is set to its normal form here, which is the one modulo the
-        others (the words reached lie deglex-below the lhs), and the scan
-        goes on; else the rule is reduced modulo a system without it,
-        dropped if that gives 0, and the scan restarts.  On an
-        inhomogeneous system a rule may come back with an lhs at or below
-        this system's `complete_up_to` bound, whose pairs no completion
-        resolved.  The system returned gets that claim, or None once such
-        a rule came back.
+        working systems with no claim, or return this system, claim and
+        all, when no rule changes.  When only the tail of the first rule not
+        reduced reduces, the tail is set to its normal form here, which is
+        the one modulo the others (the words reached lie deglex-below the
+        lhs), and the scan goes on; else the rule is reduced modulo a system
+        without it, dropped if that gives 0, and the scan restarts.
 
         The loop always ends.  A tail edit changes no lhs, and each scan
         moves forward.  Every other step drops a rule, or replaces its lhs L
@@ -653,7 +647,7 @@ class RewritingSystem:
         So the multiset of left-hand sides strictly decreases in the
         multiset order of deglex, which is well-founded because every letter
         has degree >= 1 (finitely many words lie below any word)."""
-        current, claim = self, self.complete_up_to
+        current = self
         while True:
             found = current._unreduced_rule(0)
             while found is not None and found[1]:
@@ -665,18 +659,13 @@ class RewritingSystem:
                 current._set_tail(i, tail)
                 found = current._unreduced_rule(i + 1)
             if found is None:
-                if current is not self:
-                    current.complete_up_to = claim
                 return current
             rules = list(current.rules)
             rule = rules.pop(found[0])
             current = self.with_rules(rules)
             nf = current.normal_form(rule.polynomial())
             if not nf.is_zero():
-                rule = make_rule(nf)
-                if claim is not None and self.alphabet.degree(rule.lhs) <= claim:
-                    claim = None  # no pair of the new lhs was resolved
-                rules.insert(found[0], rule)
+                rules.insert(found[0], make_rule(nf))
                 current = self.with_rules(rules)
 
     def _unreduced_rule(self, start: int) -> Optional[tuple[int, bool]]:

@@ -343,6 +343,7 @@ AB = [{"name": "a", "degree": 1, "rank": 0}, {"name": "b", "degree": 1, "rank": 
         ({"builtin": "small", "relations": []}, "cannot also give p, alphabet or relations"),
         ({"builtin": "tiny"}, "unknown builtin 'tiny'"),
         ({"builtin": "small", "param": {"l": 1}}, "unknown key 'param' in the document"),
+        ({"p": 3, "alphabet": ["x"], "relations": []}, "alphabet entry 'x' is not an object"),
     ],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, doc, reason):
@@ -365,6 +366,18 @@ def test_explicit_document_with_params_exits_2(tmp_path, capsys, argv, params):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: params belong to a builtin document, not {params!r}\n"
+
+
+@pytest.mark.parametrize("argv", [["nf", "a"], ["check"], ["betti", "--D", "4"]])
+def test_alphabet_entry_with_an_unknown_key_exits_2(tmp_path, capsys, argv):
+    # a misspelt key of a generator is refused, not ignored, on every command
+    entry = {"name": "a", "degree": 1, "rank": 0, "degre": 2}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"p": 2, "alphabet": [entry], "relations": []}))
+    code = main([*argv, "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: unknown key 'degre' in alphabet entry {entry!r}\n"
 
 
 @pytest.mark.parametrize(

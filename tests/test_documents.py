@@ -75,6 +75,25 @@ def test_document_rejects_names_an_expression_cannot_spell(name):
         doc.build()
 
 
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        ({"name": "x", "degree": 1, "rank": 0, "degre": 2}, "unknown key 'degre'"),
+        ("x", "alphabet entry 'x' is not an object"),
+        (["x", 1, 0], "alphabet entry ['x', 1, 0] is not an object"),
+        (None, "alphabet entry None is not an object"),
+    ],
+)
+def test_document_rejects_malformed_alphabet_entries(entry, reason):
+    # an entry is an object with exactly the keys name, degree and rank: a
+    # misspelt key would otherwise be ignored, and a non-object entry fail
+    # with Python's own wording
+    doc = PresentationDocument(p=2, alphabet=[entry], relations=[])
+    with pytest.raises(DocumentError) as info:
+        doc.build()
+    assert str(info.value).startswith(reason)
+
+
 def test_explicit_document_takes_no_params():
     # an explicit document gives p, alphabet and relations; params belong to
     # a builtin, and an empty object, the default, is the only one allowed

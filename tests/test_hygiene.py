@@ -191,6 +191,25 @@ def test_systems_change_in_place_only_in_their_own_transform():
     assert callers == {"_add_rule": {"complete"}, "_set_tail": {"interreduce"}}, callers
 
 
+def test_only_completion_sets_a_claim():
+    # `complete_up_to` says up to which tip degree every critical pair is
+    # known to resolve; only `complete` checks that, so no other function
+    # but the constructor, which sets None, assigns it
+    setters = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(function):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and node.attr == "complete_up_to"
+                        and isinstance(node.ctx, (ast.Store, ast.Del))
+                    ):
+                        setters.add(f"{path.name}: {function.name}")
+    assert setters == {"rewriting.py: __init__", "rewriting.py: complete"}, sorted(setters)
+
+
 def is_act_call(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.Call)

@@ -7,12 +7,13 @@ resolution prefix and chain extension against the unbounded ones, the
 grown lhs index and the degree-bounded pair lists against naive scans,
 completion against a rebuild per added rule, interreduction and generic
 minimalization against their restart loops, the memo of an interreduced
-system against a new system's, the completeness claim that interreduction
-keeps, and the normal-form engine
-against leftmost-first reduction: the normal forms it gives, on complete
-systems, after completion and under any rule order, and the completeness
-verdicts it gives on any system; and, end to end, the Betti table of
-`resolve` and `generic_minimalize` against the reduced bar construction."""
+system against a new system's, the completeness claim of an interreduced
+system, the obstruction's term order against a formula per kind of pair,
+and the normal-form engine against leftmost-first reduction: the normal
+forms it gives, on complete systems, after completion and under any rule
+order, and the completeness verdicts it gives on any system; and, end to
+end, the Betti table of `resolve` and `generic_minimalize` against the
+reduced bar construction."""
 
 import functools
 import heapq
@@ -833,13 +834,16 @@ def completed_up_to(system, bound, rounds=3):
 @given(presentations(homogeneous=False))
 @example(lowered_lhs_case())
 def test_an_interreduced_completion_claims_only_what_holds(case):
-    # interreduction keeps `complete_up_to` only where the system is still
-    # complete up to that bound
+    # only completion sets `complete_up_to`: interreduction hands back its
+    # input, claim included, when no rule changes, and otherwise a system
+    # with no claim, so every claim left is one completion checked
     system, bound = case
     try:
-        system = complete_capped(system, bound).interreduce()
+        completed = complete_capped(system, bound)
+        system = completed.interreduce()
     except (CompletionCapError, UnorderableRelationError):
         assume(False)
+    assert system is completed or system.complete_up_to is None
     if system.complete_up_to == bound:
         assert system.is_complete(bound)[0]
 
@@ -881,6 +885,10 @@ def test_lift_inverts_the_boundary_on_inhomogeneous_systems(case):
     for level, t in prefix.generators():
         f = prefix.diff[level][t]
         assert prefix.boundary(level, prefix.lift_i(level, f)) == f
+    # the lift needs no level -1 step: on an augmented system delta(.x) has
+    # no e.e term, so d_0 = delta and tabulating it lifts nothing
+    for x in range(len(system.alphabet)):
+        assert prefix.boundary(-1, prefix.delta(0, (x,))) == {}
 
 
 @settings(max_examples=60, deadline=None)
@@ -1385,6 +1393,27 @@ def test_is_complete_verdict_matches_iterated_reduce_once(system, bound):
     assert completed.is_complete(bound)[0] and reference_verdict(completed, bound)
     # completion adds a rule exactly when some obstruction does not reduce
     assert system.is_complete(bound)[0] == (completed.rules == system.rules)
+
+
+def two_branch_obstruction(system, cp):
+    """The obstruction written once per kind of pair, the reference for the
+    term order of `pair_obstruction`, which completion's rule order follows."""
+    f1 = system.rules[cp.rule1].rhs
+    f2 = system.rules[cp.rule2].rhs
+    e = system.alphabet.empty_word
+    if cp.kind == "overlap":  # tip = u lhs1 = lhs2 v
+        return f1.sandwich(cp.u, e).combine(-1, f2.sandwich(e, cp.v))
+    return f1.sandwich(cp.u, cp.v).combine(-1, f2)  # tip = u lhs1 v = lhs2
+
+
+@given(relation_systems())
+def test_the_obstruction_formula_keeps_the_term_order(system):
+    # u rhs1 v1 - rhs2 v2 with v1 empty for an overlap and v2 for an
+    # inclusion: the same terms in the same order as the two-branch formula
+    for cp in system.find_critical_pairs():
+        assert list(system.pair_obstruction(cp).terms.items()) == list(
+            two_branch_obstruction(system, cp).terms.items()
+        )
 
 
 @settings(max_examples=60, deadline=None)
