@@ -131,6 +131,7 @@ def cmd_check(args) -> int:
 
 def cmd_anick(args) -> int:
     loaded = _load(args)
+    params = dict(loaded.document.params)
     system = loaded.system.interreduce()
     complete, witnesses = system.is_complete()
     if not complete:
@@ -139,7 +140,7 @@ def cmd_anick(args) -> int:
             f"error: not complete: the critical pair at tip {tip} does not resolve",
             file=sys.stderr,
         )
-        return 1
+        return _emit(Report("anick", params, {"complete": False, "unresolved_tip": tip}), args, 1)
     prefix = ResolutionPrefix(system)
     ok, problems = prefix.verify_complex()
     if not args.json:
@@ -152,7 +153,7 @@ def cmd_anick(args) -> int:
         print(f"complex identities hold: {ok}")
     report = Report(
         "anick",
-        dict(loaded.document.params),
+        params,
         {
             "complex_ok": ok,
             "problems": problems,

@@ -29,10 +29,14 @@ recursion limit.  Memo entries are canonical {word: c} dicts, shared with
 the callers of `normal_form_word`, who must not change them.
 
 Completion and interreduction each change one working system of their own
-in place and return it: interreduction sets tails (see `interreduce`), and
-completion appends rules and carries the memo across each, keeping every
-entry equal to what a new system with the same rules computes.  Only
-completion sets a claim, `complete_up_to`, on what it returns.  Take a new
+in place and return it.  Interreduction edits one rule at a time: it takes
+the rule out of the trie, reduces it modulo the rest, and leaves it out or
+puts it back in its place with a new tail.  Only a lowered lhs costs a new
+system.  The prepend automaton stays across the edits, since an lhs left
+out holds the lhs of a rule still in (see `interreduce`).  Completion
+appends rules and carries the memo across each, keeping every entry equal
+to what a new system with the same rules computes.  Only completion sets a
+claim, `complete_up_to`, on what it returns.  Take a new
 rule L -> R of degree d whose words are irreducible.  An entry of degree
 < d stays, since no word its derivation reaches contains L (letter degrees
 are >= 1 and reduction never raises the degree).  Each step of the
@@ -125,14 +129,14 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class CriticalPair:
-    """An overlap (tip = u lhs1 = lhs2 v) or inclusion (tip = u lhs1 v = lhs2)."""
+    """An overlap (tip = u lhs1 = lhs2 v) or inclusion (tip = u lhs1 v = lhs2);
+    v is read off the tip."""
 
     tip: Word
     rule1: int
     rule2: int
     kind: str  # "overlap" | "inclusion"
     u: Word
-    v: Word
 
 
 def _drive(derivation, w: Word) -> None:
@@ -209,11 +213,13 @@ class RewritingSystem:
     """An ordered collection of rewriting rules over one alphabet and field.
 
     A system is never changed once returned: completion appends rules to a
-    working system of its own, interreduction sets tails on one, and each
-    returns it when done (interreduction returns the system itself when no
-    rule changes).  `complete_up_to` is the tip-degree bound up to which all
-    critical pairs are known to resolve, or None (not checked), as on every
-    system built from rules.  Only completion sets it, to its bound.
+    working system of its own, interreduction takes rules out of one and
+    puts them back with new tails, and each returns it when done
+    (interreduction returns the system itself when no rule changes, and a
+    new system of the rules kept when it left one out).  `complete_up_to`
+    is the tip-degree bound up to which all critical pairs are known to
+    resolve, or None (not checked), as on every system built from rules.
+    Only completion sets it, to its bound.
     """
 
     def __init__(self, alphabet: Alphabet, field: PrimeField, rules: Sequence[RewriteRule]):
@@ -228,7 +234,7 @@ class RewritingSystem:
         self._lhs: list[Word] = []
         self._lhs_degree: list[int] = []
         self._starts: dict[int, list[int]] = {}
-        self._repeated: set[Word] = set()  # each lhs that more than one rule has
+        self._ends: list[list[int]] = []  # the _END list of each rule's lhs
         for rule in self.rules:
             self._insert_lhs(rule)
         # the automaton of the reversed lhs, built on first use
@@ -242,10 +248,11 @@ class RewritingSystem:
 
     def _insert_lhs(self, rule: RewriteRule) -> None:
         """Index the nonempty lhs of the next rule k: k joins _END at the node
-        where lhs ends and _PAST at each node on the way, and each letter's
-        starts get (k, its position, the degree of lhs before it).  Every
-        system builds these, so they are kept small: the starts as a flat
-        list of ints, not a tuple each, and an _END list at its exact size."""
+        where lhs ends, the list `_ends[k]` refers to, and _PAST at each node
+        on the way, and each letter's starts get (k, its position, the degree
+        of lhs before it).  Every system builds these, so they are kept small:
+        the starts as a flat list of ints, not a tuple each, and an _END list
+        made for one rule at its exact size."""
         lhs, n = rule.lhs, len(self.alphabet)
         if not lhs:
             raise ValueError(f"the rule {rule} has the empty word as its lhs")
@@ -263,9 +270,12 @@ class RewritingSystem:
             self._starts.setdefault(x, []).extend((k, pos, before))
             before += self._degrees[x]
             node = node.setdefault(x, {})
-        if _END in node:
-            self._repeated.add(lhs)
-        node[_END] = node.get(_END, []) + [k]
+        ends = node.get(_END)
+        if ends is None:
+            ends = node[_END] = [k]
+        else:
+            ends.append(k)
+        self._ends.append(ends)
         self._lhs.append(lhs)
         self._lhs_degree.append(before)
 
@@ -356,7 +366,7 @@ class RewritingSystem:
             if node is None:
                 return None
             ends = node.get(_END)
-            if ends is not None:
+            if ends:  # empty while interreduction has its rules out
                 return k, ends[0]
         return None
 
@@ -507,17 +517,16 @@ class RewritingSystem:
         suffix = d2  # the degree of m2[pos:]
         for pos in range(len(m2)):
             path = self._path(m2, pos)
-            for length, node in enumerate(path, 1):
+            for node in path:
                 for i in node.get(_END, ()):
                     if i != j:
-                        v = m2[pos + length :]
-                        pairs.append(CriticalPair(m2, i, j, "inclusion", m2[:pos], v))
+                        pairs.append(CriticalPair(m2, i, j, "inclusion", m2[:pos]))
             t = len(m2) - pos
             if pos and len(path) == t:
                 for i in path[-1].get(_PAST, ()):
                     if d2 + self._lhs_degree[i] - suffix <= bound:
-                        v = self._lhs[i][t:]
-                        pairs.append(CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v))
+                        tip = m2 + self._lhs[i][t:]
+                        pairs.append(CriticalPair(tip, i, j, "overlap", m2[:pos]))
             suffix -= self._degrees[m2[pos]]
         pairs.sort(key=_pair_order)
         return pairs
@@ -539,10 +548,9 @@ class RewritingSystem:
             t = len(rest)
             if t < n1:
                 if pos and m1[:t] == rest:
-                    v = m1[t:]
-                    pairs.append(CriticalPair(m2 + v, i, j, "overlap", m2[:pos], v))
+                    pairs.append(CriticalPair(m2 + m1[t:], i, j, "overlap", m2[:pos]))
             elif j != i and rest[:n1] == m1 and self._lhs_degree[j] <= bound:
-                pairs.append(CriticalPair(m2, i, j, "inclusion", m2[:pos], rest[n1:]))
+                pairs.append(CriticalPair(m2, i, j, "inclusion", m2[:pos]))
         pairs.sort(key=_pair_order)
         return pairs
 
@@ -634,57 +642,80 @@ class RewritingSystem:
     def interreduce(self) -> "RewritingSystem":
         """Reduce each rule modulo the others until the system is reduced, on
         working systems with no claim, or return this system, claim and
-        all, when no rule changes.  When only the tail of the first rule not
-        reduced reduces, the tail is set to its normal form here, which is
-        the one modulo the others (the words reached lie deglex-below the
-        lhs), and the scan goes on; else the rule is reduced modulo a system
-        without it, dropped if that gives 0, and the scan restarts.
+        all, when no rule changes.
 
-        The loop always ends.  A tail edit changes no lhs, and each scan
-        moves forward.  Every other step drops a rule, or replaces its lhs L
-        by the leading word of nf(L - R) modulo the other rules; L reduces
-        modulo them, so every word of that normal form lies deglex-below L.
-        So the multiset of left-hand sides strictly decreases in the
+        Each step edits one working system in place: the first rule L -> R
+        not reduced leaves the trie and is reduced modulo the rest.  If L is
+        irreducible there, nf(L - R) = L - nf(R), and the rule comes back in
+        its place as L -> nf(R); if nf(L - R) = 0, it stays out.  Either way
+        the scan goes on after it, since neither changes which words reduce:
+        an lhs left out holds the lhs of a rule still in (else nf(L - R)
+        would keep L).  So the rules before it stay reduced, and the
+        automaton stays.  Otherwise L is lowered to the leading word of
+        nf(L - R), and only this builds a new working system and starts the
+        scan over.  So the rules change as in the restart loop (reduce or
+        drop the first rule that changes, then scan from the start), in the
+        same order and with the same terms.  When some rule was left out,
+        the rules kept make one system at the end.  The memo is cleared as
+        a rule leaves; what the reduction then stores is exact without the
+        rule and, for a rule put back, with it too, but for the entry of L:
+        every other word it reaches lies below L.
+
+        The loop always ends: a scan moves forward, and each drop or lowered
+        lhs makes the multiset of left-hand sides strictly smaller in the
         multiset order of deglex, which is well-founded because every letter
         has degree >= 1 (finitely many words lie below any word)."""
-        current = self
-        while True:
-            found = current._unreduced_rule(0)
-            while found is not None and found[1]:
-                i = found[0]
-                tail = current.normal_form(current.rules[i].rhs)
-                if current is self:
-                    current = self.with_rules(self.rules)
-                    current._prepend = self._prepend  # built by the scan; no lhs changes
-                current._set_tail(i, tail)
-                found = current._unreduced_rule(i + 1)
-            if found is None:
-                return current
-            rules = list(current.rules)
-            rule = rules.pop(found[0])
-            current = self.with_rules(rules)
-            nf = current.normal_form(rule.polynomial())
-            if not nf.is_zero():
-                rules.insert(found[0], make_rule(nf))
-                current = self.with_rules(rules)
+        current, i, out = self, 0, set()  # out: the rules left out of current
+        while (i := current._unreduced_rule(i)) is not None:
+            if current is self:
+                current = self.with_rules(self.rules)
+                current._prepend = self._prepend  # built by the scan
+            old = current.rules[i]
+            current._take_out(i)
+            if old.lhs in current._word_nf(old.lhs):  # nf(L - R) = L - nf(R)
+                current._put_back(i, RewriteRule(old.lhs, current.normal_form(old.rhs)))
+            elif (nf := current.normal_form(old.polynomial())).is_zero():
+                out.add(i)
+            else:
+                rule = make_rule(nf)
+                kept = [rule if k == i else r for k, r in enumerate(current.rules) if k not in out]
+                current, i, out = self.with_rules(kept), 0, set()
+                continue
+            i += 1
+        if out:
+            return self.with_rules([r for k, r in enumerate(current.rules) if k not in out])
+        return current
 
-    def _unreduced_rule(self, start: int) -> Optional[tuple[int, bool]]:
+    def _unreduced_rule(self, start: int) -> Optional[int]:
         """The first rule from `start` on that is not reduced modulo the
-        others, and whether its lhs L is, or None.  L is when no other rule
-        has it and the automaton finds L[:-1] and L[1:] irreducible (any
-        other lhs in L lies in one); then the rule is when its tail is too."""
+        others, or None.  A rule is when no other rule has its lhs L and the
+        automaton finds L[:-1], L[1:] and its tail words irreducible (any
+        other lhs in L lies in one of the first two)."""
         irreducible = self.is_irreducible_word
-        for i, L in enumerate(self._lhs[start:], start):
-            if L in self._repeated or not (irreducible(L[:-1]) and irreducible(L[1:])):
-                return i, False
-            if not all(map(irreducible, self.rules[i].rhs.terms)):
-                return i, True
+        for i in range(start, len(self._lhs)):
+            L = self._lhs[i]
+            if len(self._ends[i]) > 1 or not (
+                irreducible(L[:-1])
+                and irreducible(L[1:])
+                and all(map(irreducible, self.rules[i].rhs.terms))
+            ):
+                return i
         return None
 
-    def _set_tail(self, i: int, tail: Polynomial) -> None:
-        """Set rule i's tail and clear the memo; only `interreduce` calls this."""
-        self.rules = (*self.rules[:i], RewriteRule(self._lhs[i], tail), *self.rules[i + 1 :])
+    def _take_out(self, i: int) -> None:
+        """Take rule i out of the trie, where its index leaves its _END list,
+        and clear the memo; only `interreduce` calls this.  The rule stays
+        in `rules`, where no trie walk reaches it."""
+        self._ends[i].remove(i)
         self._nf, self._nf_by_degree, self._nf_bucketed = {}, {}, 0
+
+    def _put_back(self, i: int, rule: RewriteRule) -> None:
+        """Put `rule`, of rule i's lhs L, back in rule i's place, and drop the
+        memo entry of L (see `interreduce`); only `interreduce` calls this.
+        L is irreducible modulo the rest, so no rule still in has it."""
+        self._ends[i].append(i)
+        del self._nf[rule.lhs]
+        self.rules = (*self.rules[:i], rule, *self.rules[i + 1 :])
 
     def is_reduced(self) -> bool:
         """Every rule is reduced modulo the others (see `_unreduced_rule`)."""

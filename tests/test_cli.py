@@ -78,6 +78,27 @@ def test_nf_counts_the_steps_of_a_long_word(tmp_path, capsys):
     assert out == f"normal form: {'x ' * 1100}y\nreduction steps: 1100\n"
 
 
+def test_nf_over_a_large_prime(tmp_path, capsys):
+    # the Mersenne prime 2^61 - 1 is found prime by Miller-Rabin at once,
+    # where trial division up to its square root would take hours
+    p = 2**61 - 1
+    doc = {"p": p, "alphabet": XY, "relations": [[[1, ["y", "x"]], [1, ["x", "y"]]]]}
+    code, out = run(capsys, "nf", "--file", write_doc(tmp_path, doc), "y x")
+    assert code == 0
+    assert out == f"normal form: {p - 1} x y\nreduction steps: 1\n"
+
+
+def test_a_characteristic_above_2_64_exits_2(tmp_path, capsys):
+    # 2^89 - 1 is prime, but twelve Miller-Rabin bases decide primality
+    # only below 2^64, so the field is refused in one line
+    p = 2**89 - 1
+    doc = {"p": p, "alphabet": XY, "relations": [[[1, ["y", "x"]], [1, ["x", "y"]]]]}
+    code = main(["nf", "--file", write_doc(tmp_path, doc), "y x"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: characteristic {p} is too large: p must be below 2^64\n"
+
+
 def test_nf_of_a_3000_letter_word(capsys):
     # the algebra of small l=1 is finite-dimensional, so a long word is 0
     code, out = run(capsys, "nf", "--builtin", "small", "--l", "1", " ".join(["b1 a0 b0"] * 1000))
@@ -519,8 +540,9 @@ def betti_rows(out):
 @pytest.mark.parametrize("command", ["anick", "betti"])
 def test_incomplete_presentation_names_the_tip(tmp_path, capsys, command):
     # y x y + x y x over F_3 is not complete: anick needs every critical pair
-    # to resolve and names the first tip that does not; betti completes the
-    # system up to D and prints the table of the one relation in degree 3
+    # to resolve and names the first tip that does not, in its --json report
+    # too; betti completes the system up to D and prints the table of the
+    # one relation in degree 3
     doc = {
         "p": 3,
         "alphabet": [{"name": "x", "degree": 1, "rank": 0}, {"name": "y", "degree": 1, "rank": 1}],
@@ -532,6 +554,12 @@ def test_incomplete_presentation_names_the_tip(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert code == 1
         assert err.count("\n") == 1 and "tip y x y x y" in err
+        code = main(["anick", "--file", path, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == err
+        report = json.loads(captured.out)
+        assert report["command"] == "anick"
+        assert report["verdicts"] == {"complete": False, "unresolved_tip": "y x y x y"}
         return
     code, out = run(capsys, "betti", "--file", path, "--D", "8")
     assert code == 0
@@ -727,11 +755,12 @@ def test_betti_interreduces_redundant_rules_of_a_document(tmp_path, capsys):
 
 
 def test_betti_interreduces_a_thousand_copies_of_one_relation(tmp_path, capsys):
-    # interreduction always ends: each copy of y x + x y but the last
-    # reduces to 0 modulo the others and is dropped, one at a time
+    # interreduction always ends, and in linear time: each copy of y x + x y
+    # but the last reduces to 0 modulo the others and is left out of one
+    # working system, with no system built per copy
     alphabet = [{"name": "x", "degree": 1, "rank": 0}, {"name": "y", "degree": 1, "rank": 1}]
     relation = [[1, ["y", "x"]], [1, ["x", "y"]]]
-    doc = {"p": 2, "alphabet": alphabet, "relations": [relation] * 1001}
+    doc = {"p": 2, "alphabet": alphabet, "relations": [relation] * 5000}
     code, out = run(capsys, "betti", "--file", write_doc(tmp_path, doc), "--D", "4")
     assert code == 0
     rows, _, last = betti_rows(out)

@@ -174,9 +174,9 @@ def test_the_prepend_automaton_reads_whole_words_in_one_place():
 
 def test_systems_change_in_place_only_in_their_own_transform():
     # a system is never changed once returned: rules are appended only by
-    # `complete`, and tails set only by `interreduce`, each on a working
-    # system of its own
-    callers = {"_add_rule": set(), "_set_tail": set()}
+    # `complete`, and taken out and put back only by `interreduce`, each on
+    # a working system of its own
+    callers = {"_add_rule": set(), "_take_out": set(), "_put_back": set()}
     for path in MODULES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for function in ast.walk(tree):
@@ -188,7 +188,11 @@ def test_systems_change_in_place_only_in_their_own_transform():
                         and node.func.attr in callers
                     ):
                         callers[node.func.attr].add(function.name)
-    assert callers == {"_add_rule": {"complete"}, "_set_tail": {"interreduce"}}, callers
+    assert callers == {
+        "_add_rule": {"complete"},
+        "_take_out": {"interreduce"},
+        "_put_back": {"interreduce"},
+    }, callers
 
 
 def test_only_completion_sets_a_claim():

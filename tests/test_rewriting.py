@@ -386,8 +386,8 @@ def builds(monkeypatch):
 
 
 def test_interreduction_sets_tails_on_one_working_system(builds):
-    # only tails of big(3,3,8) reduce: they are set on one working copy,
-    # which takes over the automaton its scan built
+    # only tails of big(3,3,8) reduce: each rule is put back with its new
+    # tail on one working copy, which takes over the automaton its scan built
     system = big_system(3, 3, 8)
     builds.clear()
     reduced = system.interreduce()
@@ -399,25 +399,41 @@ def test_interreduction_sets_tails_on_one_working_system(builds):
 def test_interreduction_drops_a_redundant_rule_with_one_system(builds):
     # x L -> x R for the first 30 rules L -> R of small l=3: each new lhs
     # holds an old one and each new rule reduces to 0 modulo the others, so
-    # each drop costs the one system without it
+    # each is left out of one working copy, and the rules kept make one
+    # system at the end
     system = small_system(3)
     x = (0,)
     extra = [RewriteRule(x + r.lhs, r.rhs.sandwich(x, ())) for r in system.rules[:30]]
     padded = system.with_rules([*system.rules, *extra])
     builds.clear()
     assert padded.interreduce().rules == system.rules
-    assert builds["systems"] <= 30
+    assert builds == {"systems": 2, "automata": 1}
+
+
+@pytest.mark.parametrize("copies", [10, 1001])
+def test_interreduction_drops_copies_of_one_rule_with_one_system(builds, copies):
+    # every copy of y x -> x y but the last has its lhs in another rule and
+    # reduces to 0 modulo the others: one working copy, one automaton, and
+    # one system of the last copy at the end
+    alphabet = Alphabet.from_names([("x", 1), ("y", 1)])
+    relation = poly(alphabet, F2, (1, ("y", "x")), (1, ("x", "y")))
+    system = RewritingSystem.from_relations(alphabet, F2, [relation] * copies)
+    builds.clear()
+    reduced = system.interreduce()
+    assert reduced.rules == (make_rule(relation),)
+    assert builds == {"systems": 2, "automata": 1}
 
 
 def test_tail_edits_keep_the_memo_exact(monkeypatch):
-    # the 8 tails of big(4,3,2) that reduce are set one by one on a working
-    # copy whose memo served the tails before: after each edit, and on the
-    # system returned, normal forms (term order included) match a new system
+    # the 8 tails of big(4,3,2) that reduce are put back one by one on a
+    # working copy whose memo served each reduction: after each edit, and on
+    # the system returned, normal forms (term order included) match a new
+    # system
     probes, edits = [], []
-    set_tail = RewritingSystem._set_tail
+    put_back = RewritingSystem._put_back
 
-    def checked(self, i, tail):
-        set_tail(self, i, tail)
+    def checked(self, i, rule):
+        put_back(self, i, rule)
         fresh = self.with_rules(self.rules)
         for w in probes:
             assert list(self.normal_form_word(w).items()) == list(
@@ -425,7 +441,7 @@ def test_tail_edits_keep_the_memo_exact(monkeypatch):
             )
         edits.append(i)
 
-    monkeypatch.setattr(RewritingSystem, "_set_tail", checked)
+    monkeypatch.setattr(RewritingSystem, "_put_back", checked)
     system = big_system(4, 3, 2)
     rng = random.Random(5)
     probes += [w for r in system.rules for w in (r.lhs, *r.rhs.terms)]
